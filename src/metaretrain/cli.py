@@ -93,8 +93,6 @@ def cmd_run(args) -> int:
         cfg.values["output_dir"] = args.output_dir
     if args.seed is not None:
         cfg.values["seeds"] = (args.seed,)
-    if args.deterministic:
-        cfg.values["deterministic"] = True
     if args.checkpoint:
         cfg.values["warm_start"] = args.checkpoint
     validate_config(cfg)
@@ -117,7 +115,6 @@ def cmd_run(args) -> int:
             trainer_cfg=cfg.trainer_config(), stopping=cfg.stopping_criterion,
             topn=tuple(cfg.topn), robustness_cases=cfg.robustness_cases,
             static_k=cfg.static_k, frozen_realizations=cfg.frozen_realizations,
-            overlap=not cfg.deterministic,
         )
 
         resume = None
@@ -215,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--data-dir")
     p_run.add_argument("--output-dir")
     p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--deterministic", action="store_true",
-                       help="force sequential execution (default unless config disables it)")
     p_run.add_argument("--checkpoint", help="warm-start checkpoint override")
     p_run.add_argument("--resume", help="existing run directory to continue")
     p_run.set_defaults(func=cmd_run)

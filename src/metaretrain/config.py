@@ -81,7 +81,6 @@ _SCHEMA = {
     "static_k": (int, 2),
     "frozen_realizations": (_parse_bool, False),
     "output_dir": (str, "runs"),
-    "deterministic": (_parse_bool, True),
     "warm_start": (str, None),
     "trainable_last_k": (int, None),
 }

@@ -13,7 +13,7 @@ from .layers import (
     model_spec,
 )
 from .optim import SGD
-from .checkpoint import load_checkpoint, load_model, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "Tensor",
@@ -31,6 +31,5 @@ __all__ = [
     "model_spec",
     "SGD",
     "load_checkpoint",
-    "load_model",
     "save_checkpoint",
 ]

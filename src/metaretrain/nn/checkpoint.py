@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import CheckpointError
-from .layers import Model, ModelSnapshot, ModelSpec
+from .layers import ModelSnapshot, ModelSpec
 
 MAGIC = b"MRCKPT01"
 
@@ -80,7 +80,3 @@ def load_checkpoint(path) -> ModelSnapshot:
     if offset != len(raw):
         raise CheckpointError(f"{len(raw) - offset} trailing bytes in {path}")
     return ModelSnapshot(spec=spec, params=tuple(params), version=version)
-
-
-def load_model(path) -> Model:
-    return Model.from_snapshot(load_checkpoint(path))

@@ -9,34 +9,32 @@ and raises NonFiniteError on the spot.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from ..errors import NonFiniteError, UsageError, ValidationError
 
 DEFAULT_DTYPE = np.float32
 
-# graph recording is toggled per thread: the tester may predict on a worker
-# thread while the trainer records a loss graph on the main thread
-_state = threading.local()
+_grad_enabled = True
 
 
 class no_grad:
     """Context manager disabling graph recording (used for pseudo-labeling)."""
 
     def __enter__(self):
-        self._prev = grad_enabled()
-        _state.enabled = False
+        global _grad_enabled
+        self._prev = _grad_enabled
+        _grad_enabled = False
         return self
 
     def __exit__(self, *exc):
-        _state.enabled = self._prev
+        global _grad_enabled
+        _grad_enabled = self._prev
         return False
 
 
 def grad_enabled() -> bool:
-    return getattr(_state, "enabled", True)
+    return _grad_enabled
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:

@@ -5,9 +5,8 @@ that snapshot (and top-N accuracy is measured on it), the resulting
 failed/passed partition determines the *next* cycle's augmentation policy, and
 retraining consumes the stream prepared from the *previous* cycle's partition.
 Cycle 0 therefore starts from the mode's initial pools (adaptive mode logs a
-fallback). Because testing and stream preparation never read the mutating
-model, they can overlap with training; overlapped and sequential execution
-produce identical numbers, differing only in wall time.
+fallback). Each cycle runs its phases in order: evaluate the snapshot, prepare
+the next cycle's stream, then train on the current one.
 
 Wall-clock durations are tracked in memory but excluded from persisted history
 so that identically-seeded runs serialize byte-identically.
@@ -18,7 +17,6 @@ from __future__ import annotations
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -83,9 +81,7 @@ class CycleConfig:
     topn: tuple = (1, 5)
     robustness_cases: Optional[int] = None
     static_k: int = 2
-    static_ratios: Optional[dict] = None
     frozen_realizations: bool = False
-    overlap: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -165,9 +161,6 @@ class RunHistory:
             "final_version": self.final_version,
         }
 
-    def to_json_dict(self) -> dict:
-        return self.to_dict()
-
     def to_csv_rows(self) -> list:
         algo = self.config.get("trainer", "?")
         group = self.config.get("mode", "?")
@@ -227,7 +220,7 @@ def _policy_for_cycle(cfg: CycleConfig, catalog, failed, passed, cycle: int) -> 
     if cfg.mode == "base":
         return base_policy(catalog, seed=cfg.seed)
     if cfg.mode == "static":
-        return static_policy(catalog, ratios=cfg.static_ratios, k=cfg.static_k, seed=cfg.seed)
+        return static_policy(catalog, k=cfg.static_k, seed=cfg.seed)
     weak, strong = base_pools(catalog)
     if failed is None:  # cycle 0: nothing tested yet
         log.info("adaptive cycle %d: no prior partition, using base strong pool", cycle)
@@ -326,53 +319,39 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
     stream = stream_for(policy, start_cycle)
 
     termination = "completed"
-    executor = ThreadPoolExecutor(max_workers=2) if cfg.overlap else None
-    try:
-        for cycle in range(start_cycle, cfg.cycles):
-            started = time.perf_counter()
-            snapshot = model.snapshot()
+    for cycle in range(start_cycle, cfg.cycles):
+        started = time.perf_counter()
+        snapshot = model.snapshot()
+        report, eval_report, failed, passed = evaluator(snapshot)
+        next_policy = _policy_for_cycle(cfg, catalog, failed, passed, cycle + 1)
+        next_stream = stream_for(next_policy, cycle + 1) if cycle + 1 < cfg.cycles else None
+        loss_stats, nan_diag = _train_one_cycle(trainer, stream, cycle, metrics_sink)
 
-            def eval_and_prepare(snap=snapshot, k=cycle):
-                report, eval_report, failed, passed = evaluator(snap)
-                next_policy = _policy_for_cycle(cfg, catalog, failed, passed, k + 1)
-                next_stream = stream_for(next_policy, k + 1) if k + 1 < cfg.cycles else None
-                return report, eval_report, failed, passed, next_stream
-
-            future = executor.submit(eval_and_prepare) if executor else None
-            sync_result = None if executor else eval_and_prepare()
-            loss_stats, nan_diag = _train_one_cycle(trainer, stream, cycle, metrics_sink)
-            report, eval_report, failed, passed, next_stream = (
-                future.result() if future is not None else sync_result
+        records.append(
+            CycleRecord(
+                cycle=cycle,
+                sr_mt=report.sr_mt,
+                accuracy=dict(eval_report.topn),
+                suites=[o.to_record() for o in report.outcomes],
+                loss_stats=loss_stats,
+                failed_ids=[mr.id for mr in failed],
+                passed_ids=[mr.id for mr in passed],
+                policy=stream.policy.to_log_dict(),
+                model_version=snapshot.version,
+                wall_time=time.perf_counter() - started,
             )
-
-            records.append(
-                CycleRecord(
-                    cycle=cycle,
-                    sr_mt=report.sr_mt,
-                    accuracy=dict(eval_report.topn),
-                    suites=[o.to_record() for o in report.outcomes],
-                    loss_stats=loss_stats,
-                    failed_ids=[mr.id for mr in failed],
-                    passed_ids=[mr.id for mr in passed],
-                    policy=stream.policy.to_log_dict(),
-                    model_version=snapshot.version,
-                    wall_time=time.perf_counter() - started,
-                )
-            )
-            if checkpoint_dir is not None:
-                _write_cycle_checkpoint(model, trainer, checkpoint_dir, cycle)
-            if nan_diag is not None:
-                log.error("cycle %d aborted: %s", cycle, nan_diag)
-                termination = "aborted_nan"
-                break
-            if should_stop(records, cfg.stopping):
-                termination = "threshold_met" if cfg.stopping.kind == "metric_threshold" else "completed"
-                break
-            if next_stream is not None:
-                stream = next_stream
-    finally:
-        if executor:
-            executor.shutdown(wait=True)
+        )
+        if checkpoint_dir is not None:
+            _write_cycle_checkpoint(model, trainer, checkpoint_dir, cycle)
+        if nan_diag is not None:
+            log.error("cycle %d aborted: %s", cycle, nan_diag)
+            termination = "aborted_nan"
+            break
+        if should_stop(records, cfg.stopping):
+            termination = "threshold_met" if cfg.stopping.kind == "metric_threshold" else "completed"
+            break
+        if next_stream is not None:
+            stream = next_stream
 
     final_snapshot = model.snapshot()
     if termination == "aborted_nan":

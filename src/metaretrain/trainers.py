@@ -9,10 +9,11 @@ batch) are omitted from the graph entirely, so degenerate runs reproduce a
 plain supervised loop bit for bit.
 
 Implemented steps:
-  * FixMatch: confidence-thresholded pseudo-labels, masked cross-entropy.
-  * FlexMatch: per-class thresholds scaled by estimated learning status.
+  * ThresholdedTrainer serves three names. FixMatch: confidence-thresholded
+    pseudo-labels, masked cross-entropy. FlexMatch: the same step with
+    per-class thresholds scaled by estimated learning status. FullMatch: the
+    FixMatch step plus an entropy/negative-learning penalty.
   * MixMatch: sharpened K-view label guessing plus pairwise input mixing.
-  * FullMatch: FixMatch plus an entropy/negative-learning penalty.
   * Supervised: labeled cross-entropy only (reference for degeneracy checks).
 """
 
@@ -213,77 +214,87 @@ class SupervisedTrainer(Trainer):
         return l_sup_t, {"l_sup": l_sup_t.item(), "mask_rate": 0.0}
 
 
-class FixMatchTrainer(Trainer):
-    name = "fixmatch"
-
-    def _losses(self, batch: Batch):
-        l_sup_t = self._supervised_loss(batch)
-        parts = {"l_sup": l_sup_t.item() if l_sup_t is not None else 0.0}
-        total_t = l_sup_t
-        n_u = batch.n_unlabeled
-        if n_u:
-            _, conf, raw, mapped = self._pseudo_labels(batch)
-            mask = (conf >= self.cfg.tau).astype(np.float32)
-            parts["mask_rate"] = float(mask.mean())
-            if self.capture_debug:
-                self.last_debug["mask"] = mask.copy()
-            if self.cfg.lambda_u != 0.0 and mask.any():
-                l_unsup_t = F.softmax_cross_entropy(
-                    self.model.forward(Tensor(batch.x_unlabeled_strong)),
-                    F.one_hot(mapped, self.num_classes),
-                    weights=mask,
-                    normalizer=n_u,
-                )
-                parts["l_unsup"] = l_unsup_t.item()
-                total_t = l_unsup_t * self.cfg.lambda_u if total_t is None else total_t + l_unsup_t * self.cfg.lambda_u
-        else:
-            parts["mask_rate"] = 0.0
-        if total_t is None:
-            raise ValidationError("fixmatch step received an entirely empty batch")
-        return total_t, parts
+def _plus(total_t, term_t):
+    return term_t if total_t is None else total_t + term_t
 
 
-class FlexMatchTrainer(Trainer):
-    name = "flexmatch"
+class ThresholdedTrainer(Trainer):
+    """FixMatch's step: masked cross-entropy on the strong view against the
+    confident weak-view pseudo-labels.
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.status = ClassThresholds.fresh(self.num_classes, self.cfg.tau, self.cfg.tau_min)
+    `status` swaps the fixed tau for FlexMatch's per-class thresholds, and
+    `penalty` adds FullMatch's term on the same strong-view logits.
+    """
+
+    def __init__(self, model: Model, optimizer: SGD, cfg: TrainerConfig, num_classes: int,
+                 seed: int = 0, *, name: str, status: ClassThresholds | None = None,
+                 penalty: bool = False):
+        super().__init__(model, optimizer, cfg, num_classes, seed=seed)
+        self.name = name
+        self.status = status
+        self.penalty = penalty
 
     def on_epoch_start(self) -> None:
-        self.status.reset()
+        if self.status is not None:
+            self.status.reset()
 
     def _losses(self, batch: Batch):
         l_sup_t = self._supervised_loss(batch)
-        parts = {"l_sup": l_sup_t.item() if l_sup_t is not None else 0.0}
+        parts = {"l_sup": l_sup_t.item() if l_sup_t is not None else 0.0, "mask_rate": 0.0}
         total_t = l_sup_t
         n_u = batch.n_unlabeled
         if n_u:
-            _, conf, raw, mapped = self._pseudo_labels(batch)
-            tau_c = self.status.thresholds()
-            per_sample_tau = tau_c[raw]
-            mask = conf >= per_sample_tau
-            # paper's per-class weighting, normalized by tau_max so a converged
-            # status (all tau_c == tau_max) reduces exactly to FixMatch
-            weights = (per_sample_tau / self.cfg.tau * mask).astype(np.float32)
-            parts["mask_rate"] = float(mask.mean())
+            probs_weak, conf, raw, mapped = self._pseudo_labels(batch)
+            tau = self.cfg.tau if self.status is None else self.status.thresholds()[raw]
+            mask = conf >= tau
+            # per-class weighting normalized by tau_max, so a fixed tau (or a
+            # converged status, all tau_c == tau_max) weighs by the mask alone
+            weights = (tau / self.cfg.tau * mask).astype(np.float32)
+            parts["mask_rate"] = float((mask if self.status is not None else weights).mean())
             if self.capture_debug:
-                self.last_debug.update({"mask": mask.copy(), "tau_c": tau_c.copy()})
-            if self.cfg.lambda_u != 0.0 and mask.any():
+                self.last_debug["mask"] = mask.copy()
+                if self.status is not None:
+                    self.last_debug["tau_c"] = self.status.thresholds()
+            need_unsup = self.cfg.lambda_u != 0.0 and mask.any()
+            need_penalty = self.penalty and self.cfg.lambda_p != 0.0
+            if need_unsup or need_penalty:
+                logits_s = self.model.forward(Tensor(batch.x_unlabeled_strong))
+            if need_unsup:
                 l_unsup_t = F.softmax_cross_entropy(
-                    self.model.forward(Tensor(batch.x_unlabeled_strong)),
-                    F.one_hot(mapped, self.num_classes),
-                    weights=weights,
-                    normalizer=n_u,
+                    logits_s, F.one_hot(mapped, self.num_classes), weights=weights, normalizer=n_u
                 )
                 parts["l_unsup"] = l_unsup_t.item()
-                total_t = l_unsup_t * self.cfg.lambda_u if total_t is None else total_t + l_unsup_t * self.cfg.lambda_u
-            self.status.update(raw[conf >= self.cfg.tau])
-        else:
-            parts["mask_rate"] = 0.0
+                total_t = _plus(total_t, l_unsup_t * self.cfg.lambda_u)
+            if need_penalty:
+                l_pen_t = self._penalty(logits_s, probs_weak, mask)
+                if l_pen_t is not None:
+                    parts["l_penalty"] = l_pen_t.item()
+                    total_t = _plus(total_t, l_pen_t * self.cfg.lambda_p)
+            if self.status is not None:
+                self.status.update(raw[conf >= self.cfg.tau])
         if total_t is None:
-            raise ValidationError("flexmatch step received an entirely empty batch")
+            raise ValidationError(f"{self.name} step received an entirely empty batch")
         return total_t, parts
+
+    def _penalty(self, logits_s: Tensor, probs_weak: np.ndarray, mask: np.ndarray):
+        """FullMatch: entropy minimization on below-threshold samples plus
+        negative learning on classes the weak prediction deems implausible."""
+        n_u, n_c = probs_weak.shape
+        terms = []
+        unmasked = (~mask).astype(np.float32)
+        ls = logits_s.log_softmax()
+        p = ls.exp()
+        if unmasked.any():
+            entropy_per = -(p * ls).sum(axis=1)
+            terms.append((entropy_per * Tensor(unmasked)).sum() * (1.0 / float(unmasked.sum())))
+        low = (probs_weak < self.cfg.low_tau).astype(np.float32)
+        if low.any():
+            neg_log = -(((1.0 - p).clamp_min(1e-6)).log())
+            terms.append((neg_log * Tensor(low)).sum() * (1.0 / float(n_u * n_c)))
+        total = None
+        for t in terms:
+            total = _plus(total, t)
+        return total
 
 
 class MixMatchTrainer(Trainer):
@@ -330,88 +341,30 @@ class MixMatchTrainer(Trainer):
         parts = {"mask_rate": 1.0}
         total_t = None
         if n_l:
-            l_sup_t = F.softmax_cross_entropy(self.model.forward(Tensor(x_mix[:n_l])), y_mix[:n_l])
-            parts["l_sup"] = l_sup_t.item()
-            total_t = l_sup_t
+            total_t = F.softmax_cross_entropy(self.model.forward(Tensor(x_mix[:n_l])), y_mix[:n_l])
+            parts["l_sup"] = total_t.item()
         l_unsup_t = F.soft_mse(self.model.forward(Tensor(x_mix[n_l:])), y_mix[n_l:])
         parts["l_unsup"] = l_unsup_t.item()
-        scaled = l_unsup_t * self.cfg.lambda_u if self.cfg.lambda_u != 0.0 else None
-        if scaled is not None:
-            total_t = scaled if total_t is None else total_t + scaled
+        if self.cfg.lambda_u != 0.0:
+            total_t = _plus(total_t, l_unsup_t * self.cfg.lambda_u)
         if total_t is None:
             raise ValidationError("mixmatch step produced no loss terms")
         return total_t, parts
 
 
-class FullMatchTrainer(Trainer):
-    name = "fullmatch"
-
-    def _losses(self, batch: Batch):
-        l_sup_t = self._supervised_loss(batch)
-        parts = {"l_sup": l_sup_t.item() if l_sup_t is not None else 0.0}
-        total_t = l_sup_t
-        n_u = batch.n_unlabeled
-        if n_u:
-            probs_weak, conf, raw, mapped = self._pseudo_labels(batch)
-            mask = (conf >= self.cfg.tau).astype(np.float32)
-            parts["mask_rate"] = float(mask.mean())
-            if self.capture_debug:
-                self.last_debug["mask"] = mask.copy()
-            need_unsup = self.cfg.lambda_u != 0.0 and mask.any()
-            need_penalty = self.cfg.lambda_p != 0.0
-            if need_unsup or need_penalty:
-                logits_s = self.model.forward(Tensor(batch.x_unlabeled_strong))
-            if need_unsup:
-                l_unsup_t = F.softmax_cross_entropy(
-                    logits_s, F.one_hot(mapped, self.num_classes), weights=mask, normalizer=n_u
-                )
-                parts["l_unsup"] = l_unsup_t.item()
-                total_t = l_unsup_t * self.cfg.lambda_u if total_t is None else total_t + l_unsup_t * self.cfg.lambda_u
-            if need_penalty:
-                l_pen_t = self._penalty(logits_s, probs_weak, mask)
-                if l_pen_t is not None:
-                    parts["l_penalty"] = l_pen_t.item()
-                    total_t = l_pen_t * self.cfg.lambda_p if total_t is None else total_t + l_pen_t * self.cfg.lambda_p
-        else:
-            parts["mask_rate"] = 0.0
-        if total_t is None:
-            raise ValidationError("fullmatch step received an entirely empty batch")
-        return total_t, parts
-
-    def _penalty(self, logits_s: Tensor, probs_weak: np.ndarray, mask: np.ndarray):
-        """Entropy minimization on below-threshold samples plus negative
-        learning on classes the weak prediction deems implausible."""
-        n_u, n_c = probs_weak.shape
-        terms = []
-        unmasked = (1.0 - mask).astype(np.float32)
-        ls = logits_s.log_softmax()
-        p = ls.exp()
-        if unmasked.any():
-            entropy_per = -(p * ls).sum(axis=1)
-            terms.append((entropy_per * Tensor(unmasked)).sum() * (1.0 / float(unmasked.sum())))
-        low = (probs_weak < self.cfg.low_tau).astype(np.float32)
-        if low.any():
-            neg_log = -(((1.0 - p).clamp_min(1e-6)).log())
-            terms.append((neg_log * Tensor(low)).sum() * (1.0 / float(n_u * n_c)))
-        if not terms:
-            return None
-        total = terms[0]
-        for t in terms[1:]:
-            total = total + t
-        return total
-
-
-_TRAINERS = {
-    "supervised": SupervisedTrainer,
-    "fixmatch": FixMatchTrainer,
-    "flexmatch": FlexMatchTrainer,
-    "mixmatch": MixMatchTrainer,
-    "fullmatch": FullMatchTrainer,
-}
+# name -> (per-class FlexMatch thresholds, FullMatch penalty)
+_THRESHOLDED = {"fixmatch": (False, False), "flexmatch": (True, False), "fullmatch": (False, True)}
 
 
 def build_trainer(name: str, model: Model, optimizer: SGD, cfg: TrainerConfig,
                   num_classes: int, seed: int = 0) -> Trainer:
-    if name not in _TRAINERS:
-        raise ValidationError(f"unknown trainer {name!r} (choose from {sorted(_TRAINERS)})")
-    return _TRAINERS[name](model, optimizer, cfg, num_classes, seed=seed)
+    if name in _THRESHOLDED:
+        per_class, penalty = _THRESHOLDED[name]
+        status = ClassThresholds.fresh(num_classes, cfg.tau, cfg.tau_min) if per_class else None
+        return ThresholdedTrainer(model, optimizer, cfg, num_classes, seed=seed,
+                                  name=name, status=status, penalty=penalty)
+    if name == "mixmatch":
+        return MixMatchTrainer(model, optimizer, cfg, num_classes, seed=seed)
+    if name == "supervised":
+        return SupervisedTrainer(model, optimizer, cfg, num_classes, seed=seed)
+    raise ValidationError(f"unknown trainer {name!r} (choose from {sorted(TRAINER_NAMES)})")

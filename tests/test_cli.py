@@ -74,6 +74,11 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "warp_speed" in capsys.readouterr().err
 
+    def test_removed_deterministic_key_exit_2(self, tmp_path, data_dir, capsys):
+        cfg = write_config(tmp_path / "old.cfg", data_dir, tmp_path / "runs", deterministic="true")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "unknown key 'deterministic'" in capsys.readouterr().err
+
     def test_determinism_same_seed_identical_files(self, tmp_path, data_dir):
         cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs")
         assert main(["run", "--config", str(cfg)]) == 0

@@ -137,19 +137,6 @@ class TestRunCycles:
             assert np.array_equal(pa[n], pb[n])
         assert real.final_version == stubbed.final_version
 
-    def test_overlap_matches_sequential(self):
-        model_a, split, catalog = small_setup(seed=5)
-        model_b, _, _ = small_setup(seed=5)
-        cfg_seq = config(mode="adaptive", cycles=3)
-        cfg_par = config(mode="adaptive", cycles=3, overlap=True)
-        h_seq = run_cycles(model_a, split, cfg_seq, catalog)
-        h_par = run_cycles(model_b, split, cfg_par, catalog)
-        assert h_seq.to_dict() == h_par.to_dict()
-        pa = {n: p.data for n, p in model_a.named_parameters()}
-        pb = {n: p.data for n, p in model_b.named_parameters()}
-        for n in pa:
-            assert np.array_equal(pa[n], pb[n])
-
     def test_deterministic_replay(self):
         model_a, split, catalog = small_setup(seed=6)
         model_b, _, _ = small_setup(seed=6)
