@@ -250,7 +250,7 @@ class ThresholdedTrainer(Trainer):
             # per-class weighting normalized by tau_max, so a fixed tau (or a
             # converged status, all tau_c == tau_max) weighs by the mask alone
             weights = (tau / self.cfg.tau * mask).astype(np.float32)
-            parts["mask_rate"] = float((mask if self.status is not None else weights).mean())
+            parts["mask_rate"] = float(mask.mean())
             if self.capture_debug:
                 self.last_debug["mask"] = mask.copy()
                 if self.status is not None:

@@ -349,6 +349,21 @@ class TestSharedInvariants:
         for n in pa:
             assert np.array_equal(pa[n], pb[n]), (name, n)
 
+    @pytest.mark.parametrize("name", ["fixmatch", "flexmatch", "fullmatch"])
+    def test_mask_rate_is_exact_fraction(self, name):
+        # pixel 0 drives class 0's logit: 7 of 20 weak views are confident and
+        # the rest see a uniform softmax; 7/20 has no exact float32 value
+        model = tiny_model(seed=37)
+        w = np.zeros_like(model._params["1.weight"].data)
+        w[0, 0] = 10.0
+        model._params["1.weight"].data = w
+        model._params["1.bias"].data = np.zeros_like(model._params["1.bias"].data)
+        batch = make_batch(np.random.default_rng(38), n_u=20)
+        batch.x_unlabeled_weak[...] = 0.0
+        batch.x_unlabeled_weak[0, :7, 0, 0, 0] = 1.0
+        trainer = build_trainer(name, model, SGD(0.0), TrainerConfig(), C)
+        assert trainer.step(batch).mask_rate == 7 / 20
+
     def test_loss_breakdown_validates(self):
         with pytest.raises(ValidationError):
             LossBreakdown(l_sup=1.0, l_unsup=0.5, l_penalty=0.0, total=99.0,
