@@ -280,21 +280,18 @@ class ThresholdedTrainer(Trainer):
         """FullMatch: entropy minimization on below-threshold samples plus
         negative learning on classes the weak prediction deems implausible."""
         n_u, n_c = probs_weak.shape
-        terms = []
+        total_t = None
         unmasked = (~mask).astype(np.float32)
         ls = logits_s.log_softmax()
         p = ls.exp()
         if unmasked.any():
             entropy_per = -(p * ls).sum(axis=1)
-            terms.append((entropy_per * Tensor(unmasked)).sum() * (1.0 / float(unmasked.sum())))
+            total_t = (entropy_per * Tensor(unmasked)).sum() * (1.0 / float(unmasked.sum()))
         low = (probs_weak < self.cfg.low_tau).astype(np.float32)
         if low.any():
             neg_log = -(((1.0 - p).clamp_min(1e-6)).log())
-            terms.append((neg_log * Tensor(low)).sum() * (1.0 / float(n_u * n_c)))
-        total = None
-        for t in terms:
-            total = _plus(total, t)
-        return total
+            total_t = _plus(total_t, (neg_log * Tensor(low)).sum() * (1.0 / float(n_u * n_c)))
+        return total_t
 
 
 class MixMatchTrainer(Trainer):
