@@ -156,7 +156,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_test(args) -> int:
-    snapshot = load_checkpoint(args.checkpoint)
+    if args.cases < 1:
+        raise ValidationError(f"--cases: must be at least 1, got {args.cases}")
+    model = Model.from_snapshot(load_checkpoint(args.checkpoint))
     data_dir = args.data_dir or os.environ.get(ENV_DATA_DIR)
     if not data_dir:
         raise ValidationError(f"data_dir not set (flag or ${ENV_DATA_DIR})")
@@ -164,8 +166,8 @@ def cmd_test(args) -> int:
     split = subsample_and_split(samples, args.fraction, (0.0, 0.0, 1.0), seed=args.seed)
     catalog = catalog_default(args.dataset)
     suites = build_suites(catalog, split.test, max_cases=args.cases, seed=args.seed)
-    report = robustness(snapshot, suites, pass_threshold=args.pass_threshold, seed=args.seed)
-    eval_report = evaluate(snapshot, split.test, topn_list=(1, 5), sr_mt=report.sr_mt)
+    report = robustness(model, suites, pass_threshold=args.pass_threshold, seed=args.seed)
+    eval_report = evaluate(model, split.test, topn_list=(1, 5), sr_mt=report.sr_mt)
     print(report.to_text())
     print(f"top1={eval_report.topn[1]:.4f} top5={eval_report.topn[5]:.4f} on {eval_report.sample_count} samples")
     out_dir = Path(args.output_dir)

@@ -11,10 +11,11 @@ from .errors import ValidationError
 from .nn import Model, ModelSnapshot
 
 
-def _logits_for(model_or_snapshot, samples) -> np.ndarray:
-    model = Model.from_snapshot(model_or_snapshot) if isinstance(model_or_snapshot, ModelSnapshot) else model_or_snapshot
-    images = np.stack([to_model_input(s.pixels) for s in samples])
-    return model.predict_logits(images)
+def as_model(model_or_snapshot) -> Model:
+    """The model to predict with: the argument itself, or one rebuilt from a snapshot."""
+    if isinstance(model_or_snapshot, ModelSnapshot):
+        return Model.from_snapshot(model_or_snapshot)
+    return model_or_snapshot
 
 
 def _topn_hits(logits: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
@@ -25,15 +26,7 @@ def _topn_hits(logits: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
 
 def topn_accuracy(model_or_snapshot, samples, n: int) -> float:
     """Fraction of samples whose true label ranks among the n highest logits."""
-    samples = list(samples)
-    if not samples:
-        raise ValidationError("top-N accuracy needs a non-empty test set")
-    logits = _logits_for(model_or_snapshot, samples)
-    n_classes = logits.shape[1]
-    if not 1 <= n <= n_classes:
-        raise ValidationError(f"N must be in [1, {n_classes}]")
-    labels = np.array([s.label for s in samples])
-    return float(_topn_hits(logits, labels, n).mean())
+    return evaluate(model_or_snapshot, samples, topn_list=(n,)).topn[int(n)]
 
 
 @dataclass(frozen=True)
@@ -56,7 +49,8 @@ def evaluate(model_or_snapshot, samples, topn_list=(1, 5), sr_mt: float | None =
     samples = list(samples)
     if not samples:
         raise ValidationError("evaluation needs a non-empty test set")
-    logits = _logits_for(model_or_snapshot, samples)
+    images = np.stack([to_model_input(s.pixels) for s in samples])
+    logits = as_model(model_or_snapshot).predict_logits(images)
     labels = np.array([s.label for s in samples])
     n_classes = logits.shape[1]
     topn = {}

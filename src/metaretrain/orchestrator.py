@@ -28,6 +28,7 @@ from .errors import NonFiniteError, ValidationError
 from .metrics import evaluate
 from .nn import SGD, Model, save_checkpoint
 from .policy import AugmentationPolicy, CycleDatasetSpec, CycleStream, adaptive_policy, base_policy, base_pools, build_cycle_stream, static_policy
+from .report import json_bytes
 from .tester import build_suites, partition, robustness
 from .trainers import Trainer, TrainerConfig, build_trainer
 
@@ -176,8 +177,7 @@ class RunHistory:
         return rows
 
     def save(self, path) -> None:
-        payload = json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-        Path(path).write_text(payload)
+        Path(path).write_bytes(json_bytes(self.to_dict()))
 
     @staticmethod
     def load(path) -> "RunHistory":
@@ -215,7 +215,7 @@ def should_stop(records, criterion: Optional[StoppingCriterion]) -> bool:
     return value >= criterion.value if criterion.direction == "gte" else value <= criterion.value
 
 
-def _policy_for_cycle(cfg: CycleConfig, catalog, failed, passed, cycle: int) -> AugmentationPolicy:
+def _policy_for_cycle(cfg: CycleConfig, catalog, failed, cycle: int) -> AugmentationPolicy:
     """Mode-specific policy; adaptive uses the previous cycle's partition."""
     if cfg.mode == "base":
         return base_policy(catalog, seed=cfg.seed)
@@ -224,8 +224,8 @@ def _policy_for_cycle(cfg: CycleConfig, catalog, failed, passed, cycle: int) -> 
     weak, strong = base_pools(catalog)
     if failed is None:  # cycle 0: nothing tested yet
         log.info("adaptive cycle %d: no prior partition, using base strong pool", cycle)
-        return adaptive_policy([], [], weak, strong, seed=cfg.seed)
-    return adaptive_policy(failed, passed, weak, strong, seed=cfg.seed)
+        return adaptive_policy([], weak, strong, seed=cfg.seed)
+    return adaptive_policy(failed, weak, strong, seed=cfg.seed)
 
 
 def default_evaluator(cfg: CycleConfig, split: DatasetSplit, catalog) -> Callable:
@@ -235,8 +235,9 @@ def default_evaluator(cfg: CycleConfig, split: DatasetSplit, catalog) -> Callabl
     suites = build_suites(catalog, split.test, max_cases=cfg.robustness_cases, seed=cfg.seed)
 
     def evaluator(snapshot):
-        report = robustness(snapshot, suites, pass_threshold=cfg.pass_threshold, seed=cfg.seed)
-        eval_report = evaluate(snapshot, split.test, topn_list=cfg.topn, sr_mt=report.sr_mt)
+        model = Model.from_snapshot(snapshot)
+        report = robustness(model, suites, pass_threshold=cfg.pass_threshold, seed=cfg.seed)
+        eval_report = evaluate(model, split.test, topn_list=cfg.topn, sr_mt=report.sr_mt)
         failed, passed = partition(report.outcomes)
         return report, eval_report, failed, passed
 
@@ -312,10 +313,9 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
         records = list(resume.records)
         start_cycle = resume.start_cycle
         failed = [catalog_map[i] for i in resume.failed_ids if i in catalog_map]
-        passed = [catalog_map[i] for i in resume.passed_ids if i in catalog_map]
-        policy = _policy_for_cycle(cfg, catalog, failed, passed, start_cycle)
+        policy = _policy_for_cycle(cfg, catalog, failed, start_cycle)
     else:
-        policy = _policy_for_cycle(cfg, catalog, None, None, 0)
+        policy = _policy_for_cycle(cfg, catalog, None, 0)
     stream = stream_for(policy, start_cycle)
 
     termination = "completed"
@@ -323,7 +323,7 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
         started = time.perf_counter()
         snapshot = model.snapshot()
         report, eval_report, failed, passed = evaluator(snapshot)
-        next_policy = _policy_for_cycle(cfg, catalog, failed, passed, cycle + 1)
+        next_policy = _policy_for_cycle(cfg, catalog, failed, cycle + 1)
         next_stream = stream_for(next_policy, cycle + 1) if cycle + 1 < cfg.cycles else None
         loss_stats, nan_diag = _train_one_cycle(trainer, stream, cycle, metrics_sink)
 

@@ -115,10 +115,9 @@ def base_policy(catalog, seed: int = 0) -> AugmentationPolicy:
     return AugmentationPolicy(mode="base", weak_pool=tuple(weak), strong_pool=tuple(strong), seed=seed)
 
 
-def adaptive_policy(failed, passed, base_weak, base_strong, seed: int = 0) -> AugmentationPolicy:
+def adaptive_policy(failed, base_weak, base_strong, seed: int = 0) -> AugmentationPolicy:
     """Failed relations become the strong pool; empty failure set falls back to
     the base strong pool (flagged and logged)."""
-    del passed  # reserved for retrain-on-passed variants
     strong = _dedup(failed)
     fallback = not strong
     if fallback:

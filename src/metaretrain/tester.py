@@ -4,20 +4,22 @@ A suite pairs one relation with a set of source images. Per case the model
 passes when its prediction on the transformed image matches the reference:
 for label-preserving relations the reference is the model's own prediction on
 the source (self-consistency, usable without labels); for non-label-preserving
-relations with a known source label it is the mapped ground truth. The global
-success rate over all cases is the robustness metric.
+relations it is the mapped ground truth. The global success rate over all cases
+is the robustness metric. One `robustness()` call predicts each source set once
+and checks every label-preserving relation's follow-up images against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .data import ImageSample, to_model_input
+from .data import to_model_input
 from .errors import ValidationError
-from .nn import Model, ModelSnapshot
+from .metrics import as_model
+from .nn import Model
 from .relations import LABEL_PRESERVING, label_map_array
 
 
@@ -27,8 +29,6 @@ class TestSuite:
 
     mr: object
     sources: tuple
-    suite_id: Optional[str] = None
-    use_source_labels: bool = True
 
     def __post_init__(self):
         if not self.sources:
@@ -38,10 +38,6 @@ class TestSuite:
     def n_cases(self) -> int:
         return len(self.sources)
 
-    @property
-    def name(self) -> str:
-        return self.suite_id if self.suite_id is not None else self.mr.id
-
 
 @dataclass(frozen=True)
 class SuiteOutcome:
@@ -50,7 +46,7 @@ class SuiteOutcome:
     bits: np.ndarray  # int8 per-case results
     success_rate: float
     verdict: str  # "passed" | "failed"
-    mode: str  # "consistency" | "mapped_truth" | "mapped_consistency"
+    mode: str  # "consistency" | "mapped_truth"
 
     def to_record(self) -> dict:
         return {
@@ -88,67 +84,51 @@ class RobustnessReport:
         return "\n".join(lines)
 
 
-def build_suites(mrs, sources, max_cases: Optional[int] = None, seed: int = 0,
-                 use_source_labels: bool = True) -> list:
+def build_suites(mrs, sources, max_cases: Optional[int] = None, seed: int = 0) -> list:
     """One suite per relation over a shared source set."""
     sources = list(sources)
     if not sources:
         raise ValidationError("no source samples for suite construction")
+    if max_cases is not None and max_cases < 1:
+        raise ValidationError(f"max_cases: must be at least 1, got {max_cases}")
     if max_cases is not None and len(sources) > max_cases:
         order = np.random.default_rng(seed).permutation(len(sources))[:max_cases]
         sources = [sources[i] for i in sorted(order)]
-    return [TestSuite(mr=mr, sources=tuple(sources), use_source_labels=use_source_labels) for mr in mrs]
+    shared = tuple(sources)  # one tuple object, so robustness() predicts it once
+    return [TestSuite(mr=mr, sources=shared) for mr in mrs]
 
 
-def _model_of(model_or_snapshot) -> Model:
-    if isinstance(model_or_snapshot, ModelSnapshot):
-        return Model.from_snapshot(model_or_snapshot)
-    return model_or_snapshot
+def _predict(model: Model, images) -> np.ndarray:
+    return np.argmax(model.predict_logits(np.stack([to_model_input(x) for x in images])), axis=1)
 
 
-def run_case(model_or_snapshot, mr, sample: ImageSample, seed: int = 0,
-             use_source_label: bool = True) -> int:
-    """Single metamorphic test case; returns 1 on pass, 0 on fail."""
-    model = _model_of(model_or_snapshot)
-    transformed = mr.transform(sample.pixels, (seed, sample.source_id))
-    pred_t = int(np.argmax(model.predict_logits(to_model_input(transformed)[None])[0]))
-    if mr.kind == LABEL_PRESERVING or not use_source_label:
-        pred_o = int(np.argmax(model.predict_logits(to_model_input(sample.pixels)[None])[0]))
-        return int(pred_t == mr.label_map(pred_o))
-    return int(pred_t == mr.label_map(sample.label))
+def _score(model: Model, suite: TestSuite, pass_threshold: float, seed: int,
+           source_preds: dict) -> SuiteOutcome:
+    """`source_preds` maps id(suite.sources) to the model's predictions on those sources."""
+    if not 0.0 <= pass_threshold <= 1.0:
+        raise ValidationError("pass_threshold must be in [0, 1]")
+    mr = suite.mr
+    preds_t = _predict(model, [mr.transform(s.pixels, (seed, s.source_id)) for s in suite.sources])
+    if mr.kind == LABEL_PRESERVING:
+        mode = "consistency"
+        key = id(suite.sources)
+        if key not in source_preds:
+            source_preds[key] = _predict(model, [s.pixels for s in suite.sources])
+        reference = source_preds[key]
+    else:
+        mode = "mapped_truth"
+        reference = np.array([s.label for s in suite.sources])
+    table = label_map_array(mr, model.spec.num_classes)
+    bits = (preds_t == table[reference]).astype(np.int8)
+    rate = float(bits.mean())
+    verdict = "passed" if rate >= pass_threshold else "failed"
+    return SuiteOutcome(suite_id=mr.id, mr=mr, bits=bits, success_rate=rate,
+                        verdict=verdict, mode=mode)
 
 
 def run_suite(model_or_snapshot, suite: TestSuite, pass_threshold: float = 0.8,
               seed: int = 0) -> SuiteOutcome:
-    if not 0.0 <= pass_threshold <= 1.0:
-        raise ValidationError("pass_threshold must be in [0, 1]")
-    model = _model_of(model_or_snapshot)
-    mr = suite.mr
-    transformed = np.stack(
-        [to_model_input(mr.transform(s.pixels, (seed, s.source_id))) for s in suite.sources]
-    )
-    preds_t = np.argmax(model.predict_logits(transformed), axis=1)
-
-    n_classes = model.spec.num_classes
-    table = label_map_array(mr, n_classes)
-    if mr.kind == LABEL_PRESERVING:
-        mode = "consistency"
-    elif suite.use_source_labels:
-        mode = "mapped_truth"
-    else:
-        mode = "mapped_consistency"
-    if mode == "mapped_truth":
-        reference = table[np.array([s.label for s in suite.sources])]
-    else:
-        originals = np.stack([to_model_input(s.pixels) for s in suite.sources])
-        preds_o = np.argmax(model.predict_logits(originals), axis=1)
-        reference = table[preds_o]
-
-    bits = (preds_t == reference).astype(np.int8)
-    rate = float(bits.mean())
-    verdict = "passed" if rate >= pass_threshold else "failed"
-    return SuiteOutcome(suite_id=suite.name, mr=mr, bits=bits, success_rate=rate,
-                        verdict=verdict, mode=mode)
+    return _score(as_model(model_or_snapshot), suite, pass_threshold, seed, {})
 
 
 def robustness(model_or_snapshot, suites, pass_threshold: float = 0.8,
@@ -157,25 +137,22 @@ def robustness(model_or_snapshot, suites, pass_threshold: float = 0.8,
     suites = list(suites)
     if not suites:
         raise ValidationError("robustness() needs at least one suite")
-    model = _model_of(model_or_snapshot)
+    model = as_model(model_or_snapshot)
+    source_preds: dict = {}  # keyed by object id; `suites` keeps every tuple alive
     outcomes = []
     seen: dict[str, int] = {}
     for suite in suites:
-        outcome = run_suite(model, suite, pass_threshold=pass_threshold, seed=seed)
+        outcome = _score(model, suite, pass_threshold, seed, source_preds)
         k = seen.get(outcome.suite_id, 0)
         seen[outcome.suite_id] = k + 1
         if k:
-            outcome = SuiteOutcome(
-                suite_id=f"{outcome.suite_id}#{k + 1}", mr=outcome.mr, bits=outcome.bits,
-                success_rate=outcome.success_rate, verdict=outcome.verdict, mode=outcome.mode,
-            )
+            outcome = replace(outcome, suite_id=f"{outcome.suite_id}#{k + 1}")
         outcomes.append(outcome)
     outcomes.sort(key=lambda o: o.suite_id)
     total = sum(o.bits.size for o in outcomes)
     passes = sum(int(o.bits.sum()) for o in outcomes)
-    version = model_or_snapshot.version if isinstance(model_or_snapshot, ModelSnapshot) else model.version
     return RobustnessReport(
-        sr_mt=passes / total, total_cases=total, outcomes=tuple(outcomes), model_version=version
+        sr_mt=passes / total, total_cases=total, outcomes=tuple(outcomes), model_version=model.version
     )
 
 

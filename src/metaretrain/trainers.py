@@ -105,6 +105,7 @@ class ClassThresholds:
         return ClassThresholds(tau_max=tau_max, tau_min=tau_min, sigma=np.zeros(n_classes, dtype=np.int64))
 
     def thresholds(self) -> np.ndarray:
+        """tau_c = max(tau_max * sigma_c / max(max_c' sigma_c', 1), tau_min)."""
         beta = self.sigma / max(int(self.sigma.max()), 1)
         return np.maximum(beta * self.tau_max, self.tau_min)
 
@@ -113,11 +114,6 @@ class ClassThresholds:
 
     def reset(self) -> None:
         self.sigma[:] = 0
-
-
-def flexmatch_thresholds(status: ClassThresholds) -> np.ndarray:
-    """tau_c = max(tau_max * sigma_c / max(max_c' sigma_c', 1), tau_min)."""
-    return status.thresholds()
 
 
 def mixmatch_mix(pair_a, pair_b, gamma):

@@ -138,6 +138,17 @@ class TestTestCommand:
         golden = (tmp_path / "g1" / "robustness_report.json").read_bytes()
         assert (tmp_path / "g2" / "robustness_report.json").read_bytes() == golden
 
+    def test_cases_below_one_exit_2_naming_flag(self, tmp_path, capsys):
+        self.make_cifar_fixture(tmp_path)
+        ckpt = self.constant_checkpoint(tmp_path)
+        for cases in ("0", "-5"):
+            rc = main(["test", "--checkpoint", str(ckpt), "--dataset", "cifar10",
+                       "--data-dir", str(tmp_path), "--fraction", "1.0", "--cases", cases,
+                       "--output-dir", str(tmp_path / "out")])
+            assert rc == 2
+            assert "--cases" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_checkpoint_exit_2(self, tmp_path, capsys):
         rc = main(["test", "--checkpoint", str(tmp_path / "absent.ckpt"),
                    "--data-dir", str(tmp_path)])

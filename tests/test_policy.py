@@ -28,20 +28,20 @@ class TestAdaptivePolicy:
     def test_failed_set_becomes_strong_pool(self):
         mrs = catalog_by_id("mnist")
         weak, strong = base_pools(catalog_default("mnist"))
-        pol = adaptive_policy([mrs["rot90"]], [], weak, strong)
+        pol = adaptive_policy([mrs["rot90"]], weak, strong)
         assert [m.id for m in pol.strong_pool] == ["rot90"]
         assert not pol.fallback_used
 
     def test_empty_failed_falls_back_and_flags(self):
         weak, strong = base_pools(catalog_default("mnist"))
-        pol = adaptive_policy([], [], weak, strong)
+        pol = adaptive_policy([], weak, strong)
         assert pol.fallback_used
         assert [m.id for m in pol.strong_pool] == [m.id for m in strong]
 
     def test_duplicates_deduplicated(self):
         mrs = catalog_by_id("mnist")
         weak, strong = base_pools(catalog_default("mnist"))
-        pol = adaptive_policy([mrs["rot90"], mrs["rot90"]], [], weak, strong)
+        pol = adaptive_policy([mrs["rot90"], mrs["rot90"]], weak, strong)
         assert len(pol.strong_pool) == 1
 
 

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metaretrain.data import ImageSample, to_model_input
 from metaretrain.errors import ValidationError
 from metaretrain.nn import Dense, Flatten, Model, ModelSpec
-from metaretrain.relations import IDENTITY, catalog_by_id, catalog_default
+from metaretrain.relations import IDENTITY, LABEL_PRESERVING, catalog_by_id, catalog_default
 from metaretrain.tester import (
     SuiteOutcome,
     TestSuite,
     build_suites,
     partition,
     robustness,
-    run_case,
     run_suite,
 )
 
@@ -43,12 +44,33 @@ def mnist_samples(n, seed=0):
     return digit_samples(n, size=28, seed=seed)
 
 
+def oracle_bits(model, mrs, sources, seed):
+    """Independent per-case loop, fresh forward per image: {mr id: bits}."""
+    expected_bits = {}
+    for mr in mrs:
+        bits = []
+        for s in sources:
+            gx = mr.transform(s.pixels, (seed, s.source_id))
+            pred_gx = int(np.argmax(model.predict_logits(to_model_input(gx)[None])[0]))
+            if mr.kind == LABEL_PRESERVING:
+                ref = int(np.argmax(model.predict_logits(to_model_input(s.pixels)[None])[0]))
+                ref = mr.label_map(ref)
+            else:
+                ref = mr.label_map(s.label)
+            bits.append(int(pred_gx == ref))
+        expected_bits[mr.id] = bits
+    return expected_bits
+
+
 class TestRunCase:
+    """One metamorphic test case: a one-source suite scored by run_suite."""
+
     def test_constant_model_passes_label_preserving(self):
         model = constant_model(size=28)
         mrs = catalog_by_id("mnist")
         for s in mnist_samples(5):
-            assert run_case(model.snapshot(), mrs["rot90"], s) == 1
+            suite = TestSuite(mr=mrs["rot90"], sources=(s,))
+            assert run_suite(model.snapshot(), suite).bits.tolist() == [1]
 
     def test_mapped_label_mismatch_fails(self):
         # constant model predicts 2 everywhere; rot180 maps a source-2 to 5
@@ -56,7 +78,8 @@ class TestRunCase:
         mrs = catalog_by_id("mnist")
         s = mnist_samples(1)[0]
         s = ImageSample(s.pixels, 2, s.source_id)
-        assert run_case(model.snapshot(), mrs["rot180"], s) == 0
+        suite = TestSuite(mr=mrs["rot180"], sources=(s,))
+        assert run_suite(model.snapshot(), suite).bits.tolist() == [0]
 
     def test_matches_brute_force_enumeration(self):
         model = tiny_model(seed=4, size=28)
@@ -66,22 +89,38 @@ class TestRunCase:
         suites = build_suites(mrs, sources, seed=0)
         report = robustness(snap, suites, pass_threshold=0.8, seed=0)
 
-        # independent oracle: per-case loop, fresh forward per image
-        expected_bits = {}
-        for mr in mrs:
-            bits = []
-            for s in sources:
-                gx = mr.transform(s.pixels, (0, s.source_id))
-                pred_gx = int(np.argmax(model.predict_logits(to_model_input(gx)[None])[0]))
-                if mr.kind == "label_preserving":
-                    ref = int(np.argmax(model.predict_logits(to_model_input(s.pixels)[None])[0]))
-                    ref = mr.label_map(ref)
-                else:
-                    ref = mr.label_map(s.label)
-                bits.append(int(pred_gx == ref))
-            expected_bits[mr.id] = bits
+        expected_bits = oracle_bits(model, mrs, sources, seed=0)
         for outcome in report.outcomes:
             assert outcome.bits.tolist() == expected_bits[outcome.mr.id]
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_sources=st.integers(1, 6), data_seed=st.integers(0, 2**16), model_seed=st.integers(0, 2**16),
+           tester_seed=st.integers(0, 2**16),
+           picks=st.lists(st.sampled_from(sorted(catalog_by_id("mnist"))), min_size=1, unique=True))
+    @example(n_sources=3, data_seed=0, model_seed=0, tester_seed=0, picks=["rot180", "rot15", "noise8"])
+    def test_matches_oracle_on_random_sources_and_relations(self, n_sources, data_seed, model_seed,
+                                                            tester_seed, picks):
+        mrs = [catalog_by_id("mnist")[mr_id] for mr_id in picks]
+        model = tiny_model(seed=model_seed, size=28)
+        sources = mnist_samples(n_sources, seed=data_seed)
+        report = robustness(model.snapshot(), build_suites(mrs, sources), seed=tester_seed)
+
+        expected_bits = oracle_bits(model, mrs, sources, seed=tester_seed)
+        for outcome in report.outcomes:
+            assert outcome.bits.tolist() == expected_bits[outcome.mr.id]
+            assert outcome.mode == ("consistency" if outcome.mr.kind == LABEL_PRESERVING else "mapped_truth")
+
+
+class TestBuildSuites:
+    def test_suites_share_one_source_tuple(self):
+        suites = build_suites(catalog_default("mnist"), mnist_samples(5), max_cases=3)
+        assert all(suite.sources is suites[0].sources for suite in suites)
+        assert suites[0].n_cases == 3
+
+    @pytest.mark.parametrize("max_cases", [0, -5])
+    def test_max_cases_below_one_rejected_naming_field(self, max_cases):
+        with pytest.raises(ValidationError, match="max_cases"):
+            build_suites(catalog_default("mnist"), mnist_samples(5), max_cases=max_cases)
 
 
 class TestRunSuite:
@@ -177,6 +216,35 @@ class TestRobustness:
     def test_empty_suites_rejected(self):
         with pytest.raises(ValidationError):
             robustness(tiny_model().snapshot(), [])
+
+    def test_each_source_predicted_once(self, monkeypatch):
+        # 10 relations over N sources: 10 follow-up sets plus one shared source set
+        forwarded = []
+        original = Model.predict_logits
+
+        def counting(self, images, *args, **kwargs):
+            forwarded.append(len(images))
+            return original(self, images, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "predict_logits", counting)
+        catalog = catalog_default("mnist")
+        assert len(catalog) == 10
+        n = 7
+        suites = build_suites(catalog, mnist_samples(n, seed=12))
+        report = robustness(tiny_model(seed=11, size=28).snapshot(), suites)
+        assert report.total_cases == 10 * n
+        assert sum(forwarded) == 11 * n
+
+    def test_source_sets_keyed_by_object_not_source_id(self):
+        # same source ids, different pixels: each suite must use its own source predictions
+        model = tiny_model(seed=13)
+        a = digit_samples(6, seed=14)
+        b = digit_samples(6, seed=15)
+        preds = [np.argmax(model.predict_logits(np.stack([to_model_input(s.pixels) for s in x])), axis=1)
+                 for x in (a, b)]
+        assert (preds[0] != preds[1]).any()
+        suites = [TestSuite(mr=IDENTITY, sources=tuple(a)), TestSuite(mr=IDENTITY, sources=tuple(b))]
+        assert robustness(model.snapshot(), suites).sr_mt == 1.0
 
     def test_constant_model_below_one_with_label_map(self):
         model = constant_model(size=28, winner=2)

@@ -18,7 +18,6 @@ from metaretrain.trainers import (
     LossBreakdown,
     TrainerConfig,
     build_trainer,
-    flexmatch_thresholds,
     mixmatch_mix,
     sharpen,
 )
@@ -135,15 +134,15 @@ class TestFixMatch:
 class TestFlexMatch:
     def test_threshold_formula(self):
         status = ClassThresholds(tau_max=0.9, tau_min=0.3, sigma=np.array([4, 4, 4]))
-        assert np.allclose(flexmatch_thresholds(status), [0.9, 0.9, 0.9])
+        assert np.allclose(status.thresholds(), [0.9, 0.9, 0.9])
         status = ClassThresholds(tau_max=0.9, tau_min=0.3, sigma=np.array([8, 4, 8]))
-        assert np.allclose(flexmatch_thresholds(status), [0.9, 0.45, 0.9])
+        assert np.allclose(status.thresholds(), [0.9, 0.45, 0.9])
         status = ClassThresholds(tau_max=0.9, tau_min=0.3, sigma=np.zeros(3, dtype=np.int64))
-        assert np.allclose(flexmatch_thresholds(status), [0.3, 0.3, 0.3])
+        assert np.allclose(status.thresholds(), [0.3, 0.3, 0.3])
 
     def test_floor_applies(self):
         status = ClassThresholds(tau_max=0.9, tau_min=0.5, sigma=np.array([1, 100]))
-        taus = flexmatch_thresholds(status)
+        taus = status.thresholds()
         assert taus[0] == 0.5  # 0.9/100 floored
         assert taus[1] == 0.9
 
