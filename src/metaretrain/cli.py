@@ -146,7 +146,6 @@ def cmd_run(args) -> int:
         history.save(run_dir / "history.json")
         (run_dir / "summary.txt").write_text(history.summary() + "\n")
         export(history, "csv", run_dir / "reports" / "history.csv")
-        export(history, "json", run_dir / "reports" / "history.json")
         save_checkpoint(model.snapshot(), run_dir / "checkpoints" / "final.ckpt")
         print(f"[{run_dir.name}] termination={history.termination}")
         print(history.summary())
@@ -158,6 +157,8 @@ def cmd_run(args) -> int:
 def cmd_test(args) -> int:
     if args.cases < 1:
         raise ValidationError(f"--cases: must be at least 1, got {args.cases}")
+    if not 0 <= args.pass_threshold <= 1:
+        raise ValidationError(f"--pass-threshold: must be in [0, 1], got {args.pass_threshold}")
     model = Model.from_snapshot(load_checkpoint(args.checkpoint))
     data_dir = args.data_dir or os.environ.get(ENV_DATA_DIR)
     if not data_dir:

@@ -44,7 +44,7 @@ def _parse_stopping(raw: str):
         parts = raw.split(":")
         if len(parts) != 4:
             raise ValueError("expected metric:<name>:<gte|lte>:<value>")
-        return StoppingCriterion.threshold(parts[1], parts[2], float(parts[3]))
+        return StoppingCriterion(parts[1], parts[2], float(parts[3]))
     raise ValueError(f"expected 'fixed' or 'metric:<name>:<gte|lte>:<value>', got {raw!r}")
 
 
@@ -204,6 +204,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"learning_rate: must be non-negative, got {v['learning_rate']}")
     if not 0 <= v["momentum"] < 1:
         raise ConfigError(f"momentum: must be in [0, 1), got {v['momentum']}")
+    if v["static_k"] < 2:
+        raise ConfigError(f"static_k: static compositions need at least 2 relations, got {v['static_k']}")
     if v["robustness_cases"] is not None and v["robustness_cases"] < 1:
         raise ConfigError("robustness_cases: must be at least 1 when set")
     try:

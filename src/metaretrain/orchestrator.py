@@ -40,29 +40,16 @@ TERMINATIONS = ("completed", "threshold_met", "aborted_nan")
 
 @dataclass(frozen=True)
 class StoppingCriterion:
-    kind: str  # "fixed_iterations" | "metric_threshold"
-    iterations: Optional[int] = None
-    metric: Optional[str] = None  # "sr_mt" | "top<N>_accuracy"
-    direction: Optional[str] = None  # "gte" | "lte"
-    value: Optional[float] = None
+    """Stop once the last record's metric crosses `value`; a run without one
+    runs all configured cycles."""
+
+    metric: str  # "sr_mt" | "top<N>_accuracy"
+    direction: str  # "gte" | "lte"
+    value: float
 
     def __post_init__(self):
-        if self.kind == "fixed_iterations":
-            if not self.iterations or self.iterations < 1:
-                raise ValidationError("fixed_iterations criterion needs iterations >= 1")
-        elif self.kind == "metric_threshold":
-            if self.metric is None or self.value is None or self.direction not in ("gte", "lte"):
-                raise ValidationError("metric_threshold criterion needs metric, direction (gte|lte), value")
-        else:
-            raise ValidationError(f"unknown stopping criterion kind {self.kind!r}")
-
-    @staticmethod
-    def fixed(n: int) -> "StoppingCriterion":
-        return StoppingCriterion(kind="fixed_iterations", iterations=n)
-
-    @staticmethod
-    def threshold(metric: str, direction: str, value: float) -> "StoppingCriterion":
-        return StoppingCriterion(kind="metric_threshold", metric=metric, direction=direction, value=value)
+        if self.direction not in ("gte", "lte"):
+            raise ValidationError(f"stopping criterion direction must be gte or lte, got {self.direction!r}")
 
 
 @dataclass(frozen=True)
@@ -209,8 +196,6 @@ def should_stop(records, criterion: Optional[StoppingCriterion]) -> bool:
     """Pure decision from the last record; no side effects."""
     if criterion is None or not records:
         return False
-    if criterion.kind == "fixed_iterations":
-        return len(records) >= criterion.iterations
     value = records[-1].metric(criterion.metric)
     return value >= criterion.value if criterion.direction == "gte" else value <= criterion.value
 
@@ -249,7 +234,6 @@ class ResumeState:
     start_cycle: int
     records: list
     failed_ids: list
-    passed_ids: list
     optimizer_velocities: Optional[dict] = None
 
 
@@ -348,7 +332,7 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
             termination = "aborted_nan"
             break
         if should_stop(records, cfg.stopping):
-            termination = "threshold_met" if cfg.stopping.kind == "metric_threshold" else "completed"
+            termination = "threshold_met"
             break
         if next_stream is not None:
             stream = next_stream
@@ -393,7 +377,6 @@ def resume_state_from(history: RunHistory, checkpoint_dir) -> tuple:
         start_cycle=last.cycle + 1,
         records=list(history.records),
         failed_ids=last.failed_ids,
-        passed_ids=last.passed_ids,
         optimizer_velocities=velocities,
     )
     return model, state

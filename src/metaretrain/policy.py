@@ -3,7 +3,7 @@
 Three modes mirror the retraining techniques: base (stock weak/strong pools,
 ignores test outcomes), adaptive (previous cycle's failed relations become the
 strong pool), and static (catalog singles as weak, ordered compositions as
-strong, fixed sampling ratios).
+strong, each pool sampled uniformly).
 
 The stream materializes, per epoch, batches holding an augmented labeled part
 (labels remapped through the applied relation) and weak/strong views of the
@@ -19,7 +19,6 @@ import logging
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Optional
 
 import numpy as np
 
@@ -30,65 +29,36 @@ from .relations import IDENTITY, LABEL_PRESERVING, compose, label_map_array
 log = logging.getLogger(__name__)
 
 
+def _draw(rng: np.random.Generator, pool):
+    # p= consumes the RNG differently from choice(n); seeded base/adaptive streams rely on it
+    return pool[rng.choice(len(pool), p=np.full(len(pool), 1.0 / len(pool)))]
+
+
 @dataclass(frozen=True)
 class AugmentationPolicy:
     mode: str  # base | adaptive | static
     weak_pool: tuple
     strong_pool: tuple
     seed: int
-    ratios: Optional[dict] = None  # id -> sampling weight over weak_pool
     fallback_used: bool = False
 
     def __post_init__(self):
         if not self.weak_pool or not self.strong_pool:
             raise ValidationError("augmentation pools must be non-empty after fallback resolution")
-        if self.ratios is not None:
-            total = sum(self.ratios.values())
-            if abs(total - 1.0) > 1e-9:
-                raise ValidationError(f"ratios must sum to 1 within 1e-9, got {total}")
-            missing = [mr.id for mr in self.weak_pool if mr.id not in self.ratios]
-            if missing:
-                raise ValidationError(f"ratios missing entries for {missing}")
-
-    def _weights(self, pool, from_ratios: bool) -> np.ndarray:
-        if from_ratios and self.ratios is not None:
-            w = np.array([self.ratios[mr.id] for mr in pool], dtype=np.float64)
-        else:
-            w = np.ones(len(pool), dtype=np.float64)
-        return w / w.sum()
-
-    def weak_weights(self) -> np.ndarray:
-        return self._weights(self.weak_pool, from_ratios=True)
-
-    def strong_weights(self) -> np.ndarray:
-        if self.ratios is not None and all(
-            hasattr(mr, "components") and all(c.id in self.ratios for c in mr.components)
-            for mr in self.strong_pool
-        ):
-            w = np.array(
-                [np.prod([self.ratios[c.id] for c in mr.components]) for mr in self.strong_pool],
-                dtype=np.float64,
-            )
-            return w / w.sum()
-        return np.ones(len(self.strong_pool)) / len(self.strong_pool)
-
-    def draw_weak(self, rng: np.random.Generator):
-        return self.weak_pool[rng.choice(len(self.weak_pool), p=self.weak_weights())]
 
     def draw_strong(self, rng: np.random.Generator):
-        return self.strong_pool[rng.choice(len(self.strong_pool), p=self.strong_weights())]
+        return _draw(rng, self.strong_pool)
 
     def draw_labeled(self, rng: np.random.Generator):
         """Labeled samples draw from both pools so non-label-preserving strong
         relations reach supervised training with remapped labels."""
-        return self.draw_weak(rng) if rng.random() < 0.5 else self.draw_strong(rng)
+        return _draw(rng, self.weak_pool) if rng.random() < 0.5 else self.draw_strong(rng)
 
     def to_log_dict(self) -> dict:
         return {
             "mode": self.mode,
             "weak_pool": [mr.id for mr in self.weak_pool],
             "strong_pool": [mr.id for mr in self.strong_pool],
-            "ratios": dict(self.ratios) if self.ratios else None,
             "seed": self.seed,
             "fallback_used": self.fallback_used,
         }
@@ -132,29 +102,15 @@ def adaptive_policy(failed, base_weak, base_strong, seed: int = 0) -> Augmentati
     )
 
 
-def static_policy(catalog, ratios=None, k: int = 2, seed: int = 0) -> AugmentationPolicy:
-    """Catalog singles as weak, all ordered k-tuples as strong, fixed ratios."""
+def static_policy(catalog, k: int = 2, seed: int = 0) -> AugmentationPolicy:
+    """Catalog singles as weak, all ordered k-tuples as strong."""
     catalog = list(catalog)
     if len(catalog) < 2:
         raise ValidationError("static policy needs a catalog of at least 2 relations")
     if k < 2:
         raise ValidationError("static compositions need k >= 2")
-    if ratios is None:
-        ratios_map = {mr.id: 1.0 / len(catalog) for mr in catalog}
-    elif isinstance(ratios, dict):
-        ratios_map = dict(ratios)
-    else:
-        if len(ratios) != len(catalog):
-            raise ValidationError("ratios list must match catalog length")
-        ratios_map = {mr.id: float(r) for mr, r in zip(catalog, ratios)}
     strong = [compose(combo) for combo in permutations(catalog, k)]
-    return AugmentationPolicy(
-        mode="static",
-        weak_pool=tuple(catalog),
-        strong_pool=tuple(strong),
-        seed=seed,
-        ratios=ratios_map,
-    )
+    return AugmentationPolicy(mode="static", weak_pool=tuple(catalog), strong_pool=tuple(strong), seed=seed)
 
 
 # -- stream construction -------------------------------------------------------
@@ -203,7 +159,6 @@ class Batch:
 class CycleStream:
     policy: AugmentationPolicy
     batches: tuple  # all epochs concatenated
-    epochs: int
     steps_per_epoch: int
 
     def __iter__(self):
@@ -230,16 +185,6 @@ def build_cycle_stream(spec: CycleDatasetSpec) -> CycleStream:
         math.ceil(len(unlabeled) / bsz) if unlabeled else 0,
     )
     weak_candidates = _weak_candidates(policy)
-    weak_weights = None
-    if policy.ratios is not None:
-        w = np.array([policy.ratios.get(mr.id, 0.0) for mr in weak_candidates], dtype=np.float64)
-        weak_weights = w / w.sum() if w.sum() > 0 else None
-
-    def draw_pseudo_weak(rng):
-        if weak_weights is not None:
-            return weak_candidates[rng.choice(len(weak_candidates), p=weak_weights)]
-        return weak_candidates[rng.choice(len(weak_candidates))]
-
     shape = labeled[0].pixels.shape if labeled else unlabeled[0].pixels.shape
     all_batches = []
     epoch_zero: list = []
@@ -271,7 +216,7 @@ def build_cycle_stream(spec: CycleDatasetSpec) -> CycleStream:
                 for j in range(take):
                     s = unlabeled[unl_order[(base + j) % len(unlabeled)]]
                     for v in range(spec.n_weak_views):
-                        weak_mr = draw_pseudo_weak(rng)
+                        weak_mr = weak_candidates[rng.choice(len(weak_candidates))]
                         xw[v].append(to_model_input(weak_mr.transform(s.pixels, (policy.seed, s.source_id))))
                     strong_mr = policy.draw_strong(rng)
                     xs.append(to_model_input(strong_mr.transform(s.pixels, (policy.seed, s.source_id))))
@@ -298,4 +243,4 @@ def build_cycle_stream(spec: CycleDatasetSpec) -> CycleStream:
             all_batches.append(batch)
             if epoch == 0:
                 epoch_zero.append(batch)
-    return CycleStream(policy=policy, batches=tuple(all_batches), epochs=spec.epochs, steps_per_epoch=steps)
+    return CycleStream(policy=policy, batches=tuple(all_batches), steps_per_epoch=steps)

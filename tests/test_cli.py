@@ -1,7 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
+from metaretrain import cli
 from metaretrain.cli import main
 from metaretrain.nn import Dense, Flatten, Model, ModelSpec, save_checkpoint
 from metaretrain.orchestrator import CycleRecord, RunHistory
@@ -67,6 +69,13 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "ratio" in err
         assert not (tmp_path / "runs").exists()  # no side effects on invalid config
+
+    @pytest.mark.parametrize("mode", ["static", "adaptive"])
+    def test_static_k_below_two_exit_2_before_output(self, tmp_path, data_dir, capsys, mode):
+        cfg = write_config(tmp_path / "bad.cfg", data_dir, tmp_path / "runs", mode=mode, static_k=1)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "static_k" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_unknown_key_exit_2(self, tmp_path, data_dir, capsys):
         cfg = write_config(tmp_path / "bad.cfg", data_dir, tmp_path / "runs")
@@ -147,6 +156,23 @@ class TestTestCommand:
                        "--output-dir", str(tmp_path / "out")])
             assert rc == 2
             assert "--cases" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threshold", ["1.5", "-0.1"])
+    def test_pass_threshold_out_of_range_exit_2_before_loading(self, tmp_path, capsys, monkeypatch,
+                                                                threshold):
+        self.make_cifar_fixture(tmp_path)
+        ckpt = self.constant_checkpoint(tmp_path)
+
+        def no_loading(*args, **kwargs):
+            raise AssertionError("dataset loaded before --pass-threshold was checked")
+
+        monkeypatch.setattr(cli, "load_dataset", no_loading)
+        rc = main(["test", "--checkpoint", str(ckpt), "--dataset", "cifar10",
+                   "--data-dir", str(tmp_path), "--fraction", "1.0", "--pass-threshold", threshold,
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "--pass-threshold" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_checkpoint_exit_2(self, tmp_path, capsys):

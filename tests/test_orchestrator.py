@@ -54,29 +54,22 @@ class TestShouldStop:
         return CycleRecord(cycle=0, sr_mt=sr, accuracy={1: acc}, suites=[], loss_stats={},
                            failed_ids=[], passed_ids=[], policy={}, model_version=0)
 
-    def test_fixed_iterations(self):
-        crit = StoppingCriterion.fixed(5)
-        assert should_stop([self.record()] * 5, crit)
-        assert not should_stop([self.record()] * 4, crit)
-
     def test_sr_threshold_not_met(self):
-        crit = StoppingCriterion.threshold("sr_mt", "gte", 0.9)
+        crit = StoppingCriterion("sr_mt", "gte", 0.9)
         assert not should_stop([self.record(sr=0.85)], crit)
         assert should_stop([self.record(sr=0.95)], crit)
 
     def test_degradation_guard(self):
-        crit = StoppingCriterion.threshold("top1_accuracy", "lte", 0.2)
+        crit = StoppingCriterion("top1_accuracy", "lte", 0.2)
         assert should_stop([self.record(acc=0.1)], crit)
         assert not should_stop([self.record(acc=0.5)], crit)
 
     def test_invalid_criterion_rejected(self):
         with pytest.raises(ValidationError):
-            StoppingCriterion(kind="fixed_iterations")
-        with pytest.raises(ValidationError):
-            StoppingCriterion(kind="metric_threshold", metric="sr_mt", direction="above", value=0.5)
+            StoppingCriterion(metric="sr_mt", direction="above", value=0.5)
 
     def test_unknown_metric_rejected(self):
-        crit = StoppingCriterion.threshold("f1", "gte", 0.5)
+        crit = StoppingCriterion("f1", "gte", 0.5)
         with pytest.raises(ValidationError):
             should_stop([self.record()], crit)
 
@@ -96,7 +89,7 @@ class TestRunCycles:
     def test_threshold_met_at_cycle_three(self):
         model, split, catalog = small_setup()
         evaluator = scripted_evaluator([0.5, 0.7, 0.8, 0.96, 0.97, 0.97])
-        cfg = config(cycles=10, stopping=StoppingCriterion.threshold("sr_mt", "gte", 0.95))
+        cfg = config(cycles=10, stopping=StoppingCriterion("sr_mt", "gte", 0.95))
         history = run_cycles(model, split, cfg, catalog, evaluator=evaluator)
         assert [r.cycle for r in history.records] == [0, 1, 2, 3]
         assert history.termination == "threshold_met"

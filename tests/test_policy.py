@@ -51,27 +51,20 @@ class TestStaticPolicy:
         pol = static_policy([mrs["rot90"], mrs["rot180"]])
         assert {m.id for m in pol.strong_pool} == {"rot90+rot180", "rot180+rot90"}
 
-    def test_uniform_ratios(self):
-        catalog = catalog_default("mnist")[:4]
-        pol = static_policy(catalog)
-        assert all(abs(w - 0.25) < 1e-12 for w in pol.ratios.values())
-
     def test_seeded_draw_frequencies(self):
         mrs = catalog_by_id("mnist")
-        pol = static_policy([mrs["rot90"], mrs["rot180"]], ratios=[0.5, 0.5], seed=3)
+        pol = static_policy([mrs["rot90"], mrs["rot180"]], seed=3)
         rng = np.random.default_rng(42)
-        draws = [pol.draw_weak(rng).id for _ in range(1000)]
-        freq = draws.count("rot90") / 1000
-        assert abs(freq - 0.5) <= 0.05
+        strong = [pol.draw_strong(rng).id for _ in range(2000)]
+        assert abs(strong.count("rot90+rot180") / 2000 - 0.5) <= 0.05
+        # labeled draws: half from the weak pool (2 singles), half from the strong pool (2 pairs)
+        labeled = [pol.draw_labeled(rng).id for _ in range(4000)]
+        for mr_id in ("rot90", "rot180", "rot90+rot180", "rot180+rot90"):
+            assert abs(labeled.count(mr_id) / 4000 - 0.25) <= 0.04, mr_id
 
     def test_small_catalog_rejected(self):
         with pytest.raises(ValidationError):
             static_policy([IDENTITY])
-
-    def test_bad_ratios_rejected(self):
-        mrs = catalog_default("mnist")[:2]
-        with pytest.raises(ValidationError, match="sum to 1"):
-            static_policy(mrs, ratios=[0.6, 0.6])
 
 
 class TestPolicyBasics:
@@ -203,6 +196,25 @@ class TestCycleStream:
         for batch in stream:
             for v, sid in zip(batch.x_unlabeled_weak[0], batch.unlabeled_source_ids):
                 assert np.array_equal(v, to_model_input(by_source[sid].pixels))
+
+    def test_stream_depends_only_on_pools_seed_and_spec(self):
+        catalog = catalog_default("mnist")[:4]
+        static = static_policy(catalog, seed=9)
+        plain = AugmentationPolicy(mode="base", weak_pool=static.weak_pool,
+                                   strong_pool=static.strong_pool, seed=9)
+        split = mnist_split(40, ratios=(0.3, 0.5, 0.2))
+        a, b = (build_cycle_stream(CycleDatasetSpec(split=split, policy=pol, batch_size=8, epochs=2,
+                                                    num_classes=10, n_weak_views=2))
+                for pol in (static, plain))
+        assert len(a) == len(b) > 0
+        for ba, bb in zip(a, b):
+            assert np.array_equal(ba.x_labeled, bb.x_labeled)
+            assert np.array_equal(ba.y_labeled, bb.y_labeled)
+            assert np.array_equal(ba.x_unlabeled_weak, bb.x_unlabeled_weak)
+            assert np.array_equal(ba.x_unlabeled_strong, bb.x_unlabeled_strong)
+            assert np.array_equal(ba.strong_label_maps, bb.strong_label_maps)
+            assert ba.labeled_mr_ids == bb.labeled_mr_ids
+            assert ba.strong_mr_ids == bb.strong_mr_ids
 
     def test_degenerate_spec_rejected(self):
         split = mnist_split(20)
