@@ -18,7 +18,7 @@ import sys
 import time
 from pathlib import Path
 
-from .config import ENV_DATA_DIR, ConfigError, RunConfig, load_config, validate_config
+from .config import DATASETS, ENV_DATA_DIR, ConfigError, RunConfig, load_config, validate_config
 from .data import load_cifar, load_mnist, subsample_and_split
 from .errors import MetaRetrainError, ValidationError
 from .metrics import evaluate
@@ -31,14 +31,6 @@ from .tester import build_suites, robustness
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
-
-
-def _dataset_props(dataset: str) -> tuple:
-    if dataset == "mnist":
-        return (1, 28, 28), 10
-    if dataset == "cifar10":
-        return (3, 32, 32), 10
-    return (3, 32, 32), 100
 
 
 def load_dataset(dataset: str, data_dir) -> list:
@@ -99,7 +91,7 @@ def cmd_run(args) -> int:
     if args.resume and len(cfg.seeds) != 1:
         raise ConfigError("seeds: --resume continues exactly one run; pass a single seed")
 
-    input_shape, n_classes = _dataset_props(cfg.dataset)
+    input_shape, n_classes = DATASETS[cfg.dataset]
     samples = load_dataset(cfg.dataset, cfg.data_dir)
     catalog = catalog_default(cfg.dataset)
     worst = EXIT_OK
@@ -159,6 +151,8 @@ def cmd_test(args) -> int:
         raise ValidationError(f"--cases: must be at least 1, got {args.cases}")
     if not 0 <= args.pass_threshold <= 1:
         raise ValidationError(f"--pass-threshold: must be in [0, 1], got {args.pass_threshold}")
+    if not 0 < args.fraction <= 1:
+        raise ValidationError(f"--fraction: must be in (0, 1], got {args.fraction}")
     model = Model.from_snapshot(load_checkpoint(args.checkpoint))
     data_dir = args.data_dir or os.environ.get(ENV_DATA_DIR)
     if not data_dir:
@@ -192,7 +186,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_list_mrs(args) -> int:
-    n_classes = 100 if args.dataset == "cifar100" else 10
+    n_classes = DATASETS[args.dataset][1]
     print(f"{'id':16s} {'kind':22s} {'strength':8s} label_map")
     for mr in catalog_default(args.dataset):
         if mr.kind == LABEL_PRESERVING:
@@ -221,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="run metamorphic tests against a checkpoint")
     p_test.add_argument("--checkpoint", required=True)
-    p_test.add_argument("--dataset", default="mnist", choices=["mnist", "cifar10", "cifar100"])
+    p_test.add_argument("--dataset", default="mnist", choices=DATASETS)
     p_test.add_argument("--data-dir")
     p_test.add_argument("--fraction", type=float, default=0.02)
     p_test.add_argument("--seed", type=int, default=0)
@@ -238,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(func=cmd_report)
 
     p_mrs = sub.add_parser("list-mrs", help="print the relation catalog")
-    p_mrs.add_argument("--dataset", default="mnist", choices=["mnist", "cifar10", "cifar100"])
+    p_mrs.add_argument("--dataset", default="mnist", choices=DATASETS)
     p_mrs.set_defaults(func=cmd_list_mrs)
     return parser
 

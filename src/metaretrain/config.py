@@ -16,7 +16,8 @@ from .errors import ValidationError
 from .orchestrator import MODES, StoppingCriterion
 from .trainers import TRAINER_NAMES, TrainerConfig
 
-DATASETS = ("mnist", "cifar10", "cifar100")
+# dataset name -> (input_shape, num_classes)
+DATASETS = {"mnist": ((1, 28, 28), 10), "cifar10": ((3, 32, 32), 10), "cifar100": ((3, 32, 32), 100)}
 MODELS = ("cnn_small", "mlp_small", "linear")
 ENV_DATA_DIR = "METARETRAIN_DATA_DIR"
 
@@ -172,7 +173,7 @@ def validate_config(cfg: RunConfig) -> None:
     """Field-level validation; raises ConfigError naming the offending key."""
     v = cfg.values
     if v["dataset"] not in DATASETS:
-        raise ConfigError(f"dataset: unknown value {v['dataset']!r} (choose from {DATASETS})")
+        raise ConfigError(f"dataset: unknown value {v['dataset']!r} (choose from {tuple(DATASETS)})")
     if v["model"] not in MODELS:
         raise ConfigError(f"model: unknown value {v['model']!r} (choose from {MODELS})")
     if v["trainer"] not in TRAINER_NAMES:
@@ -213,9 +214,12 @@ def validate_config(cfg: RunConfig) -> None:
     except ValidationError as exc:
         raise ConfigError(f"trainer hyperparameters: {exc}") from exc
     try:
-        cfg.stopping_criterion
+        stopping = cfg.stopping_criterion
     except (ValueError, ValidationError) as exc:
         raise ConfigError(f"stopping: {exc}") from exc
+    metrics = ["sr_mt"] + [f"top{n}_accuracy" for n in v["topn"]]
+    if stopping is not None and stopping.metric not in metrics:
+        raise ConfigError(f"stopping: unknown metric {stopping.metric!r} (choose from {metrics})")
     data_dir = v["data_dir"] or os.environ.get(ENV_DATA_DIR)
     if not data_dir:
         raise ConfigError(f"data_dir: not set (flag, config key, or ${ENV_DATA_DIR})")
@@ -223,7 +227,7 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"data_dir: directory not found: {data_dir}")
     if v["warm_start"] is not None and not Path(v["warm_start"]).exists():
         raise ConfigError(f"warm_start: checkpoint not found: {v['warm_start']}")
-    n_classes = 100 if v["dataset"] == "cifar100" else 10
+    n_classes = DATASETS[v["dataset"]][1]
     for n in v["topn"]:
         if not 1 <= n <= n_classes:
             raise ConfigError(f"topn: N={n} out of range for {n_classes} classes")

@@ -2,8 +2,7 @@
 
 A ModelSpec is a declarative layer list that validates shape chaining up
 front; a Model binds a spec to parameter tensors. Snapshots are immutable
-copies used by the tester and evaluator while training mutates the live
-parameters.
+copies of the parameters, written to checkpoints and loaded back.
 """
 
 from __future__ import annotations
@@ -189,9 +188,6 @@ class Model:
 
     def named_parameters(self) -> list[tuple]:
         return list(self._params.items())
-
-    def trainable_parameters(self) -> list[Tensor]:
-        return [p for p in self._params.values() if p.requires_grad]
 
     def zero_grads(self) -> None:
         for p in self._params.values():

@@ -1,12 +1,12 @@
-"""Robustness cycles: test, partition, build the next stream, retrain, record.
+"""Robustness cycles: test, partition, build the stream, retrain, record.
 
-One cycle works on the snapshot taken before its retraining: the tester scores
-that snapshot (and top-N accuracy is measured on it), the resulting
-failed/passed partition determines the *next* cycle's augmentation policy, and
-retraining consumes the stream prepared from the *previous* cycle's partition.
-Cycle 0 therefore starts from the mode's initial pools (adaptive mode logs a
-fallback). Each cycle runs its phases in order: evaluate the snapshot, prepare
-the next cycle's stream, then train on the current one.
+Each cycle runs four steps in order on the live model: the tester scores it
+(and top-N accuracy is measured on it), the stream is built from the
+*previous* cycle's failed/passed partition, the model retrains on that
+stream, and the cycle is recorded with the partition the test produced, which
+the next cycle's policy reads. Cycle 0 therefore starts from the mode's
+initial pools (adaptive mode logs a fallback). A stream lives only while its
+cycle trains, so no stream is held during an evaluation.
 
 Wall-clock durations are tracked in memory but excluded from persisted history
 so that identically-seeded runs serialize byte-identically.
@@ -35,7 +35,6 @@ from .trainers import Trainer, TrainerConfig, build_trainer
 log = logging.getLogger(__name__)
 
 MODES = ("base", "adaptive", "static")
-TERMINATIONS = ("completed", "threshold_met", "aborted_nan")
 
 
 @dataclass(frozen=True)
@@ -214,13 +213,12 @@ def _policy_for_cycle(cfg: CycleConfig, catalog, failed, cycle: int) -> Augmenta
 
 
 def default_evaluator(cfg: CycleConfig, split: DatasetSplit, catalog) -> Callable:
-    """Tester + accuracy on a snapshot: suites from the test split and catalog."""
+    """Tester + accuracy on the model: suites from the test split and catalog."""
     if not split.test:
         raise ValidationError("run needs a non-empty test split")
     suites = build_suites(catalog, split.test, max_cases=cfg.robustness_cases, seed=cfg.seed)
 
-    def evaluator(snapshot):
-        model = Model.from_snapshot(snapshot)
+    def evaluator(model):
         report = robustness(model, suites, pass_threshold=cfg.pass_threshold, seed=cfg.seed)
         eval_report = evaluate(model, split.test, topn_list=cfg.topn, sr_mt=report.sr_mt)
         failed, passed = partition(report.outcomes)
@@ -231,9 +229,10 @@ def default_evaluator(cfg: CycleConfig, split: DatasetSplit, catalog) -> Callabl
 
 @dataclass
 class ResumeState:
-    start_cycle: int
+    """Completed records; the run continues after the last one, from its
+    failed set."""
+
     records: list
-    failed_ids: list
     optimizer_velocities: Optional[dict] = None
 
 
@@ -273,43 +272,33 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
                run_config: Optional[dict] = None) -> RunHistory:
     """Drive the feedback loop and return the accumulated history."""
     catalog = list(catalog)
-    catalog_map = {mr.id: mr for mr in catalog}
     if evaluator is None:
         evaluator = default_evaluator(cfg, split, catalog)
     trainer = build_trainer(
         cfg.trainer, model, SGD(cfg.learning_rate, cfg.momentum), cfg.trainer_cfg,
         cfg.num_classes, seed=cfg.seed,
     )
+    records = list(resume.records) if resume is not None else []
+    failed = None  # cycle 0 has no partition yet
+    if records:
+        catalog_map = {mr.id: mr for mr in catalog}
+        failed = [catalog_map[i] for i in records[-1].failed_ids if i in catalog_map]
     if resume is not None and resume.optimizer_velocities:
         trainer.optimizer.load_state_arrays(resume.optimizer_velocities)
 
-    def stream_for(policy: AugmentationPolicy, cycle: int) -> CycleStream:
+    termination = "completed"
+    for cycle in range(records[-1].cycle + 1 if records else 0, cfg.cycles):
+        started = time.perf_counter()
+        # the policy reads the previous cycle's failed set before the tester replaces it
+        policy = _policy_for_cycle(cfg, catalog, failed, cycle)
+        version = model.version
+        report, eval_report, failed, passed = evaluator(model)
         spec = CycleDatasetSpec(
             split=split, policy=policy, batch_size=cfg.batch_size, epochs=cfg.epochs_per_cycle,
             num_classes=cfg.num_classes, n_weak_views=trainer.n_weak_views,
             frozen_realizations=cfg.frozen_realizations, cycle_index=cycle,
         )
-        return build_cycle_stream(spec)
-
-    records: list = []
-    start_cycle = 0
-    if resume is not None:
-        records = list(resume.records)
-        start_cycle = resume.start_cycle
-        failed = [catalog_map[i] for i in resume.failed_ids if i in catalog_map]
-        policy = _policy_for_cycle(cfg, catalog, failed, start_cycle)
-    else:
-        policy = _policy_for_cycle(cfg, catalog, None, 0)
-    stream = stream_for(policy, start_cycle)
-
-    termination = "completed"
-    for cycle in range(start_cycle, cfg.cycles):
-        started = time.perf_counter()
-        snapshot = model.snapshot()
-        report, eval_report, failed, passed = evaluator(snapshot)
-        next_policy = _policy_for_cycle(cfg, catalog, failed, cycle + 1)
-        next_stream = stream_for(next_policy, cycle + 1) if cycle + 1 < cfg.cycles else None
-        loss_stats, nan_diag = _train_one_cycle(trainer, stream, cycle, metrics_sink)
+        loss_stats, nan_diag = _train_one_cycle(trainer, build_cycle_stream(spec), cycle, metrics_sink)
 
         records.append(
             CycleRecord(
@@ -320,8 +309,8 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
                 loss_stats=loss_stats,
                 failed_ids=[mr.id for mr in failed],
                 passed_ids=[mr.id for mr in passed],
-                policy=stream.policy.to_log_dict(),
-                model_version=snapshot.version,
+                policy=policy.to_log_dict(),
+                model_version=version,
                 wall_time=time.perf_counter() - started,
             )
         )
@@ -334,21 +323,18 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
         if should_stop(records, cfg.stopping):
             termination = "threshold_met"
             break
-        if next_stream is not None:
-            stream = next_stream
 
-    final_snapshot = model.snapshot()
     if termination == "aborted_nan":
         final_eval = {"sr_mt": None, "topn": {}, "aborted": True}
     else:
-        report, eval_report, _, _ = evaluator(final_snapshot)
+        report, eval_report, _, _ = evaluator(model)
         final_eval = {"sr_mt": report.sr_mt, "topn": {str(k): v for k, v in sorted(eval_report.topn.items())}}
     return RunHistory(
         config=run_config or {"trainer": cfg.trainer, "mode": cfg.mode, "seed": cfg.seed},
         records=records,
         final_eval=final_eval,
         termination=termination,
-        final_version=final_snapshot.version,
+        final_version=model.version,
     )
 
 
@@ -373,10 +359,4 @@ def resume_state_from(history: RunHistory, checkpoint_dir) -> tuple:
     if opt_path.exists():
         with np.load(opt_path) as data:
             velocities = {name: data[name].copy() for name in data.files}
-    state = ResumeState(
-        start_cycle=last.cycle + 1,
-        records=list(history.records),
-        failed_ids=last.failed_ids,
-        optimizer_velocities=velocities,
-    )
-    return model, state
+    return model, ResumeState(records=list(history.records), optimizer_velocities=velocities)

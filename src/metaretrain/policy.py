@@ -157,7 +157,6 @@ class Batch:
 
 @dataclass(frozen=True)
 class CycleStream:
-    policy: AugmentationPolicy
     batches: tuple  # all epochs concatenated
     steps_per_epoch: int
 
@@ -243,4 +242,4 @@ def build_cycle_stream(spec: CycleDatasetSpec) -> CycleStream:
             all_batches.append(batch)
             if epoch == 0:
                 epoch_zero.append(batch)
-    return CycleStream(policy=policy, batches=tuple(all_batches), steps_per_epoch=steps)
+    return CycleStream(batches=tuple(all_batches), steps_per_epoch=steps)

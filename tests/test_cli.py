@@ -77,6 +77,14 @@ class TestRunCommand:
         assert "static_k" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("metric", ["top7_accuracy", "f1"])
+    def test_unknown_stopping_metric_exit_2_before_output(self, tmp_path, data_dir, capsys, metric):
+        cfg = write_config(tmp_path / "bad.cfg", data_dir, tmp_path / "runs",
+                           stopping=f"metric:{metric}:gte:0.5")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "stopping" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_unknown_key_exit_2(self, tmp_path, data_dir, capsys):
         cfg = write_config(tmp_path / "bad.cfg", data_dir, tmp_path / "runs")
         cfg.write_text(cfg.read_text() + "warp_speed = 9\n")
@@ -158,21 +166,21 @@ class TestTestCommand:
             assert "--cases" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("threshold", ["1.5", "-0.1"])
-    def test_pass_threshold_out_of_range_exit_2_before_loading(self, tmp_path, capsys, monkeypatch,
-                                                                threshold):
+    @pytest.mark.parametrize("flag,value", [("--pass-threshold", "1.5"), ("--pass-threshold", "-0.1"),
+                                            ("--fraction", "1.5"), ("--fraction", "0"), ("--fraction", "-1")])
+    def test_flag_out_of_range_exit_2_before_loading(self, tmp_path, capsys, monkeypatch, flag, value):
         self.make_cifar_fixture(tmp_path)
         ckpt = self.constant_checkpoint(tmp_path)
 
         def no_loading(*args, **kwargs):
-            raise AssertionError("dataset loaded before --pass-threshold was checked")
+            raise AssertionError(f"dataset loaded before {flag} was checked")
 
         monkeypatch.setattr(cli, "load_dataset", no_loading)
-        rc = main(["test", "--checkpoint", str(ckpt), "--dataset", "cifar10",
-                   "--data-dir", str(tmp_path), "--fraction", "1.0", "--pass-threshold", threshold,
-                   "--output-dir", str(tmp_path / "out")])
+        args = {"--fraction": "1.0", "--pass-threshold": "0.8", flag: value}
+        rc = main(["test", "--checkpoint", str(ckpt), "--dataset", "cifar10", "--data-dir", str(tmp_path),
+                   "--output-dir", str(tmp_path / "out"), *(a for kv in args.items() for a in kv)])
         assert rc == 2
-        assert "--pass-threshold" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_checkpoint_exit_2(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from metaretrain import orchestrator
 from metaretrain.data import subsample_and_split
 from metaretrain.errors import ValidationError
 from metaretrain.metrics import EvalReport
@@ -36,12 +37,13 @@ def config(**kw):
 
 def scripted_evaluator(sr_values):
     """Deterministic fake: cycle k reports sr_values[k]; no failed relations."""
-    calls = {"n": 0}
+    calls = {"n": 0, "models": []}
 
-    def evaluator(snapshot):
+    def evaluator(model):
         sr = sr_values[min(calls["n"], len(sr_values) - 1)]
         calls["n"] += 1
-        report = RobustnessReport(sr_mt=sr, total_cases=1, outcomes=(), model_version=snapshot.version)
+        calls["models"].append(model)
+        report = RobustnessReport(sr_mt=sr, total_cases=1, outcomes=(), model_version=model.version)
         eval_report = EvalReport(topn={1: sr}, sample_count=1, per_class_top1={}, sr_mt=sr)
         return report, eval_report, [], []
 
@@ -81,18 +83,43 @@ class TestRunCycles:
         history = run_cycles(model, split, config(cycles=1), catalog, evaluator=evaluator)
         assert len(history.records) == 1
         assert history.termination == "completed"
-        # one in-cycle tester run plus the appended final evaluation
+        # one in-cycle tester run plus the appended final evaluation, both on the live model
         assert evaluator.calls["n"] == 2
+        assert all(m is model for m in evaluator.calls["models"])
         assert history.records[0].cycle == 0
         assert history.records[0].loss_stats["steps"] > 0
 
-    def test_threshold_met_at_cycle_three(self):
+    def test_threshold_met_at_cycle_three(self, monkeypatch):
         model, split, catalog = small_setup()
         evaluator = scripted_evaluator([0.5, 0.7, 0.8, 0.96, 0.97, 0.97])
         cfg = config(cycles=10, stopping=StoppingCriterion("sr_mt", "gte", 0.95))
+        builds = []
+        build = orchestrator.build_cycle_stream
+        monkeypatch.setattr(orchestrator, "build_cycle_stream", lambda spec: builds.append(spec) or build(spec))
         history = run_cycles(model, split, cfg, catalog, evaluator=evaluator)
         assert [r.cycle for r in history.records] == [0, 1, 2, 3]
         assert history.termination == "threshold_met"
+        # one stream per cycle that trained, none for the cycle the stop skipped
+        assert [spec.cycle_index for spec in builds] == [0, 1, 2, 3]
+
+    def test_loop_takes_no_snapshots_without_checkpoints(self, monkeypatch):
+        model, split, catalog = small_setup(seed=2)
+        calls = {"snapshot": 0, "from_snapshot": 0}
+        snapshot, from_snapshot = Model.snapshot, Model.from_snapshot
+
+        def counted_snapshot(self):
+            calls["snapshot"] += 1
+            return snapshot(self)
+
+        def counted_from_snapshot(snap):
+            calls["from_snapshot"] += 1
+            return from_snapshot(snap)
+
+        monkeypatch.setattr(Model, "snapshot", counted_snapshot)
+        monkeypatch.setattr(Model, "from_snapshot", staticmethod(counted_from_snapshot))
+        history = run_cycles(model, split, config(cycles=2), catalog)
+        assert len(history.records) == 2
+        assert calls == {"snapshot": 0, "from_snapshot": 0}
 
     def test_metrics_sink_receives_every_step(self):
         model, split, catalog = small_setup()
