@@ -1,8 +1,15 @@
 """Autodiff ops for image networks: convolution, pooling, and classifier losses.
 
-Convolution is direct (im2col over sliding windows); adequate for 28x28 and
-32x32 inputs. All contractions run in float64 and cast back to the storage
-dtype.
+conv2d is one float64 GEMM over an im2col matrix: the input is cast to
+float64, padded, and its sliding windows unrolled into one column per output
+pixel (Chellapilla et al. 2006). The weight gradient is a GEMM against the
+same windows, rebuilt in the backward pass so the graph holds only a view;
+the input gradient is scattered back one kernel offset at a time. Results
+cast back to the storage dtype.
+
+maxpool2d takes np.maximum over the kernel**2 strided views of each tile, in
+row-major offset order. On ties the first offset in that order holds the max
+and receives the gradient.
 """
 
 from __future__ import annotations
@@ -26,30 +33,34 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     Ho = (Hp - KH) // stride + 1
     Wo = (Wp - KW) // stride + 1
 
-    xp = x.data
+    xp = x.data.astype(np.float64)
     if padding:
         xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    # windows: [B, Cin, Ho, Wo, KH, KW]
+    # windows: [B, Cin, Ho, Wo, KH, KW], a view of xp
     win = sliding_window_view(xp, (KH, KW), axis=(2, 3))[:, :, ::stride, ::stride]
     w64 = weight.data.astype(np.float64)
-    out = np.einsum("bchwkl,ockl->bohw", win.astype(np.float64), w64, optimize=True)
+    # im2col: one column per output pixel, [Cin*KH*KW, B*Ho*Wo]
+    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(Cin * KH * KW, B * Ho * Wo)
+    out = (w64.reshape(Cout, -1) @ cols).reshape(Cout, B, Ho, Wo).transpose(1, 0, 2, 3)
+    del cols  # freed before the output cast; backward rebuilds it from `win`
     out += bias.data.astype(np.float64)[None, :, None, None]
     with np.errstate(over="ignore"):
-        data = out.astype(_result_dtype(x.data, weight.data))
+        data = out.astype(_result_dtype(x.data, weight.data), order="C")
 
     def backward(grad):
         g64 = grad.astype(np.float64)
         if bias.requires_grad:
             bias._accumulate(g64.sum(axis=(0, 2, 3)).astype(bias.data.dtype))
+        g2 = g64.transpose(1, 0, 2, 3).reshape(Cout, B * Ho * Wo)
         if weight.requires_grad:
-            gw = np.einsum("bchwkl,bohw->ockl", win.astype(np.float64), g64, optimize=True)
-            weight._accumulate(gw.astype(weight.data.dtype))
+            rows = win.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, Cin * KH * KW)
+            weight._accumulate((g2 @ rows).reshape(Cout, Cin, KH, KW).astype(weight.data.dtype))
         if x.requires_grad:
             gxp = np.zeros((B, Cin, Hp, Wp), dtype=np.float64)
-            # scatter-add one kernel offset at a time
+            # col2im: scatter-add one kernel offset at a time
             for kh in range(KH):
                 for kw in range(KW):
-                    patch = np.einsum("bohw,oc->bchw", g64, w64[:, :, kh, kw], optimize=True)
+                    patch = (w64[:, :, kh, kw].T @ g2).reshape(Cin, B, Ho, Wo).transpose(1, 0, 2, 3)
                     gxp[:, :, kh : kh + Ho * stride : stride, kw : kw + Wo * stride : stride] += patch
             if padding:
                 gxp = gxp[:, :, padding : padding + H, padding : padding + W]
@@ -63,19 +74,26 @@ def maxpool2d(x: Tensor, kernel: int = 2) -> Tensor:
     B, C, H, W = x.data.shape
     if H % kernel or W % kernel:
         raise ConfigurationError(f"maxpool2d: input {H}x{W} not divisible by kernel {kernel}")
-    Ho, Wo = H // kernel, W // kernel
-    tiles = x.data.reshape(B, C, Ho, kernel, Wo, kernel).transpose(0, 1, 2, 4, 3, 5)
-    flat = tiles.reshape(B, C, Ho, Wo, kernel * kernel)
-    arg = flat.argmax(axis=4)  # first max wins on ties
-    data = np.take_along_axis(flat, arg[..., None], axis=4)[..., 0]
+    # the kernel**2 strided views x[:, :, i::k, j::k], in row-major offset order
+    offsets = [(i, j) for i in range(kernel) for j in range(kernel)]
+    data = x.data[:, :, ::kernel, ::kernel].copy()
+    for i, j in offsets[1:]:
+        # on ties np.maximum returns its second operand, so the earlier value
+        # (and its sign, for -0.0 against 0.0) stays
+        np.maximum(x.data[:, :, i::kernel, j::kernel], data, out=data)
 
     def backward(grad):
-        gflat = np.zeros_like(flat)
-        np.put_along_axis(gflat, arg[..., None], grad[..., None].astype(x.data.dtype), axis=4)
-        gx = gflat.reshape(B, C, Ho, Wo, kernel, kernel).transpose(0, 1, 2, 4, 3, 5).reshape(B, C, H, W)
+        # each gradient goes to the first offset that holds the max
+        gx = np.zeros_like(x.data)
+        routed = np.zeros(data.shape, dtype=bool)
+        for i, j in offsets:
+            hit = x.data[:, :, i::kernel, j::kernel] == data
+            hit &= ~routed
+            routed |= hit
+            gx[:, :, i::kernel, j::kernel] = np.where(hit, grad, 0)
         x._accumulate(gx)
 
-    return Tensor._make(np.ascontiguousarray(data), "maxpool2d", (x,), backward)
+    return Tensor._make(data, "maxpool2d", (x,), backward)
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

@@ -137,6 +137,19 @@ def _propagate(shape: tuple, layer, index: int) -> tuple:
     raise ConfigurationError(f"{where}: unsupported layer")
 
 
+def _param_shapes(spec: ModelSpec):
+    """Yield (name, shape, fan_in) for each parameter of `spec`, in model order."""
+    shape = tuple(spec.input_shape)
+    for i, layer in enumerate(spec.layers):
+        if isinstance(layer, Conv2d):
+            yield f"{i}.weight", (layer.out_channels, shape[0], layer.kernel, layer.kernel), shape[0] * layer.kernel**2
+            yield f"{i}.bias", (layer.out_channels,), None
+        elif isinstance(layer, Dense):
+            yield f"{i}.weight", (layer.out_features, shape[0]), shape[0]
+            yield f"{i}.bias", (layer.out_features,), None
+        shape = _propagate(shape, layer, i)
+
+
 @dataclass(frozen=True)
 class ModelSnapshot:
     """Frozen parameter state; equal version ids imply bitwise-equal params."""
@@ -161,25 +174,13 @@ class Model:
     def _init_params(self, seed: int, dtype) -> None:
         # Kaiming-uniform weights (bound sqrt(6/fan_in)), zero biases.
         rng = np.random.default_rng(seed)
-        shape = tuple(self.spec.input_shape)
-        for i, layer in enumerate(self.spec.layers):
-            if isinstance(layer, Conv2d):
-                fan_in = shape[0] * layer.kernel * layer.kernel
+        for name, shape, fan_in in _param_shapes(self.spec):
+            if name.endswith(".weight"):
                 bound = float(np.sqrt(6.0 / fan_in))
-                w = rng.uniform(-bound, bound, size=(layer.out_channels, shape[0], layer.kernel, layer.kernel))
-                self._params[f"{i}.weight"] = Tensor(w.astype(dtype), requires_grad=True, name=f"{i}.weight")
-                self._params[f"{i}.bias"] = Tensor(
-                    np.zeros(layer.out_channels, dtype=dtype), requires_grad=True, name=f"{i}.bias"
-                )
-            elif isinstance(layer, Dense):
-                fan_in = shape[0]
-                bound = float(np.sqrt(6.0 / fan_in))
-                w = rng.uniform(-bound, bound, size=(layer.out_features, fan_in))
-                self._params[f"{i}.weight"] = Tensor(w.astype(dtype), requires_grad=True, name=f"{i}.weight")
-                self._params[f"{i}.bias"] = Tensor(
-                    np.zeros(layer.out_features, dtype=dtype), requires_grad=True, name=f"{i}.bias"
-                )
-            shape = _propagate(shape, layer, i)
+                arr = rng.uniform(-bound, bound, size=shape)
+            else:
+                arr = np.zeros(shape)
+            self._params[name] = Tensor(arr.astype(dtype), requires_grad=True, name=name)
 
     # -- parameter access --------------------------------------------------
 
@@ -199,15 +200,6 @@ class Model:
         trainable = set(param_layers if k is None else param_layers[len(param_layers) - min(k, len(param_layers)) :])
         for name, p in self._params.items():
             p.requires_grad = name.split(".")[0] in trainable
-
-    def load_param_dict(self, arrays: dict, strict_dtype: bool = False) -> None:
-        for name, p in self._params.items():
-            if name not in arrays:
-                raise ConfigurationError(f"missing parameter {name!r}")
-            arr = np.asarray(arrays[name])
-            if arr.shape != p.data.shape:
-                raise ConfigurationError(f"parameter {name!r} shape {arr.shape} != {p.data.shape}")
-            p.data = arr.astype(arr.dtype if strict_dtype else p.data.dtype).copy()
 
     # -- forward -------------------------------------------------------------
 
@@ -259,9 +251,18 @@ class Model:
 
     @staticmethod
     def from_snapshot(snap: ModelSnapshot) -> "Model":
-        model = Model(snap.spec, seed=0)
-        model.load_param_dict(snap.param_dict(), strict_dtype=True)
+        """A model holding copies of `snap`'s parameters, dtype kept; no init is drawn."""
+        arrays = snap.param_dict()
+        model = Model.__new__(Model)
+        model.spec = snap.spec
         model.version = snap.version
+        model._params = {}
+        for name, shape, _ in _param_shapes(snap.spec):
+            if name not in arrays:
+                raise ConfigurationError(f"missing parameter {name!r}")
+            if arrays[name].shape != shape:
+                raise ConfigurationError(f"parameter {name!r} shape {arrays[name].shape} != {shape}")
+            model._params[name] = Tensor(arrays[name].copy(), requires_grad=True, name=name)
         return model
 
 

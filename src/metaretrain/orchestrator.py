@@ -125,9 +125,9 @@ class CycleRecord:
         if name == "sr_mt":
             return self.sr_mt
         if name.startswith("top") and name.endswith("_accuracy"):
-            n = int(name[3 : -len("_accuracy")])
-            if n in self.accuracy:
-                return self.accuracy[n]
+            n = name[3 : -len("_accuracy")]
+            if n.isdecimal() and int(n) in self.accuracy:
+                return self.accuracy[int(n)]
         raise ValidationError(f"unknown stopping metric {name!r}")
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from metaretrain import cli
 from metaretrain.cli import main
-from metaretrain.nn import Dense, Flatten, Model, ModelSpec, save_checkpoint
+from metaretrain.nn import Dense, Flatten, Model, ModelSpec, load_checkpoint, model_spec, save_checkpoint
+from metaretrain.nn.layers import ModelSnapshot
 from metaretrain.orchestrator import CycleRecord, RunHistory
 
 
@@ -110,6 +111,44 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "run.cfg", tmp_path / "nowhere", tmp_path / "runs")
         assert main(["run", "--config", str(cfg)]) == 2
         assert "data_dir" in capsys.readouterr().err
+
+
+class TestWarmStart:
+    """`run --checkpoint`: the paper's retraining of a pretrained model."""
+
+    def test_checkpoint_for_other_input_exit_2_naming_warm_start(self, tmp_path, data_dir, capsys):
+        ckpt = tmp_path / "cifar.ckpt"
+        save_checkpoint(Model(model_spec("cnn_small", (3, 32, 32), 10), seed=0).snapshot(), ckpt)
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", model="cnn_small")
+        assert main(["run", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert "warm_start" in err and "(3, 32, 32)" in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_checkpoint_with_misshapen_parameter_exit_2_naming_it(self, tmp_path, data_dir, capsys):
+        snap = Model(model_spec("cnn_small", (1, 28, 28), 10), seed=0).snapshot()
+        params = tuple((n, np.zeros((8, 1, 5, 5), np.float32) if n == "0.weight" else a) for n, a in snap.params)
+        ckpt = tmp_path / "bad.ckpt"
+        save_checkpoint(ModelSnapshot(spec=snap.spec, params=params, version=0), ckpt)
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", model="cnn_small")
+        assert main(["run", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 2
+        assert "'0.weight'" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("k, frozen", [(1, ("0.", "3.")), (2, ("0.",))])
+    def test_trainable_last_k_leaves_frozen_layers_byte_unchanged(self, tmp_path, data_dir, k, frozen):
+        ckpt = tmp_path / "pretrained.ckpt"
+        save_checkpoint(Model(model_spec("cnn_small", (1, 28, 28), 10), seed=7).snapshot(), ckpt)
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", model="cnn_small",
+                           cycles=1, trainable_last_k=k)
+        assert main(["run", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 0
+        (run_dir,) = run_dirs(tmp_path / "runs")
+        before = dict(load_checkpoint(ckpt).params)
+        after = dict(load_checkpoint(run_dir / "checkpoints" / "final.ckpt").params)
+        assert sorted(before) == sorted(after) == ["0.bias", "0.weight", "3.bias", "3.weight", "7.bias", "7.weight"]
+        for name in before:
+            unchanged = before[name].tobytes() == after[name].tobytes()
+            assert unchanged == name.startswith(frozen), name
 
 
 class TestTestCommand:

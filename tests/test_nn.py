@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metaretrain.errors import (
     CheckpointError,
@@ -25,7 +27,7 @@ from metaretrain.nn import (
 )
 from metaretrain.nn import functional as F
 
-from util import finite_diff_grad, gradcheck, max_rel_error
+from util import finite_diff_grad, gradcheck, max_rel_error, reference_conv2d, reference_maxpool2d
 
 
 def mlp_spec(din=4, hidden=5, classes=3):
@@ -205,6 +207,88 @@ class TestBackward:
             Tensor(np.array([1000.0]), requires_grad=True).exp()
 
 
+def conv_case(data, batch=4, cin=4, cout=8):
+    """Draw (x, w, b, stride, padding) with a valid output size and at most the given sizes."""
+    k = data.draw(st.integers(1, 4), "kernel")
+    pad = data.draw(st.integers(0, 2), "padding")
+    h, w = (data.draw(st.integers(max(1, k - 2 * pad), 9), axis) for axis in ("H", "W"))
+    shape_x = (data.draw(st.integers(1, batch), "B"), data.draw(st.integers(1, cin), "Cin"), h, w)
+    shape_w = (data.draw(st.integers(1, cout), "Cout"), shape_x[1], k, k)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    return (rng.normal(size=shape_x), rng.normal(size=shape_w), rng.normal(size=shape_w[0]),
+            data.draw(st.integers(1, 2), "stride"), pad)
+
+
+class TestKernelsMatchReference:
+    """conv2d and maxpool2d against the einsum and argmax kernels they replaced (tests/util.py)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from([np.float32, np.float64]))
+    def test_conv2d_equals_einsum_reference(self, data, dtype):
+        x, w, b, stride, pad = (a.astype(dtype) if isinstance(a, np.ndarray) else a for a in conv_case(data))
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = F.conv2d(xt, wt, bt, stride=stride, padding=pad)
+        ref, ref_backward = reference_conv2d(x, w, b, stride=stride, padding=pad)
+        grad = np.random.default_rng(0).normal(size=ref.shape).astype(dtype)
+        (out * Tensor(grad)).sum().backward()
+        assert out.data.flags.c_contiguous
+        # numpy's einsum drops size-1 axes before its GEMM, which can change
+        # the BLAS call and so the last bit of a float64 result; float32
+        # storage, which every Model uses, rounds that away
+        exact = dtype == np.float32 or 1 not in (*x.shape[:2], *ref.shape[1:])
+        for got, want in zip((out.data, xt.grad, wt.grad, bt.grad), (ref, *ref_backward(grad))):
+            assert got.dtype == want.dtype == dtype
+            if exact:
+                # value for value: with B*Ho*Wo == 1 the reference multiplied
+                # instead of summing, so a zero weight gradient may differ in sign
+                np.testing.assert_array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel=st.integers(1, 3), batch=st.integers(1, 3), channels=st.integers(1, 3),
+           ho=st.integers(1, 5), wo=st.integers(1, 5), post_relu=st.booleans(),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+    @example(kernel=2, batch=1, channels=1, ho=2, wo=2, post_relu=True, dtype=np.float32, seed=0)
+    def test_maxpool2d_equals_argmax_reference_on_ties(self, kernel, batch, channels, ho, wo, post_relu,
+                                                       dtype, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-2, 3, size=(batch, channels, ho * kernel, wo * kernel)).astype(dtype)
+        if post_relu:  # many all-zero tiles
+            x = Tensor(x).relu().data
+        xt = Tensor(x, requires_grad=True)
+        out = F.maxpool2d(xt, kernel)
+        ref, ref_backward = reference_maxpool2d(x, kernel)
+        grad = rng.normal(size=ref.shape).astype(dtype)
+        (out * Tensor(grad)).sum().backward()
+        for got, want in ((out.data, ref), (xt.grad, ref_backward(grad))):
+            assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+    def test_maxpool2d_first_offset_takes_tied_gradient(self):
+        xt = Tensor(np.zeros((1, 1, 2, 2)), requires_grad=True)
+        (F.maxpool2d(xt, 2) * Tensor(np.full((1, 1, 1, 1), 5.0))).sum().backward()
+        np.testing.assert_array_equal(xt.grad[0, 0], [[5.0, 0.0], [0.0, 0.0]])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_conv2d_gradcheck_on_random_shapes(self, data):
+        x, w, b, stride, pad = conv_case(data, batch=2, cin=2, cout=3)
+        weights = Tensor(np.random.default_rng(1).normal(size=reference_conv2d(x, w, b, stride, pad)[0].shape))
+        build = lambda t: (F.conv2d(t["x"], t["w"], t["b"], stride=stride, padding=pad) * weights).sum()
+        assert gradcheck(build, {"x": x, "w": w, "b": b}) < 1e-4
+
+    @settings(max_examples=25, deadline=None)
+    @given(kernel=st.integers(1, 3), ho=st.integers(1, 3), wo=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_maxpool2d_gradcheck_on_random_shapes(self, kernel, ho, wo, seed):
+        rng = np.random.default_rng(seed)
+        n = 2 * ho * kernel * wo * kernel
+        # distinct values 0.1 apart, so no finite-difference step changes a max
+        x = (rng.permutation(n) * 0.1 + rng.uniform(0, 0.01, size=n)).reshape(2, 1, ho * kernel, wo * kernel)
+        weights = Tensor(rng.normal(size=(2, 1, ho, wo)))
+        assert gradcheck(lambda t: (F.maxpool2d(t["x"], kernel) * weights).sum(), {"x": x}) < 1e-4
+
+
 class TestSGD:
     def make_model(self):
         model = Model(mlp_spec(din=2, hidden=2, classes=2), seed=0)
@@ -299,6 +383,20 @@ class TestSnapshotsAndCheckpoints:
         for (na, a), (nb, b) in zip(snap.params, loaded.params):
             assert na == nb
             assert a.tobytes() == b.tobytes()
+
+    def test_from_snapshot_copies_params_and_draws_no_init(self, monkeypatch):
+        snap = Model(model_spec("cnn_small", (1, 28, 28), 10), seed=3).snapshot()
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("from_snapshot drew a random init")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        model = Model.from_snapshot(snap)
+        assert model.version == snap.version and model.spec == snap.spec
+        assert [n for n, _ in model.named_parameters()] == [n for n, _ in snap.params]
+        for (_, p), (_, arr) in zip(model.named_parameters(), snap.params):
+            assert p.requires_grad and p.data.flags.writeable
+            assert p.data.dtype == arr.dtype and p.data.tobytes() == arr.tobytes()
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -75,6 +75,12 @@ class TestShouldStop:
         with pytest.raises(ValidationError):
             should_stop([self.record()], crit)
 
+    @pytest.mark.parametrize("name", ["topx_accuracy", "top_accuracy", "top-1_accuracy", "top5_accuracy"])
+    def test_malformed_or_unrecorded_topn_metric_rejected(self, name):
+        crit = StoppingCriterion(name, "gte", 0.5)
+        with pytest.raises(ValidationError, match=name):
+            should_stop([self.record()], crit)
+
 
 class TestRunCycles:
     def test_single_base_cycle(self):

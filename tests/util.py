@@ -51,3 +51,57 @@ def gradcheck(build_loss, params, eps=1e-4):
         assert ad is not None, f"no gradient for {name}"
         worst = max(worst, max_rel_error(ad, fd))
     return worst
+
+
+# -- reference kernels ---------------------------------------------------------
+# The einsum conv2d and argmax maxpool2d that metaretrain.nn.functional used
+# before its im2col GEMM and strided-slice rewrite, kept as oracles: the
+# production kernels must match them bit for bit.
+
+
+def reference_conv2d(x, weight, bias, stride=1, padding=0):
+    """Returns (out, backward); backward(grad) -> (gx, gw, gb), all in the input dtypes."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    B, Cin, H, W = x.shape
+    Cout, _, KH, KW = weight.shape
+    Hp, Wp = H + 2 * padding, W + 2 * padding
+    Ho = (Hp - KH) // stride + 1
+    Wo = (Wp - KW) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
+    win = sliding_window_view(xp, (KH, KW), axis=(2, 3))[:, :, ::stride, ::stride]
+    w64 = weight.astype(np.float64)
+    out = np.einsum("bchwkl,ockl->bohw", win.astype(np.float64), w64, optimize=True)
+    out += bias.astype(np.float64)[None, :, None, None]
+    dtype = np.float64 if np.float64 in (x.dtype, weight.dtype) else np.float32
+
+    def backward(grad):
+        g64 = grad.astype(np.float64)
+        gb = g64.sum(axis=(0, 2, 3)).astype(bias.dtype)
+        gw = np.einsum("bchwkl,bohw->ockl", win.astype(np.float64), g64, optimize=True).astype(weight.dtype)
+        gxp = np.zeros((B, Cin, Hp, Wp), dtype=np.float64)
+        for kh in range(KH):
+            for kw in range(KW):
+                patch = np.einsum("bohw,oc->bchw", g64, w64[:, :, kh, kw], optimize=True)
+                gxp[:, :, kh : kh + Ho * stride : stride, kw : kw + Wo * stride : stride] += patch
+        gx = gxp[:, :, padding : padding + H, padding : padding + W].astype(x.dtype)
+        return gx, gw, gb
+
+    return out.astype(dtype), backward
+
+
+def reference_maxpool2d(x, kernel=2):
+    """Returns (out, backward); backward(grad) -> gx."""
+    B, C, H, W = x.shape
+    Ho, Wo = H // kernel, W // kernel
+    tiles = x.reshape(B, C, Ho, kernel, Wo, kernel).transpose(0, 1, 2, 4, 3, 5)
+    flat = tiles.reshape(B, C, Ho, Wo, kernel * kernel)
+    arg = flat.argmax(axis=4)  # first max wins on ties
+    out = np.take_along_axis(flat, arg[..., None], axis=4)[..., 0]
+
+    def backward(grad):
+        gflat = np.zeros_like(flat)
+        np.put_along_axis(gflat, arg[..., None], grad[..., None].astype(x.dtype), axis=4)
+        return gflat.reshape(B, C, Ho, Wo, kernel, kernel).transpose(0, 1, 2, 4, 3, 5).reshape(B, C, H, W)
+
+    return np.ascontiguousarray(out), backward
