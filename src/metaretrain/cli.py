@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 import time
@@ -31,6 +32,8 @@ from .tester import build_suites, robustness
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
+LOG_LEVEL = {"default": "WARNING", "choices": ("DEBUG", "INFO", "WARNING", "ERROR"),
+             "help": "level of the log records written to stderr (default WARNING)"}
 
 
 def load_dataset(dataset: str, data_dir) -> list:
@@ -124,15 +127,17 @@ def cmd_run(args) -> int:
         (run_dir / "config").write_text(cfg.resolved_text(seed=seed))
 
         metrics_path = run_dir / "reports" / "metrics.jsonl"
-        mode = "a" if args.resume else "w"
-        with open(metrics_path, mode) as metrics_file:
+        if resume is not None:
+            _truncate_metrics(metrics_path, resume.records[-1].cycle)
+        # line-buffered: a cycle's steps reach the file before its history is saved
+        with open(metrics_path, "a" if resume is not None else "w", buffering=1) as metrics_file:
             def sink(record, _f=metrics_file):
                 _f.write(json.dumps(record, sort_keys=True) + "\n")
 
             history = run_cycles(
                 model, split, cycle_cfg, catalog, metrics_sink=sink,
                 checkpoint_dir=run_dir / "checkpoints", resume=resume,
-                run_config=cfg.public_dict(seed=seed),
+                run_config=cfg.public_dict(seed=seed), history_path=run_dir / "history.json",
             )
 
         history.save(run_dir / "history.json")
@@ -144,6 +149,22 @@ def cmd_run(args) -> int:
         if history.termination == "aborted_nan":
             worst = EXIT_RUNTIME
     return worst
+
+
+def _truncate_metrics(path: Path, last_cycle: int) -> None:
+    """Cut the step records back to the end of `last_cycle`: a run stopped
+    inside the next cycle left some of its steps, which the resumed run
+    writes again. A line cut short by the stop goes too."""
+    kept = 0
+    with open(path, "rb") as f:
+        for line in f:
+            try:
+                if not line.endswith(b"\n") or json.loads(line)["cycle"] > last_cycle:
+                    break
+            except (ValueError, KeyError, TypeError):
+                break
+            kept += len(line)
+    os.truncate(path, kept)
 
 
 def cmd_test(args) -> int:
@@ -211,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--checkpoint", help="warm-start checkpoint override")
     p_run.add_argument("--resume", help="existing run directory to continue")
+    p_run.add_argument("--log-level", **LOG_LEVEL)
     p_run.set_defaults(func=cmd_run)
 
     p_test = sub.add_parser("test", help="run metamorphic tests against a checkpoint")
@@ -222,6 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--pass-threshold", type=float, default=0.8)
     p_test.add_argument("--cases", type=int, default=100)
     p_test.add_argument("--output-dir", default=".")
+    p_test.add_argument("--log-level", **LOG_LEVEL)
     p_test.set_defaults(func=cmd_test)
 
     p_rep = sub.add_parser("report", help="tabulate finished runs")
@@ -239,6 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the package's log records go to stderr for this command only
+    logger = logging.getLogger("metaretrain")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    previous_level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(getattr(args, "log_level", "WARNING"))
     try:
         return args.func(args)
     except MetaRetrainError as exc:
@@ -247,6 +277,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(previous_level)
 
 
 if __name__ == "__main__":

@@ -11,25 +11,37 @@ Layout (all integers little-endian):
     remainder     parameter blobs, little-endian float32, concatenated in
                   header order
 
-Round-trips are bitwise exact for float32 parameters.
+Round-trips are bitwise exact for float32 parameters. Files are written to a
+temporary name and renamed into place. Loading checks every header field and
+raises CheckpointError naming the first one that is missing or malformed.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import CheckpointError
+from ..errors import CheckpointError, ConfigurationError
 from .layers import ModelSnapshot, ModelSpec
 
 MAGIC = b"MRCKPT01"
 
 
-def save_checkpoint(snap: ModelSnapshot, path) -> None:
+def write_atomic(path, payload: bytes) -> None:
+    """Write `payload` to a temporary file and rename it over `path`, so a
+    reader sees the old file or the new one, never a partial write."""
     path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(payload)
+    os.replace(tmp, path)
+
+
+def save_checkpoint(snap: ModelSnapshot, path) -> None:
     entries = []
     blobs = []
     for name, arr in snap.params:
@@ -40,12 +52,24 @@ def save_checkpoint(snap: ModelSnapshot, path) -> None:
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        for blob in blobs:
-            f.write(blob)
+    write_atomic(path, b"".join((MAGIC, struct.pack("<I", len(header)), header, *blobs)))
+
+
+def _field(obj, key: str, kind: type, where: str):
+    """`obj[key]` if `obj` is a dict holding a `kind` there (bool is not an int)."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"field {where}{key!r} is missing or not of type {kind.__name__}")
+    return value
+
+
+def _param_entry(entry, index: int) -> tuple:
+    where = f"params[{index}]."
+    name = _field(entry, "name", str, where)
+    shape = _field(entry, "shape", list, where)
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
+        raise ValueError(f"field {where}'shape' of {name!r} is not a list of non-negative integers: {shape}")
+    return name, tuple(shape)
 
 
 def load_checkpoint(path) -> ModelSnapshot:
@@ -60,22 +84,21 @@ def load_checkpoint(path) -> ModelSnapshot:
         raise CheckpointError(f"truncated checkpoint header in {path}")
     try:
         header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
-        spec = ModelSpec.from_dict(header["spec"])
-        version = int(header["version"])
-        entries = header["params"]
-    except (ValueError, KeyError, TypeError) as exc:
+        version = _field(header, "version", int, "")
+        entries = [_param_entry(e, i) for i, e in enumerate(_field(header, "params", list, ""))]
+        spec = ModelSpec.from_dict(_field(header, "spec", dict, ""))
+    except (ValueError, KeyError, TypeError, ConfigurationError) as exc:
         raise CheckpointError(f"corrupt checkpoint header in {path}: {exc}") from exc
     offset = 12 + header_len
     params = []
-    for entry in entries:
-        shape = tuple(int(s) for s in entry["shape"])
-        nbytes = int(np.prod(shape)) * 4
+    for name, shape in entries:
+        nbytes = math.prod(shape) * 4
         blob = raw[offset : offset + nbytes]
         if len(blob) != nbytes:
-            raise CheckpointError(f"truncated parameter blob {entry['name']!r} in {path}")
+            raise CheckpointError(f"truncated parameter blob {name!r} in {path}")
         arr = np.frombuffer(blob, dtype="<f4").reshape(shape).copy()
         arr.flags.writeable = False
-        params.append((entry["name"], arr))
+        params.append((name, arr))
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{len(raw) - offset} trailing bytes in {path}")

@@ -1,11 +1,11 @@
 """Autodiff ops for image networks: convolution, pooling, and classifier losses.
 
-conv2d is one float64 GEMM over an im2col matrix: the input is cast to
-float64, padded, and its sliding windows unrolled into one column per output
-pixel (Chellapilla et al. 2006). The weight gradient is a GEMM against the
-same windows, rebuilt in the backward pass so the graph holds only a view;
-the input gradient is scattered back one kernel offset at a time. Results
-cast back to the storage dtype.
+conv2d is one float64 GEMM over an im2col matrix: the input is written into
+a zero-bordered float64 buffer, and its sliding windows unrolled into one
+column per output pixel (Chellapilla et al. 2006). The weight gradient is a
+GEMM against the same windows, rebuilt in the backward pass so the graph
+holds only a view; the input gradient is scattered back one kernel offset at
+a time. Results cast back to the storage dtype.
 
 maxpool2d takes np.maximum over the kernel**2 strided views of each tile, in
 row-major offset order. On ties the first offset in that order holds the max
@@ -33,9 +33,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     Ho = (Hp - KH) // stride + 1
     Wo = (Wp - KW) // stride + 1
 
-    xp = x.data.astype(np.float64)
-    if padding:
-        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    # one float64 copy: the zero border and the input written into its interior
+    xp = np.zeros((B, Cin, Hp, Wp), dtype=np.float64)
+    xp[:, :, padding : padding + H, padding : padding + W] = x.data
     # windows: [B, Cin, Ho, Wo, KH, KW], a view of xp
     win = sliding_window_view(xp, (KH, KW), axis=(2, 3))[:, :, ::stride, ::stride]
     w64 = weight.data.astype(np.float64)

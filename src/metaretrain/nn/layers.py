@@ -56,12 +56,22 @@ def _layer_to_dict(layer) -> dict:
     raise ConfigurationError(f"unknown layer {layer!r}")
 
 
-def _layer_from_dict(d: dict):
+def _layer_from_dict(d, index: int):
+    where = f"layer {index}"
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{where}: expected an object, got {type(d).__name__}")
     kind = d.get("type")
     if kind not in _LAYER_TYPES:
-        raise ConfigurationError(f"unknown layer type {kind!r}")
+        raise ConfigurationError(f"{where}: unknown layer type {kind!r}")
+    cls = _LAYER_TYPES[kind]
     kwargs = {k: v for k, v in d.items() if k != "type"}
-    return _LAYER_TYPES[kind](**kwargs)
+    for key, value in kwargs.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigurationError(f"{where} ({cls.__name__}): {key} must be an integer, got {value!r}")
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:  # an unknown or a missing field
+        raise ConfigurationError(f"{where} ({cls.__name__}): {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -98,11 +108,20 @@ class ModelSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
+        for key in ("input_shape", "num_classes", "layers"):
+            if key not in d:
+                raise ConfigurationError(f"model spec is missing field {key!r}")
         return ModelSpec(
             input_shape=tuple(d["input_shape"]),
             num_classes=int(d["num_classes"]),
-            layers=tuple(_layer_from_dict(l) for l in d["layers"]),
+            layers=tuple(_layer_from_dict(l, i) for i, l in enumerate(d["layers"])),
         )
+
+
+def _check_at_least(where: str, layer, **floors) -> None:
+    for key, floor in floors.items():
+        if getattr(layer, key) < floor:
+            raise ConfigurationError(f"{where}: {key} must be at least {floor}, got {getattr(layer, key)}")
 
 
 def _propagate(shape: tuple, layer, index: int) -> tuple:
@@ -110,6 +129,7 @@ def _propagate(shape: tuple, layer, index: int) -> tuple:
     if isinstance(layer, Conv2d):
         if len(shape) != 3:
             raise ConfigurationError(f"{where}: expects [C,H,W], got {shape}")
+        _check_at_least(where, layer, out_channels=1, kernel=1, stride=1, padding=0)
         c, h, w = shape
         hp, wp = h + 2 * layer.padding, w + 2 * layer.padding
         if hp < layer.kernel or wp < layer.kernel:
@@ -122,6 +142,7 @@ def _propagate(shape: tuple, layer, index: int) -> tuple:
     if isinstance(layer, MaxPool2d):
         if len(shape) != 3:
             raise ConfigurationError(f"{where}: expects [C,H,W], got {shape}")
+        _check_at_least(where, layer, kernel=1)
         c, h, w = shape
         if h % layer.kernel or w % layer.kernel:
             raise ConfigurationError(f"{where}: {h}x{w} not divisible by kernel {layer.kernel}")
@@ -131,6 +152,7 @@ def _propagate(shape: tuple, layer, index: int) -> tuple:
     if isinstance(layer, Dense):
         if len(shape) != 1:
             raise ConfigurationError(f"{where}: expects flattened input, got {shape}")
+        _check_at_least(where, layer, out_features=1)
         return (layer.out_features,)
     if isinstance(layer, ReLU):
         return shape
@@ -222,8 +244,13 @@ class Model:
                 out = out.relu()
         return out
 
-    def predict_logits(self, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Graph-free forward over an ndarray [N,C,H,W]; returns [N,num_classes]."""
+    def predict_logits(self, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
+        """Graph-free forward over an ndarray [N,C,H,W]; returns [N,num_classes].
+
+        Images are forwarded `batch_size` at a time, which bounds the largest
+        transient (the im2col matrix of each conv layer) without changing a
+        bit of the logits: every output row depends on its own image only.
+        """
         images = np.asarray(images)
         if images.ndim != 4:
             raise ValidationError("predict_logits expects [N,C,H,W]")

@@ -2,9 +2,11 @@
 
 A Tensor wraps a float32/float64 ndarray plus an optional gradient buffer.
 Ops record closures on the output node; Tensor.backward() walks the graph in
-reverse topological order. Reductions and contractions accumulate in float64
-and cast back to the storage dtype. Every op checks its result for NaN/Inf
-and raises NonFiniteError on the spot.
+reverse topological order and drops each interior node's gradient once its
+closure has consumed it, so only leaves (parameters and inputs created with
+requires_grad) hold a gradient afterwards. Reductions and contractions
+accumulate in float64 and cast back to the storage dtype. Every op checks its
+result for NaN/Inf and raises NonFiniteError on the spot.
 """
 
 from __future__ import annotations
@@ -121,6 +123,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                # an interior node's gradient is spent once its closure ran
+                node.grad = None
 
     def item(self) -> float:
         return float(self.data.reshape(()))
@@ -231,7 +235,7 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
-        data = np.where(mask, self.data, 0).astype(self.data.dtype)
+        data = np.where(mask, self.data, self.data.dtype.type(0))
 
         def backward(grad):
             self._accumulate(grad * mask)

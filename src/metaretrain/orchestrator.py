@@ -14,6 +14,7 @@ so that identically-seeded runs serialize byte-identically.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import time
@@ -27,6 +28,7 @@ from .data import DatasetSplit
 from .errors import NonFiniteError, ValidationError
 from .metrics import evaluate
 from .nn import SGD, Model, save_checkpoint
+from .nn.checkpoint import write_atomic
 from .policy import AugmentationPolicy, CycleDatasetSpec, CycleStream, adaptive_policy, base_policy, base_pools, build_cycle_stream, static_policy
 from .report import json_bytes
 from .tester import build_suites, partition, robustness
@@ -163,7 +165,7 @@ class RunHistory:
         return rows
 
     def save(self, path) -> None:
-        Path(path).write_bytes(json_bytes(self.to_dict()))
+        write_atomic(path, json_bytes(self.to_dict()))
 
     @staticmethod
     def load(path) -> "RunHistory":
@@ -269,8 +271,14 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
                metrics_sink: Optional[Callable] = None,
                checkpoint_dir=None,
                resume: Optional[ResumeState] = None,
-               run_config: Optional[dict] = None) -> RunHistory:
-    """Drive the feedback loop and return the accumulated history."""
+               run_config: Optional[dict] = None,
+               history_path=None) -> RunHistory:
+    """Drive the feedback loop and return the accumulated history.
+
+    With `history_path`, the history so far is saved there after every
+    cycle's checkpoint, with termination "incomplete", so a run killed in
+    cycle k resumes from cycle k - 1.
+    """
     catalog = list(catalog)
     if evaluator is None:
         evaluator = default_evaluator(cfg, split, catalog)
@@ -285,9 +293,13 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
         failed = [catalog_map[i] for i in records[-1].failed_ids if i in catalog_map]
     if resume is not None and resume.optimizer_velocities:
         trainer.optimizer.load_state_arrays(resume.optimizer_velocities)
+    config = run_config or {"trainer": cfg.trainer, "mode": cfg.mode, "seed": cfg.seed}
 
     termination = "completed"
-    for cycle in range(records[-1].cycle + 1 if records else 0, cfg.cycles):
+    first = records[-1].cycle + 1 if records else 0
+    if should_stop(records, cfg.stopping):  # stopped before its final evaluation was saved
+        termination, first = "threshold_met", cfg.cycles
+    for cycle in range(first, cfg.cycles):
         started = time.perf_counter()
         # the policy reads the previous cycle's failed set before the tester replaces it
         policy = _policy_for_cycle(cfg, catalog, failed, cycle)
@@ -316,6 +328,9 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
         )
         if checkpoint_dir is not None:
             _write_cycle_checkpoint(model, trainer, checkpoint_dir, cycle)
+        if history_path is not None:
+            RunHistory(config=config, records=records, final_eval={"sr_mt": None, "topn": {}},
+                       termination="incomplete", final_version=model.version).save(history_path)
         if nan_diag is not None:
             log.error("cycle %d aborted: %s", cycle, nan_diag)
             termination = "aborted_nan"
@@ -330,7 +345,7 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
         report, eval_report, _, _ = evaluator(model)
         final_eval = {"sr_mt": report.sr_mt, "topn": {str(k): v for k, v in sorted(eval_report.topn.items())}}
     return RunHistory(
-        config=run_config or {"trainer": cfg.trainer, "mode": cfg.mode, "seed": cfg.seed},
+        config=config,
         records=records,
         final_eval=final_eval,
         termination=termination,
@@ -342,7 +357,9 @@ def _write_cycle_checkpoint(model: Model, trainer: Trainer, checkpoint_dir, cycl
     checkpoint_dir = Path(checkpoint_dir)
     checkpoint_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model.snapshot(), checkpoint_dir / f"cycle_{cycle:04d}.ckpt")
-    np.savez(checkpoint_dir / f"cycle_{cycle:04d}_optimizer.npz", **trainer.optimizer.state_arrays())
+    buffer = io.BytesIO()
+    np.savez(buffer, **trainer.optimizer.state_arrays())
+    write_atomic(checkpoint_dir / f"cycle_{cycle:04d}_optimizer.npz", buffer.getvalue())
 
 
 def resume_state_from(history: RunHistory, checkpoint_dir) -> tuple:

@@ -1,9 +1,10 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from metaretrain import cli
+from metaretrain import cli, orchestrator
 from metaretrain.cli import main
 from metaretrain.nn import Dense, Flatten, Model, ModelSpec, load_checkpoint, model_spec, save_checkpoint
 from metaretrain.nn.layers import ModelSnapshot
@@ -106,6 +107,86 @@ class TestRunCommand:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
         assert (d1 / "checkpoints" / "final.ckpt").read_bytes() == \
             (d2 / "checkpoints" / "final.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("crash_cycle", [1, 2])
+    def test_resume_after_kill_mid_cycle_matches_straight_run(self, tmp_path, data_dir, monkeypatch, crash_cycle):
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", cycles=3)
+        assert main(["run", "--config", str(cfg)]) == 0
+        (straight,) = run_dirs(tmp_path / "runs")
+        killed = tmp_path / "killed"
+
+        train = orchestrator._train_one_cycle
+
+        def kill_on_second_step(trainer, stream, cycle, metrics_sink):
+            if cycle == crash_cycle:
+                step, calls = trainer.step, []
+
+                def failing_step(batch):
+                    calls.append(batch)
+                    if len(calls) == 2:
+                        # what a killed process leaves: the files as the OS holds them now
+                        (running,) = set(run_dirs(tmp_path / "runs")) - {straight}
+                        shutil.copytree(running, killed)
+                        raise RuntimeError("injected fault")
+                    return step(batch)
+
+                trainer.step = failing_step
+            return train(trainer, stream, cycle, metrics_sink)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(orchestrator, "_train_one_cycle", kill_on_second_step)
+            with pytest.raises(RuntimeError, match="injected fault"):
+                main(["run", "--config", str(cfg)])
+        partial = RunHistory.load(killed / "history.json")
+        assert partial.termination == "incomplete" and len(partial.records) == crash_cycle
+        assert f'"cycle": {crash_cycle}' in (killed / "reports" / "metrics.jsonl").read_text()
+
+        assert main(["run", "--config", str(cfg), "--resume", str(killed)]) == 0
+        for name in ("history.json", "reports/history.csv", "reports/metrics.jsonl"):
+            assert (killed / name).read_bytes() == (straight / name).read_bytes(), name
+
+    def test_resume_after_kill_before_final_save_keeps_met_threshold(self, tmp_path, data_dir, monkeypatch):
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", cycles=3,
+                           stopping="metric:sr_mt:gte:0.0")
+        assert main(["run", "--config", str(cfg)]) == 0
+        (straight,) = run_dirs(tmp_path / "runs")
+        assert RunHistory.load(straight / "history.json").termination == "threshold_met"
+        killed = tmp_path / "killed"
+
+        def kill_after_cycles(*args, **kwargs):
+            history = orchestrator.run_cycles(*args, **kwargs)
+            (running,) = set(run_dirs(tmp_path / "runs")) - {straight}
+            shutil.copytree(running, killed)
+            raise RuntimeError("injected fault")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "run_cycles", kill_after_cycles)
+            with pytest.raises(RuntimeError, match="injected fault"):
+                main(["run", "--config", str(cfg)])
+        assert RunHistory.load(killed / "history.json").termination == "incomplete"
+        assert main(["run", "--config", str(cfg), "--resume", str(killed)]) == 0
+        for name in ("history.json", "reports/history.csv", "reports/metrics.jsonl"):
+            assert (killed / name).read_bytes() == (straight / name).read_bytes(), name
+
+    def test_resume_finished_run_with_more_cycles_matches_straight_run(self, tmp_path, data_dir):
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", cycles=3)
+        assert main(["run", "--config", str(cfg)]) == 0
+        (straight,) = run_dirs(tmp_path / "runs")
+        short = write_config(tmp_path / "short.cfg", data_dir, tmp_path / "runs", cycles=2)
+        assert main(["run", "--config", str(short)]) == 0
+        (extended,) = set(run_dirs(tmp_path / "runs")) - {straight}
+        assert main(["run", "--config", str(cfg), "--resume", str(extended)]) == 0
+        for name in ("history.json", "reports/history.csv", "reports/metrics.jsonl"):
+            assert (extended / name).read_bytes() == (straight / name).read_bytes(), name
+
+    def test_log_level_info_shows_adaptive_fallback(self, tmp_path, data_dir, capsys):
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", cycles=1)
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert "no prior partition" not in capsys.readouterr().err
+        assert main(["run", "--config", str(cfg), "--log-level", "INFO"]) == 0
+        captured = capsys.readouterr()
+        assert "INFO metaretrain.orchestrator: adaptive cycle 0: no prior partition" in captured.err
+        assert "no prior partition" not in captured.out
 
     def test_missing_data_dir_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.cfg", tmp_path / "nowhere", tmp_path / "runs")
@@ -220,6 +301,18 @@ class TestTestCommand:
                    "--output-dir", str(tmp_path / "out"), *(a for kv in args.items() for a in kv)])
         assert rc == 2
         assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_flipped_name_key_in_checkpoint_exit_2(self, tmp_path, capsys):
+        self.make_cifar_fixture(tmp_path)
+        ckpt = self.constant_checkpoint(tmp_path)
+        raw = ckpt.read_bytes()
+        at = raw.index(b'"name"') + 2
+        ckpt.write_bytes(raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1 :])  # "name" -> "n`me"
+        rc = main(["test", "--checkpoint", str(ckpt), "--dataset", "cifar10", "--data-dir", str(tmp_path),
+                   "--fraction", "1.0", "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "params[0].'name'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_checkpoint_exit_2(self, tmp_path, capsys):

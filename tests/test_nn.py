@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +25,7 @@ from metaretrain.nn import (
     backward,
     load_checkpoint,
     model_spec,
+    no_grad,
     save_checkpoint,
 )
 from metaretrain.nn import functional as F
@@ -78,6 +81,30 @@ class TestForward:
                       layers=(MaxPool2d(2), Flatten(), Dense(4)))
         with pytest.raises(ConfigurationError):
             ModelSpec(input_shape=(1, 4, 4), num_classes=1, layers=(Flatten(), Dense(1)))
+
+    @pytest.mark.parametrize("layer, field", [
+        (Conv2d(4, 0), "kernel"), (Conv2d(4, 3, stride=0), "stride"), (Conv2d(4, 3, padding=-1), "padding"),
+        (Conv2d(0, 3), "out_channels"), (MaxPool2d(0), "kernel"), (Dense(0), "out_features"),
+    ])
+    def test_out_of_range_layer_sizes_rejected_naming_layer(self, layer, field):
+        layers = (Flatten(), layer, Dense(2)) if isinstance(layer, Dense) else (layer, Flatten(), Dense(2))
+        where = f"layer {layers.index(layer)} ({type(layer).__name__})"
+        with pytest.raises(ConfigurationError, match=re.escape(f"{where}: {field} must be")):
+            ModelSpec(input_shape=(1, 4, 4), num_classes=2, layers=layers)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+    @example(n=63, seed=0)
+    @example(n=64, seed=0)
+    @example(n=65, seed=0)
+    @example(n=128, seed=0)
+    @example(n=129, seed=0)
+    def test_chunked_predict_equals_one_unchunked_forward(self, n, seed):
+        model = Model(model_spec("cnn_small", (1, 12, 12), 10), seed=seed % 1000)
+        x = np.random.default_rng(seed).integers(0, 256, size=(n, 1, 12, 12)).astype(np.float32) / 255
+        with no_grad():
+            whole = model.forward(Tensor(x)).data
+        assert model.predict_logits(x).tobytes() == whole.tobytes()
 
     def test_init_is_seed_deterministic(self):
         a = Model(model_spec("cnn_small", (1, 28, 28), 10), seed=7)
@@ -140,6 +167,24 @@ class TestBackward:
         t = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(UsageError):
             (t * 2.0).backward()
+
+    def test_only_leaves_hold_gradients_after_backward(self):
+        model = Model(model_spec("cnn_small", (1, 8, 8), 3), seed=0)
+        x = Tensor(np.random.default_rng(0).normal(size=(2, 1, 8, 8)), requires_grad=True)
+        logits = model.forward(x)
+        loss = F.softmax_cross_entropy(logits, F.one_hot([0, 2], 3))
+        interior, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if node._backward is not None and id(node) not in interior:
+                interior[id(node)] = node
+                stack.extend(node._parents)
+        assert id(logits) in interior and len(interior) > 10
+        loss.backward()
+        assert all(node.grad is None for node in interior.values())
+        assert x.grad is not None and x.grad.shape == x.shape
+        for name, p in model.named_parameters():
+            assert p.grad is not None and p.grad.shape == p.shape, name
 
     def test_dense_squared_error_matches_hand_calculus(self):
         # loss = sum((x W^T - y)^2) on a 2x2 case; dL/dW = 2 (out-y)^T x
@@ -411,6 +456,35 @@ class TestSnapshotsAndCheckpoints:
         bad2.write_bytes(truncated)
         with pytest.raises(CheckpointError):
             load_checkpoint(bad2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_header_bit_flips_and_truncations_raise_checkpoint_error_or_load(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+        save_checkpoint(Model(model_spec("cnn_small", (1, 8, 8), 10), seed=0).snapshot(), path)
+        raw = bytearray(path.read_bytes())
+        header_end = 12 + int.from_bytes(raw[8:12], "little")
+        for _ in range(data.draw(st.integers(0, 3), "flips")):
+            byte = data.draw(st.integers(8, header_end - 1), "byte")
+            raw[byte] ^= 1 << data.draw(st.integers(0, 7), "bit")
+        raw = raw[: data.draw(st.one_of(st.just(len(raw)), st.integers(0, len(raw) - 1)), "length")]
+        path.write_bytes(bytes(raw))
+        try:
+            snap = load_checkpoint(path)
+        except CheckpointError:
+            return
+        try:  # a header that loads may still disagree with its spec
+            Model.from_snapshot(snap)
+        except ConfigurationError:
+            pass
+
+    def test_flipped_param_field_names_it(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(Model(mlp_spec(), seed=0).snapshot(), path)
+        for field, flipped in ((b'"name"', b'"n`me"'), (b'"shape"', b'"sh`pe"')):
+            path.with_name("bad.ckpt").write_bytes(path.read_bytes().replace(field, flipped, 1))
+            with pytest.raises(CheckpointError, match=re.escape(f"params[0].{field.decode()[1:-1]!r}")):
+                load_checkpoint(path.with_name("bad.ckpt"))
 
     def test_missing_checkpoint_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
