@@ -7,13 +7,20 @@ Layout (all integers little-endian):
     bytes 12..12+L  UTF-8 JSON header:
                     {"version": int,
                      "spec": ModelSpec dict,
-                     "params": [{"name": str, "shape": [int, ...]}, ...]}
+                     "params": [{"name": str, "shape": [int, ...]}, ...],
+                     "crc32": int}
     remainder     parameter blobs, little-endian float32, concatenated in
                   header order
 
 Round-trips are bitwise exact for float32 parameters. Files are written to a
 temporary name and renamed into place. Loading checks every header field and
 raises CheckpointError naming the first one that is missing or malformed.
+
+"crc32" is zlib.crc32 of the blob region, so a flipped bit in a parameter
+raises CheckpointError instead of loading as a different model. Files written
+before the field existed have none and load unchecked. The magic stays
+MRCKPT01: a reader that predates the field reads only the keys it knows, so
+it still loads files that carry one.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import json
 import math
 import os
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -47,12 +55,13 @@ def save_checkpoint(snap: ModelSnapshot, path) -> None:
     for name, arr in snap.params:
         entries.append({"name": name, "shape": list(arr.shape)})
         blobs.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    blob = b"".join(blobs)
     header = json.dumps(
-        {"version": snap.version, "spec": snap.spec.to_dict(), "params": entries},
+        {"version": snap.version, "spec": snap.spec.to_dict(), "params": entries, "crc32": zlib.crc32(blob)},
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    write_atomic(path, b"".join((MAGIC, struct.pack("<I", len(header)), header, *blobs)))
+    write_atomic(path, b"".join((MAGIC, struct.pack("<I", len(header)), header, blob)))
 
 
 def _field(obj, key: str, kind: type, where: str):
@@ -87,6 +96,7 @@ def load_checkpoint(path) -> ModelSnapshot:
         version = _field(header, "version", int, "")
         entries = [_param_entry(e, i) for i, e in enumerate(_field(header, "params", list, ""))]
         spec = ModelSpec.from_dict(_field(header, "spec", dict, ""))
+        crc = _field(header, "crc32", int, "") if "crc32" in header else None
     except (ValueError, KeyError, TypeError, ConfigurationError) as exc:
         raise CheckpointError(f"corrupt checkpoint header in {path}: {exc}") from exc
     offset = 12 + header_len
@@ -102,4 +112,6 @@ def load_checkpoint(path) -> ModelSnapshot:
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{len(raw) - offset} trailing bytes in {path}")
+    if crc is not None and zlib.crc32(raw[12 + header_len :]) != crc:
+        raise CheckpointError(f"parameter blobs fail their crc32 check in {path}")
     return ModelSnapshot(spec=spec, params=tuple(params), version=version)

@@ -5,11 +5,14 @@ a zero-bordered float64 buffer, and its sliding windows unrolled into one
 column per output pixel (Chellapilla et al. 2006). The weight gradient is a
 GEMM against the same windows, rebuilt in the backward pass so the graph
 holds only a view; the input gradient is scattered back one kernel offset at
-a time. Results cast back to the storage dtype.
+a time into a [Cin, B, Hp, Wp] buffer and transposed once, in the cast.
+Results cast back to the storage dtype.
 
 maxpool2d takes np.maximum over the kernel**2 strided views of each tile, in
 row-major offset order. On ties the first offset in that order holds the max
-and receives the gradient.
+and receives the gradient. The backward pass routes without a branch: each
+offset's gradient is the incoming one, viewed as unsigned integers of the
+storage width, times its 0/1 hit mask.
 """
 
 from __future__ import annotations
@@ -56,15 +59,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
             rows = win.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, Cin * KH * KW)
             weight._accumulate((g2 @ rows).reshape(Cout, Cin, KH, KW).astype(weight.data.dtype))
         if x.requires_grad:
-            gxp = np.zeros((B, Cin, Hp, Wp), dtype=np.float64)
-            # col2im: scatter-add one kernel offset at a time
+            # col2im: scatter-add one kernel offset at a time into a
+            # channel-major buffer, so no patch is transposed
+            gxp = np.zeros((Cin, B, Hp, Wp), dtype=np.float64)
             for kh in range(KH):
                 for kw in range(KW):
-                    patch = (w64[:, :, kh, kw].T @ g2).reshape(Cin, B, Ho, Wo).transpose(1, 0, 2, 3)
+                    patch = (w64[:, :, kh, kw].T @ g2).reshape(Cin, B, Ho, Wo)
                     gxp[:, :, kh : kh + Ho * stride : stride, kw : kw + Wo * stride : stride] += patch
-            if padding:
-                gxp = gxp[:, :, padding : padding + H, padding : padding + W]
-            x._accumulate(gxp.astype(x.data.dtype))
+            gx = gxp[:, :, padding : padding + H, padding : padding + W].transpose(1, 0, 2, 3)
+            x._accumulate(gx.astype(x.data.dtype, order="C"))
 
     return Tensor._make(data, "conv2d", (x, weight, bias), backward)
 
@@ -83,14 +86,20 @@ def maxpool2d(x: Tensor, kernel: int = 2) -> Tensor:
         np.maximum(x.data[:, :, i::kernel, j::kernel], data, out=data)
 
     def backward(grad):
-        # each gradient goes to the first offset that holds the max
-        gx = np.zeros_like(x.data)
-        routed = np.zeros(data.shape, dtype=bool)
+        # each gradient goes to the first offset that holds the max; the
+        # offsets tile x, so every element of gx is written once
+        bits = np.dtype(f"u{x.data.itemsize}")
+        g = np.asarray(grad, dtype=x.data.dtype).view(bits)
+        gx = np.empty_like(x.data)
+        hit = np.empty(data.shape, dtype=bool)
+        free = np.ones(data.shape, dtype=bool)  # tiles whose max is not yet routed
         for i, j in offsets:
-            hit = x.data[:, :, i::kernel, j::kernel] == data
-            hit &= ~routed
-            routed |= hit
-            gx[:, :, i::kernel, j::kernel] = np.where(hit, grad, 0)
+            np.equal(x.data[:, :, i::kernel, j::kernel], data, out=hit)
+            hit &= free
+            free ^= hit
+            # an integer multiply by 0 or 1 copies the gradient's bits (-0.0,
+            # inf and NaN too) or writes +0.0: np.where(hit, grad, 0) unbranched
+            np.multiply(g, hit, out=gx.view(bits)[:, :, i::kernel, j::kernel])
         x._accumulate(gx)
 
     return Tensor._make(data, "maxpool2d", (x,), backward)

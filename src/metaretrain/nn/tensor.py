@@ -6,7 +6,8 @@ reverse topological order and drops each interior node's gradient once its
 closure has consumed it, so only leaves (parameters and inputs created with
 requires_grad) hold a gradient afterwards. Reductions and contractions
 accumulate in float64 and cast back to the storage dtype. Every op checks its
-result for NaN/Inf and raises NonFiniteError on the spot.
+result for NaN/Inf and raises NonFiniteError on the spot. relu is
+branch-free: np.fmax against 0, with -0.0 turned into +0.0.
 """
 
 from __future__ import annotations
@@ -234,11 +235,15 @@ class Tensor:
     # -- elementwise nonlinearities ----------------------------------------
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-        data = np.where(mask, self.data, self.data.dtype.type(0))
+        # fmax has no data-dependent branch; it returns 0 for NaN and may keep
+        # -0.0, which `+= 0` turns into +0.0, so the result equals
+        # np.where(x > 0, x, 0) bit for bit
+        data = np.fmax(self.data, 0)
+        data += 0
 
         def backward(grad):
-            self._accumulate(grad * mask)
+            # the mask is built here, so a graph-free forward never makes it
+            self._accumulate(grad * (self.data > 0))
 
         return Tensor._make(data, "relu", (self,), backward)
 

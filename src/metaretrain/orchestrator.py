@@ -159,6 +159,8 @@ class RunHistory:
             rows.append((algo, group, "sr_mt", r.sr_mt, r.cycle, seed))
             for n, acc in sorted(r.accuracy.items()):
                 rows.append((algo, group, f"top{n}_accuracy", acc, r.cycle, seed))
+        if self.final_eval["sr_mt"] is None:  # aborted or unfinished: no final evaluation
+            return rows
         rows.append((algo, group, "sr_mt", self.final_eval["sr_mt"], "final", seed))
         for n, acc in sorted(self.final_eval["topn"].items(), key=lambda kv: int(kv[0])):
             rows.append((algo, group, f"top{n}_accuracy", acc, "final", seed))
@@ -187,8 +189,13 @@ class RunHistory:
                 f"cycle {r.cycle}: SR_MT={r.sr_mt:.4f} {accs} "
                 f"failed={len(r.failed_ids)} loss={r.loss_stats.get('total_mean', float('nan')):.4f}"
             )
-        accs = " ".join(f"top{n}={v:.3f}" for n, v in sorted(self.final_eval["topn"].items(), key=lambda kv: int(kv[0])))
-        lines.append(f"final: SR_MT={self.final_eval['sr_mt']:.4f} {accs}")
+        if self.final_eval["sr_mt"] is None:
+            why = "aborted on a non-finite loss" if self.termination == "aborted_nan" else "did not finish"
+            lines.append(f"final: not evaluated, the run {why}")
+        else:
+            accs = " ".join(f"top{n}={v:.3f}"
+                            for n, v in sorted(self.final_eval["topn"].items(), key=lambda kv: int(kv[0])))
+            lines.append(f"final: SR_MT={self.final_eval['sr_mt']:.4f} {accs}")
         lines.append(f"termination: {self.termination}")
         return "\n".join(lines)
 

@@ -138,6 +138,11 @@ def comparison_table(histories, layout=None, accuracy_n: int = 1) -> ComparisonT
         raise ValidationError(f"runs target different datasets: {sorted(map(str, datasets))}")
     rows, groups = [], []
     for h in histories:
+        if h.termination in ("incomplete", "aborted_nan"):
+            raise ValidationError(
+                f"cannot tabulate run trainer={h.config.get('trainer')} mode={h.config.get('mode')} "
+                f"seed={h.config.get('seed')}: termination {h.termination!r}, so it has no final evaluation"
+            )
         if not h.records:
             raise ValidationError("cannot tabulate a run with no completed cycles")
         row = h.config.get("trainer", "?")

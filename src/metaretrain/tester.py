@@ -99,7 +99,8 @@ def build_suites(mrs, sources, max_cases: Optional[int] = None, seed: int = 0) -
 
 
 def _predict(model: Model, images) -> np.ndarray:
-    return np.argmax(model.predict_logits(np.stack([to_model_input(x) for x in images])), axis=1)
+    # to_model_input is elementwise, so converting the stack gives each image's own bits
+    return np.argmax(model.predict_logits(to_model_input(np.stack(images))), axis=1)
 
 
 def _score(model: Model, suite: TestSuite, pass_threshold: float, seed: int,

@@ -50,6 +50,21 @@ class TestRunCommand:
         assert history.termination == "completed"
         assert len(history.records) == 2
 
+    def test_non_finite_loss_exits_3_with_artifacts(self, tmp_path, data_dir):
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", model="mlp_small",
+                           learning_rate="1e12")
+        assert main(["run", "--config", str(cfg)]) == 3
+        (run_dir,) = run_dirs(tmp_path / "runs")
+        history = RunHistory.load(run_dir / "history.json")
+        assert history.termination == "aborted_nan"
+        assert history.final_eval["sr_mt"] is None
+        summary = (run_dir / "summary.txt").read_text()
+        assert "final: not evaluated, the run aborted on a non-finite loss" in summary
+        assert "termination: aborted_nan" in summary
+        csv_rows = (run_dir / "reports" / "history.csv").read_text().splitlines()
+        assert len(csv_rows) > 1 and not any(row.split(",")[4] == "final" for row in csv_rows)
+        assert load_checkpoint(run_dir / "checkpoints" / "final.ckpt").spec.num_classes == 10
+
     def test_resolved_config_reproduces_run(self, tmp_path, data_dir):
         cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs")
         assert main(["run", "--config", str(cfg)]) == 0

@@ -1,9 +1,11 @@
+import json
 import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from metaretrain.errors import (
     CheckpointError,
@@ -264,8 +266,18 @@ def conv_case(data, batch=4, cin=4, cout=8):
             data.draw(st.integers(1, 2), "stride"), pad)
 
 
+def relu_case(dtype):
+    """(x, grad) of one dtype and length, with signed zeros, subnormals, infinities and NaN mixed in."""
+    info = np.finfo(dtype)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, info.smallest_subnormal, -info.smallest_subnormal,
+               info.tiny / 2, -info.tiny / 2]
+    elements = st.one_of(st.sampled_from(special), st.floats(width=info.bits))
+    return st.integers(1, 40).flatmap(
+        lambda n: st.tuples(arrays(dtype, n, elements=elements), arrays(dtype, n, elements=elements)))
+
+
 class TestKernelsMatchReference:
-    """conv2d and maxpool2d against the einsum and argmax kernels they replaced (tests/util.py)."""
+    """conv2d, maxpool2d and relu against the einsum, argmax and np.where forms they replaced (tests/util.py)."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), st.sampled_from([np.float32, np.float64]))
@@ -292,11 +304,14 @@ class TestKernelsMatchReference:
 
     @settings(max_examples=150, deadline=None)
     @given(kernel=st.integers(1, 3), batch=st.integers(1, 3), channels=st.integers(1, 3),
-           ho=st.integers(1, 5), wo=st.integers(1, 5), post_relu=st.booleans(),
+           ho=st.integers(1, 5), wo=st.integers(1, 5), post_relu=st.booleans(), special_grad=st.booleans(),
            dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
-    @example(kernel=2, batch=1, channels=1, ho=2, wo=2, post_relu=True, dtype=np.float32, seed=0)
+    @example(kernel=2, batch=1, channels=1, ho=2, wo=2, post_relu=True, special_grad=False,
+             dtype=np.float32, seed=0)
+    @example(kernel=2, batch=1, channels=1, ho=2, wo=2, post_relu=False, special_grad=True,
+             dtype=np.float32, seed=0)
     def test_maxpool2d_equals_argmax_reference_on_ties(self, kernel, batch, channels, ho, wo, post_relu,
-                                                       dtype, seed):
+                                                       special_grad, dtype, seed):
         rng = np.random.default_rng(seed)
         x = rng.integers(-2, 3, size=(batch, channels, ho * kernel, wo * kernel)).astype(dtype)
         if post_relu:  # many all-zero tiles
@@ -305,10 +320,38 @@ class TestKernelsMatchReference:
         out = F.maxpool2d(xt, kernel)
         ref, ref_backward = reference_maxpool2d(x, kernel)
         grad = rng.normal(size=ref.shape).astype(dtype)
-        (out * Tensor(grad)).sum().backward()
+        if special_grad:
+            # signed zeros and infinities: routing must copy each gradient's
+            # bits and write +0.0 everywhere else
+            spots = rng.random(ref.shape) < 0.5
+            grad[spots] = rng.choice(np.array([-0.0, 0.0, np.inf, -np.inf], dtype=dtype), size=int(spots.sum()))
+            out._backward(grad)  # directly: a non-finite gradient cannot pass through a checked loss
+        else:
+            (out * Tensor(grad)).sum().backward()
         for got, want in ((out.data, ref), (xt.grad, ref_backward(grad))):
             assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.one_of(relu_case(np.float32), relu_case(np.float64)))
+    @example(case=(np.array([-0.0, 1.0, -0.0]), np.array([-0.0, np.inf, 1.0])))
+    @example(case=(np.array([-0.0, np.nan, 2e-45], np.float32), np.array([np.inf, -0.0, -0.0], np.float32)))
+    def test_relu_equals_where_reference_bytewise(self, case):
+        x, grad = case
+        dtype, info = x.dtype.type, np.finfo(x.dtype)
+        if np.isposinf(x).any():
+            # +inf survives relu, and every op rejects a non-finite result
+            with pytest.raises(NonFiniteError):
+                Tensor(x).relu()
+            x[np.isposinf(x)] = info.max
+        xt = Tensor(x, requires_grad=True)
+        out = xt.relu()
+        want = np.where(x > 0, x, dtype(0))
+        assert out.data.dtype == want.dtype and out.data.tobytes() == want.tobytes()
+        with np.errstate(invalid="ignore"):  # inf * 0 is NaN on both sides
+            out._backward(grad)  # directly: a non-finite gradient cannot pass through a checked loss
+            want_grad = grad * (x > 0)
+        assert xt.grad.dtype == want_grad.dtype and xt.grad.tobytes() == want_grad.tobytes()
 
     def test_maxpool2d_first_offset_takes_tied_gradient(self):
         xt = Tensor(np.zeros((1, 1, 2, 2)), requires_grad=True)
@@ -477,6 +520,39 @@ class TestSnapshotsAndCheckpoints:
             Model.from_snapshot(snap)
         except ConfigurationError:
             pass
+
+    def test_blob_bit_flips_fail_crc32(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(Model(model_spec("cnn_small", (1, 28, 28), 10), seed=0).snapshot(), path)
+        raw = path.read_bytes()
+        blob_start = 12 + int.from_bytes(raw[8:12], "little")
+        rng = np.random.default_rng(0)
+        bad = tmp_path / "flipped.ckpt"
+        for bit in rng.integers(blob_start * 8, len(raw) * 8, size=1000):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << int(bit % 8)
+            bad.write_bytes(bytes(flipped))
+            with pytest.raises(CheckpointError, match="crc32"):
+                load_checkpoint(bad)
+
+    def test_checkpoint_without_crc32_loads_and_malformed_crc32_is_named(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        snap = Model(mlp_spec(), seed=0).snapshot()
+        save_checkpoint(snap, path)
+        raw = path.read_bytes()
+        header_end = 12 + int.from_bytes(raw[8:12], "little")
+        header = json.loads(raw[12:header_end])
+
+        def rewrite(name, new_header):
+            encoded = json.dumps(new_header).encode("utf-8")
+            target = tmp_path / name
+            target.write_bytes(raw[:8] + len(encoded).to_bytes(4, "little") + encoded + raw[header_end:])
+            return target
+
+        old = load_checkpoint(rewrite("old.ckpt", {k: v for k, v in header.items() if k != "crc32"}))
+        assert [(n, a.tobytes()) for n, a in old.params] == [(n, a.tobytes()) for n, a in snap.params]
+        with pytest.raises(CheckpointError, match="'crc32'"):
+            load_checkpoint(rewrite("bad.ckpt", {**header, "crc32": str(header["crc32"])}))
 
     def test_flipped_param_field_names_it(self, tmp_path):
         path = tmp_path / "model.ckpt"

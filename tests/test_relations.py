@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaretrain.data import ImageSample
 from metaretrain.errors import ValidationError
@@ -172,3 +174,56 @@ class TestCatalog:
         out, _ = apply(mrs["rot15"], s)
         assert out.shape == s.pixels.shape
         assert out.dtype == np.uint8
+
+
+CATALOGS = {"mnist": catalog_default("mnist"), "cifar10": catalog_default("cifar10")}
+IMAGE_SHAPES = {"mnist": (1, 28, 28), "cifar10": (3, 32, 32)}
+# relations that push a uniform image of this value past the uint8 range
+SATURATING = {0: {"brightness_down", "contrast_up"}, 255: {"brightness_up", "contrast_up"}}
+# a dataset with one catalog relation or an ordered composition of up to three
+relation_cases = st.sampled_from(sorted(CATALOGS)).flatmap(
+    lambda ds: st.tuples(st.just(ds), st.lists(st.sampled_from(CATALOGS[ds]), min_size=1, max_size=3)))
+
+
+def relation_of(parts):
+    return parts[0] if len(parts) == 1 else compose(parts)
+
+
+class TestRelationProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(case=relation_cases, fill=st.sampled_from([None, 0, 255]), pixel_seed=st.integers(0, 2**32 - 1),
+           key=st.tuples(st.integers(0, 2**31), st.integers(0, 2**31)))
+    def test_transform_is_uint8_same_shape_and_keyed(self, case, fill, pixel_seed, key):
+        dataset, parts = case
+        mr = relation_of(parts)
+        shape = IMAGE_SHAPES[dataset]
+        if fill is None:
+            image = np.random.default_rng(pixel_seed).integers(0, 256, size=shape, dtype=np.uint8)
+        else:  # saturated images: brightness and contrast must clamp, not wrap
+            image = np.full(shape, fill, dtype=np.uint8)
+        before = image.tobytes()
+        out = mr.transform(image, key)
+        assert out.dtype == np.uint8 and out.shape == shape, mr.id
+        assert mr.transform(image, key).tobytes() == out.tobytes(), mr.id
+        assert image.tobytes() == before, mr.id
+        if fill is not None and {c.id for c in parts} <= SATURATING[fill]:
+            assert np.all(out == fill), mr.id
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=relation_cases)
+    def test_label_map_array_agrees_with_label_map(self, case):
+        _, parts = case
+        mr = relation_of(parts)
+        table = label_map_array(mr, 10)
+        assert table.dtype == np.int64 and table.shape == (10,)
+        assert table.tolist() == [mr.label_map(c) for c in range(10)], mr.id
+
+    @pytest.mark.parametrize("dataset", sorted(CATALOGS))
+    @settings(max_examples=25, deadline=None)
+    @given(pixel_seed=st.integers(0, 2**32 - 1))
+    def test_rot180_is_an_involution(self, dataset, pixel_seed):
+        rot180 = catalog_by_id(dataset)["rot180"]
+        table = label_map_array(rot180, 10)
+        assert np.array_equal(table[table], np.arange(10))
+        image = np.random.default_rng(pixel_seed).integers(0, 256, size=IMAGE_SHAPES[dataset], dtype=np.uint8)
+        assert np.array_equal(rot180.transform(rot180.transform(image)), image)

@@ -116,6 +116,18 @@ class TestFromHistories:
         table = comparison_table([fake_history("fixmatch", "base", acc=0.4)], accuracy_n=5)
         assert table.get_cell("fixmatch", "base", "accuracy") == pytest.approx(0.6)
 
+    @pytest.mark.parametrize("termination", ["incomplete", "aborted_nan"])
+    def test_unfinished_run_rejected_naming_termination_and_run(self, termination):
+        unfinished = fake_history("flexmatch", "static", seed=7)
+        unfinished.termination = termination
+        unfinished.final_eval = {"sr_mt": None, "topn": {}}
+        with pytest.raises(ValidationError) as info:
+            comparison_table([fake_history("fixmatch", "base"), unfinished])
+        message = str(info.value)
+        assert repr(termination) in message
+        assert "trainer=flexmatch mode=static seed=7" in message
+        assert "lacks" not in message
+
 
 class TestExport:
     def test_csv_roundtrip_byte_identical(self, tmp_path):

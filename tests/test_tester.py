@@ -10,6 +10,7 @@ from metaretrain.relations import IDENTITY, LABEL_PRESERVING, catalog_by_id, cat
 from metaretrain.tester import (
     SuiteOutcome,
     TestSuite,
+    _predict,
     build_suites,
     partition,
     robustness,
@@ -234,6 +235,24 @@ class TestRobustness:
         report = robustness(tiny_model(seed=11, size=28).snapshot(), suites)
         assert report.total_cases == 10 * n
         assert sum(forwarded) == 11 * n
+
+    def test_predict_converts_the_stack_like_each_image(self, monkeypatch):
+        forwarded = []
+        original = Model.predict_logits
+
+        def capturing(self, images, *args, **kwargs):
+            forwarded.append(np.array(images, copy=True))
+            return original(self, images, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "predict_logits", capturing)
+        images = [s.pixels for s in mnist_samples(9, seed=4)] + [np.zeros((1, 28, 28), np.uint8),
+                                                                 np.full((1, 28, 28), 255, np.uint8)]
+        model = tiny_model(seed=5, size=28)
+        preds = _predict(model, images)
+        per_image = np.stack([to_model_input(x) for x in images])
+        (got,) = forwarded
+        assert got.dtype == per_image.dtype and got.tobytes() == per_image.tobytes()
+        assert np.array_equal(preds, np.argmax(original(model, per_image), axis=1))
 
     def test_source_sets_keyed_by_object_not_source_id(self):
         # same source ids, different pixels: each suite must use its own source predictions
