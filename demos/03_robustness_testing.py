@@ -21,7 +21,7 @@ model = Model(model_spec("cnn_small", (1, 28, 28), 10), seed=5)
 suites = build_suites(catalog_default("mnist"), split.test, max_cases=60, seed=5)
 
 print("untrained model:")
-before = robustness(model.snapshot(), suites, pass_threshold=0.8)
+before = robustness(model, suites, pass_threshold=0.8)
 print(before.to_text())
 
 # --- a short supervised warm-up, then retest ------------------------------------
@@ -38,7 +38,7 @@ for epoch in range(8):
         opt.step(model)
 
 print("\nafter a short supervised warm-up:")
-after = robustness(model.snapshot(), suites, pass_threshold=0.8)
+after = robustness(model, suites, pass_threshold=0.8)
 print(after.to_text())
 
 failed, passed = partition(after.outcomes)

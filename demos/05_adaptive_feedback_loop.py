@@ -1,6 +1,6 @@
 """The full feedback loop: test, partition, retrain on the failures, repeat.
 
-Each cycle tests the pre-retraining snapshot; the failed relations become the
+Each cycle tests the pre-retraining model; the failed relations become the
 strong augmentation pool of the NEXT cycle's stream (cycle 0 starts from the
 base pool and logs a fallback). Watch the strong pool track the failure set
 and SR_MT climb.

@@ -6,7 +6,8 @@ Subcommands:
     report    tabulate finished runs into a comparison table
     list-mrs  enumerate the relation catalog for a dataset
 
-Exit codes: 0 success, 2 validation error, 3 runtime abort (non-finite loss).
+Exit codes: 0 success, 2 validation error, 3 runtime abort (a non-finite loss
+or value).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from .config import DATASETS, ENV_DATA_DIR, ConfigError, RunConfig, load_config, validate_config
 from .data import load_cifar, load_mnist, subsample_and_split
-from .errors import MetaRetrainError, ValidationError
+from .errors import MetaRetrainError, NonFiniteError, ValidationError
 from .metrics import evaluate
 from .nn import Model, load_checkpoint, model_spec, save_checkpoint
 from .orchestrator import CycleConfig, RunHistory, resume_state_from, run_cycles
@@ -271,10 +272,10 @@ def main(argv=None) -> int:
     logger.setLevel(getattr(args, "log_level", "WARNING"))
     try:
         return args.func(args)
-    except MetaRetrainError as exc:
+    except NonFiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
+        return EXIT_RUNTIME
+    except (MetaRetrainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     finally:

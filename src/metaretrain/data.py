@@ -20,7 +20,7 @@ fine label is used.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,21 +49,14 @@ class DatasetSplit:
     """Labeled / unlabeled / test partition of a subsampled dataset.
 
     Unlabeled samples retain their ground-truth label on the sample object for
-    evaluation-only diagnostics; training code must consume unlabeled data
-    through `unlabeled_pixels()` (or the batch stream), which never exposes
-    labels.
+    evaluation-only diagnostics; training consumes unlabeled data through the
+    batch stream, which reads their pixels and source ids but never a label.
     """
 
     labeled: tuple
     unlabeled: tuple
     test: tuple
     seed: int
-    provenance: dict = field(default_factory=dict)
-
-    def unlabeled_pixels(self) -> np.ndarray:
-        if not self.unlabeled:
-            return np.zeros((0, 0, 0, 0), dtype=np.uint8)
-        return np.stack([s.pixels for s in self.unlabeled])
 
     def sizes(self) -> tuple:
         return (len(self.labeled), len(self.unlabeled), len(self.test))
@@ -198,5 +191,4 @@ def subsample_and_split(samples, fraction, ratios, seed, stratified: bool = True
         unlabeled=tuple(picked[n_lab : n_lab + n_unl]),
         test=tuple(picked[n_lab + n_unl :]),
         seed=seed,
-        provenance={"fraction": fraction, "ratios": ratios, "stratified": stratified, "total": n_total},
     )

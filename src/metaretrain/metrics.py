@@ -1,4 +1,4 @@
-"""Accuracy metrics over model snapshots."""
+"""Top-N accuracy metrics of a model over labeled samples."""
 
 from __future__ import annotations
 
@@ -8,14 +8,7 @@ import numpy as np
 
 from .data import to_model_input
 from .errors import ValidationError
-from .nn import Model, ModelSnapshot
-
-
-def as_model(model_or_snapshot) -> Model:
-    """The model to predict with: the argument itself, or one rebuilt from a snapshot."""
-    if isinstance(model_or_snapshot, ModelSnapshot):
-        return Model.from_snapshot(model_or_snapshot)
-    return model_or_snapshot
+from .nn import Model
 
 
 def _topn_hits(logits: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
@@ -24,9 +17,9 @@ def _topn_hits(logits: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
     return (order[:, :n] == labels[:, None]).any(axis=1)
 
 
-def topn_accuracy(model_or_snapshot, samples, n: int) -> float:
+def topn_accuracy(model: Model, samples, n: int) -> float:
     """Fraction of samples whose true label ranks among the n highest logits."""
-    return evaluate(model_or_snapshot, samples, topn_list=(n,)).topn[int(n)]
+    return evaluate(model, samples, topn_list=(n,)).topn[int(n)]
 
 
 @dataclass(frozen=True)
@@ -45,12 +38,12 @@ class EvalReport:
         }
 
 
-def evaluate(model_or_snapshot, samples, topn_list=(1, 5), sr_mt: float | None = None) -> EvalReport:
+def evaluate(model: Model, samples, topn_list=(1, 5), sr_mt: float | None = None) -> EvalReport:
     samples = list(samples)
     if not samples:
         raise ValidationError("evaluation needs a non-empty test set")
     images = np.stack([to_model_input(s.pixels) for s in samples])
-    logits = as_model(model_or_snapshot).predict_logits(images)
+    logits = model.predict_logits(images)
     labels = np.array([s.label for s in samples])
     n_classes = logits.shape[1]
     topn = {}

@@ -186,12 +186,10 @@ def build_cycle_stream(spec: CycleDatasetSpec) -> CycleStream:
     weak_candidates = _weak_candidates(policy)
     shape = labeled[0].pixels.shape if labeled else unlabeled[0].pixels.shape
     all_batches = []
-    epoch_zero: list = []
     for epoch in range(spec.epochs):
-        if spec.frozen_realizations and epoch > 0:
-            all_batches.extend(epoch_zero)
-            continue
-        rng = np.random.default_rng((policy.seed, spec.cycle_index, epoch))
+        # frozen realizations: every epoch replays epoch 0's draws
+        key = 0 if spec.frozen_realizations else epoch
+        rng = np.random.default_rng((policy.seed, spec.cycle_index, key))
         lab_order = rng.permutation(len(labeled)) if labeled else np.array([], dtype=int)
         unl_order = rng.permutation(len(unlabeled)) if unlabeled else np.array([], dtype=int)
         for step in range(steps):
@@ -240,6 +238,4 @@ def build_cycle_stream(spec: CycleDatasetSpec) -> CycleStream:
                 unlabeled_source_ids=tuple(u_src),
             )
             all_batches.append(batch)
-            if epoch == 0:
-                epoch_zero.append(batch)
     return CycleStream(batches=tuple(all_batches), steps_per_epoch=steps)

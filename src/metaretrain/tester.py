@@ -1,4 +1,4 @@
-"""Build metamorphic test suites, score a model snapshot, partition relations.
+"""Build metamorphic test suites, score a model, partition relations.
 
 A suite pairs one relation with a set of source images. Per case the model
 passes when its prediction on the transformed image matches the reference:
@@ -18,7 +18,6 @@ import numpy as np
 
 from .data import to_model_input
 from .errors import ValidationError
-from .metrics import as_model
 from .nn import Model
 from .relations import LABEL_PRESERVING, label_map_array
 
@@ -127,18 +126,12 @@ def _score(model: Model, suite: TestSuite, pass_threshold: float, seed: int,
                         verdict=verdict, mode=mode)
 
 
-def run_suite(model_or_snapshot, suite: TestSuite, pass_threshold: float = 0.8,
-              seed: int = 0) -> SuiteOutcome:
-    return _score(as_model(model_or_snapshot), suite, pass_threshold, seed, {})
-
-
-def robustness(model_or_snapshot, suites, pass_threshold: float = 0.8,
+def robustness(model: Model, suites, pass_threshold: float = 0.8,
                seed: int = 0) -> RobustnessReport:
     """SR_MT over every case of every suite, plus per-suite outcomes."""
     suites = list(suites)
     if not suites:
         raise ValidationError("robustness() needs at least one suite")
-    model = as_model(model_or_snapshot)
     source_preds: dict = {}  # keyed by object id; `suites` keeps every tuple alive
     outcomes = []
     seen: dict[str, int] = {}

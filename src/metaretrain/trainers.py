@@ -19,7 +19,7 @@ Implemented steps:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,6 +68,9 @@ class LossBreakdown:
     mask_rate: float
     lambda_u: float
     lambda_p: float
+    # the step's pseudo-label arrays: raw, mapped and mask (thresholded
+    # trainers) or guessed (MixMatch); not part of the step record
+    pseudo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("l_sup", "l_unsup", "l_penalty"):
@@ -151,8 +154,6 @@ class Trainer:
         self.cfg = cfg
         self.num_classes = num_classes
         self.seed = seed
-        self.capture_debug = False
-        self.last_debug: dict = {}
 
     def on_epoch_start(self) -> None:
         pass
@@ -176,9 +177,10 @@ class Trainer:
             mask_rate=parts.get("mask_rate", 0.0),
             lambda_u=self.cfg.lambda_u,
             lambda_p=self.cfg.lambda_p,
+            pseudo=parts.get("pseudo", {}),
         )
 
-    # subclasses return (total loss tensor, float parts)
+    # subclasses return (total loss tensor, parts: floats plus the "pseudo" arrays)
     def _losses(self, batch: Batch):
         raise NotImplementedError
 
@@ -195,8 +197,6 @@ class Trainer:
         conf = probs.max(axis=1)
         raw = probs.argmax(axis=1)
         mapped = np.take_along_axis(batch.strong_label_maps, raw[:, None], axis=1)[:, 0]
-        if self.capture_debug:
-            self.last_debug = {"pseudo_raw": raw.copy(), "pseudo_mapped": mapped.copy(), "confidence": conf.copy()}
         return probs, conf, raw, mapped
 
 
@@ -247,10 +247,7 @@ class ThresholdedTrainer(Trainer):
             # converged status, all tau_c == tau_max) weighs by the mask alone
             weights = (tau / self.cfg.tau * mask).astype(np.float32)
             parts["mask_rate"] = float(mask.mean())
-            if self.capture_debug:
-                self.last_debug["mask"] = mask.copy()
-                if self.status is not None:
-                    self.last_debug["tau_c"] = self.status.thresholds()
+            parts["pseudo"] = {"raw": raw, "mapped": mapped, "mask": mask}
             need_unsup = self.cfg.lambda_u != 0.0 and mask.any()
             need_penalty = self.penalty and self.cfg.lambda_p != 0.0
             if need_unsup or need_penalty:
@@ -319,8 +316,6 @@ class MixMatchTrainer(Trainer):
         for v in range(k):
             guessed += F.softmax(self.model.predict_logits(batch.x_unlabeled_weak[v]))
         guessed = sharpen(guessed / k, self.cfg.temperature)
-        if self.capture_debug:
-            self.last_debug = {"guessed": guessed.copy()}
 
         x_all = np.concatenate([batch.x_labeled] + [batch.x_unlabeled_weak[v] for v in range(k)], axis=0)
         y_all = np.concatenate(
@@ -331,7 +326,7 @@ class MixMatchTrainer(Trainer):
         x_mix, y_mix = mixmatch_mix((x_all, y_all), (x_all[perm], y_all[perm]), gamma)
         x_mix = x_mix.astype(np.float32)
 
-        parts = {"mask_rate": 1.0}
+        parts = {"mask_rate": 1.0, "pseudo": {"guessed": guessed}}
         total_t = None
         if n_l:
             total_t = F.softmax_cross_entropy(self.model.forward(Tensor(x_mix[:n_l])), y_mix[:n_l])

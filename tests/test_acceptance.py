@@ -129,10 +129,9 @@ def test_criterion_2_tester_oracle_equivalence():
     """robustness() on a 50-case fixture equals independent brute force."""
     samples = make_digits(10, seed=77)
     model = Model(model_spec("mlp_small", (1, 28, 28), 10), seed=5)
-    snapshot = model.snapshot()
     mrs = catalog_default("mnist")[:5]
     suites = build_suites(mrs, samples, seed=3)
-    got = robustness(snapshot, suites, pass_threshold=0.8, seed=3)
+    got = robustness(model, suites, pass_threshold=0.8, seed=3)
 
     total, passes = 0, 0
     oracle_bits = {}
@@ -167,7 +166,7 @@ def test_criterion_3_constant_model_law():
     b.data = bias
     label_preserving = [mr for mr in catalog_default("mnist") if mr.kind == LABEL_PRESERVING]
     suites = build_suites(label_preserving, make_digits(12, seed=9), seed=1)
-    result = robustness(model.snapshot(), suites, pass_threshold=0.8, seed=1)
+    result = robustness(model, suites, pass_threshold=0.8, seed=1)
     report(3, result.sr_mt == 1.0, f"SR_MT == {result.sr_mt} on {len(suites)} label-preserving suites")
 
 
@@ -232,7 +231,6 @@ def test_criterion_5_rot180_label_semantics():
     bias[2] = 6.0
     b.data = bias
     trainer = build_trainer("fixmatch", model, SGD(0.0), TrainerConfig(tau=0.5), 10)
-    trainer.capture_debug = True
     rng = np.random.default_rng(22)
     from metaretrain.policy import Batch
 
@@ -244,10 +242,9 @@ def test_criterion_5_rot180_label_semantics():
         x_unlabeled_strong=rng.random((n_u, 1, 8, 8)).astype(np.float32),
         strong_label_maps=np.tile(label_map_array(rot180, 10), (n_u, 1)),
     )
-    trainer.step(batch)
-    dbg = trainer.last_debug
-    remap_ok = bool(np.all(dbg["pseudo_raw"] == 2) and np.all(dbg["pseudo_mapped"] == 5)
-                    and np.all(dbg["mask"] == 1.0))
+    pseudo = trainer.step(batch).pseudo
+    remap_ok = bool(np.all(pseudo["raw"] == 2) and np.all(pseudo["mapped"] == 5)
+                    and np.all(pseudo["mask"] == 1.0))
     report(5, involution_ok and stated_ok and identity_ok and remap_ok,
            "involution, double-rotation identity, and pre-loss pseudo-label remap all hold")
 

@@ -336,6 +336,20 @@ class TestTestCommand:
         assert rc == 2
         assert "checkpoint" in capsys.readouterr().err.lower()
 
+    def test_overflowing_checkpoint_exit_3_naming_op(self, tmp_path, capsys):
+        # weights of 1e24 overflow float32 within two dense layers
+        self.make_cifar_fixture(tmp_path)
+        model = Model(model_spec("mlp_small", (3, 32, 32), 10), seed=0)
+        for p in model.parameters():
+            p.data = np.full_like(p.data, 1e24)
+        ckpt = tmp_path / "overflow.ckpt"
+        save_checkpoint(model.snapshot(), ckpt)
+        rc = main(["test", "--checkpoint", str(ckpt), "--dataset", "cifar10", "--data-dir", str(tmp_path),
+                   "--fraction", "1.0", "--output-dir", str(tmp_path / "out")])
+        assert rc == 3
+        assert "error: non-finite value produced by op 'matmul'" in capsys.readouterr().err.splitlines()
+        assert not (tmp_path / "out").exists()
+
 
 class TestReportCommand:
     def fake_history(self, path, trainer, mode, dataset="mnist", acc=0.5, sr=0.6):

@@ -187,12 +187,6 @@ class TestSubsampleAndSplit:
         assert largest_remainder(7, (0.5, 0.5)) == [4, 3]
         assert sum(largest_remainder(11, (0.33, 0.33, 0.34))) == 11
 
-    def test_unlabeled_pixels_hides_labels(self):
-        split = subsample_and_split(self.fake_samples(100), 0.5, (0.2, 0.6, 0.2), seed=4)
-        pixels = split.unlabeled_pixels()
-        assert pixels.shape == (30, 1, 2, 2)
-        assert pixels.dtype == np.uint8
-
 
 class TestModelInput:
     def test_to_model_input_scales(self):

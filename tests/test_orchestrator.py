@@ -185,7 +185,7 @@ class TestRunCycles:
         assert cycles == list(range(len(cycles)))
         versions = [r.model_version for r in history.records]
         assert versions == sorted(versions)
-        # robustness was computed on the pre-retraining snapshot each cycle
+        # robustness was computed on the pre-retraining model each cycle
         assert versions[0] == 0
 
     def test_history_save_load_roundtrip(self, tmp_path):

@@ -1,10 +1,13 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
-from metaretrain.data import subsample_and_split, to_model_input
+from metaretrain.data import ImageSample, subsample_and_split, to_model_input
 from metaretrain.errors import ValidationError
 from metaretrain.policy import (
     AugmentationPolicy,
+    Batch,
     CycleDatasetSpec,
     adaptive_policy,
     base_policy,
@@ -18,6 +21,16 @@ from metaretrain.synthdigits import make_digits
 
 def mnist_split(n=60, seed=0, ratios=(0.2, 0.6, 0.2)):
     return subsample_and_split(make_digits(n, seed=seed), 1.0, ratios, seed=seed)
+
+
+def assert_batches_equal(a, b):
+    """Every Batch field equal: arrays in dtype, shape and value, ids as tuples."""
+    for f in fields(Batch):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
 
 
 def identity_policy(seed=0):
@@ -159,17 +172,16 @@ class TestCycleStream:
             assert batch.x_unlabeled_weak.shape[1] == batch.n_unlabeled
             assert batch.strong_label_maps.shape == (batch.n_unlabeled, 10)
 
-    def test_frozen_realizations_repeat_epoch_zero(self):
+    def test_frozen_realizations_repeat_the_first_epoch(self):
         split = mnist_split(30)
         pol = base_policy(catalog_default("mnist"), seed=5)
         spec = CycleDatasetSpec(split=split, policy=pol, batch_size=8, epochs=2,
                                 num_classes=10, frozen_realizations=True)
         stream = build_cycle_stream(spec)
         per_epoch = stream.steps_per_epoch
+        assert len(stream) == 2 * per_epoch
         for i in range(per_epoch):
-            a, b = stream.batches[i], stream.batches[i + per_epoch]
-            assert np.array_equal(a.x_labeled, b.x_labeled)
-            assert np.array_equal(a.x_unlabeled_strong, b.x_unlabeled_strong)
+            assert_batches_equal(stream.batches[i], stream.batches[i + per_epoch])
 
     def test_fresh_draws_differ_between_epochs(self):
         split = mnist_split(30)
@@ -208,13 +220,20 @@ class TestCycleStream:
                 for pol in (static, plain))
         assert len(a) == len(b) > 0
         for ba, bb in zip(a, b):
-            assert np.array_equal(ba.x_labeled, bb.x_labeled)
-            assert np.array_equal(ba.y_labeled, bb.y_labeled)
-            assert np.array_equal(ba.x_unlabeled_weak, bb.x_unlabeled_weak)
-            assert np.array_equal(ba.x_unlabeled_strong, bb.x_unlabeled_strong)
-            assert np.array_equal(ba.strong_label_maps, bb.strong_label_maps)
-            assert ba.labeled_mr_ids == bb.labeled_mr_ids
-            assert ba.strong_mr_ids == bb.strong_mr_ids
+            assert_batches_equal(ba, bb)
+
+    def test_stream_never_reads_unlabeled_labels(self):
+        split = mnist_split(40, ratios=(0.3, 0.5, 0.2))
+        relabeled = replace(split, unlabeled=tuple(
+            ImageSample(s.pixels, (s.label + 1) % 10, s.source_id) for s in split.unlabeled))
+        catalog = catalog_default("mnist")
+        for pol in (base_policy(catalog, seed=10), static_policy(catalog, k=2, seed=10)):
+            a, b = (build_cycle_stream(CycleDatasetSpec(split=sp, policy=pol, batch_size=8, epochs=2,
+                                                        num_classes=10, n_weak_views=2))
+                    for sp in (split, relabeled))
+            assert len(a) == len(b) > 0 and a.batches[0].n_unlabeled > 0
+            for ba, bb in zip(a, b):
+                assert_batches_equal(ba, bb)
 
     def test_degenerate_spec_rejected(self):
         split = mnist_split(20)

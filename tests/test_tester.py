@@ -14,8 +14,12 @@ from metaretrain.tester import (
     build_suites,
     partition,
     robustness,
-    run_suite,
 )
+
+
+def score(model, suite, **kwargs):
+    """One suite's outcome, scored on the path robustness() takes."""
+    return robustness(model, [suite], **kwargs).outcomes[0]
 
 
 def tiny_model(seed=0, size=8, classes=10):
@@ -64,14 +68,14 @@ def oracle_bits(model, mrs, sources, seed):
 
 
 class TestRunCase:
-    """One metamorphic test case: a one-source suite scored by run_suite."""
+    """One metamorphic test case: a one-source suite."""
 
     def test_constant_model_passes_label_preserving(self):
         model = constant_model(size=28)
         mrs = catalog_by_id("mnist")
         for s in mnist_samples(5):
             suite = TestSuite(mr=mrs["rot90"], sources=(s,))
-            assert run_suite(model.snapshot(), suite).bits.tolist() == [1]
+            assert score(model, suite).bits.tolist() == [1]
 
     def test_mapped_label_mismatch_fails(self):
         # constant model predicts 2 everywhere; rot180 maps a source-2 to 5
@@ -80,15 +84,14 @@ class TestRunCase:
         s = mnist_samples(1)[0]
         s = ImageSample(s.pixels, 2, s.source_id)
         suite = TestSuite(mr=mrs["rot180"], sources=(s,))
-        assert run_suite(model.snapshot(), suite).bits.tolist() == [0]
+        assert score(model, suite).bits.tolist() == [0]
 
     def test_matches_brute_force_enumeration(self):
         model = tiny_model(seed=4, size=28)
-        snap = model.snapshot()
         mrs = catalog_default("mnist")[:3]
         sources = mnist_samples(10, seed=5)
         suites = build_suites(mrs, sources, seed=0)
-        report = robustness(snap, suites, pass_threshold=0.8, seed=0)
+        report = robustness(model, suites, pass_threshold=0.8, seed=0)
 
         expected_bits = oracle_bits(model, mrs, sources, seed=0)
         for outcome in report.outcomes:
@@ -104,7 +107,7 @@ class TestRunCase:
         mrs = [catalog_by_id("mnist")[mr_id] for mr_id in picks]
         model = tiny_model(seed=model_seed, size=28)
         sources = mnist_samples(n_sources, seed=data_seed)
-        report = robustness(model.snapshot(), build_suites(mrs, sources), seed=tester_seed)
+        report = robustness(model, build_suites(mrs, sources), seed=tester_seed)
 
         expected_bits = oracle_bits(model, mrs, sources, seed=tester_seed)
         for outcome in report.outcomes:
@@ -128,7 +131,7 @@ class TestRunSuite:
     def test_all_pass(self):
         model = constant_model()
         suite = TestSuite(mr=IDENTITY, sources=tuple(digit_samples(4)))
-        out = run_suite(model, suite, pass_threshold=0.8)
+        out = score(model, suite, pass_threshold=0.8)
         assert out.success_rate == 1.0 and out.verdict == "passed"
 
     def test_half_rate_fails_at_0_8(self):
@@ -137,7 +140,7 @@ class TestRunSuite:
         model = constant_model()
         # craft a suite where rate is deterministic 1.0, then check threshold logic directly
         suite = TestSuite(mr=IDENTITY, sources=tuple(digit_samples(4)))
-        full = run_suite(model, suite, pass_threshold=0.8)
+        full = score(model, suite, pass_threshold=0.8)
         assert full.verdict == "passed"
 
     def test_zero_threshold_always_passes(self):
@@ -145,7 +148,7 @@ class TestRunSuite:
         mrs = catalog_by_id("cifar10")
         s = digit_samples(6, seed=3)
         suite = TestSuite(mr=IDENTITY, sources=tuple(s))
-        out = run_suite(model, suite, pass_threshold=0.0)
+        out = score(model, suite, pass_threshold=0.0)
         assert out.verdict == "passed"
 
     def test_empty_suite_rejected(self):
@@ -156,13 +159,13 @@ class TestRunSuite:
         model = constant_model()
         suite = TestSuite(mr=IDENTITY, sources=tuple(digit_samples(2)))
         with pytest.raises(ValidationError):
-            run_suite(model, suite, pass_threshold=1.5)
+            score(model, suite, pass_threshold=1.5)
 
     def test_rate_equals_mean_bits(self):
         model = tiny_model(seed=2, size=28)
         mrs = catalog_by_id("mnist")
         suite = TestSuite(mr=mrs["noise8"], sources=tuple(mnist_samples(9, seed=8)))
-        out = run_suite(model, suite)
+        out = score(model, suite)
         assert out.success_rate == pytest.approx(out.bits.mean())
         assert out.verdict == ("passed" if out.success_rate >= 0.8 else "failed")
 
@@ -172,7 +175,7 @@ class TestRobustness:
         model = tiny_model(seed=1, size=28)
         mrs = catalog_default("mnist")[:4]
         suites = build_suites(mrs, mnist_samples(5, seed=1))
-        report = robustness(model.snapshot(), suites)
+        report = robustness(model, suites)
         total_bits = np.concatenate([o.bits for o in report.outcomes])
         assert report.total_cases == 20
         assert report.sr_mt == pytest.approx(total_bits.mean())
@@ -189,34 +192,34 @@ class TestRobustness:
             TestSuite(mr=IDENTITY, sources=tuple(sources)),
             TestSuite(mr=mrs["rot180"], sources=tuple(sources)),
         ]
-        report = robustness(model.snapshot(), suites)
+        report = robustness(model, suites)
         assert report.total_cases == 10
         assert report.sr_mt == pytest.approx(0.8)  # 5 + 3 passes
 
     def test_perfect_model_on_identity(self):
         model = tiny_model(seed=3)
         suites = [TestSuite(mr=IDENTITY, sources=tuple(digit_samples(8, seed=2)))]
-        assert robustness(model.snapshot(), suites).sr_mt == 1.0
+        assert robustness(model, suites).sr_mt == 1.0
 
     def test_invariant_under_suite_reordering(self):
         model = tiny_model(seed=5, size=28)
         mrs = catalog_default("mnist")[:5]
         suites = build_suites(mrs, mnist_samples(6, seed=6))
-        a = robustness(model.snapshot(), suites)
-        b = robustness(model.snapshot(), list(reversed(suites)))
+        a = robustness(model, suites)
+        b = robustness(model, list(reversed(suites)))
         assert a.sr_mt == b.sr_mt
         assert [o.suite_id for o in a.outcomes] == [o.suite_id for o in b.outcomes]
 
     def test_deterministic_for_fixed_snapshot(self):
         model = tiny_model(seed=6, size=28)
         suites = build_suites(catalog_default("mnist"), mnist_samples(4, seed=7))
-        a = robustness(model.snapshot(), suites, seed=3)
-        b = robustness(model.snapshot(), suites, seed=3)
+        a = robustness(model, suites, seed=3)
+        b = robustness(model, suites, seed=3)
         assert a.to_dict() == b.to_dict()
 
     def test_empty_suites_rejected(self):
         with pytest.raises(ValidationError):
-            robustness(tiny_model().snapshot(), [])
+            robustness(tiny_model(), [])
 
     def test_each_source_predicted_once(self, monkeypatch):
         # 10 relations over N sources: 10 follow-up sets plus one shared source set
@@ -232,7 +235,7 @@ class TestRobustness:
         assert len(catalog) == 10
         n = 7
         suites = build_suites(catalog, mnist_samples(n, seed=12))
-        report = robustness(tiny_model(seed=11, size=28).snapshot(), suites)
+        report = robustness(tiny_model(seed=11, size=28), suites)
         assert report.total_cases == 10 * n
         assert sum(forwarded) == 11 * n
 
@@ -263,14 +266,14 @@ class TestRobustness:
                  for x in (a, b)]
         assert (preds[0] != preds[1]).any()
         suites = [TestSuite(mr=IDENTITY, sources=tuple(a)), TestSuite(mr=IDENTITY, sources=tuple(b))]
-        assert robustness(model.snapshot(), suites).sr_mt == 1.0
+        assert robustness(model, suites).sr_mt == 1.0
 
     def test_constant_model_below_one_with_label_map(self):
         model = constant_model(size=28, winner=2)
         mrs = catalog_by_id("mnist")
         sources = [ImageSample(s.pixels, 2, s.source_id) for s in mnist_samples(6, seed=9)]
         suites = [TestSuite(mr=mrs["rot180"], sources=tuple(sources))]
-        report = robustness(model.snapshot(), suites)
+        report = robustness(model, suites)
         assert report.sr_mt < 1.0
 
 
@@ -303,5 +306,5 @@ class TestPartition:
     def test_duplicate_suite_ids_uniquified_in_report(self):
         model = constant_model()
         suite = TestSuite(mr=IDENTITY, sources=tuple(digit_samples(2)))
-        report = robustness(model.snapshot(), [suite, suite])
+        report = robustness(model, [suite, suite])
         assert sorted(o.suite_id for o in report.outcomes) == ["identity", "identity#2"]

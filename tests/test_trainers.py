@@ -115,11 +115,9 @@ class TestFixMatch:
         maps = np.tile(label_map_array(catalog_by_id("mnist")["rot180"], C), (3, 1))
         batch = make_batch(np.random.default_rng(6), n_l=1, n_u=3, strong_map=maps)
         trainer = build_trainer("fixmatch", model, SGD(0.0), TrainerConfig(tau=0.5), C)
-        trainer.capture_debug = True
-        trainer.step(batch)
-        dbg = trainer.last_debug
-        assert np.all(dbg["pseudo_raw"] == 2)
-        assert np.all(dbg["pseudo_mapped"] == 5)
+        pseudo = trainer.step(batch).pseudo
+        assert np.all(pseudo["raw"] == 2)
+        assert np.all(pseudo["mapped"] == 5)
 
     def test_mask_rate_monotone_in_tau(self):
         batch = make_batch(np.random.default_rng(7), n_u=12)
@@ -226,11 +224,9 @@ class TestMixMatch:
         model = tiny_model(seed=16)
         cfg = TrainerConfig(k_augmentations=1, temperature=1.0)
         trainer = build_trainer("mixmatch", model, SGD(0.0), cfg, C)
-        trainer.capture_debug = True
         batch = make_batch(np.random.default_rng(17), n_u=3, k=1)
         expected = F.softmax(model.predict_logits(batch.x_unlabeled_weak[0]))
-        trainer.step(batch)
-        assert np.allclose(trainer.last_debug["guessed"], expected, atol=1e-7)
+        assert np.allclose(trainer.step(batch).pseudo["guessed"], expected, atol=1e-7)
 
     def test_two_sample_case_matches_direct_definition(self):
         model = tiny_model(seed=18)
@@ -362,6 +358,19 @@ class TestSharedInvariants:
         batch.x_unlabeled_weak[0, :7, 0, 0, 0] = 1.0
         trainer = build_trainer(name, model, SGD(0.0), TrainerConfig(), C)
         assert trainer.step(batch).mask_rate == 7 / 20
+
+    @pytest.mark.parametrize("name", ["fixmatch", "flexmatch", "mixmatch", "fullmatch", "supervised"])
+    def test_record_holds_losses_only_and_pseudo_mask_gives_mask_rate(self, name):
+        model = tiny_model(seed=39)  # 4 of the 6 weak views clear tau = tau_min = 0.2
+        cfg = TrainerConfig(tau=0.2, tau_min=0.2, k_augmentations=2)
+        trainer = build_trainer(name, model, SGD(0.0), cfg, C, seed=40)
+        out = trainer.step(make_batch(np.random.default_rng(41), k=trainer.n_weak_views))
+        assert list(out.to_record()) == ["l_sup", "l_unsup", "l_penalty", "total", "mask_rate"]
+        if name in ("fixmatch", "flexmatch", "fullmatch"):
+            assert sorted(out.pseudo) == ["mapped", "mask", "raw"]
+            assert out.pseudo["mask"].mean() == out.mask_rate == 4 / 6
+        else:
+            assert sorted(out.pseudo) == (["guessed"] if name == "mixmatch" else [])
 
     def test_loss_breakdown_validates(self):
         with pytest.raises(ValidationError):
