@@ -26,7 +26,7 @@ for name in ("supervised", "fixmatch", "flexmatch", "fullmatch", "mixmatch"):
     spec = CycleDatasetSpec(split=split, policy=policy, batch_size=16, epochs=1,
                             num_classes=10, n_weak_views=trainer.n_weak_views)
     stream = build_cycle_stream(spec)
-    out = trainer.step(stream.batches[0])
+    out = trainer.step(next(iter(stream)))
     print(f"{name:12s} {out.l_sup:8.4f} {out.l_unsup:8.4f} {out.l_penalty:8.4f} "
           f"{out.total:8.4f} {out.mask_rate:6.2f}")
 

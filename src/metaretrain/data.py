@@ -63,8 +63,13 @@ class DatasetSplit:
 
 
 def to_model_input(pixels: np.ndarray) -> np.ndarray:
-    """uint8 pixels -> float32 in [0,1]; accepts [C,H,W] or [N,C,H,W]."""
-    return np.asarray(pixels, dtype=np.float32) / 255.0
+    """uint8 pixels -> float32 in [0,1]; accepts [C,H,W] or [N,C,H,W].
+
+    Divides in place in a fresh array, so one float32 array is made and a
+    caller's float32 input is never changed."""
+    out = np.array(pixels, dtype=np.float32)
+    out /= 255.0
+    return out
 
 
 def _read_be_u32(data: bytes, offset: int, path, what: str) -> int:

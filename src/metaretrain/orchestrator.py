@@ -5,8 +5,9 @@ Each cycle runs four steps in order on the live model: the tester scores it
 *previous* cycle's failed/passed partition, the model retrains on that
 stream, and the cycle is recorded with the partition the test produced, which
 the next cycle's policy reads. Cycle 0 therefore starts from the mode's
-initial pools (adaptive mode logs a fallback). A stream lives only while its
-cycle trains, so no stream is held during an evaluation.
+initial pools (adaptive mode logs a fallback). The stream is generated one
+batch per step, and each batch is dropped after its step, so one batch is
+held while a cycle trains and none during an evaluation.
 
 Wall-clock durations are tracked in memory but excluded from persisted history
 so that identically-seeded runs serialize byte-identically.
@@ -253,17 +254,20 @@ def _train_one_cycle(trainer: Trainer, stream: CycleStream, cycle: int,
     trainer.on_cycle_start(cycle)
     per_epoch = stream.steps_per_epoch
     try:
-        for i, batch in enumerate(stream):
-            if per_epoch and i % per_epoch == 0:
+        # each batch is dropped after its step, so the stream builds the next
+        # one while nothing holds it (enumerate's result tuple would)
+        for batch in stream:
+            if per_epoch and steps % per_epoch == 0:
                 trainer.on_epoch_start()
             breakdown = trainer.step(batch)
-            steps += 1
+            del batch
             for key in sums:
                 sums[key] += getattr(breakdown, key)
             if metrics_sink is not None:
-                record = {"cycle": cycle, "step": i}
+                record = {"cycle": cycle, "step": steps}
                 record.update(breakdown.to_record())
                 metrics_sink(record)
+            steps += 1
     except NonFiniteError as exc:
         stats = {f"{k}_mean": (v / steps if steps else float("nan")) for k, v in sums.items()}
         stats["steps"] = steps

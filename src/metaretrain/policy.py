@@ -5,12 +5,13 @@ ignores test outcomes), adaptive (previous cycle's failed relations become the
 strong pool), and static (catalog singles as weak, ordered compositions as
 strong, each pool sampled uniformly).
 
-The stream materializes, per epoch, batches holding an augmented labeled part
-(labels remapped through the applied relation) and weak/strong views of the
-unlabeled part together with each strong relation's label-map table, which
-trainers use to remap pseudo-labels. Everything is a pure function of
-(policy, split, cycle index, epoch), so rebuilding a stream always yields
-bitwise-identical batches.
+A cycle's stream is generated one batch at a time, every epoch in order: each
+batch holds an augmented labeled part (labels remapped through the applied
+relation) and weak/strong views of the unlabeled part together with each
+strong relation's label-map table, which trainers use to remap pseudo-labels.
+The stream keeps no batch it has yielded. Everything is a pure function of
+(policy, split, cycle index, epoch), so iterating a stream again, or
+rebuilding it, always yields bitwise-identical batches.
 """
 
 from __future__ import annotations
@@ -29,9 +30,17 @@ from .relations import IDENTITY, LABEL_PRESERVING, compose, label_map_array
 log = logging.getLogger(__name__)
 
 
-def _draw(rng: np.random.Generator, pool):
-    # p= consumes the RNG differently from choice(n); seeded base/adaptive streams rely on it
-    return pool[rng.choice(len(pool), p=np.full(len(pool), 1.0 / len(pool)))]
+def _uniform_cdf(n: int) -> np.ndarray:
+    """The CDF `rng.choice(n, p=np.full(n, 1 / n))` searches. `_draw` through
+    it gives that call's index and leaves the RNG in the same state, so seeded
+    streams keep their draws while the CDF is built once per pool."""
+    cdf = np.full(n, 1.0 / n).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 @dataclass(frozen=True)
@@ -45,14 +54,6 @@ class AugmentationPolicy:
     def __post_init__(self):
         if not self.weak_pool or not self.strong_pool:
             raise ValidationError("augmentation pools must be non-empty after fallback resolution")
-
-    def draw_strong(self, rng: np.random.Generator):
-        return _draw(rng, self.strong_pool)
-
-    def draw_labeled(self, rng: np.random.Generator):
-        """Labeled samples draw from both pools so non-label-preserving strong
-        relations reach supervised training with remapped labels."""
-        return _draw(rng, self.weak_pool) if rng.random() < 0.5 else self.draw_strong(rng)
 
     def to_log_dict(self) -> dict:
         return {
@@ -157,14 +158,24 @@ class Batch:
 
 @dataclass(frozen=True)
 class CycleStream:
-    batches: tuple  # all epochs concatenated
+    """A cycle's batches, every epoch in order, each built when it is asked
+    for. No yielded batch is kept, so a consumer that drops each batch after
+    its step holds one at a time."""
+
+    spec: CycleDatasetSpec
     steps_per_epoch: int
 
+    @property
+    def batches(self):
+        """A fresh generator over every batch; each access yields the same
+        batches, because they are a pure function of the spec."""
+        return _generate_batches(self.spec, self.steps_per_epoch)
+
     def __iter__(self):
-        return iter(self.batches)
+        return self.batches
 
     def __len__(self):
-        return len(self.batches)
+        return self.steps_per_epoch * self.spec.epochs
 
 
 def _weak_candidates(policy: AugmentationPolicy) -> tuple:
@@ -175,67 +186,65 @@ def _weak_candidates(policy: AugmentationPolicy) -> tuple:
 
 
 def build_cycle_stream(spec: CycleDatasetSpec) -> CycleStream:
-    split, policy = spec.split, spec.policy
-    labeled = list(split.labeled)
-    unlabeled = list(split.unlabeled)
-    bsz = spec.batch_size
-    steps = max(
-        math.ceil(len(labeled) / bsz) if labeled else 0,
-        math.ceil(len(unlabeled) / bsz) if unlabeled else 0,
-    )
+    """The cycle's stream; nothing is drawn or transformed until it is iterated."""
+    steps = max(math.ceil(len(spec.split.labeled) / spec.batch_size),
+                math.ceil(len(spec.split.unlabeled) / spec.batch_size))
+    return CycleStream(spec=spec, steps_per_epoch=steps)
+
+
+def _views(mrs, samples, seed: int) -> list:
+    return [mr.transform(s.pixels, (seed, s.source_id)) for mr, s in zip(mrs, samples)]
+
+
+def _model_input(images: list, shape: tuple) -> np.ndarray:
+    # to_model_input is elementwise, so converting the stack gives each image's own bits
+    return to_model_input(np.stack(images)) if images else np.zeros((0,) + shape, dtype=np.float32)
+
+
+def _generate_batches(spec: CycleDatasetSpec, steps: int):
+    policy, seed = spec.policy, spec.policy.seed
+    labeled, unlabeled = spec.split.labeled, spec.split.unlabeled
+    bsz, n_views = spec.batch_size, spec.n_weak_views
+    n_lab, n_unl = min(bsz, len(labeled)), min(bsz, len(unlabeled))
+    shape = (labeled or unlabeled)[0].pixels.shape
+    weak_cdf = _uniform_cdf(len(policy.weak_pool))
+    strong_cdf = _uniform_cdf(len(policy.strong_pool))
     weak_candidates = _weak_candidates(policy)
-    shape = labeled[0].pixels.shape if labeled else unlabeled[0].pixels.shape
-    all_batches = []
+    strong_maps = np.stack([label_map_array(mr, spec.num_classes) for mr in policy.strong_pool])
     for epoch in range(spec.epochs):
         # frozen realizations: every epoch replays epoch 0's draws
         key = 0 if spec.frozen_realizations else epoch
-        rng = np.random.default_rng((policy.seed, spec.cycle_index, key))
+        rng = np.random.default_rng((seed, spec.cycle_index, key))
         lab_order = rng.permutation(len(labeled)) if labeled else np.array([], dtype=int)
         unl_order = rng.permutation(len(unlabeled)) if unlabeled else np.array([], dtype=int)
         for step in range(steps):
-            xl, yl, l_ids, l_src = [], [], [], []
-            if labeled:
-                base = step * bsz
-                take = min(bsz, len(labeled))
-                for j in range(take):
-                    s = labeled[lab_order[(base + j) % len(labeled)]]
-                    mr = policy.draw_labeled(rng)
-                    image = mr.transform(s.pixels, (policy.seed, s.source_id))
-                    xl.append(to_model_input(image))
-                    yl.append(mr.label_map(s.label))
-                    l_ids.append(mr.id)
-                    l_src.append(s.source_id)
-            xw: list = [[] for _ in range(spec.n_weak_views)]
-            xs, maps, s_ids, u_src = [], [], [], []
-            if unlabeled:
-                base = step * bsz
-                take = min(bsz, len(unlabeled))
-                for j in range(take):
-                    s = unlabeled[unl_order[(base + j) % len(unlabeled)]]
-                    for v in range(spec.n_weak_views):
-                        weak_mr = weak_candidates[rng.choice(len(weak_candidates))]
-                        xw[v].append(to_model_input(weak_mr.transform(s.pixels, (policy.seed, s.source_id))))
-                    strong_mr = policy.draw_strong(rng)
-                    xs.append(to_model_input(strong_mr.transform(s.pixels, (policy.seed, s.source_id))))
-                    maps.append(label_map_array(strong_mr, spec.num_classes))
-                    s_ids.append(strong_mr.id)
-                    u_src.append(s.source_id)
-            batch = Batch(
-                x_labeled=np.stack(xl) if xl else np.zeros((0,) + shape, dtype=np.float32),
-                y_labeled=np.array(yl, dtype=np.int64),
+            base = step * bsz
+            # seeded streams depend on the draw order: each labeled sample's
+            # relation, then per unlabeled sample its weak views and its strong
+            # relation; transforms draw nothing, so they run afterwards
+            lab = [labeled[lab_order[(base + j) % len(labeled)]] for j in range(n_lab)]
+            # labeled samples draw from both pools so non-label-preserving
+            # strong relations reach supervised training with remapped labels
+            lab_mrs = [policy.weak_pool[_draw(rng, weak_cdf)] if rng.random() < 0.5
+                       else policy.strong_pool[_draw(rng, strong_cdf)] for _ in lab]
+            unl = [unlabeled[unl_order[(base + j) % len(unlabeled)]] for j in range(n_unl)]
+            weak_mrs, strong_idx = [[] for _ in range(n_views)], []  # weak_mrs[view][sample]
+            for _ in unl:
+                for view in weak_mrs:
+                    view.append(weak_candidates[rng.choice(len(weak_candidates))])
+                strong_idx.append(_draw(rng, strong_cdf))
+            strong_mrs = [policy.strong_pool[i] for i in strong_idx]
+            yield Batch(
+                x_labeled=_model_input(_views(lab_mrs, lab, seed), shape),
+                y_labeled=np.array([mr.label_map(s.label) for mr, s in zip(lab_mrs, lab)], dtype=np.int64),
                 x_unlabeled_weak=(
-                    np.stack([np.stack(v) for v in xw])
-                    if xs
-                    else np.zeros((spec.n_weak_views, 0) + shape, dtype=np.float32)
+                    to_model_input(np.stack([np.stack(_views(mrs, unl, seed)) for mrs in weak_mrs]))
+                    if unl else np.zeros((n_views, 0) + shape, dtype=np.float32)
                 ),
-                x_unlabeled_strong=np.stack(xs) if xs else np.zeros((0,) + shape, dtype=np.float32),
-                strong_label_maps=(
-                    np.stack(maps) if maps else np.zeros((0, spec.num_classes), dtype=np.int64)
-                ),
-                labeled_mr_ids=tuple(l_ids),
-                strong_mr_ids=tuple(s_ids),
-                labeled_source_ids=tuple(l_src),
-                unlabeled_source_ids=tuple(u_src),
+                x_unlabeled_strong=_model_input(_views(strong_mrs, unl, seed), shape),
+                strong_label_maps=strong_maps[np.array(strong_idx, dtype=np.intp)],
+                labeled_mr_ids=tuple(mr.id for mr in lab_mrs),
+                strong_mr_ids=tuple(mr.id for mr in strong_mrs),
+                labeled_source_ids=tuple(s.source_id for s in lab),
+                unlabeled_source_ids=tuple(s.source_id for s in unl),
             )
-            all_batches.append(batch)
-    return CycleStream(batches=tuple(all_batches), steps_per_epoch=steps)

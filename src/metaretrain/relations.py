@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, special
 
 from .data import ImageSample
 from .errors import ValidationError
@@ -137,10 +137,23 @@ def _rot_right_angle(k: int):
 
 
 def _rot_interpolated(degrees: float):
+    """`ndimage.rotate(image, degrees, axes=(2, 1), reshape=False, order=1)`
+    on float32, without its per-call set-up: the matrix is built once, as
+    rotate builds it, the offset once per plane shape, and each channel plane
+    goes through the affine transform that rotate applies to it."""
+    c, s = special.cosdg(degrees), special.sindg(degrees)
+    matrix = np.array([[c, s], [-s, c]])
+    offsets = {}
+
     def transform(image, key=()):
-        rotated = ndimage.rotate(
-            image.astype(np.float32), degrees, axes=(2, 1), reshape=False, order=1, cval=0.0
-        )
+        plane = image.shape[1:]
+        if plane not in offsets:
+            center = (np.asarray(plane) - 1) / 2
+            offsets[plane] = center - matrix @ center
+        pixels = image.astype(np.float32)
+        rotated = np.empty_like(pixels)
+        for channel, out in zip(pixels, rotated):
+            ndimage.affine_transform(channel, matrix, offsets[plane], output=out, order=1, cval=0.0)
         return _clamp(rotated)
 
     return transform

@@ -194,3 +194,9 @@ class TestModelInput:
         out = to_model_input(arr)
         assert out.dtype == np.float32
         assert out.max() == 1.0 and out.min() == 0.0
+
+    def test_to_model_input_leaves_float32_input_unchanged(self):
+        arr = np.array([[[0.0, 255.0], [128.0, 64.0]]], dtype=np.float32)
+        out = to_model_input(arr)
+        assert out is not arr and arr.tolist() == [[[0.0, 255.0], [128.0, 64.0]]]
+        assert np.array_equal(out, arr / np.float32(255.0))

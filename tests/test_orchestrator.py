@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,33 @@ class TestRunCycles:
         assert history.termination == "threshold_met"
         # one stream per cycle that trained, none for the cycle the stop skipped
         assert [spec.cycle_index for spec in builds] == [0, 1, 2, 3]
+
+    def test_each_batch_is_dropped_before_the_next_is_built(self, monkeypatch):
+        model, split, catalog = small_setup(seed=1)
+        live_at_build = []
+
+        class Watched:
+            """The cycle's stream, counting earlier batches still alive each
+            time the next one is asked for."""
+
+            def __init__(self, stream):
+                self.stream, self.steps_per_epoch = stream, stream.steps_per_epoch
+
+            def __iter__(self):
+                batches, refs = iter(self.stream), []
+                for _ in range(len(self.stream)):
+                    live_at_build.append(sum(ref() is not None for ref in refs))
+                    batch = next(batches)
+                    refs.append(weakref.ref(batch))
+                    yield batch
+                    del batch
+
+        build = orchestrator.build_cycle_stream
+        monkeypatch.setattr(orchestrator, "build_cycle_stream", lambda spec: Watched(build(spec)))
+        history = run_cycles(model, split, config(cycles=2, epochs_per_cycle=2), catalog,
+                             evaluator=scripted_evaluator([0.5, 0.6, 0.7]))
+        assert len(live_at_build) == sum(r.loss_stats["steps"] for r in history.records) > 2
+        assert set(live_at_build) == {0}
 
     def test_loop_takes_no_snapshots_without_checkpoints(self, monkeypatch):
         model, split, catalog = small_setup(seed=2)

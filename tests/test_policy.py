@@ -2,6 +2,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaretrain.data import ImageSample, subsample_and_split, to_model_input
 from metaretrain.errors import ValidationError
@@ -12,10 +14,12 @@ from metaretrain.policy import (
     adaptive_policy,
     base_policy,
     base_pools,
+    _draw,
+    _uniform_cdf,
     build_cycle_stream,
     static_policy,
 )
-from metaretrain.relations import IDENTITY, catalog_by_id, catalog_default
+from metaretrain.relations import IDENTITY, MetamorphicRelation, catalog_by_id, catalog_default
 from metaretrain.synthdigits import make_digits
 
 
@@ -67,11 +71,14 @@ class TestStaticPolicy:
     def test_seeded_draw_frequencies(self):
         mrs = catalog_by_id("mnist")
         pol = static_policy([mrs["rot90"], mrs["rot180"]], seed=3)
-        rng = np.random.default_rng(42)
-        strong = [pol.draw_strong(rng).id for _ in range(2000)]
+        split = mnist_split(250, ratios=(0.8, 0.2, 0.0))  # 200 labeled, 50 unlabeled
+        spec = CycleDatasetSpec(split=split, policy=pol, batch_size=100, epochs=20, num_classes=10)
+        strong = [i for b in build_cycle_stream(spec) for i in b.strong_mr_ids]
+        assert len(strong) == 2000
         assert abs(strong.count("rot90+rot180") / 2000 - 0.5) <= 0.05
         # labeled draws: half from the weak pool (2 singles), half from the strong pool (2 pairs)
-        labeled = [pol.draw_labeled(rng).id for _ in range(4000)]
+        labeled = [i for b in build_cycle_stream(spec) for i in b.labeled_mr_ids]
+        assert len(labeled) == 4000
         for mr_id in ("rot90", "rot180", "rot90+rot180", "rot180+rot90"):
             assert abs(labeled.count(mr_id) / 4000 - 0.25) <= 0.04, mr_id
 
@@ -104,7 +111,7 @@ class TestCycleStream:
                                 epochs=1, num_classes=10)
         stream = build_cycle_stream(spec)
         assert len(stream) == 1
-        batch = stream.batches[0]
+        batch = next(iter(stream))
         by_source = {s.source_id: s for s in split.labeled}
         for x, y, sid in zip(batch.x_labeled, batch.y_labeled, batch.labeled_source_ids):
             assert np.array_equal(x, to_model_input(by_source[sid].pixels))
@@ -179,9 +186,10 @@ class TestCycleStream:
                                 num_classes=10, frozen_realizations=True)
         stream = build_cycle_stream(spec)
         per_epoch = stream.steps_per_epoch
-        assert len(stream) == 2 * per_epoch
+        batches = list(stream)
+        assert len(stream) == len(batches) == 2 * per_epoch
         for i in range(per_epoch):
-            assert_batches_equal(stream.batches[i], stream.batches[i + per_epoch])
+            assert_batches_equal(batches[i], batches[i + per_epoch])
 
     def test_fresh_draws_differ_between_epochs(self):
         split = mnist_split(30)
@@ -189,8 +197,9 @@ class TestCycleStream:
         spec = CycleDatasetSpec(split=split, policy=pol, batch_size=8, epochs=2, num_classes=10)
         stream = build_cycle_stream(spec)
         per_epoch = stream.steps_per_epoch
+        batches = list(stream)
         same = all(
-            np.array_equal(stream.batches[i].x_unlabeled_strong, stream.batches[i + per_epoch].x_unlabeled_strong)
+            np.array_equal(batches[i].x_unlabeled_strong, batches[i + per_epoch].x_unlabeled_strong)
             for i in range(per_epoch)
         )
         assert not same
@@ -231,9 +240,48 @@ class TestCycleStream:
             a, b = (build_cycle_stream(CycleDatasetSpec(split=sp, policy=pol, batch_size=8, epochs=2,
                                                         num_classes=10, n_weak_views=2))
                     for sp in (split, relabeled))
-            assert len(a) == len(b) > 0 and a.batches[0].n_unlabeled > 0
+            assert len(a) == len(b) > 0 and next(iter(a)).n_unlabeled > 0
             for ba, bb in zip(a, b):
                 assert_batches_equal(ba, bb)
+
+    def test_stream_is_built_one_batch_at_a_time(self):
+        calls = []
+
+        def counted(image, key=()):
+            calls.append(key)
+            return image
+
+        mr = MetamorphicRelation("counted", counted, strength="weak")
+        pol = AugmentationPolicy(mode="base", weak_pool=(mr,), strong_pool=(mr,), seed=11)
+        split = mnist_split(60, ratios=(0.2, 0.5, 0.3))  # 12 labeled, 30 unlabeled
+        spec = CycleDatasetSpec(split=split, policy=pol, batch_size=8, epochs=2,
+                                num_classes=10, n_weak_views=2)
+        stream = build_cycle_stream(spec)
+        assert calls == []
+        batches = iter(stream)
+        first = next(batches)
+        # one batch: 8 labeled images, then 2 weak views and 1 strong view of 8 unlabeled ones
+        assert len(calls) == 8 + 3 * 8 == first.x_labeled.shape[0] + 3 * first.n_unlabeled
+        assert len(stream) == 1 + sum(1 for _ in batches) == 2 * stream.steps_per_epoch
+
+    def test_iterating_batches_twice_gives_equal_batches(self):
+        split = mnist_split(40, ratios=(0.3, 0.5, 0.2))
+        pol = static_policy(catalog_default("mnist"), k=2, seed=12)
+        stream = build_cycle_stream(CycleDatasetSpec(split=split, policy=pol, batch_size=8, epochs=2,
+                                                     num_classes=10, n_weak_views=2))
+        first, second = list(stream.batches), list(stream.batches)
+        assert len(first) == len(second) == len(stream) > 0
+        for a, b in zip(first, second):
+            assert_batches_equal(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 150), seed=st.integers(0, 2**63), draws=st.integers(1, 5))
+    def test_cdf_draw_matches_choice_with_uniform_p(self, n, seed, draws):
+        cdf = _uniform_cdf(n)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(draws):
+            assert _draw(ours, cdf) == theirs.choice(n, p=np.full(n, 1.0 / n))
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_degenerate_spec_rejected(self):
         split = mnist_split(20)

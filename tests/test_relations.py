@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy import ndimage
 from hypothesis import strategies as st
 
 from metaretrain.data import ImageSample
@@ -227,3 +228,14 @@ class TestRelationProperties:
         assert np.array_equal(table[table], np.arange(10))
         image = np.random.default_rng(pixel_seed).integers(0, 256, size=IMAGE_SHAPES[dataset], dtype=np.uint8)
         assert np.array_equal(rot180.transform(rot180.transform(image)), image)
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 40), st.integers(1, 40)),
+           pixel_seed=st.integers(0, 2**32 - 1))
+    def test_rot15_equals_ndimage_rotate(self, shape, pixel_seed):
+        image = np.random.default_rng(pixel_seed).integers(0, 256, size=shape, dtype=np.uint8)
+        rotated = ndimage.rotate(image.astype(np.float32), 15, axes=(2, 1), reshape=False, order=1)
+        expected = np.clip(np.rint(rotated), 0, 255).astype(np.uint8)
+        for dataset in sorted(CATALOGS):
+            out = catalog_by_id(dataset)["rot15"].transform(image)
+            assert out.dtype == np.uint8 and out.tobytes() == expected.tobytes(), dataset
