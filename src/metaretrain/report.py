@@ -128,7 +128,7 @@ def comparison_table(histories, layout=None, accuracy_n: int = 1) -> ComparisonT
 
     Rows are trainer names, column groups are retraining modes. `layout`
     optionally fixes the column-group order. All runs must target the same
-    dataset.
+    dataset, and no two runs may share a (trainer, mode) cell.
     """
     histories = list(histories)
     if not histories:
@@ -136,7 +136,7 @@ def comparison_table(histories, layout=None, accuracy_n: int = 1) -> ComparisonT
     datasets = {h.config.get("dataset") for h in histories}
     if len(datasets) > 1:
         raise ValidationError(f"runs target different datasets: {sorted(map(str, datasets))}")
-    rows, groups = [], []
+    rows, groups, seeds = [], [], {}
     for h in histories:
         if h.termination in ("incomplete", "aborted_nan"):
             raise ValidationError(
@@ -147,6 +147,13 @@ def comparison_table(histories, layout=None, accuracy_n: int = 1) -> ComparisonT
             raise ValidationError("cannot tabulate a run with no completed cycles")
         row = h.config.get("trainer", "?")
         group = h.config.get("mode", "?")
+        seed = h.config.get("seed")
+        if (row, group) in seeds:
+            raise ValidationError(
+                f"two runs fill the cell trainer={row} mode={group}: seeds "
+                f"{seeds[(row, group)]} and {seed}; a cell holds one run"
+            )
+        seeds[(row, group)] = seed
         if row not in rows:
             rows.append(row)
         if group not in groups:

@@ -15,6 +15,31 @@ Implemented steps:
     FixMatch step plus an entropy/negative-learning penalty.
   * MixMatch: sharpened K-view label guessing plus pairwise input mixing.
   * Supervised: labeled cross-entropy only (reference for degeneracy checks).
+
+FlexMatch here departs from Zhang et al. 2021 in four ways, each on purpose:
+  1. Per-epoch reset. `ClassThresholds` counts from zero at every epoch start
+     (`ThresholdedTrainer.on_epoch_start`) instead of keeping each unlabeled
+     sample's latest prediction over the whole run. The status is then a
+     function of the current epoch alone, so a run resumed at a cycle
+     boundary reproduces its thresholds without checkpointing the counters,
+     and the step needs no per-sample prediction table.
+  2. Counting against the fixed tau, per prediction. sigma_c counts this
+     epoch's weak-view predictions of class c with confidence >= tau (the
+     configured tau_max). The paper's sigma also tests the fixed tau, not the
+     moving tau_c (which would let a lowered threshold raise its own count),
+     but with a strict > and once per sample, on its latest prediction. Here
+     the test is >= like the mask's, and a sample drawn twice in an epoch
+     counts twice, which spares the step any sample identity.
+  3. Normalising by the max over classes. beta_c = sigma_c / max_c' sigma_c',
+     mapped linearly and floored at tau_min. FlexMatch's warm-up divides by
+     max(max sigma, N - sum sigma), with N the unlabeled pool size, which a
+     step that sees only batches does not know; the floor keeps thresholds
+     of not-yet-seen classes from falling to 0 at each epoch start.
+  4. tau_c / tau_max sample weights instead of a 0/1 mask. A masked
+     sample's loss is weighed by its class threshold over tau_max, so
+     pseudo-labels admitted under a lowered threshold count for less. With a
+     converged status (every tau_c == tau_max) the weights are the 0/1 mask
+     and the step equals FixMatch bit for bit.
 """
 
 from __future__ import annotations

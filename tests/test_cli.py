@@ -352,12 +352,12 @@ class TestTestCommand:
 
 
 class TestReportCommand:
-    def fake_history(self, path, trainer, mode, dataset="mnist", acc=0.5, sr=0.6):
+    def fake_history(self, path, trainer, mode, dataset="mnist", acc=0.5, sr=0.6, seed=0):
         record = CycleRecord(cycle=0, sr_mt=0.1, accuracy={1: 0.2}, suites=[],
                              loss_stats={"steps": 1}, failed_ids=[], passed_ids=[],
                              policy={}, model_version=0)
         RunHistory(
-            config={"trainer": trainer, "mode": mode, "seed": 0, "dataset": dataset},
+            config={"trainer": trainer, "mode": mode, "seed": seed, "dataset": dataset},
             records=[record],
             final_eval={"sr_mt": sr, "topn": {"1": acc, "5": acc}},
             termination="completed", final_version=1,
@@ -390,6 +390,13 @@ class TestReportCommand:
         p2 = self.fake_history(tmp_path / "b.json", "fixmatch", "adaptive", dataset="cifar10")
         assert main(["report", str(p1), str(p2)]) == 2
         assert "datasets" in capsys.readouterr().err
+
+    def test_two_seeds_in_one_cell_exit_2(self, tmp_path, capsys):
+        p1 = self.fake_history(tmp_path / "a.json", "fixmatch", "base", sr=0.6, seed=0)
+        p2 = self.fake_history(tmp_path / "b.json", "fixmatch", "base", sr=0.8, seed=1)
+        assert main(["report", str(p1), str(p2), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "trainer=fixmatch mode=base: seeds 0 and 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestListMrs:

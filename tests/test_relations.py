@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from scipy import ndimage
 from hypothesis import strategies as st
 
 from metaretrain.data import ImageSample
@@ -14,9 +18,13 @@ from metaretrain.relations import (
     catalog_by_id,
     catalog_default,
     compose,
+    _COS15,
+    _SIN15,
     label_map_array,
     mnist_rot180_labelmap,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def sample(label=2, seed=0, size=28):
@@ -234,8 +242,52 @@ class TestRelationProperties:
            pixel_seed=st.integers(0, 2**32 - 1))
     def test_rot15_equals_ndimage_rotate(self, shape, pixel_seed):
         image = np.random.default_rng(pixel_seed).integers(0, 256, size=shape, dtype=np.uint8)
-        rotated = ndimage.rotate(image.astype(np.float32), 15, axes=(2, 1), reshape=False, order=1)
-        expected = np.clip(np.rint(rotated), 0, 255).astype(np.uint8)
+        expected = ndimage_rot15(image)
         for dataset in sorted(CATALOGS):
             out = catalog_by_id(dataset)["rot15"].transform(image)
             assert out.dtype == np.uint8 and out.tobytes() == expected.tobytes(), dataset
+
+
+def ndimage_rot15(image):
+    """The oracle: scipy's interpolated rotation, clamped as every relation clamps."""
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rotated = ndimage.rotate(image.astype(np.float32), 15, axes=(2, 1), reshape=False, order=1)
+    return np.clip(np.rint(rotated), 0, 255).astype(np.uint8)
+
+
+class TestRot15Oracle:
+    @pytest.mark.parametrize("dataset", sorted(CATALOGS))
+    @pytest.mark.parametrize("fill", [None, 0, 255])
+    def test_equals_ndimage_rotate_at_bench_shapes(self, dataset, fill):
+        shape = IMAGE_SHAPES[dataset]
+        if fill is None:
+            image = np.random.default_rng(11).integers(0, 256, size=shape, dtype=np.uint8)
+        else:
+            image = np.full(shape, fill, dtype=np.uint8)
+        rot15 = catalog_by_id(dataset)["rot15"]
+        expected = ndimage_rot15(image).tobytes()
+        # the first call builds the plane's table, the second reads it from the cache
+        assert [rot15.transform(image).tobytes() for _ in range(2)] == [expected, expected]
+
+    def test_cos_sin_literals_equal_special_cosdg_sindg(self):
+        special = pytest.importorskip("scipy.special")
+        assert _COS15 == special.cosdg(15.0)
+        assert _SIN15 == special.sindg(15.0)
+
+
+class TestNumpyOnlyRuntime:
+    def test_cli_import_loads_no_scipy(self):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        code = ("import sys, metaretrain.cli; "
+                "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                                check=True)
+        assert result.stdout.strip() == "[]"
+
+    def test_package_source_never_names_scipy(self):
+        sources = sorted(SRC.rglob("*.py"))
+        assert sources
+        for path in sources:
+            for number, line in enumerate(path.read_text().splitlines(), 1):
+                assert "scipy" not in line, f"{path.relative_to(SRC)}:{number}: {line.strip()}"

@@ -116,6 +116,16 @@ class TestFromHistories:
         table = comparison_table([fake_history("fixmatch", "base", acc=0.4)], accuracy_n=5)
         assert table.get_cell("fixmatch", "base", "accuracy") == pytest.approx(0.6)
 
+    def test_duplicate_cell_rejected_naming_trainer_mode_and_both_seeds(self):
+        runs = [fake_history("fixmatch", "adaptive", seed=0, sr=0.6),
+                fake_history("fixmatch", "base", seed=0),
+                fake_history("fixmatch", "adaptive", seed=1, sr=0.8)]
+        with pytest.raises(ValidationError) as info:
+            comparison_table(runs)
+        message = str(info.value)
+        assert "trainer=fixmatch mode=adaptive" in message
+        assert "seeds 0 and 1" in message
+
     @pytest.mark.parametrize("termination", ["incomplete", "aborted_nan"])
     def test_unfinished_run_rejected_naming_termination_and_run(self, termination):
         unfinished = fake_history("flexmatch", "static", seed=7)

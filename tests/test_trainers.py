@@ -138,6 +138,23 @@ class TestFlexMatch:
         status = ClassThresholds(tau_max=0.9, tau_min=0.3, sigma=np.zeros(3, dtype=np.int64))
         assert np.allclose(status.thresholds(), [0.3, 0.3, 0.3])
 
+    def test_thresholds_after_hand_worked_updates(self):
+        # tau_c = max(0.8 * sigma_c / max(sigma), 0.2); update counts repeats
+        status = ClassThresholds.fresh(4, tau_max=0.8, tau_min=0.2)
+        steps = [
+            ([], [0.2, 0.2, 0.2, 0.2]),  # nothing counted yet: every class at the floor
+            ([0, 0, 1], [0.8, 0.4, 0.2, 0.2]),  # sigma [2, 1, 0, 0]
+            ([1, 1, 3], [0.8 * 2 / 3, 0.8, 0.2, 0.8 / 3]),  # sigma [2, 3, 0, 1]
+            ([], [0.8 * 2 / 3, 0.8, 0.2, 0.8 / 3]),  # an empty update changes nothing
+            ([2] * 6, [0.8 / 3, 0.4, 0.8, 0.2]),  # sigma [2, 3, 6, 1]; 0.8 / 6 floored
+        ]
+        for confident, expected in steps:
+            status.update(np.array(confident, dtype=np.int64))
+            assert np.allclose(status.thresholds(), expected, rtol=0, atol=1e-15), confident
+        assert status.sigma.tolist() == [2, 3, 6, 1]
+        status.reset()
+        assert status.thresholds().tolist() == [0.2, 0.2, 0.2, 0.2]
+
     def test_floor_applies(self):
         status = ClassThresholds(tau_max=0.9, tau_min=0.5, sigma=np.array([1, 100]))
         taus = status.thresholds()
