@@ -33,6 +33,9 @@ from .tester import build_suites, robustness
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
+# config keys a resume may change: where the data and the runs live, and how
+# many cycles the run has in all
+RESUME_FREE_KEYS = ("data_dir", "output_dir", "cycles")
 LOG_LEVEL = {"default": "WARNING", "choices": ("DEBUG", "INFO", "WARNING", "ERROR"),
              "help": "level of the log records written to stderr (default WARNING)"}
 
@@ -117,6 +120,11 @@ def cmd_run(args) -> int:
         if args.resume:
             run_dir = Path(args.resume)
             history = RunHistory.load(run_dir / "history.json")
+            config = cfg.public_dict(seed=seed)
+            differing = sorted(key for key in config.keys() | history.config.keys()
+                               if key not in RESUME_FREE_KEYS and config.get(key) != history.config.get(key))
+            if differing:
+                raise ConfigError(f"--resume: config differs from the run's own in {', '.join(differing)}")
             model, resume = resume_state_from(history, run_dir / "checkpoints")
         else:
             run_id = f"{time.strftime('%Y%m%d-%H%M%S')}-{time.time_ns() % 1_000_000:06d}-seed{seed}"
@@ -169,6 +177,8 @@ def _truncate_metrics(path: Path, last_cycle: int) -> None:
 
 
 def cmd_test(args) -> int:
+    if args.seed < 0:
+        raise ValidationError(f"--seed: must be non-negative, got {args.seed}")
     if args.cases < 1:
         raise ValidationError(f"--cases: must be at least 1, got {args.cases}")
     if not 0 <= args.pass_threshold <= 1:

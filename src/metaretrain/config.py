@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .errors import ValidationError
 from .orchestrator import MODES, StoppingCriterion
+from .relations import catalog_default
 from .trainers import TRAINER_NAMES, TrainerConfig
 
 # dataset name -> (input_shape, num_classes)
@@ -189,6 +190,8 @@ def validate_config(cfg: RunConfig) -> None:
         )
     if min(cfg.ratios()) < 0:
         raise ConfigError("ratio_labeled/ratio_unlabeled/ratio_test: must be non-negative")
+    if v["ratio_test"] == 0:
+        raise ConfigError("ratio_test: must be positive, the robustness cycles score the test split")
     if v["cycles"] < 1:
         raise ConfigError(f"cycles: must be at least 1, got {v['cycles']}")
     if v["epochs_per_cycle"] < 1:
@@ -199,14 +202,18 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("batch_size: mix-based trainers need batch_size >= 2")
     if not v["seeds"]:
         raise ConfigError("seeds: at least one seed required")
+    if min(v["seeds"]) < 0:
+        raise ConfigError(f"seeds: must be non-negative, got {min(v['seeds'])}")
     if not 0 <= v["pass_threshold"] <= 1:
         raise ConfigError(f"pass_threshold: must be in [0, 1], got {v['pass_threshold']}")
     if v["learning_rate"] < 0:
         raise ConfigError(f"learning_rate: must be non-negative, got {v['learning_rate']}")
     if not 0 <= v["momentum"] < 1:
         raise ConfigError(f"momentum: must be in [0, 1), got {v['momentum']}")
-    if v["static_k"] < 2:
-        raise ConfigError(f"static_k: static compositions need at least 2 relations, got {v['static_k']}")
+    n_relations = len(catalog_default(v["dataset"]))
+    if not 2 <= v["static_k"] <= n_relations:
+        raise ConfigError(f"static_k: static compositions take 2 to {n_relations} distinct {v['dataset']} "
+                          f"relations, got {v['static_k']}")
     if v["robustness_cases"] is not None and v["robustness_cases"] < 1:
         raise ConfigError("robustness_cases: must be at least 1 when set")
     try:
@@ -227,6 +234,11 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"data_dir: directory not found: {data_dir}")
     if v["warm_start"] is not None and not Path(v["warm_start"]).exists():
         raise ConfigError(f"warm_start: checkpoint not found: {v['warm_start']}")
+    if v["trainable_last_k"] is not None:
+        if v["warm_start"] is None:
+            raise ConfigError("trainable_last_k: freezes layers of a warm_start checkpoint; set warm_start too")
+        if v["trainable_last_k"] < 1:
+            raise ConfigError(f"trainable_last_k: must be at least 1, got {v['trainable_last_k']}")
     n_classes = DATASETS[v["dataset"]][1]
     for n in v["topn"]:
         if not 1 <= n <= n_classes:

@@ -65,13 +65,6 @@ class AugmentationPolicy:
         }
 
 
-def _dedup(mrs) -> list:
-    seen = {}
-    for mr in mrs:
-        seen.setdefault(mr.id, mr)
-    return list(seen.values())
-
-
 def base_pools(catalog) -> tuple:
     """Stock pools: mild transforms as weak, label-preserving strong singles
     plus their ordered pairings as strong."""
@@ -89,7 +82,7 @@ def base_policy(catalog, seed: int = 0) -> AugmentationPolicy:
 def adaptive_policy(failed, base_weak, base_strong, seed: int = 0) -> AugmentationPolicy:
     """Failed relations become the strong pool; empty failure set falls back to
     the base strong pool (flagged and logged)."""
-    strong = _dedup(failed)
+    strong = list(dict.fromkeys(failed))  # first relation seen per id
     fallback = not strong
     if fallback:
         strong = list(base_strong)

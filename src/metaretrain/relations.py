@@ -3,7 +3,8 @@
 A relation is a pure pair (transform g, label_map h). Transforms take and
 return uint8 [C,H,W] arrays, preserve shape, and clamp to [0,255]. Stochastic
 transforms (noise) derive their randomness from an explicit key so every
-application is reproducible; deterministic transforms ignore the key.
+application is reproducible; deterministic transforms ignore the key. A
+composition is itself a relation, whose parts are listed in `components`.
 """
 
 from __future__ import annotations
@@ -37,13 +38,16 @@ def mnist_rot180_labelmap(label: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class MetamorphicRelation:
-    """Input transformation g paired with label mapping h."""
+    """Input transformation g paired with label mapping h. A composition lists
+    its parts in `components`; catalog relations have none. Relations are
+    equal, and hash alike, when their ids are."""
 
     id: str
     transform: Callable  # (uint8 [C,H,W], key tuple) -> uint8 [C,H,W]
     label_map: Callable = identity_label_map
     kind: str = LABEL_PRESERVING
     strength: str = "strong"
+    components: tuple = ()
 
     def __eq__(self, other):
         return isinstance(other, MetamorphicRelation) and other.id == self.id
@@ -52,60 +56,27 @@ class MetamorphicRelation:
         return hash(self.id)
 
 
-@dataclass(frozen=True, eq=False)
-class CompositeMR:
-    """Ordered composition of relations, applied left to right."""
+def compose(mrs) -> MetamorphicRelation:
+    """Ordered composition applied left to right; composed inputs contribute
+    their components. Component `i` transforms under `key + (i,)`."""
+    parts = tuple(part for mr in mrs for part in (mr.components or (mr,)))
+    if not parts:
+        raise ValidationError("compose() requires a non-empty relation list")
 
-    components: tuple
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValidationError("composite needs at least one component")
-
-    @property
-    def id(self) -> str:
-        return "+".join(c.id for c in self.components)
-
-    @property
-    def kind(self) -> str:
-        return (
-            LABEL_PRESERVING
-            if all(c.kind == LABEL_PRESERVING for c in self.components)
-            else NON_LABEL_PRESERVING
-        )
-
-    @property
-    def strength(self) -> str:
-        return "strong"
-
-    def transform(self, image: np.ndarray, key: tuple = ()) -> np.ndarray:
-        for i, component in enumerate(self.components):
-            image = component.transform(image, tuple(key) + (i,))
+    def transform(image, key=()):
+        for i, part in enumerate(parts):
+            image = part.transform(image, tuple(key) + (i,))
         return image
 
-    def label_map(self, label: int) -> int:
-        for component in self.components:
-            label = component.label_map(label)
+    def label_map(label):
+        for part in parts:
+            label = part.label_map(label)
         return label
 
-    def __eq__(self, other):
-        return isinstance(other, (CompositeMR, MetamorphicRelation)) and other.id == self.id
-
-    def __hash__(self):
-        return hash(self.id)
-
-
-def compose(mrs) -> CompositeMR:
-    mrs = tuple(mrs)
-    if not mrs:
-        raise ValidationError("compose() requires a non-empty relation list")
-    flat = []
-    for mr in mrs:
-        if isinstance(mr, CompositeMR):
-            flat.extend(mr.components)
-        else:
-            flat.append(mr)
-    return CompositeMR(components=tuple(flat))
+    preserving = all(part.kind == LABEL_PRESERVING for part in parts)
+    return MetamorphicRelation("+".join(part.id for part in parts), transform, label_map,
+                               LABEL_PRESERVING if preserving else NON_LABEL_PRESERVING, "strong",
+                               components=parts)
 
 
 def apply(mr, sample: ImageSample, seed: int = 0):

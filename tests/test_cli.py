@@ -27,8 +27,49 @@ def write_config(path, data_dir, output_dir, **overrides):
         "output_dir": output_dir,
     }
     values.update(overrides)
-    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items() if v is not None))
     return path
+
+
+def tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+# stand-ins in the validation table for paths made inside each test
+WARM, ABSENT = "<warm-start checkpoint>", "<absent path>"
+# one row per rejecting branch of validate_config: overrides, then the key the error must name
+BAD_CONFIGS = {
+    "dataset": ({"dataset": "svhn"}, "dataset"),
+    "model": ({"model": "resnet18"}, "model"),
+    "trainer": ({"trainer": "meanteacher"}, "trainer"),
+    "mode": ({"mode": "random"}, "mode"),
+    "fraction": ({"fraction": 0}, "fraction"),
+    "ratio-sum": ({"ratio_labeled": 0.2, "ratio_unlabeled": 0.7, "ratio_test": 0.2}, "ratio_labeled"),
+    "ratio-negative": ({"ratio_labeled": -0.1, "ratio_unlabeled": 0.9, "ratio_test": 0.2}, "ratio_labeled"),
+    "ratio-test-zero": ({"ratio_labeled": 0.3, "ratio_unlabeled": 0.7, "ratio_test": 0}, "ratio_test"),
+    "cycles": ({"cycles": 0}, "cycles"),
+    "epochs": ({"epochs_per_cycle": 0}, "epochs_per_cycle"),
+    "batch-size": ({"batch_size": 0}, "batch_size"),
+    "batch-size-mix": ({"trainer": "mixmatch", "batch_size": 1}, "batch_size"),
+    "seeds-empty": ({"seeds": ""}, "seeds"),
+    "seeds-negative": ({"seeds": "0,-1"}, "seeds"),
+    "pass-threshold": ({"pass_threshold": 1.5}, "pass_threshold"),
+    "learning-rate": ({"learning_rate": -0.1}, "learning_rate"),
+    "momentum": ({"momentum": 1.0}, "momentum"),
+    "static-k-low": ({"mode": "static", "static_k": 1}, "static_k"),
+    "static-k-above-catalog": ({"mode": "static", "static_k": 11}, "static_k"),
+    "robustness-cases": ({"robustness_cases": 0}, "robustness_cases"),
+    "trainer-hyperparameter": ({"tau": 1.5}, "tau"),
+    "stopping-parse": ({"stopping": "sometimes"}, "stopping"),
+    "stopping-metric": ({"stopping": "metric:f1:gte:0.5"}, "stopping"),
+    "data-dir-unset": ({"data_dir": None}, "data_dir"),
+    "data-dir-absent": ({"data_dir": ABSENT}, "data_dir"),
+    "warm-start-absent": ({"warm_start": ABSENT}, "warm_start"),
+    "trainable-last-k-zero": ({"warm_start": WARM, "trainable_last_k": 0}, "trainable_last_k"),
+    "trainable-last-k-negative": ({"warm_start": WARM, "trainable_last_k": -1}, "trainable_last_k"),
+    "trainable-last-k-without-warm-start": ({"trainable_last_k": 1}, "trainable_last_k"),
+    "topn": ({"topn": "1,11"}, "topn"),
+}
 
 
 def run_dirs(output_dir):
@@ -203,6 +244,54 @@ class TestRunCommand:
         assert "INFO metaretrain.orchestrator: adaptive cycle 0: no prior partition" in captured.err
         assert "no prior partition" not in captured.out
 
+    @pytest.mark.parametrize("row", sorted(BAD_CONFIGS))
+    def test_each_validation_branch_exit_2_naming_key_before_output(self, tmp_path, data_dir, capsys,
+                                                                   monkeypatch, row):
+        overrides, key = BAD_CONFIGS[row]
+        monkeypatch.delenv("METARETRAIN_DATA_DIR", raising=False)
+        warm = tmp_path / "prior.ckpt"
+        save_checkpoint(Model(model_spec("linear", (1, 28, 28), 10), seed=0).snapshot(), warm)
+        stand_ins = {WARM: warm, ABSENT: tmp_path / "absent"}
+        overrides = {k: stand_ins.get(v, v) for k, v in overrides.items()}
+        data = overrides.pop("data_dir", data_dir)
+        cfg = write_config(tmp_path / "bad.cfg", data, tmp_path / "runs", **overrides)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_negative_seed_flag_exit_2_naming_seeds_before_output(self, tmp_path, data_dir, capsys):
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs")
+        assert main(["run", "--config", str(cfg), "--seed", "-1"]) == 2
+        assert "seeds" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_flag_overrides_write_one_run_with_them(self, tmp_path, data_dir, monkeypatch):
+        monkeypatch.delenv("METARETRAIN_DATA_DIR", raising=False)
+        cfg = write_config(tmp_path / "run.cfg", None, tmp_path / "elsewhere", seeds="0,1", cycles=1)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--data-dir", str(data_dir), "--output-dir", str(out),
+                     "--seed", "7"]) == 0
+        (run_dir,) = run_dirs(out)
+        config = RunHistory.load(run_dir / "history.json").config
+        assert (config["seed"], config["seeds"]) == (7, [7])
+        assert (config["data_dir"], config["output_dir"]) == (str(data_dir), str(out))
+        assert not (tmp_path / "elsewhere").exists()
+
+    def test_resume_with_another_config_exit_2_naming_keys_leaving_run_unchanged(self, tmp_path, data_dir,
+                                                                               capsys):
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", cycles=1)
+        assert main(["run", "--config", str(cfg)]) == 0
+        (run_dir,) = run_dirs(tmp_path / "runs")
+        before = tree_bytes(run_dir)
+        other = write_config(tmp_path / "other.cfg", data_dir, tmp_path / "runs", cycles=2,
+                             trainer="mixmatch", fraction=0.003)
+        capsys.readouterr()
+        assert main(["run", "--config", str(other), "--resume", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "--resume" in err and "fraction, trainer" in err and "cycles" not in err
+        assert tree_bytes(run_dir) == before
+        assert run_dirs(tmp_path / "runs") == [run_dir]
+
     def test_missing_data_dir_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.cfg", tmp_path / "nowhere", tmp_path / "runs")
         assert main(["run", "--config", str(cfg)]) == 2
@@ -316,6 +405,15 @@ class TestTestCommand:
                    "--output-dir", str(tmp_path / "out"), *(a for kv in args.items() for a in kv)])
         assert rc == 2
         assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_exit_2_naming_flag(self, tmp_path, capsys):
+        self.make_cifar_fixture(tmp_path)
+        ckpt = self.constant_checkpoint(tmp_path)
+        rc = main(["test", "--checkpoint", str(ckpt), "--dataset", "cifar10", "--data-dir", str(tmp_path),
+                   "--fraction", "1.0", "--seed", "-1", "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_flipped_name_key_in_checkpoint_exit_2(self, tmp_path, capsys):

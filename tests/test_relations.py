@@ -14,6 +14,7 @@ from metaretrain.relations import (
     IDENTITY,
     LABEL_PRESERVING,
     NON_LABEL_PRESERVING,
+    MetamorphicRelation,
     apply,
     catalog_by_id,
     catalog_default,
@@ -122,6 +123,42 @@ class TestCompose:
         right = compose([a, compose([b, c])])
         for digit in range(10):
             assert left.label_map(digit) == right.label_map(digit)
+
+    def test_composition_is_a_relation_listing_its_parts(self):
+        mrs = catalog_by_id("mnist")
+        c = compose([mrs["rot90"], mrs["noise8"]])
+        assert isinstance(c, MetamorphicRelation)
+        # the very objects given, so a wrapped catalog transform stays wrapped
+        assert len(c.components) == 2
+        assert c.components[0] is mrs["rot90"] and c.components[1] is mrs["noise8"]
+        assert all(mr.components == () for mr in catalog_default("mnist") + [IDENTITY])
+
+    def test_component_i_transforms_under_key_plus_i(self):
+        noise8 = catalog_by_id("mnist")["noise8"]
+        x, key = sample(seed=5).pixels, (3, 17)
+        expected = noise8.transform(noise8.transform(x, key + (0,)), key + (1,))
+        assert compose([noise8, noise8]).transform(x, key).tobytes() == expected.tobytes()
+        assert compose([noise8]).transform(x, key).tobytes() == noise8.transform(x, key + (0,)).tobytes()
+
+    @pytest.mark.parametrize("dataset", ["mnist", "cifar10"])
+    def test_kind_is_preserving_iff_every_component_is_and_strength_strong(self, dataset):
+        catalog = catalog_default(dataset)
+        for a in catalog:
+            for b in catalog:
+                c = compose([a, b])
+                preserving = a.kind == b.kind == LABEL_PRESERVING
+                assert c.kind == (LABEL_PRESERVING if preserving else NON_LABEL_PRESERVING), c.id
+                assert c.strength == "strong", c.id
+
+    def test_equality_and_hash_agree_both_ways(self):
+        mrs = catalog_by_id("mnist")
+        rot90, single = mrs["rot90"], compose([mrs["rot90"]])
+        pair, pair_again = compose([mrs["rot90"], mrs["rot180"]]), compose([mrs["rot90"], mrs["rot180"]])
+        for a, b in [(rot90, single), (pair, pair_again), (rot90, catalog_by_id("mnist")["rot90"])]:
+            assert a == b and b == a and hash(a) == hash(b)
+            assert len({a, b}) == len({b, a}) == 1
+        assert rot90 != pair and pair != rot90
+        assert len({rot90, pair, single}) == 2
 
 
 class TestCatalog:
