@@ -8,6 +8,7 @@ every run directory, so a run can be reproduced from its own config file.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -173,6 +174,10 @@ def load_config(path) -> RunConfig:
 def validate_config(cfg: RunConfig) -> None:
     """Field-level validation; raises ConfigError naming the offending key."""
     v = cfg.values
+    for key, (parser, _) in _SCHEMA.items():
+        # NaN passes every range comparison below, so it is rejected first
+        if parser is float and not math.isfinite(v[key]):
+            raise ConfigError(f"{key}: must be finite, got {v[key]}")
     if v["dataset"] not in DATASETS:
         raise ConfigError(f"dataset: unknown value {v['dataset']!r} (choose from {tuple(DATASETS)})")
     if v["model"] not in MODELS:
@@ -220,6 +225,12 @@ def validate_config(cfg: RunConfig) -> None:
         cfg.trainer_config()
     except ValidationError as exc:
         raise ConfigError(f"trainer hyperparameters: {exc}") from exc
+    if 1 not in v["topn"]:
+        raise ConfigError(f"topn: must include 1, the accuracy reports tabulate, got {list(v['topn'])}")
+    n_classes = DATASETS[v["dataset"]][1]
+    for n in v["topn"]:
+        if not 1 <= n <= n_classes:
+            raise ConfigError(f"topn: N={n} out of range for {n_classes} classes")
     try:
         stopping = cfg.stopping_criterion
     except (ValueError, ValidationError) as exc:
@@ -239,7 +250,3 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError("trainable_last_k: freezes layers of a warm_start checkpoint; set warm_start too")
         if v["trainable_last_k"] < 1:
             raise ConfigError(f"trainable_last_k: must be at least 1, got {v['trainable_last_k']}")
-    n_classes = DATASETS[v["dataset"]][1]
-    for n in v["topn"]:
-        if not 1 <= n <= n_classes:
-            raise ConfigError(f"topn: N={n} out of range for {n_classes} classes")

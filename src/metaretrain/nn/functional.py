@@ -1,12 +1,12 @@
 """Autodiff ops for image networks: convolution, pooling, and classifier losses.
 
-conv2d is one float64 GEMM over an im2col matrix: the input is written into
-a zero-bordered float64 buffer, and its sliding windows unrolled into one
-column per output pixel (Chellapilla et al. 2006). The weight gradient is a
-GEMM against the same windows, rebuilt in the backward pass so the graph
-holds only a view; the input gradient is scattered back one kernel offset at
-a time into a [Cin, B, Hp, Wp] buffer and transposed once, in the cast.
-Results cast back to the storage dtype.
+conv2d is one GEMM over an im2col matrix, in float32 unless the input or the
+weight is float64: the input is written into a zero-bordered buffer, and its
+sliding windows unrolled into one column per output pixel (Chellapilla et al.
+2006). The weight gradient is a GEMM against the same windows, rebuilt in the
+backward pass so the graph holds only a view; the input gradient is scattered
+back one kernel offset at a time into a [Cin, B, Hp, Wp] buffer and transposed
+once. A float32 GEMM rounds by its shapes, so predict chunks have one shape.
 
 maxpool2d takes np.maximum over the kernel**2 strided views of each tile, in
 row-major offset order. On ties the first offset in that order holds the max
@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ConfigurationError, ValidationError
-from .tensor import Tensor, _result_dtype
+from .tensor import Tensor
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -36,38 +36,36 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     Ho = (Hp - KH) // stride + 1
     Wo = (Wp - KW) // stride + 1
 
-    # one float64 copy: the zero border and the input written into its interior
-    xp = np.zeros((B, Cin, Hp, Wp), dtype=np.float64)
+    dtype = np.result_type(x.data, weight.data)  # float32 unless either is float64
+    # one copy: the zero border and the input written into its interior
+    xp = np.zeros((B, Cin, Hp, Wp), dtype=dtype)
     xp[:, :, padding : padding + H, padding : padding + W] = x.data
     # windows: [B, Cin, Ho, Wo, KH, KW], a view of xp
     win = sliding_window_view(xp, (KH, KW), axis=(2, 3))[:, :, ::stride, ::stride]
-    w64 = weight.data.astype(np.float64)
     # im2col: one column per output pixel, [Cin*KH*KW, B*Ho*Wo]
     cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(Cin * KH * KW, B * Ho * Wo)
-    out = (w64.reshape(Cout, -1) @ cols).reshape(Cout, B, Ho, Wo).transpose(1, 0, 2, 3)
-    del cols  # freed before the output cast; backward rebuilds it from `win`
-    out += bias.data.astype(np.float64)[None, :, None, None]
-    with np.errstate(over="ignore"):
-        data = out.astype(_result_dtype(x.data, weight.data), order="C")
+    with np.errstate(over="ignore"):  # Tensor._make reports an overflow, naming the op
+        out = (weight.data.reshape(Cout, -1) @ cols).reshape(Cout, B, Ho, Wo).transpose(1, 0, 2, 3)
+        del cols  # freed before the output copy; backward rebuilds it from `win`
+        data = np.add(out, bias.data[None, :, None, None], dtype=dtype, order="C")
 
     def backward(grad):
-        g64 = grad.astype(np.float64)
         if bias.requires_grad:
-            bias._accumulate(g64.sum(axis=(0, 2, 3)).astype(bias.data.dtype))
-        g2 = g64.transpose(1, 0, 2, 3).reshape(Cout, B * Ho * Wo)
-        if weight.requires_grad:
-            rows = win.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, Cin * KH * KW)
-            weight._accumulate((g2 @ rows).reshape(Cout, Cin, KH, KW).astype(weight.data.dtype))
-        if x.requires_grad:
-            # col2im: scatter-add one kernel offset at a time into a
-            # channel-major buffer, so no patch is transposed
-            gxp = np.zeros((Cin, B, Hp, Wp), dtype=np.float64)
-            for kh in range(KH):
-                for kw in range(KW):
-                    patch = (w64[:, :, kh, kw].T @ g2).reshape(Cin, B, Ho, Wo)
-                    gxp[:, :, kh : kh + Ho * stride : stride, kw : kw + Wo * stride : stride] += patch
-            gx = gxp[:, :, padding : padding + H, padding : padding + W].transpose(1, 0, 2, 3)
-            x._accumulate(gx.astype(x.data.dtype, order="C"))
+            bias._accumulate(grad.sum(axis=(0, 2, 3), dtype=np.float64).astype(bias.data.dtype))
+        g2 = grad.transpose(1, 0, 2, 3).reshape(Cout, B * Ho * Wo)
+        with np.errstate(over="ignore"):
+            if weight.requires_grad:
+                rows = win.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, Cin * KH * KW)
+                weight._accumulate((g2 @ rows).reshape(Cout, Cin, KH, KW))
+            if x.requires_grad:
+                # col2im: scatter-add one kernel offset at a time into a
+                # channel-major buffer, so no patch is transposed
+                gxp = np.zeros((Cin, B, Hp, Wp), dtype=dtype)
+                for kh in range(KH):
+                    for kw in range(KW):
+                        patch = (weight.data[:, :, kh, kw].T @ g2).reshape(Cin, B, Ho, Wo)
+                        gxp[:, :, kh : kh + Ho * stride : stride, kw : kw + Wo * stride : stride] += patch
+                x._accumulate(gxp[:, :, padding : padding + H, padding : padding + W].transpose(1, 0, 2, 3))
 
     return Tensor._make(data, "conv2d", (x, weight, bias), backward)
 

@@ -247,20 +247,21 @@ class Model:
     def predict_logits(self, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
         """Graph-free forward over an ndarray [N,C,H,W]; returns [N,num_classes].
 
-        Images are forwarded `batch_size` at a time, which bounds the largest
-        transient (the im2col matrix of each conv layer) without changing a
-        bit of the logits: every output row depends on its own image only.
+        Every forward has `batch_size` rows, the last chunk padded with zero
+        images whose rows are dropped: a float32 GEMM rounds by its shapes, so
+        only a fixed shape makes each row depend on its own image alone. The
+        chunk also bounds the largest transient, a conv layer's im2col matrix.
         """
         images = np.asarray(images)
         if images.ndim != 4:
             raise ValidationError("predict_logits expects [N,C,H,W]")
-        outs = []
+        outs = [np.zeros((0, self.spec.num_classes), dtype=np.float32)]
         with no_grad():
             for start in range(0, images.shape[0], batch_size):
-                chunk = Tensor(images[start : start + batch_size].astype(np.float32))
-                outs.append(self.forward(chunk).data)
-        if not outs:
-            return np.zeros((0, self.spec.num_classes), dtype=np.float32)
+                part = images[start : start + batch_size]
+                chunk = np.zeros((batch_size, *images.shape[1:]), dtype=np.float32)
+                chunk[: len(part)] = part
+                outs.append(self.forward(Tensor(chunk)).data[: len(part)])
         return np.concatenate(outs, axis=0)
 
     # -- snapshots & versioning ----------------------------------------------

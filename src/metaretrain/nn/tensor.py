@@ -4,10 +4,11 @@ A Tensor wraps a float32/float64 ndarray plus an optional gradient buffer.
 Ops record closures on the output node; Tensor.backward() walks the graph in
 reverse topological order and drops each interior node's gradient once its
 closure has consumed it, so only leaves (parameters and inputs created with
-requires_grad) hold a gradient afterwards. Reductions and contractions
-accumulate in float64 and cast back to the storage dtype. Every op checks its
-result for NaN/Inf and raises NonFiniteError on the spot. relu is
-branch-free: np.fmax against 0, with -0.0 turned into +0.0.
+requires_grad) hold a gradient afterwards. matmul computes in float32 unless
+an operand is float64; reductions accumulate in float64 and cast back to the
+storage dtype. Every op checks its result for NaN/Inf and raises
+NonFiniteError on the spot. relu is branch-free: np.fmax against 0, with -0.0
+turned into +0.0.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ def _as_array(value, dtype) -> np.ndarray:
     if arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(dtype)
     return arr
-
-
-def _result_dtype(*arrays) -> np.dtype:
-    return np.float64 if any(a.dtype == np.float64 for a in arrays) else np.float32
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -162,8 +159,7 @@ class Tensor:
 
     def __add__(self, other):
         other = Tensor._coerce(other, self)
-        dtype = _result_dtype(self.data, other.data)
-        data = np.add(self.data, other.data, dtype=dtype)
+        data = np.add(self.data, other.data)
 
         def backward(grad):
             if self.requires_grad:
@@ -177,8 +173,7 @@ class Tensor:
 
     def __mul__(self, other):
         other = Tensor._coerce(other, self)
-        dtype = _result_dtype(self.data, other.data)
-        data = np.multiply(self.data, other.data, dtype=dtype)
+        data = np.multiply(self.data, other.data)
 
         def backward(grad):
             if self.requires_grad:
@@ -217,16 +212,15 @@ class Tensor:
     def matmul(self, other: "Tensor") -> "Tensor":
         if self.data.ndim != 2 or other.data.ndim != 2:
             raise ValidationError("matmul expects 2-D operands")
-        dtype = _result_dtype(self.data, other.data)
         with np.errstate(over="ignore"):
-            data = (self.data.astype(np.float64) @ other.data.astype(np.float64)).astype(dtype)
+            data = self.data @ other.data  # a float64 operand makes it float64
 
         def backward(grad):
-            g64 = grad.astype(np.float64)
-            if self.requires_grad:
-                self._accumulate((g64 @ other.data.astype(np.float64).T).astype(self.data.dtype))
-            if other.requires_grad:
-                other._accumulate((self.data.astype(np.float64).T @ g64).astype(other.data.dtype))
+            with np.errstate(over="ignore"):
+                if self.requires_grad:
+                    self._accumulate(grad @ other.data.T)
+                if other.requires_grad:
+                    other._accumulate(self.data.T @ grad)
 
         return Tensor._make(data, "matmul", (self, other), backward)
 

@@ -1,11 +1,13 @@
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 
 from metaretrain import cli, orchestrator
 from metaretrain.cli import main
+from metaretrain.config import _SCHEMA
 from metaretrain.nn import Dense, Flatten, Model, ModelSpec, load_checkpoint, model_spec, save_checkpoint
 from metaretrain.nn.layers import ModelSnapshot
 from metaretrain.orchestrator import CycleRecord, RunHistory
@@ -69,6 +71,12 @@ BAD_CONFIGS = {
     "trainable-last-k-negative": ({"warm_start": WARM, "trainable_last_k": -1}, "trainable_last_k"),
     "trainable-last-k-without-warm-start": ({"trainable_last_k": 1}, "trainable_last_k"),
     "topn": ({"topn": "1,11"}, "topn"),
+    "topn-empty": ({"topn": ""}, "topn"),
+    "topn-without-1": ({"topn": "5"}, "topn"),
+    "inf-learning-rate": ({"learning_rate": "inf"}, "learning_rate"),
+    "minus-inf-lambda-u": ({"lambda_u": "-inf"}, "lambda_u"),
+    # NaN passes range comparisons, so every float key gets a row
+    **{f"nan-{key}": ({key: "nan"}, key) for key, (parser, _) in _SCHEMA.items() if parser is float},
 }
 
 
@@ -446,6 +454,25 @@ class TestTestCommand:
                    "--fraction", "1.0", "--output-dir", str(tmp_path / "out")])
         assert rc == 3
         assert "error: non-finite value produced by op 'matmul'" in capsys.readouterr().err.splitlines()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scale", [1e20, 1e36])
+    def test_overflowing_conv_checkpoint_exit_3_naming_conv2d_without_warning(self, tmp_path, capsys, scale):
+        # float32 GEMMs overflow inside BLAS; the op's finiteness check, not a
+        # numpy RuntimeWarning, must report it
+        self.make_cifar_fixture(tmp_path)
+        model = Model(model_spec("cnn_small", (3, 32, 32), 10), seed=0)
+        for p in model.parameters():
+            p.data = p.data * np.float32(scale)
+        ckpt = tmp_path / "overflow.ckpt"
+        save_checkpoint(model.snapshot(), ckpt)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["test", "--checkpoint", str(ckpt), "--dataset", "cifar10", "--data-dir", str(tmp_path),
+                       "--fraction", "1.0", "--output-dir", str(tmp_path / "out")])
+        assert rc == 3
+        assert "error: non-finite value produced by op 'conv2d'" in capsys.readouterr().err.splitlines()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "out").exists()
 
 
