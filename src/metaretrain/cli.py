@@ -25,9 +25,10 @@ from .data import load_cifar, load_mnist, subsample_and_split
 from .errors import MetaRetrainError, NonFiniteError, ValidationError
 from .metrics import evaluate
 from .nn import Model, load_checkpoint, model_spec, save_checkpoint
+from .nn.checkpoint import write_atomic
 from .orchestrator import CycleConfig, RunHistory, resume_state_from, run_cycles
 from .relations import LABEL_PRESERVING, catalog_default, label_map_array
-from .report import comparison_table, export
+from .report import comparison_table, export, json_bytes
 from .tester import build_suites, robustness
 
 EXIT_OK = 0
@@ -68,14 +69,20 @@ def load_dataset(dataset: str, data_dir) -> list:
     raise ValidationError(f"no CIFAR-100 train.bin under {data_dir}")
 
 
+def _check_fits(model: Model, dataset: str, name: str) -> None:
+    """Raise ValidationError naming `name` when the model does not take `dataset`'s images."""
+    input_shape, n_classes = DATASETS[dataset]
+    if model.spec.input_shape != tuple(input_shape) or model.spec.num_classes != n_classes:
+        raise ValidationError(
+            f"{name}: checkpoint expects input {model.spec.input_shape}/{model.spec.num_classes} classes, "
+            f"dataset {dataset} has {tuple(input_shape)}/{n_classes}"
+        )
+
+
 def _build_model(cfg: RunConfig, input_shape, n_classes: int, seed: int) -> Model:
     if cfg.warm_start:
         model = Model.from_snapshot(load_checkpoint(cfg.warm_start))
-        if model.spec.input_shape != tuple(input_shape) or model.spec.num_classes != n_classes:
-            raise ValidationError(
-                f"warm_start checkpoint expects input {model.spec.input_shape}/"
-                f"{model.spec.num_classes} classes, run needs {tuple(input_shape)}/{n_classes}"
-            )
+        _check_fits(model, cfg.dataset, "warm_start")
         if cfg.trainable_last_k is not None:
             model.set_trainable_last(cfg.trainable_last_k)
         return model
@@ -186,6 +193,7 @@ def cmd_test(args) -> int:
     if not 0 < args.fraction <= 1:
         raise ValidationError(f"--fraction: must be in (0, 1], got {args.fraction}")
     model = Model.from_snapshot(load_checkpoint(args.checkpoint))
+    _check_fits(model, args.dataset, "--dataset")
     data_dir = args.data_dir or os.environ.get(ENV_DATA_DIR)
     if not data_dir:
         raise ValidationError(f"data_dir not set (flag or ${ENV_DATA_DIR})")
@@ -200,8 +208,8 @@ def cmd_test(args) -> int:
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"robustness": report.to_dict(), "accuracy": eval_report.to_dict()}
-    (out_dir / "robustness_report.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    (out_dir / "robustness_report.txt").write_text(report.to_text() + "\n")
+    write_atomic(out_dir / "robustness_report.json", json_bytes(payload))
+    write_atomic(out_dir / "robustness_report.txt", (report.to_text() + "\n").encode("utf-8"))
     return EXIT_OK
 
 

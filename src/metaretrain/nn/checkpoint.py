@@ -64,7 +64,7 @@ def save_checkpoint(snap: ModelSnapshot, path) -> None:
     write_atomic(path, b"".join((MAGIC, struct.pack("<I", len(header)), header, blob)))
 
 
-def _field(obj, key: str, kind: type, where: str):
+def typed_field(obj, key: str, kind: type, where: str):
     """`obj[key]` if `obj` is a dict holding a `kind` there (bool is not an int)."""
     value = obj.get(key) if isinstance(obj, dict) else None
     if not isinstance(value, kind) or isinstance(value, bool):
@@ -74,8 +74,8 @@ def _field(obj, key: str, kind: type, where: str):
 
 def _param_entry(entry, index: int) -> tuple:
     where = f"params[{index}]."
-    name = _field(entry, "name", str, where)
-    shape = _field(entry, "shape", list, where)
+    name = typed_field(entry, "name", str, where)
+    shape = typed_field(entry, "shape", list, where)
     if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
         raise ValueError(f"field {where}'shape' of {name!r} is not a list of non-negative integers: {shape}")
     return name, tuple(shape)
@@ -93,10 +93,10 @@ def load_checkpoint(path) -> ModelSnapshot:
         raise CheckpointError(f"truncated checkpoint header in {path}")
     try:
         header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
-        version = _field(header, "version", int, "")
-        entries = [_param_entry(e, i) for i, e in enumerate(_field(header, "params", list, ""))]
-        spec = ModelSpec.from_dict(_field(header, "spec", dict, ""))
-        crc = _field(header, "crc32", int, "") if "crc32" in header else None
+        version = typed_field(header, "version", int, "")
+        entries = [_param_entry(e, i) for i, e in enumerate(typed_field(header, "params", list, ""))]
+        spec = ModelSpec.from_dict(typed_field(header, "spec", dict, ""))
+        crc = typed_field(header, "crc32", int, "") if "crc32" in header else None
     except (ValueError, KeyError, TypeError, ConfigurationError) as exc:
         raise CheckpointError(f"corrupt checkpoint header in {path}: {exc}") from exc
     offset = 12 + header_len

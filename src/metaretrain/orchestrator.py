@@ -1,13 +1,14 @@
 """Robustness cycles: test, partition, build the stream, retrain, record.
 
 Each cycle runs four steps in order on the live model: the tester scores it
-(and top-N accuracy is measured on it), the stream is built from the
-*previous* cycle's failed/passed partition, the model retrains on that
-stream, and the cycle is recorded with the partition the test produced, which
-the next cycle's policy reads. Cycle 0 therefore starts from the mode's
-initial pools (adaptive mode logs a fallback). The stream is generated one
-batch per step, and each batch is dropped after its step, so one batch is
-held while a cycle trains and none during an evaluation.
+on the suites the run builds once (and top-N accuracy is measured on it), the
+stream is built from the *previous* cycle's failed/passed partition, the
+model retrains on that stream, and the cycle is recorded with the partition
+the test produced, which the next cycle's policy reads. Cycle 0 therefore
+starts from the mode's initial pools (adaptive mode logs a fallback). The
+stream is generated one batch per step, and each batch is dropped after its
+step, so one batch is held while a cycle trains and none during an
+evaluation.
 
 Wall-clock durations are tracked in memory but excluded from persisted history
 so that identically-seeded runs serialize byte-identically.
@@ -29,7 +30,7 @@ from .data import DatasetSplit
 from .errors import NonFiniteError, ValidationError
 from .metrics import evaluate
 from .nn import SGD, Model, save_checkpoint
-from .nn.checkpoint import write_atomic
+from .nn.checkpoint import typed_field, write_atomic
 from .policy import AugmentationPolicy, CycleDatasetSpec, CycleStream, adaptive_policy, base_policy, base_pools, build_cycle_stream, static_policy
 from .report import json_bytes
 from .tester import build_suites, partition, robustness
@@ -52,6 +53,8 @@ class StoppingCriterion:
     def __post_init__(self):
         if self.direction not in ("gte", "lte"):
             raise ValidationError(f"stopping criterion direction must be gte or lte, got {self.direction!r}")
+        if not np.isfinite(self.value):
+            raise ValidationError(f"stopping criterion value must be finite, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -172,14 +175,20 @@ class RunHistory:
 
     @staticmethod
     def load(path) -> "RunHistory":
-        d = json.loads(Path(path).read_text())
-        return RunHistory(
-            config=d["config"],
-            records=[CycleRecord.from_dict(r) for r in d["records"]],
-            final_eval=d["final_eval"],
-            termination=d["termination"],
-            final_version=d["final_version"],
-        )
+        """Read a saved history; a file that is not one raises ValidationError
+        naming the file and the first missing or malformed field."""
+        kinds = {"config": dict, "records": list, "final_eval": dict, "termination": str, "final_version": int}
+        try:
+            d = json.loads(Path(path).read_text())
+            fields = {key: typed_field(d, key, kind, "") for key, kind in kinds.items()}
+            if "sr_mt" not in fields["final_eval"] or not isinstance(fields["final_eval"].get("topn"), dict):
+                raise ValueError("field 'final_eval' lacks 'sr_mt' or a 'topn' dict")
+            records = [CycleRecord.from_dict(r) for r in fields.pop("records")]
+        except KeyError as exc:
+            raise ValidationError(f"{path}: a record lacks the field {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:  # not UTF-8, not JSON, or a mistyped field
+            raise ValidationError(f"{path}: not a run history: {exc}") from exc
+        return RunHistory(records=records, **fields)
 
     def summary(self) -> str:
         lines = [f"run: trainer={self.config.get('trainer')} mode={self.config.get('mode')} "
@@ -220,21 +229,6 @@ def _policy_for_cycle(cfg: CycleConfig, catalog, failed, cycle: int) -> Augmenta
         log.info("adaptive cycle %d: no prior partition, using base strong pool", cycle)
         return adaptive_policy([], weak, strong, seed=cfg.seed)
     return adaptive_policy(failed, weak, strong, seed=cfg.seed)
-
-
-def default_evaluator(cfg: CycleConfig, split: DatasetSplit, catalog) -> Callable:
-    """Tester + accuracy on the model: suites from the test split and catalog."""
-    if not split.test:
-        raise ValidationError("run needs a non-empty test split")
-    suites = build_suites(catalog, split.test, max_cases=cfg.robustness_cases, seed=cfg.seed)
-
-    def evaluator(model):
-        report = robustness(model, suites, pass_threshold=cfg.pass_threshold, seed=cfg.seed)
-        eval_report = evaluate(model, split.test, topn_list=cfg.topn, sr_mt=report.sr_mt)
-        failed, passed = partition(report.outcomes)
-        return report, eval_report, failed, passed
-
-    return evaluator
 
 
 @dataclass
@@ -278,7 +272,6 @@ def _train_one_cycle(trainer: Trainer, stream: CycleStream, cycle: int,
 
 
 def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
-               evaluator: Optional[Callable] = None,
                metrics_sink: Optional[Callable] = None,
                checkpoint_dir=None,
                resume: Optional[ResumeState] = None,
@@ -291,8 +284,9 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
     cycle k resumes from cycle k - 1.
     """
     catalog = list(catalog)
-    if evaluator is None:
-        evaluator = default_evaluator(cfg, split, catalog)
+    if not split.test:
+        raise ValidationError("run needs a non-empty test split")
+    suites = build_suites(catalog, split.test, max_cases=cfg.robustness_cases, seed=cfg.seed)
     trainer = build_trainer(
         cfg.trainer, model, SGD(cfg.learning_rate, cfg.momentum), cfg.trainer_cfg,
         cfg.num_classes, seed=cfg.seed,
@@ -315,7 +309,9 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
         # the policy reads the previous cycle's failed set before the tester replaces it
         policy = _policy_for_cycle(cfg, catalog, failed, cycle)
         version = model.version
-        report, eval_report, failed, passed = evaluator(model)
+        report = robustness(model, suites, pass_threshold=cfg.pass_threshold, seed=cfg.seed)
+        eval_report = evaluate(model, split.test, topn_list=cfg.topn, sr_mt=report.sr_mt)
+        failed, passed = partition(report.outcomes)
         spec = CycleDatasetSpec(
             split=split, policy=policy, batch_size=cfg.batch_size, epochs=cfg.epochs_per_cycle,
             num_classes=cfg.num_classes, n_weak_views=trainer.n_weak_views,
@@ -353,7 +349,8 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
     if termination == "aborted_nan":
         final_eval = {"sr_mt": None, "topn": {}, "aborted": True}
     else:
-        report, eval_report, _, _ = evaluator(model)
+        report = robustness(model, suites, pass_threshold=cfg.pass_threshold, seed=cfg.seed)
+        eval_report = evaluate(model, split.test, topn_list=cfg.topn, sr_mt=report.sr_mt)
         final_eval = {"sr_mt": report.sr_mt, "topn": {str(k): v for k, v in sorted(eval_report.topn.items())}}
     return RunHistory(
         config=config,

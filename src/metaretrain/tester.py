@@ -11,7 +11,7 @@ and checks every label-preserving relation's follow-up images against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,7 +40,6 @@ class TestSuite:
 
 @dataclass(frozen=True)
 class SuiteOutcome:
-    suite_id: str
     mr: object
     bits: np.ndarray  # int8 per-case results
     success_rate: float
@@ -49,7 +48,7 @@ class SuiteOutcome:
 
     def to_record(self) -> dict:
         return {
-            "suite_id": self.suite_id,
+            "suite_id": self.mr.id,  # one suite per relation, so the relation names it
             "mr_id": self.mr.id,
             "n_cases": int(self.bits.size),
             "success_rate": self.success_rate,
@@ -77,7 +76,7 @@ class RobustnessReport:
         lines = [f"{'suite':24s} {'cases':>5s} {'rate':>7s} verdict  mode"]
         for o in self.outcomes:
             lines.append(
-                f"{o.suite_id:24s} {o.bits.size:5d} {o.success_rate:7.4f} {o.verdict:7s}  {o.mode}"
+                f"{o.mr.id:24s} {o.bits.size:5d} {o.success_rate:7.4f} {o.verdict:7s}  {o.mode}"
             )
         lines.append(f"SR_MT = {self.sr_mt:.4f} over {self.total_cases} cases (model v{self.model_version})")
         return "\n".join(lines)
@@ -105,8 +104,6 @@ def _predict(model: Model, images) -> np.ndarray:
 def _score(model: Model, suite: TestSuite, pass_threshold: float, seed: int,
            source_preds: dict) -> SuiteOutcome:
     """`source_preds` maps id(suite.sources) to the model's predictions on those sources."""
-    if not 0.0 <= pass_threshold <= 1.0:
-        raise ValidationError("pass_threshold must be in [0, 1]")
     mr = suite.mr
     preds_t = _predict(model, [mr.transform(s.pixels, (seed, s.source_id)) for s in suite.sources])
     if mr.kind == LABEL_PRESERVING:
@@ -122,27 +119,27 @@ def _score(model: Model, suite: TestSuite, pass_threshold: float, seed: int,
     bits = (preds_t == table[reference]).astype(np.int8)
     rate = float(bits.mean())
     verdict = "passed" if rate >= pass_threshold else "failed"
-    return SuiteOutcome(suite_id=mr.id, mr=mr, bits=bits, success_rate=rate,
-                        verdict=verdict, mode=mode)
+    return SuiteOutcome(mr=mr, bits=bits, success_rate=rate, verdict=verdict, mode=mode)
 
 
 def robustness(model: Model, suites, pass_threshold: float = 0.8,
                seed: int = 0) -> RobustnessReport:
-    """SR_MT over every case of every suite, plus per-suite outcomes."""
+    """SR_MT over every case of every suite, plus per-suite outcomes.
+
+    A relation may appear in one suite only, so its id names the suite.
+    """
     suites = list(suites)
     if not suites:
         raise ValidationError("robustness() needs at least one suite")
+    if not 0.0 <= pass_threshold <= 1.0:
+        raise ValidationError("pass_threshold must be in [0, 1]")
+    ids = [suite.mr.id for suite in suites]
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    if repeated:
+        raise ValidationError(f"one suite per relation; repeated: {', '.join(repeated)}")
     source_preds: dict = {}  # keyed by object id; `suites` keeps every tuple alive
-    outcomes = []
-    seen: dict[str, int] = {}
-    for suite in suites:
-        outcome = _score(model, suite, pass_threshold, seed, source_preds)
-        k = seen.get(outcome.suite_id, 0)
-        seen[outcome.suite_id] = k + 1
-        if k:
-            outcome = replace(outcome, suite_id=f"{outcome.suite_id}#{k + 1}")
-        outcomes.append(outcome)
-    outcomes.sort(key=lambda o: o.suite_id)
+    outcomes = sorted((_score(model, suite, pass_threshold, seed, source_preds) for suite in suites),
+                      key=lambda o: o.mr.id)
     total = sum(o.bits.size for o in outcomes)
     passes = sum(int(o.bits.sum()) for o in outcomes)
     return RobustnessReport(
@@ -151,17 +148,7 @@ def robustness(model: Model, suites, pass_threshold: float = 0.8,
 
 
 def partition(outcomes):
-    """Split tested relations into (failed, passed) by verdict.
-
-    Deduplicated by relation id; when duplicate suites disagree the relation
-    lands in the failed set so retraining targets the weakness.
-    """
-    failed: dict[str, object] = {}
-    passed: dict[str, object] = {}
-    for o in outcomes:
-        if o.verdict == "failed":
-            failed[o.mr.id] = o.mr
-            passed.pop(o.mr.id, None)
-        elif o.mr.id not in failed:
-            passed[o.mr.id] = o.mr
-    return list(failed.values()), list(passed.values())
+    """Split tested relations into (failed, passed) by verdict."""
+    failed = [o.mr for o in outcomes if o.verdict == "failed"]
+    passed = [o.mr for o in outcomes if o.verdict == "passed"]
+    return failed, passed

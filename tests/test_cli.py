@@ -64,6 +64,8 @@ BAD_CONFIGS = {
     "trainer-hyperparameter": ({"tau": 1.5}, "tau"),
     "stopping-parse": ({"stopping": "sometimes"}, "stopping"),
     "stopping-metric": ({"stopping": "metric:f1:gte:0.5"}, "stopping"),
+    "stopping-nan": ({"stopping": "metric:sr_mt:gte:nan"}, "stopping"),
+    "stopping-inf": ({"stopping": "metric:sr_mt:lte:inf"}, "stopping"),
     "data-dir-unset": ({"data_dir": None}, "data_dir"),
     "data-dir-absent": ({"data_dir": ABSENT}, "data_dir"),
     "warm-start-absent": ({"warm_start": ABSENT}, "warm_start"),
@@ -77,6 +79,19 @@ BAD_CONFIGS = {
     "minus-inf-lambda-u": ({"lambda_u": "-inf"}, "lambda_u"),
     # NaN passes range comparisons, so every float key gets a row
     **{f"nan-{key}": ({key: "nan"}, key) for key, (parser, _) in _SCHEMA.items() if parser is float},
+}
+
+
+# history.json contents that are not a run history, then what the error must name
+MALFORMED_HISTORIES = {
+    "not-json": (b"{not json", "not a run history"),
+    "not-utf8": (b"\xff\xfe\x00", "not a run history"),
+    "no-records": (b'{"config": {}}', "field 'records' is missing"),
+    "records-not-a-list": (b'{"config": {}, "records": 5}', "field 'records' is missing or not of type list"),
+    "final-eval-without-topn": (b'{"config": {}, "records": [], "final_eval": {"sr_mt": null}, '
+                                b'"termination": "incomplete", "final_version": 0}', "'final_eval' lacks"),
+    "record-without-cycle": (b'{"config": {}, "records": [{}], "final_eval": {"sr_mt": null, "topn": {}}, '
+                             b'"termination": "incomplete", "final_version": 0}', "a record lacks the field 'cycle'"),
 }
 
 
@@ -376,6 +391,9 @@ class TestTestCommand:
         assert "SR_MT = 1.0000" in out
         report = json.loads((tmp_path / "out" / "robustness_report.json").read_text())
         assert report["robustness"]["sr_mt"] == 1.0
+        # written through a temporary file renamed into place, none left behind
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["robustness_report.json",
+                                                                      "robustness_report.txt"]
 
     def test_report_matches_golden_rerun(self, tmp_path, capsys):
         self.make_cifar_fixture(tmp_path)
@@ -413,6 +431,22 @@ class TestTestCommand:
                    "--output-dir", str(tmp_path / "out"), *(a for kv in args.items() for a in kv)])
         assert rc == 2
         assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_checkpoint_for_other_dataset_exit_2_before_loading(self, tmp_path, capsys, monkeypatch):
+        self.make_cifar_fixture(tmp_path)
+        ckpt = tmp_path / "mnist.ckpt"
+        save_checkpoint(Model(model_spec("linear", (1, 28, 28), 10), seed=0).snapshot(), ckpt)
+
+        def no_loading(*args, **kwargs):
+            raise AssertionError("dataset loaded before the checkpoint was checked against it")
+
+        monkeypatch.setattr(cli, "load_dataset", no_loading)
+        rc = main(["test", "--checkpoint", str(ckpt), "--dataset", "cifar10", "--data-dir", str(tmp_path),
+                   "--fraction", "1.0", "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--dataset" in err and "(1, 28, 28)" in err and "(3, 32, 32)" in err
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_exit_2_naming_flag(self, tmp_path, capsys):
@@ -521,6 +555,28 @@ class TestReportCommand:
         p2 = self.fake_history(tmp_path / "b.json", "fixmatch", "base", sr=0.8, seed=1)
         assert main(["report", str(p1), str(p2), "--output-dir", str(tmp_path / "out")]) == 2
         assert "trainer=fixmatch mode=base: seeds 0 and 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestMalformedHistory:
+    """`report` and `run --resume` read a history.json that is not one."""
+
+    @pytest.mark.parametrize("row", sorted(MALFORMED_HISTORIES))
+    @pytest.mark.parametrize("command", ["report", "resume"])
+    def test_exit_2_naming_file_and_field(self, tmp_path, data_dir, capsys, command, row):
+        content, named = MALFORMED_HISTORIES[row]
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "history.json").write_bytes(content)
+        if command == "report":
+            argv = ["report", str(run_dir / "history.json"), "--output-dir", str(tmp_path / "out")]
+        else:
+            cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "out")
+            argv = ["run", "--config", str(cfg), "--resume", str(run_dir)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(run_dir / "history.json") in err and named in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
 

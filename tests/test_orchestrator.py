@@ -37,20 +37,24 @@ def config(**kw):
     return CycleConfig(**defaults)
 
 
-def scripted_evaluator(sr_values):
-    """Deterministic fake: cycle k reports sr_values[k]; no failed relations."""
+def scripted_scores(monkeypatch, sr_values):
+    """Deterministic fake tester and accuracy in the loop: evaluation k reports
+    sr_values[k] and fails no relation. Returns the call log."""
     calls = {"n": 0, "models": []}
 
-    def evaluator(model):
+    def fake_robustness(model, suites, **kwargs):
         sr = sr_values[min(calls["n"], len(sr_values) - 1)]
         calls["n"] += 1
         calls["models"].append(model)
-        report = RobustnessReport(sr_mt=sr, total_cases=1, outcomes=(), model_version=model.version)
-        eval_report = EvalReport(topn={1: sr}, sample_count=1, per_class_top1={}, sr_mt=sr)
-        return report, eval_report, [], []
+        return RobustnessReport(sr_mt=sr, total_cases=1, outcomes=(), model_version=model.version)
 
-    evaluator.calls = calls
-    return evaluator
+    def fake_evaluate(model, samples, topn_list, sr_mt):
+        calls["models"].append(model)
+        return EvalReport(topn={1: sr_mt}, sample_count=1, per_class_top1={}, sr_mt=sr_mt)
+
+    monkeypatch.setattr(orchestrator, "robustness", fake_robustness)
+    monkeypatch.setattr(orchestrator, "evaluate", fake_evaluate)
+    return calls
 
 
 class TestShouldStop:
@@ -72,6 +76,12 @@ class TestShouldStop:
         with pytest.raises(ValidationError):
             StoppingCriterion(metric="sr_mt", direction="above", value=0.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_rejected(self, value):
+        # NaN never crosses a threshold, so such a run would never stop
+        with pytest.raises(ValidationError, match="finite"):
+            StoppingCriterion(metric="sr_mt", direction="gte", value=value)
+
     def test_unknown_metric_rejected(self):
         crit = StoppingCriterion("f1", "gte", 0.5)
         with pytest.raises(ValidationError):
@@ -85,26 +95,26 @@ class TestShouldStop:
 
 
 class TestRunCycles:
-    def test_single_base_cycle(self):
+    def test_single_base_cycle(self, monkeypatch):
         model, split, catalog = small_setup()
-        evaluator = scripted_evaluator([0.5, 0.6])
-        history = run_cycles(model, split, config(cycles=1), catalog, evaluator=evaluator)
+        calls = scripted_scores(monkeypatch, [0.5, 0.6])
+        history = run_cycles(model, split, config(cycles=1), catalog)
         assert len(history.records) == 1
         assert history.termination == "completed"
         # one in-cycle tester run plus the appended final evaluation, both on the live model
-        assert evaluator.calls["n"] == 2
-        assert all(m is model for m in evaluator.calls["models"])
+        assert calls["n"] == 2
+        assert all(m is model for m in calls["models"])
         assert history.records[0].cycle == 0
         assert history.records[0].loss_stats["steps"] > 0
 
     def test_threshold_met_at_cycle_three(self, monkeypatch):
         model, split, catalog = small_setup()
-        evaluator = scripted_evaluator([0.5, 0.7, 0.8, 0.96, 0.97, 0.97])
+        scripted_scores(monkeypatch, [0.5, 0.7, 0.8, 0.96, 0.97, 0.97])
         cfg = config(cycles=10, stopping=StoppingCriterion("sr_mt", "gte", 0.95))
         builds = []
         build = orchestrator.build_cycle_stream
         monkeypatch.setattr(orchestrator, "build_cycle_stream", lambda spec: builds.append(spec) or build(spec))
-        history = run_cycles(model, split, cfg, catalog, evaluator=evaluator)
+        history = run_cycles(model, split, cfg, catalog)
         assert [r.cycle for r in history.records] == [0, 1, 2, 3]
         assert history.termination == "threshold_met"
         # one stream per cycle that trained, none for the cycle the stop skipped
@@ -132,8 +142,8 @@ class TestRunCycles:
 
         build = orchestrator.build_cycle_stream
         monkeypatch.setattr(orchestrator, "build_cycle_stream", lambda spec: Watched(build(spec)))
-        history = run_cycles(model, split, config(cycles=2, epochs_per_cycle=2), catalog,
-                             evaluator=scripted_evaluator([0.5, 0.6, 0.7]))
+        scripted_scores(monkeypatch, [0.5, 0.6, 0.7])
+        history = run_cycles(model, split, config(cycles=2, epochs_per_cycle=2), catalog)
         assert len(live_at_build) == sum(r.loss_stats["steps"] for r in history.records) > 2
         assert set(live_at_build) == {0}
 
@@ -156,11 +166,11 @@ class TestRunCycles:
         assert len(history.records) == 2
         assert calls == {"snapshot": 0, "from_snapshot": 0}
 
-    def test_metrics_sink_receives_every_step(self):
+    def test_metrics_sink_receives_every_step(self, monkeypatch):
         model, split, catalog = small_setup()
         rows = []
-        history = run_cycles(model, split, config(cycles=2), catalog,
-                             evaluator=scripted_evaluator([0.1]), metrics_sink=rows.append)
+        scripted_scores(monkeypatch, [0.1])
+        history = run_cycles(model, split, config(cycles=2), catalog, metrics_sink=rows.append)
         total_steps = sum(r.loss_stats["steps"] for r in history.records)
         assert len(rows) == total_steps
         assert {"cycle", "step", "l_sup", "l_unsup", "l_penalty", "total", "mask_rate"} <= set(rows[0])
@@ -180,12 +190,12 @@ class TestRunCycles:
             else:
                 assert nxt["fallback_used"]
 
-    def test_base_mode_ignores_tester(self):
+    def test_base_mode_ignores_tester(self, monkeypatch):
         model_a, split, catalog = small_setup(seed=4)
         model_b, _, _ = small_setup(seed=4)
         real = run_cycles(model_a, split, config(cycles=2), catalog)
-        stubbed = run_cycles(model_b, split, config(cycles=2), catalog,
-                             evaluator=scripted_evaluator([0.0]))
+        scripted_scores(monkeypatch, [0.0])
+        stubbed = run_cycles(model_b, split, config(cycles=2), catalog)
         pa = {n: p.data for n, p in model_a.named_parameters()}
         pb = {n: p.data for n, p in model_b.named_parameters()}
         for n in pa:
@@ -199,10 +209,11 @@ class TestRunCycles:
         h2 = run_cycles(model_b, split, config(mode="adaptive", cycles=3), catalog)
         assert h1.to_dict() == h2.to_dict()
 
-    def test_nan_loss_aborts_with_partial_history(self):
+    def test_nan_loss_aborts_with_partial_history(self, monkeypatch):
         model, split, catalog = small_setup(seed=7)
         cfg = config(cycles=4, learning_rate=1e38)
-        history = run_cycles(model, split, cfg, catalog, evaluator=scripted_evaluator([0.2]))
+        scripted_scores(monkeypatch, [0.2])
+        history = run_cycles(model, split, cfg, catalog)
         assert history.termination == "aborted_nan"
         assert len(history.records) < 4
         assert history.final_eval.get("aborted")

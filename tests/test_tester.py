@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from metaretrain.data import ImageSample, to_model_input
 from metaretrain.errors import ValidationError
 from metaretrain.nn import Dense, Flatten, Model, ModelSpec
-from metaretrain.relations import IDENTITY, LABEL_PRESERVING, catalog_by_id, catalog_default
+from metaretrain.relations import IDENTITY, LABEL_PRESERVING, MetamorphicRelation, catalog_by_id, catalog_default
 from metaretrain.tester import (
     SuiteOutcome,
     TestSuite,
@@ -135,7 +135,7 @@ class TestRunSuite:
         assert out.success_rate == 1.0 and out.verdict == "passed"
 
     def test_half_rate_fails_at_0_8(self):
-        out = SuiteOutcome("x", IDENTITY, np.array([1, 0, 1, 0], dtype=np.int8), 0.5, "failed", "consistency")
+        out = SuiteOutcome(IDENTITY, np.array([1, 0, 1, 0], dtype=np.int8), 0.5, "failed", "consistency")
         assert out.success_rate == np.mean(out.bits)
         model = constant_model()
         # craft a suite where rate is deterministic 1.0, then check threshold logic directly
@@ -208,7 +208,8 @@ class TestRobustness:
         a = robustness(model, suites)
         b = robustness(model, list(reversed(suites)))
         assert a.sr_mt == b.sr_mt
-        assert [o.suite_id for o in a.outcomes] == [o.suite_id for o in b.outcomes]
+        assert [o.mr.id for o in a.outcomes] == sorted(mr.id for mr in mrs)
+        assert [o.mr.id for o in b.outcomes] == [o.mr.id for o in a.outcomes]
 
     def test_deterministic_for_fixed_snapshot(self):
         model = tiny_model(seed=6, size=28)
@@ -265,7 +266,8 @@ class TestRobustness:
         preds = [np.argmax(model.predict_logits(np.stack([to_model_input(s.pixels) for s in x])), axis=1)
                  for x in (a, b)]
         assert (preds[0] != preds[1]).any()
-        suites = [TestSuite(mr=IDENTITY, sources=tuple(a)), TestSuite(mr=IDENTITY, sources=tuple(b))]
+        twin = MetamorphicRelation("identity_twin", IDENTITY.transform, strength="weak")
+        suites = [TestSuite(mr=IDENTITY, sources=tuple(a)), TestSuite(mr=twin, sources=tuple(b))]
         assert robustness(model, suites).sr_mt == 1.0
 
     def test_constant_model_below_one_with_label_map(self):
@@ -276,10 +278,25 @@ class TestRobustness:
         report = robustness(model, suites)
         assert report.sr_mt < 1.0
 
+    def test_repeated_relation_rejected_naming_it(self):
+        model = constant_model()
+        mrs = catalog_by_id("mnist")
+        sources = tuple(digit_samples(2))
+        suites = [TestSuite(mr=mr, sources=sources) for mr in (IDENTITY, mrs["rot180"], IDENTITY)]
+        with pytest.raises(ValidationError, match="repeated: identity$"):
+            robustness(model, suites)
+
+    def test_relation_id_names_the_suite_in_the_report(self):
+        mrs = catalog_default("mnist")[:3]
+        report = robustness(constant_model(size=28), build_suites(mrs, mnist_samples(4, seed=2)))
+        for record in report.to_dict()["suites"]:
+            assert record["suite_id"] == record["mr_id"]
+        assert [line.split()[0] for line in report.to_text().splitlines()[1:-1]] == sorted(m.id for m in mrs)
+
 
 class TestPartition:
     def outcome(self, mr, verdict):
-        return SuiteOutcome(mr.id, mr, np.array([1], dtype=np.int8), 1.0, verdict, "consistency")
+        return SuiteOutcome(mr, np.array([1], dtype=np.int8), 1.0, verdict, "consistency")
 
     def test_all_passed_gives_empty_failed(self):
         mrs = catalog_default("mnist")[:3]
@@ -295,16 +312,4 @@ class TestPartition:
         passed_ids = {m.id for m in passed}
         assert failed_ids.isdisjoint(passed_ids)
         assert failed_ids | passed_ids == {m.id for m in mrs}
-
-    def test_conflicting_duplicate_is_pessimistic(self):
-        mr = catalog_default("mnist")[0]
-        for order in (["passed", "failed"], ["failed", "passed"]):
-            failed, passed = partition([self.outcome(mr, v) for v in order])
-            assert [m.id for m in failed] == [mr.id]
-            assert passed == []
-
-    def test_duplicate_suite_ids_uniquified_in_report(self):
-        model = constant_model()
-        suite = TestSuite(mr=IDENTITY, sources=tuple(digit_samples(2)))
-        report = robustness(model, [suite, suite])
-        assert sorted(o.suite_id for o in report.outcomes) == ["identity", "identity#2"]
+        assert [m.id for m in failed] == [mrs[1].id, mrs[3].id]  # outcome order kept
