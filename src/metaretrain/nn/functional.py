@@ -3,10 +3,12 @@
 conv2d is one GEMM over an im2col matrix, in float32 unless the input or the
 weight is float64: the input is written into a zero-bordered buffer, and its
 sliding windows unrolled into one column per output pixel (Chellapilla et al.
-2006). The weight gradient is a GEMM against the same windows, rebuilt in the
-backward pass so the graph holds only a view; the input gradient is scattered
-back one kernel offset at a time into a [Cin, B, Hp, Wp] buffer and transposed
-once. A float32 GEMM rounds by its shapes, so predict chunks have one shape.
+2006). The weight gradient is a GEMM against the same windows laid out one row
+per output pixel, [B*Ho*Wo, Cin*KH*KW]; the backward pass gathers them from the
+padded input with one strided copy per kernel offset, so the graph holds only
+that buffer. The input gradient is scattered back one kernel offset at a time
+into a [Cin, B, Hp, Wp] buffer and transposed once. A float32 GEMM rounds by
+its shapes, so predict chunks have one shape.
 
 maxpool2d takes np.maximum over the kernel**2 strided views of each tile, in
 row-major offset order. On ties the first offset in that order holds the max
@@ -46,7 +48,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(Cin * KH * KW, B * Ho * Wo)
     with np.errstate(over="ignore"):  # Tensor._make reports an overflow, naming the op
         out = (weight.data.reshape(Cout, -1) @ cols).reshape(Cout, B, Ho, Wo).transpose(1, 0, 2, 3)
-        del cols  # freed before the output copy; backward rebuilds it from `win`
+        del cols  # freed before the output copy; backward gathers its windows from `xp`
         data = np.add(out, bias.data[None, :, None, None], dtype=dtype, order="C")
 
     def backward(grad):
@@ -55,8 +57,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         g2 = grad.transpose(1, 0, 2, 3).reshape(Cout, B * Ho * Wo)
         with np.errstate(over="ignore"):
             if weight.requires_grad:
-                rows = win.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, Cin * KH * KW)
-                weight._accumulate((g2 @ rows).reshape(Cout, Cin, KH, KW))
+                # im2row: [B, Ho, Wo, Cin, KH, KW], one strided copy per kernel offset
+                rows = np.empty((B, Ho, Wo, Cin, KH, KW), dtype=dtype)
+                xt = xp.transpose(0, 2, 3, 1)
+                for kh in range(KH):
+                    for kw in range(KW):
+                        rows[..., kh, kw] = xt[:, kh : kh + Ho * stride : stride, kw : kw + Wo * stride : stride]
+                weight._accumulate((g2 @ rows.reshape(B * Ho * Wo, Cin * KH * KW)).reshape(Cout, Cin, KH, KW))
             if x.requires_grad:
                 # col2im: scatter-add one kernel offset at a time into a
                 # channel-major buffer, so no patch is transposed

@@ -137,6 +137,10 @@ class CycleRecord:
         raise ValidationError(f"unknown stopping metric {name!r}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class RunHistory:
     config: dict
@@ -181,8 +185,14 @@ class RunHistory:
         try:
             d = json.loads(Path(path).read_text())
             fields = {key: typed_field(d, key, kind, "") for key, kind in kinds.items()}
-            if "sr_mt" not in fields["final_eval"] or not isinstance(fields["final_eval"].get("topn"), dict):
+            final = fields["final_eval"]
+            if "sr_mt" not in final or not isinstance(final.get("topn"), dict):
                 raise ValueError("field 'final_eval' lacks 'sr_mt' or a 'topn' dict")
+            if final["sr_mt"] is not None and not _is_number(final["sr_mt"]):
+                raise ValueError(f"field 'final_eval.sr_mt' is not a number or null: {final['sr_mt']!r}")
+            for n, acc in final["topn"].items():
+                if not _is_number(acc):
+                    raise ValueError(f"field 'final_eval.topn.{n}' is not a number: {acc!r}")
             records = [CycleRecord.from_dict(r) for r in fields.pop("records")]
         except KeyError as exc:
             raise ValidationError(f"{path}: a record lacks the field {exc}") from exc
@@ -315,6 +325,7 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
         spec = CycleDatasetSpec(
             split=split, policy=policy, batch_size=cfg.batch_size, epochs=cfg.epochs_per_cycle,
             num_classes=cfg.num_classes, n_weak_views=trainer.n_weak_views,
+            strong_views=trainer.reads_strong_views,
             frozen_realizations=cfg.frozen_realizations, cycle_index=cycle,
         )
         loss_stats, nan_diag = _train_one_cycle(trainer, build_cycle_stream(spec), cycle, metrics_sink)

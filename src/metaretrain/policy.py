@@ -9,6 +9,10 @@ A cycle's stream is generated one batch at a time, every epoch in order: each
 batch holds an augmented labeled part (labels remapped through the applied
 relation) and weak/strong views of the unlabeled part together with each
 strong relation's label-map table, which trainers use to remap pseudo-labels.
+A spec for a trainer that reads no strong views (MixMatch, supervised) gives
+a stream without them: each strong relation is still drawn, so every other
+byte of the batch is the same, but none is applied, and the strong fields are
+empty.
 The stream keeps no batch it has yielded. Everything is a pure function of
 (policy, split, cycle index, epoch), so iterating a stream again, or
 rebuilding it, always yields bitwise-identical batches.
@@ -118,6 +122,7 @@ class CycleDatasetSpec:
     epochs: int
     num_classes: int
     n_weak_views: int = 1
+    strong_views: bool = True  # the trainer's reads_strong_views
     frozen_realizations: bool = False
     cycle_index: int = 0
 
@@ -136,17 +141,17 @@ class CycleDatasetSpec:
 class Batch:
     x_labeled: np.ndarray  # [bl,C,H,W] float32, augmented and normalized
     y_labeled: np.ndarray  # [bl] int64, remapped through the applied relation
-    x_unlabeled_weak: np.ndarray  # [K,bu,C,H,W]
-    x_unlabeled_strong: np.ndarray  # [bu,C,H,W]
-    strong_label_maps: np.ndarray  # [bu,num_classes] int64 lookup tables
+    x_unlabeled_weak: np.ndarray  # [K,bu,C,H,W]; bu is the batch's unlabeled count
+    x_unlabeled_strong: np.ndarray  # [bu,C,H,W], or [0,C,H,W] in a stream without strong views
+    strong_label_maps: np.ndarray  # [bu,num_classes] int64 lookup tables, or [0,num_classes]
     labeled_mr_ids: tuple = ()
-    strong_mr_ids: tuple = ()
+    strong_mr_ids: tuple = ()  # one per strong view, () without them
     labeled_source_ids: tuple = ()
     unlabeled_source_ids: tuple = ()
 
     @property
     def n_unlabeled(self) -> int:
-        return self.x_unlabeled_strong.shape[0]
+        return self.x_unlabeled_weak.shape[1]
 
 
 @dataclass(frozen=True)
@@ -226,6 +231,8 @@ def _generate_batches(spec: CycleDatasetSpec, steps: int):
                 for view in weak_mrs:
                     view.append(weak_candidates[rng.choice(len(weak_candidates))])
                 strong_idx.append(_draw(rng, strong_cdf))
+            if not spec.strong_views:
+                strong_idx = []  # drawn for the draw order, never transformed
             strong_mrs = [policy.strong_pool[i] for i in strong_idx]
             yield Batch(
                 x_labeled=_model_input(_views(lab_mrs, lab, seed), shape),

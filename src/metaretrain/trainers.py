@@ -2,7 +2,8 @@
 
 Each trainer consumes a Batch (augmented labeled part plus weak/strong views
 of the unlabeled part), builds its loss, runs one SGD step, and returns a
-LossBreakdown. Pseudo-labels are always produced from weak views without
+LossBreakdown. A trainer whose `reads_strong_views` is False gets batches
+without strong views. Pseudo-labels are always produced from weak views without
 gradient flow and remapped through the strong relation's label map before
 entering any consistency loss. Skipped loss branches (zero weight, empty
 batch) are omitted from the graph entirely, so degenerate runs reproduce a
@@ -13,7 +14,8 @@ Implemented steps:
     pseudo-labels, masked cross-entropy. FlexMatch: the same step with
     per-class thresholds scaled by estimated learning status. FullMatch: the
     FixMatch step plus an entropy/negative-learning penalty.
-  * MixMatch: sharpened K-view label guessing plus pairwise input mixing.
+  * MixMatch: sharpened K-view label guessing, from one forward over the
+    stacked weak views, plus pairwise input mixing.
   * Supervised: labeled cross-entropy only (reference for degeneracy checks).
 
 FlexMatch here departs from Zhang et al. 2021 in four ways, each on purpose:
@@ -172,6 +174,7 @@ def sharpen(probs: np.ndarray, temperature: float) -> np.ndarray:
 class Trainer:
     name = "base"
     n_weak_views = 1
+    reads_strong_views = True  # False: the cycle stream leaves the strong views out
 
     def __init__(self, model: Model, optimizer: SGD, cfg: TrainerConfig, num_classes: int, seed: int = 0):
         self.model = model
@@ -227,6 +230,7 @@ class Trainer:
 
 class SupervisedTrainer(Trainer):
     name = "supervised"
+    reads_strong_views = False
 
     def _losses(self, batch: Batch):
         l_sup_t = self._supervised_loss(batch)
@@ -314,6 +318,7 @@ class ThresholdedTrainer(Trainer):
 
 class MixMatchTrainer(Trainer):
     name = "mixmatch"
+    reads_strong_views = False
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -336,13 +341,14 @@ class MixMatchTrainer(Trainer):
         if n_l + n_u * self.n_weak_views < 2:
             raise ValidationError("mixmatch needs at least 2 samples to mix")
 
+        # the K weak views stacked view-major, [K*bu,C,H,W]: one guess forward,
+        # whose rows each depend on their own image alone
         k = batch.x_unlabeled_weak.shape[0]
-        guessed = np.zeros((n_u, self.num_classes), dtype=np.float64)
-        for v in range(k):
-            guessed += F.softmax(self.model.predict_logits(batch.x_unlabeled_weak[v]))
-        guessed = sharpen(guessed / k, self.cfg.temperature)
+        x_weak = batch.x_unlabeled_weak.reshape((k * n_u,) + batch.x_unlabeled_weak.shape[2:])
+        probs = F.softmax(self.model.predict_logits(x_weak)).reshape(k, n_u, self.num_classes)
+        guessed = sharpen(probs.sum(axis=0) / k, self.cfg.temperature)
 
-        x_all = np.concatenate([batch.x_labeled] + [batch.x_unlabeled_weak[v] for v in range(k)], axis=0)
+        x_all = np.concatenate([batch.x_labeled, x_weak], axis=0)
         y_all = np.concatenate(
             [F.one_hot(batch.y_labeled, self.num_classes, dtype=np.float64)] + [guessed] * k, axis=0
         )

@@ -83,6 +83,8 @@ BAD_CONFIGS = {
 
 
 # history.json contents that are not a run history, then what the error must name
+ONE_RECORD = (b'{"cycle": 0, "sr_mt": 0.5, "accuracy": {"1": 0.5}, "suites": [], "loss_stats": {}, '
+              b'"failed_ids": [], "passed_ids": [], "policy": {}, "model_version": 0}')
 MALFORMED_HISTORIES = {
     "not-json": (b"{not json", "not a run history"),
     "not-utf8": (b"\xff\xfe\x00", "not a run history"),
@@ -92,6 +94,12 @@ MALFORMED_HISTORIES = {
                                 b'"termination": "incomplete", "final_version": 0}', "'final_eval' lacks"),
     "record-without-cycle": (b'{"config": {}, "records": [{}], "final_eval": {"sr_mt": null, "topn": {}}, '
                              b'"termination": "incomplete", "final_version": 0}', "a record lacks the field 'cycle'"),
+    "final-eval-mistyped": (b'{"config": {}, "records": [' + ONE_RECORD + b'], "final_eval": {"sr_mt": "high", '
+                            b'"topn": {"1": "x"}}, "termination": "completed", "final_version": 1}',
+                            "field 'final_eval.sr_mt'"),
+    "topn-not-a-number": (b'{"config": {}, "records": [' + ONE_RECORD + b'], "final_eval": {"sr_mt": 0.5, '
+                          b'"topn": {"1": "x"}}, "termination": "completed", "final_version": 1}',
+                          "field 'final_eval.topn.1'"),
 }
 
 

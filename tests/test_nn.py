@@ -308,6 +308,23 @@ class TestKernelsMatchReference:
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("cin,cout,size", [(1, 8, 28), (8, 16, 14)])  # cnn_small's two conv layers
+    @pytest.mark.parametrize("batch", [1, 32, 64])
+    def test_conv2d_equals_reference_at_cnn_small_shapes(self, batch, cin, cout, size, stride):
+        # conv_case stops at B <= 4 and H <= 9; these are the shapes the model trains and predicts at
+        rng = np.random.default_rng((batch, cin, stride))
+        x, w, b = (rng.normal(size=shape) for shape in ((batch, cin, size, size), (cout, cin, 3, 3), (cout,)))
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = F.conv2d(xt, wt, bt, stride=stride, padding=1)
+        ref, ref_backward = reference_conv2d(x, w, b, stride=stride, padding=1)
+        grad = rng.normal(size=ref.shape)
+        (out * Tensor(grad)).sum().backward()
+        ref_gx, ref_gw, _ = ref_backward(grad)
+        for got, want in ((out.data, ref), (xt.grad, ref_gx), (wt.grad, ref_gw)):
+            assert got.dtype == want.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
+
     @settings(max_examples=100, deadline=None)
     @given(m=st.integers(1, 70), k=st.integers(1, 70), n=st.integers(1, 70),
            dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))

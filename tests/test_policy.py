@@ -244,7 +244,8 @@ class TestCycleStream:
             for ba, bb in zip(a, b):
                 assert_batches_equal(ba, bb)
 
-    def test_stream_is_built_one_batch_at_a_time(self):
+    @pytest.mark.parametrize("strong_views,views_per_unlabeled", [(True, 3), (False, 2)])
+    def test_stream_is_built_one_batch_at_a_time(self, strong_views, views_per_unlabeled):
         calls = []
 
         def counted(image, key=()):
@@ -255,14 +256,37 @@ class TestCycleStream:
         pol = AugmentationPolicy(mode="base", weak_pool=(mr,), strong_pool=(mr,), seed=11)
         split = mnist_split(60, ratios=(0.2, 0.5, 0.3))  # 12 labeled, 30 unlabeled
         spec = CycleDatasetSpec(split=split, policy=pol, batch_size=8, epochs=2,
-                                num_classes=10, n_weak_views=2)
+                                num_classes=10, n_weak_views=2, strong_views=strong_views)
         stream = build_cycle_stream(spec)
         assert calls == []
         batches = iter(stream)
         first = next(batches)
-        # one batch: 8 labeled images, then 2 weak views and 1 strong view of 8 unlabeled ones
-        assert len(calls) == 8 + 3 * 8 == first.x_labeled.shape[0] + 3 * first.n_unlabeled
+        # one batch: 8 labeled images, then 2 weak views (and 1 strong view, if
+        # the spec asks for it) of 8 unlabeled ones
+        assert len(calls) == 8 + views_per_unlabeled * 8
+        assert len(calls) == first.x_labeled.shape[0] + views_per_unlabeled * first.n_unlabeled
         assert len(stream) == 1 + sum(1 for _ in batches) == 2 * stream.steps_per_epoch
+
+    def test_stream_without_strong_views_keeps_every_other_byte(self):
+        # the strong relations are still drawn, so labeled images, labels,
+        # weak views and ids equal those of the stream with strong views
+        split = mnist_split(40, ratios=(0.3, 0.5, 0.2))
+        pol = static_policy(catalog_default("mnist"), k=2, seed=13)
+        with_strong, without = (build_cycle_stream(CycleDatasetSpec(
+            split=split, policy=pol, batch_size=8, epochs=2, num_classes=10, n_weak_views=2,
+            strong_views=strong)) for strong in (True, False))
+        assert len(with_strong) == len(without) == 2 * with_strong.steps_per_epoch > 0
+        for a, b in zip(with_strong, without):
+            for name in ("x_labeled", "y_labeled", "x_unlabeled_weak"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes() and x.shape == y.shape, name
+            for name in ("labeled_mr_ids", "labeled_source_ids", "unlabeled_source_ids"):
+                assert getattr(a, name) == getattr(b, name), name
+            assert b.n_unlabeled == a.n_unlabeled > 0
+            assert b.x_unlabeled_strong.shape == (0,) + a.x_unlabeled_strong.shape[1:]
+            assert b.x_unlabeled_strong.dtype == np.float32
+            assert b.strong_label_maps.shape == (0, 10) and b.strong_label_maps.dtype == np.int64
+            assert b.strong_mr_ids == ()
 
     def test_iterating_batches_twice_gives_equal_batches(self):
         split = mnist_split(40, ratios=(0.3, 0.5, 0.2))

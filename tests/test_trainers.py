@@ -3,7 +3,7 @@ import pytest
 
 from metaretrain.data import subsample_and_split
 from metaretrain.errors import ValidationError
-from metaretrain.nn import SGD, Dense, Flatten, Model, ModelSpec
+from metaretrain.nn import SGD, Conv2d, Dense, Flatten, Model, ModelSpec, ReLU
 from metaretrain.nn import functional as F
 from metaretrain.policy import (
     Batch,
@@ -245,6 +245,21 @@ class TestMixMatch:
         expected = F.softmax(model.predict_logits(batch.x_unlabeled_weak[0]))
         assert np.allclose(trainer.step(batch).pseudo["guessed"], expected, atol=1e-7)
 
+    @pytest.mark.parametrize("n_u", [1, 31, 32, 33])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_guess_equals_k_separate_forwards_bitwise(self, k, n_u):
+        # K*n_u spans one padded chunk of predict_logits' 64 rows up to two
+        spec = ModelSpec(input_shape=(1, SIZE, SIZE), num_classes=C,
+                         layers=(Conv2d(4, 3, padding=1), ReLU(), Flatten(), Dense(C)))
+        model = Model(spec, seed=40)
+        cfg = TrainerConfig(k_augmentations=k, temperature=0.5)
+        trainer = build_trainer("mixmatch", model, SGD(0.1), cfg, C, seed=41)
+        batch = make_batch(np.random.default_rng(42), n_l=2, n_u=n_u, k=k)
+        mean = sum(F.softmax(model.predict_logits(batch.x_unlabeled_weak[v])) for v in range(k)) / k
+        guessed = trainer.step(batch).pseudo["guessed"]
+        assert guessed.dtype == np.float64 and guessed.shape == (n_u, C)
+        assert guessed.tobytes() == sharpen(mean, 0.5).tobytes()
+
     def test_two_sample_case_matches_direct_definition(self):
         model = tiny_model(seed=18)
         cfg = TrainerConfig(k_augmentations=1, temperature=0.5, lambda_u=1.0, alpha=0.75)
@@ -339,8 +354,8 @@ class TestSharedInvariants:
         cfg = TrainerConfig(k_augmentations=2)
         model = Model(ModelSpec((1, 28, 28), 10, (Flatten(), Dense(10))), seed=32)
         trainer = build_trainer(name, model, SGD(0.05, 0.9), cfg, 10, seed=33)
-        spec = CycleDatasetSpec(split=split, policy=pol, batch_size=6, epochs=1,
-                                num_classes=10, n_weak_views=trainer.n_weak_views)
+        spec = CycleDatasetSpec(split=split, policy=pol, batch_size=6, epochs=1, num_classes=10,
+                                n_weak_views=trainer.n_weak_views, strong_views=trainer.reads_strong_views)
         for batch in build_cycle_stream(spec):
             out = trainer.step(batch)
             expected = out.l_sup + out.lambda_u * out.l_unsup + out.lambda_p * out.l_penalty
