@@ -1,28 +1,32 @@
-"""Scoring a model with metamorphic test suites.
+"""Scoring a model with metamorphic relations.
 
-One suite per relation over a shared source set. Label-preserving suites check
-self-consistency (prediction on g(x) vs prediction on x — no labels needed);
-the MNIST rot180 suite checks against the mapped ground truth. The global
-success rate SR_MT is the robustness metric, and the failed/passed partition
-is what the retraining loop feeds on.
+Every relation is tested on the same 60 cases drawn from the test split.
+Label-preserving relations check self-consistency (prediction on g(x) vs
+prediction on x — no labels needed); MNIST rot180 checks against the mapped
+ground truth. One forward of the split gives the references and, from the
+same logits, top-1 accuracy. The global success rate SR_MT is the robustness
+metric, and the failed/passed partition is what the retraining loop feeds on.
 """
 
 import numpy as np
 
 from metaretrain.data import subsample_and_split
+from metaretrain.metrics import evaluate
 from metaretrain.nn import SGD, Model, Tensor, backward, model_spec
 from metaretrain.nn import functional as F
 from metaretrain.relations import catalog_default
 from metaretrain.synthdigits import make_digits
-from metaretrain.tester import build_suites, partition, robustness
+from metaretrain.tester import partition, robustness
 
 split = subsample_and_split(make_digits(3000, seed=5), 0.2, (0.5, 0.0, 0.5), seed=5)
 model = Model(model_spec("cnn_small", (1, 28, 28), 10), seed=5)
-suites = build_suites(catalog_default("mnist"), split.test, max_cases=60, seed=5)
+catalog = catalog_default("mnist")
+test_labels = [s.label for s in split.test]
 
 print("untrained model:")
-before = robustness(model, suites, pass_threshold=0.8)
+before = robustness(model, catalog, split.test, max_cases=60, pass_threshold=0.8, seed=5)
 print(before.to_text())
+print(f"top1 = {evaluate(before.logits, test_labels, topn_list=(1,)).topn[1]:.4f}")
 
 # --- a short supervised warm-up, then retest ------------------------------------
 opt = SGD(0.05, momentum=0.9)
@@ -38,8 +42,9 @@ for epoch in range(8):
         opt.step(model)
 
 print("\nafter a short supervised warm-up:")
-after = robustness(model, suites, pass_threshold=0.8)
+after = robustness(model, catalog, split.test, max_cases=60, pass_threshold=0.8, seed=5)
 print(after.to_text())
+print(f"top1 = {evaluate(after.logits, test_labels, topn_list=(1,)).topn[1]:.4f}")
 
 failed, passed = partition(after.outcomes)
 print("\nfailed relations (these would become the next adaptive strong pool):")

@@ -29,7 +29,7 @@ from .nn.checkpoint import write_atomic
 from .orchestrator import CycleConfig, RunHistory, resume_state_from, run_cycles
 from .relations import LABEL_PRESERVING, catalog_default, label_map_array
 from .report import comparison_table, export, json_bytes
-from .tester import build_suites, robustness
+from .tester import robustness
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -199,10 +199,9 @@ def cmd_test(args) -> int:
         raise ValidationError(f"data_dir not set (flag or ${ENV_DATA_DIR})")
     samples = load_dataset(args.dataset, data_dir)
     split = subsample_and_split(samples, args.fraction, (0.0, 0.0, 1.0), seed=args.seed)
-    catalog = catalog_default(args.dataset)
-    suites = build_suites(catalog, split.test, max_cases=args.cases, seed=args.seed)
-    report = robustness(model, suites, pass_threshold=args.pass_threshold, seed=args.seed)
-    eval_report = evaluate(model, split.test, topn_list=(1, 5), sr_mt=report.sr_mt)
+    report = robustness(model, catalog_default(args.dataset), split.test, max_cases=args.cases,
+                        pass_threshold=args.pass_threshold, seed=args.seed)
+    eval_report = evaluate(report.logits, [s.label for s in split.test], topn_list=(1, 5), sr_mt=report.sr_mt)
     print(report.to_text())
     print(f"top1={eval_report.topn[1]:.4f} top5={eval_report.topn[5]:.4f} on {eval_report.sample_count} samples")
     out_dir = Path(args.output_dir)

@@ -19,7 +19,11 @@ def _topn_hits(logits: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
 
 def topn_accuracy(model: Model, samples, n: int) -> float:
     """Fraction of samples whose true label ranks among the n highest logits."""
-    return evaluate(model, samples, topn_list=(n,)).topn[int(n)]
+    samples = list(samples)
+    if not samples:
+        raise ValidationError("evaluation needs a non-empty test set")
+    logits = model.predict_logits(to_model_input(np.stack([s.pixels for s in samples])))
+    return evaluate(logits, [s.label for s in samples], topn_list=(n,)).topn[int(n)]
 
 
 @dataclass(frozen=True)
@@ -38,13 +42,11 @@ class EvalReport:
         }
 
 
-def evaluate(model: Model, samples, topn_list=(1, 5), sr_mt: float | None = None) -> EvalReport:
-    samples = list(samples)
-    if not samples:
+def evaluate(logits: np.ndarray, labels, topn_list=(1, 5), sr_mt: float | None = None) -> EvalReport:
+    """Top-N and per-class top-1 accuracy of `logits` [N, classes] against `labels`."""
+    labels = np.asarray(labels)
+    if labels.size == 0:
         raise ValidationError("evaluation needs a non-empty test set")
-    images = np.stack([to_model_input(s.pixels) for s in samples])
-    logits = model.predict_logits(images)
-    labels = np.array([s.label for s in samples])
     n_classes = logits.shape[1]
     topn = {}
     for n in topn_list:
@@ -56,4 +58,4 @@ def evaluate(model: Model, samples, topn_list=(1, 5), sr_mt: float | None = None
     for c in sorted(set(labels.tolist())):
         sel = labels == c
         per_class[int(c)] = float(top1[sel].mean())
-    return EvalReport(topn=topn, sample_count=len(samples), per_class_top1=per_class, sr_mt=sr_mt)
+    return EvalReport(topn=topn, sample_count=len(labels), per_class_top1=per_class, sr_mt=sr_mt)

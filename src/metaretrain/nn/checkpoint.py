@@ -64,11 +64,13 @@ def save_checkpoint(snap: ModelSnapshot, path) -> None:
     write_atomic(path, b"".join((MAGIC, struct.pack("<I", len(header)), header, blob)))
 
 
-def typed_field(obj, key: str, kind: type, where: str):
-    """`obj[key]` if `obj` is a dict holding a `kind` there (bool is not an int)."""
+def typed_field(obj, key: str, kind, where: str):
+    """`obj[key]` if `obj` is a dict holding a `kind` there, a type or a tuple
+    of types (bool is not an int)."""
     value = obj.get(key) if isinstance(obj, dict) else None
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(f"field {where}{key!r} is missing or not of type {kind.__name__}")
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise ValueError(f"field {where}{key!r} is missing or not of type {names}")
     return value
 
 

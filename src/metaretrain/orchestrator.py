@@ -1,7 +1,7 @@
 """Robustness cycles: test, partition, build the stream, retrain, record.
 
 Each cycle runs four steps in order on the live model: the tester scores it
-on the suites the run builds once (and top-N accuracy is measured on it), the
+on the test split (and top-N accuracy is read from the same forward), the
 stream is built from the *previous* cycle's failed/passed partition, the
 model retrains on that stream, and the cycle is recorded with the partition
 the test produced, which the next cycle's policy reads. Cycle 0 therefore
@@ -33,7 +33,7 @@ from .nn import SGD, Model, save_checkpoint
 from .nn.checkpoint import typed_field, write_atomic
 from .policy import AugmentationPolicy, CycleDatasetSpec, CycleStream, adaptive_policy, base_policy, base_pools, build_cycle_stream, static_policy
 from .report import json_bytes
-from .tester import build_suites, partition, robustness
+from .tester import partition, robustness
 from .trainers import Trainer, TrainerConfig, build_trainer
 
 log = logging.getLogger(__name__)
@@ -87,6 +87,10 @@ class CycleConfig:
             raise ValidationError("pass_threshold must be in [0, 1]")
 
 
+_RECORD_KINDS = {"cycle": int, "sr_mt": (int, float), "accuracy": dict, "suites": list, "loss_stats": dict,
+                 "failed_ids": list, "passed_ids": list, "policy": dict, "model_version": int}
+
+
 @dataclass
 class CycleRecord:
     cycle: int
@@ -115,17 +119,19 @@ class CycleRecord:
 
     @staticmethod
     def from_dict(d: dict) -> "CycleRecord":
-        return CycleRecord(
-            cycle=d["cycle"],
-            sr_mt=d["sr_mt"],
-            accuracy={int(k): v for k, v in d["accuracy"].items()},
-            suites=d["suites"],
-            loss_stats=d["loss_stats"],
-            failed_ids=list(d["failed_ids"]),
-            passed_ids=list(d["passed_ids"]),
-            policy=d["policy"],
-            model_version=d["model_version"],
-        )
+        """Raises KeyError for a missing field and ValueError naming a mistyped one."""
+        missing = [key for key in _RECORD_KINDS if key not in d]
+        if missing:
+            raise KeyError(missing[0])
+        fields = {key: typed_field(d, key, kind, "") for key, kind in _RECORD_KINDS.items()}
+        fields["accuracy"] = {int(k): v for k, v in fields["accuracy"].items()}
+        for key in ("accuracy", "loss_stats"):
+            if not all(_is_number(v) for v in fields[key].values()):
+                raise ValueError(f"field {key!r} is not a dict of numbers: {d[key]!r}")
+        for key in ("failed_ids", "passed_ids"):
+            if not all(isinstance(i, str) for i in fields[key]):
+                raise ValueError(f"field {key!r} is not a list of str: {fields[key]!r}")
+        return CycleRecord(**fields)
 
     def metric(self, name: str) -> float:
         if name == "sr_mt":
@@ -296,7 +302,7 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
     catalog = list(catalog)
     if not split.test:
         raise ValidationError("run needs a non-empty test split")
-    suites = build_suites(catalog, split.test, max_cases=cfg.robustness_cases, seed=cfg.seed)
+    labels = [s.label for s in split.test]
     trainer = build_trainer(
         cfg.trainer, model, SGD(cfg.learning_rate, cfg.momentum), cfg.trainer_cfg,
         cfg.num_classes, seed=cfg.seed,
@@ -319,8 +325,9 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
         # the policy reads the previous cycle's failed set before the tester replaces it
         policy = _policy_for_cycle(cfg, catalog, failed, cycle)
         version = model.version
-        report = robustness(model, suites, pass_threshold=cfg.pass_threshold, seed=cfg.seed)
-        eval_report = evaluate(model, split.test, topn_list=cfg.topn, sr_mt=report.sr_mt)
+        report = robustness(model, catalog, split.test, max_cases=cfg.robustness_cases,
+                            pass_threshold=cfg.pass_threshold, seed=cfg.seed)
+        eval_report = evaluate(report.logits, labels, topn_list=cfg.topn, sr_mt=report.sr_mt)
         failed, passed = partition(report.outcomes)
         spec = CycleDatasetSpec(
             split=split, policy=policy, batch_size=cfg.batch_size, epochs=cfg.epochs_per_cycle,
@@ -360,8 +367,9 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
     if termination == "aborted_nan":
         final_eval = {"sr_mt": None, "topn": {}, "aborted": True}
     else:
-        report = robustness(model, suites, pass_threshold=cfg.pass_threshold, seed=cfg.seed)
-        eval_report = evaluate(model, split.test, topn_list=cfg.topn, sr_mt=report.sr_mt)
+        report = robustness(model, catalog, split.test, max_cases=cfg.robustness_cases,
+                            pass_threshold=cfg.pass_threshold, seed=cfg.seed)
+        eval_report = evaluate(report.logits, labels, topn_list=cfg.topn, sr_mt=report.sr_mt)
         final_eval = {"sr_mt": report.sr_mt, "topn": {str(k): v for k, v in sorted(eval_report.topn.items())}}
     return RunHistory(
         config=config,

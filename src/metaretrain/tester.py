@@ -1,17 +1,18 @@
-"""Build metamorphic test suites, score a model, partition relations.
+"""Score a model with metamorphic relations, partition the relations.
 
-A suite pairs one relation with a set of source images. Per case the model
-passes when its prediction on the transformed image matches the reference:
-for label-preserving relations the reference is the model's own prediction on
-the source (self-consistency, usable without labels); for non-label-preserving
-relations it is the mapped ground truth. The global success rate over all cases
-is the robustness metric. One `robustness()` call predicts each source set once
-and checks every label-preserving relation's follow-up images against it.
+Each relation is tested on the same case rows of a labeled split. Per case the
+model passes when its prediction on the transformed image matches the
+reference: for label-preserving relations the reference is the model's own
+prediction on the source (self-consistency, usable without labels); for
+non-label-preserving relations it is the mapped ground truth. The global
+success rate over all cases is the robustness metric. One `robustness()` call
+forwards the split once; those logits give every label-preserving reference
+and, on the report, top-N accuracy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -20,22 +21,6 @@ from .data import to_model_input
 from .errors import ValidationError
 from .nn import Model
 from .relations import LABEL_PRESERVING, label_map_array
-
-
-@dataclass(frozen=True)
-class TestSuite:
-    __test__ = False  # not a pytest class
-
-    mr: object
-    sources: tuple
-
-    def __post_init__(self):
-        if not self.sources:
-            raise ValidationError("a test suite needs at least one source sample")
-
-    @property
-    def n_cases(self) -> int:
-        return len(self.sources)
 
 
 @dataclass(frozen=True)
@@ -63,6 +48,7 @@ class RobustnessReport:
     total_cases: int
     outcomes: tuple
     model_version: int
+    logits: np.ndarray = field(repr=False, compare=False)  # the whole split's; in memory only
 
     def to_dict(self) -> dict:
         return {
@@ -82,39 +68,17 @@ class RobustnessReport:
         return "\n".join(lines)
 
 
-def build_suites(mrs, sources, max_cases: Optional[int] = None, seed: int = 0) -> list:
-    """One suite per relation over a shared source set."""
-    sources = list(sources)
-    if not sources:
-        raise ValidationError("no source samples for suite construction")
-    if max_cases is not None and max_cases < 1:
-        raise ValidationError(f"max_cases: must be at least 1, got {max_cases}")
-    if max_cases is not None and len(sources) > max_cases:
-        order = np.random.default_rng(seed).permutation(len(sources))[:max_cases]
-        sources = [sources[i] for i in sorted(order)]
-    shared = tuple(sources)  # one tuple object, so robustness() predicts it once
-    return [TestSuite(mr=mr, sources=shared) for mr in mrs]
-
-
-def _predict(model: Model, images) -> np.ndarray:
+def _logits(model: Model, images) -> np.ndarray:
     # to_model_input is elementwise, so converting the stack gives each image's own bits
-    return np.argmax(model.predict_logits(to_model_input(np.stack(images))), axis=1)
+    return model.predict_logits(to_model_input(np.stack(images)))
 
 
-def _score(model: Model, suite: TestSuite, pass_threshold: float, seed: int,
-           source_preds: dict) -> SuiteOutcome:
-    """`source_preds` maps id(suite.sources) to the model's predictions on those sources."""
-    mr = suite.mr
-    preds_t = _predict(model, [mr.transform(s.pixels, (seed, s.source_id)) for s in suite.sources])
-    if mr.kind == LABEL_PRESERVING:
-        mode = "consistency"
-        key = id(suite.sources)
-        if key not in source_preds:
-            source_preds[key] = _predict(model, [s.pixels for s in suite.sources])
-        reference = source_preds[key]
-    else:
-        mode = "mapped_truth"
-        reference = np.array([s.label for s in suite.sources])
+def _score(model: Model, mr, cases, predicted: np.ndarray, labels: np.ndarray,
+           pass_threshold: float, seed: int) -> SuiteOutcome:
+    """`predicted` and `labels` are the model's prediction and the ground truth per case."""
+    preds_t = np.argmax(_logits(model, [mr.transform(s.pixels, (seed, s.source_id)) for s in cases]), axis=1)
+    mode = "consistency" if mr.kind == LABEL_PRESERVING else "mapped_truth"
+    reference = predicted if mode == "consistency" else labels
     table = label_map_array(mr, model.spec.num_classes)
     bits = (preds_t == table[reference]).astype(np.int8)
     rate = float(bits.mean())
@@ -122,29 +86,41 @@ def _score(model: Model, suite: TestSuite, pass_threshold: float, seed: int,
     return SuiteOutcome(mr=mr, bits=bits, success_rate=rate, verdict=verdict, mode=mode)
 
 
-def robustness(model: Model, suites, pass_threshold: float = 0.8,
-               seed: int = 0) -> RobustnessReport:
-    """SR_MT over every case of every suite, plus per-suite outcomes.
+def robustness(model: Model, relations, samples, *, max_cases: Optional[int] = None,
+               pass_threshold: float = 0.8, seed: int = 0) -> RobustnessReport:
+    """SR_MT over every case of every relation, plus per-relation outcomes.
 
-    A relation may appear in one suite only, so its id names the suite.
+    Every relation is tested on the same cases: all of `samples`, or a
+    `seed`-drawn `max_cases` of them in split order. A relation may appear
+    once only, so its id names its outcome.
     """
-    suites = list(suites)
-    if not suites:
-        raise ValidationError("robustness() needs at least one suite")
+    relations, samples = list(relations), list(samples)
+    if not relations:
+        raise ValidationError("robustness() needs at least one relation")
+    if not samples:
+        raise ValidationError("robustness() needs at least one sample")
+    if max_cases is not None and max_cases < 1:
+        raise ValidationError(f"max_cases: must be at least 1, got {max_cases}")
     if not 0.0 <= pass_threshold <= 1.0:
         raise ValidationError("pass_threshold must be in [0, 1]")
-    ids = [suite.mr.id for suite in suites]
+    ids = [mr.id for mr in relations]
     repeated = sorted({i for i in ids if ids.count(i) > 1})
     if repeated:
         raise ValidationError(f"one suite per relation; repeated: {', '.join(repeated)}")
-    source_preds: dict = {}  # keyed by object id; `suites` keeps every tuple alive
-    outcomes = sorted((_score(model, suite, pass_threshold, seed, source_preds) for suite in suites),
+    # the float32 stack of the split is freed when _logits returns, before any relation runs
+    logits = _logits(model, [s.pixels for s in samples])
+    rows = np.arange(len(samples))
+    if max_cases is not None and len(samples) > max_cases:
+        rows = np.sort(np.random.default_rng(seed).permutation(len(samples))[:max_cases])
+    cases = [samples[i] for i in rows]
+    predicted = np.argmax(logits[rows], axis=1)
+    labels = np.array([s.label for s in cases])
+    outcomes = sorted((_score(model, mr, cases, predicted, labels, pass_threshold, seed) for mr in relations),
                       key=lambda o: o.mr.id)
     total = sum(o.bits.size for o in outcomes)
     passes = sum(int(o.bits.sum()) for o in outcomes)
-    return RobustnessReport(
-        sr_mt=passes / total, total_cases=total, outcomes=tuple(outcomes), model_version=model.version
-    )
+    return RobustnessReport(sr_mt=passes / total, total_cases=total, outcomes=tuple(outcomes),
+                            model_version=model.version, logits=logits)
 
 
 def partition(outcomes):

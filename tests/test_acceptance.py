@@ -31,7 +31,7 @@ from metaretrain.orchestrator import CycleConfig, run_cycles
 from metaretrain.relations import LABEL_PRESERVING, apply, catalog_by_id, catalog_default, compose, label_map_array
 from metaretrain.report import ComparisonTable
 from metaretrain.synthdigits import make_digits
-from metaretrain.tester import build_suites, robustness
+from metaretrain.tester import robustness
 from metaretrain.trainers import TrainerConfig, build_trainer
 
 from util import finite_diff_grad, max_rel_error
@@ -130,8 +130,7 @@ def test_criterion_2_tester_oracle_equivalence():
     samples = make_digits(10, seed=77)
     model = Model(model_spec("mlp_small", (1, 28, 28), 10), seed=5)
     mrs = catalog_default("mnist")[:5]
-    suites = build_suites(mrs, samples, seed=3)
-    got = robustness(model, suites, pass_threshold=0.8, seed=3)
+    got = robustness(model, mrs, samples, pass_threshold=0.8, seed=3)
 
     total, passes = 0, 0
     oracle_bits = {}
@@ -165,9 +164,8 @@ def test_criterion_3_constant_model_law():
     bias[7] = 2.0
     b.data = bias
     label_preserving = [mr for mr in catalog_default("mnist") if mr.kind == LABEL_PRESERVING]
-    suites = build_suites(label_preserving, make_digits(12, seed=9), seed=1)
-    result = robustness(model, suites, pass_threshold=0.8, seed=1)
-    report(3, result.sr_mt == 1.0, f"SR_MT == {result.sr_mt} on {len(suites)} label-preserving suites")
+    result = robustness(model, label_preserving, make_digits(12, seed=9), pass_threshold=0.8, seed=1)
+    report(3, result.sr_mt == 1.0, f"SR_MT == {result.sr_mt} on {len(label_preserving)} label-preserving relations")
 
 
 def test_criterion_4_loss_decomposition_and_degeneracy():

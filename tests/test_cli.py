@@ -85,6 +85,14 @@ BAD_CONFIGS = {
 # history.json contents that are not a run history, then what the error must name
 ONE_RECORD = (b'{"cycle": 0, "sr_mt": 0.5, "accuracy": {"1": 0.5}, "suites": [], "loss_stats": {}, '
               b'"failed_ids": [], "passed_ids": [], "policy": {}, "model_version": 0}')
+
+
+def edited_record(old, new):
+    """An unfinished history whose one record has `old` replaced by `new`."""
+    return (b'{"config": {}, "records": [' + ONE_RECORD.replace(old, new) + b'], "final_eval": {"sr_mt": null, '
+            b'"topn": {}}, "termination": "incomplete", "final_version": 1}')
+
+
 MALFORMED_HISTORIES = {
     "not-json": (b"{not json", "not a run history"),
     "not-utf8": (b"\xff\xfe\x00", "not a run history"),
@@ -100,6 +108,12 @@ MALFORMED_HISTORIES = {
     "topn-not-a-number": (b'{"config": {}, "records": [' + ONE_RECORD + b'], "final_eval": {"sr_mt": 0.5, '
                           b'"topn": {"1": "x"}}, "termination": "completed", "final_version": 1}',
                           "field 'final_eval.topn.1'"),
+    "record-cycle-not-int": (edited_record(b'"cycle": 0', b'"cycle": "0"'), "field 'cycle'"),
+    "record-failed-ids-nested": (edited_record(b'"failed_ids": []', b'"failed_ids": [["rot90"]]'),
+                                 "field 'failed_ids'"),
+    "record-sr-mt-not-a-number": (edited_record(b'"sr_mt": 0.5', b'"sr_mt": "high"'), "field 'sr_mt'"),
+    "record-loss-stats-not-numbers": (edited_record(b'"loss_stats": {}', b'"loss_stats": {"total_mean": "x"}'),
+                                      "field 'loss_stats'"),
 }
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metaretrain.data import ImageSample
+from metaretrain.data import ImageSample, to_model_input
 from metaretrain.errors import ValidationError
 from metaretrain.metrics import evaluate, topn_accuracy
 from metaretrain.nn import Dense, Flatten, Model, ModelSpec
@@ -20,6 +20,12 @@ def sample_with_logit_ranks(values, label, source_id):
     # pixel row drives the logits directly through the identity weight
     pixels = np.array(values, dtype=np.uint8).reshape(1, 1, 10)
     return ImageSample(pixels, label, source_id)
+
+
+def evaluate_samples(model, samples, **kwargs):
+    """evaluate() on the model's logits over `samples`."""
+    logits = model.predict_logits(np.stack([to_model_input(s.pixels) for s in samples]))
+    return evaluate(logits, [s.label for s in samples], **kwargs)
 
 
 class TestTopN:
@@ -101,7 +107,7 @@ class TestEvaluate:
             sample_with_logit_ranks(rng.integers(0, 256, size=10), int(rng.integers(0, 3)), i)
             for i in range(20)
         ]
-        report = evaluate(model, samples, topn_list=(1, 3, 10), sr_mt=0.5)
+        report = evaluate_samples(model, samples, topn_list=(1, 3, 10), sr_mt=0.5)
         assert report.sample_count == 20
         assert set(report.topn) == {1, 3, 10}
         assert report.topn[10] == 1.0
@@ -117,7 +123,7 @@ class TestEvaluate:
             sample_with_logit_ranks(rng.integers(0, 256, size=10), int(rng.integers(0, 10)), i)
             for i in range(40)
         ]
-        report = evaluate(model, samples, topn_list=(1,))
+        report = evaluate_samples(model, samples, topn_list=(1,))
         labels = np.array([s.label for s in samples])
         weights = np.array([np.sum(labels == c) for c in sorted(report.per_class_top1)])
         per_class = np.array([report.per_class_top1[c] for c in sorted(report.per_class_top1)])

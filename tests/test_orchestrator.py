@@ -42,14 +42,14 @@ def scripted_scores(monkeypatch, sr_values):
     sr_values[k] and fails no relation. Returns the call log."""
     calls = {"n": 0, "models": []}
 
-    def fake_robustness(model, suites, **kwargs):
+    def fake_robustness(model, relations, samples, **kwargs):
         sr = sr_values[min(calls["n"], len(sr_values) - 1)]
         calls["n"] += 1
         calls["models"].append(model)
-        return RobustnessReport(sr_mt=sr, total_cases=1, outcomes=(), model_version=model.version)
+        return RobustnessReport(sr_mt=sr, total_cases=1, outcomes=(), model_version=model.version,
+                                logits=np.zeros((len(samples), 10), np.float32))
 
-    def fake_evaluate(model, samples, topn_list, sr_mt):
-        calls["models"].append(model)
+    def fake_evaluate(logits, labels, topn_list, sr_mt):
         return EvalReport(topn={1: sr_mt}, sample_count=1, per_class_top1={}, sr_mt=sr_mt)
 
     monkeypatch.setattr(orchestrator, "robustness", fake_robustness)

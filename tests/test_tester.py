@@ -5,21 +5,15 @@ from hypothesis import strategies as st
 
 from metaretrain.data import ImageSample, to_model_input
 from metaretrain.errors import ValidationError
+from metaretrain.metrics import evaluate, topn_accuracy
 from metaretrain.nn import Dense, Flatten, Model, ModelSpec
 from metaretrain.relations import IDENTITY, LABEL_PRESERVING, MetamorphicRelation, catalog_by_id, catalog_default
-from metaretrain.tester import (
-    SuiteOutcome,
-    TestSuite,
-    _predict,
-    build_suites,
-    partition,
-    robustness,
-)
+from metaretrain.tester import SuiteOutcome, _logits, partition, robustness
 
 
-def score(model, suite, **kwargs):
-    """One suite's outcome, scored on the path robustness() takes."""
-    return robustness(model, [suite], **kwargs).outcomes[0]
+def score(model, mr, sources, **kwargs):
+    """One relation's outcome, scored on the path robustness() takes."""
+    return robustness(model, [mr], sources, **kwargs).outcomes[0]
 
 
 def tiny_model(seed=0, size=8, classes=10):
@@ -68,14 +62,13 @@ def oracle_bits(model, mrs, sources, seed):
 
 
 class TestRunCase:
-    """One metamorphic test case: a one-source suite."""
+    """One metamorphic test case: one relation on one source."""
 
     def test_constant_model_passes_label_preserving(self):
         model = constant_model(size=28)
         mrs = catalog_by_id("mnist")
         for s in mnist_samples(5):
-            suite = TestSuite(mr=mrs["rot90"], sources=(s,))
-            assert score(model, suite).bits.tolist() == [1]
+            assert score(model, mrs["rot90"], [s]).bits.tolist() == [1]
 
     def test_mapped_label_mismatch_fails(self):
         # constant model predicts 2 everywhere; rot180 maps a source-2 to 5
@@ -83,15 +76,13 @@ class TestRunCase:
         mrs = catalog_by_id("mnist")
         s = mnist_samples(1)[0]
         s = ImageSample(s.pixels, 2, s.source_id)
-        suite = TestSuite(mr=mrs["rot180"], sources=(s,))
-        assert score(model, suite).bits.tolist() == [0]
+        assert score(model, mrs["rot180"], [s]).bits.tolist() == [0]
 
     def test_matches_brute_force_enumeration(self):
         model = tiny_model(seed=4, size=28)
         mrs = catalog_default("mnist")[:3]
         sources = mnist_samples(10, seed=5)
-        suites = build_suites(mrs, sources, seed=0)
-        report = robustness(model, suites, pass_threshold=0.8, seed=0)
+        report = robustness(model, mrs, sources, pass_threshold=0.8, seed=0)
 
         expected_bits = oracle_bits(model, mrs, sources, seed=0)
         for outcome in report.outcomes:
@@ -107,7 +98,7 @@ class TestRunCase:
         mrs = [catalog_by_id("mnist")[mr_id] for mr_id in picks]
         model = tiny_model(seed=model_seed, size=28)
         sources = mnist_samples(n_sources, seed=data_seed)
-        report = robustness(model, build_suites(mrs, sources), seed=tester_seed)
+        report = robustness(model, mrs, sources, seed=tester_seed)
 
         expected_bits = oracle_bits(model, mrs, sources, seed=tester_seed)
         for outcome in report.outcomes:
@@ -115,57 +106,70 @@ class TestRunCase:
             assert outcome.mode == ("consistency" if outcome.mr.kind == LABEL_PRESERVING else "mapped_truth")
 
 
-class TestBuildSuites:
-    def test_suites_share_one_source_tuple(self):
-        suites = build_suites(catalog_default("mnist"), mnist_samples(5), max_cases=3)
-        assert all(suite.sources is suites[0].sources for suite in suites)
-        assert suites[0].n_cases == 3
+class TestCaseSelection:
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 12), max_cases=st.integers(1, 14), seed=st.integers(0, 2**32 - 1))
+    @example(n=12, max_cases=5, seed=0)
+    def test_capped_cases_are_the_seeded_draw(self, n, max_cases, seed):
+        # a relation whose transform records the (seed, source_id) key of every case it sees
+        seen = []
+
+        def recording(x, key):
+            seen.append(key)
+            return IDENTITY.transform(x, key)
+
+        probe = MetamorphicRelation("probe", recording, strength="weak")
+        mrs = [probe, catalog_by_id("mnist")["rot180"], catalog_by_id("mnist")["noise8"]]
+        model = tiny_model(seed=n, size=28)
+        samples = mnist_samples(n, seed=seed % 997)
+        report = robustness(model, mrs, samples, max_cases=max_cases, seed=seed)
+
+        rows = sorted(np.random.default_rng(seed).permutation(n)[:max_cases])
+        assert seen == [(seed, int(i)) for i in rows]
+        expected_bits = oracle_bits(model, mrs, [samples[i] for i in rows], seed=seed)
+        for outcome in report.outcomes:
+            assert outcome.bits.tolist() == expected_bits[outcome.mr.id]
 
     @pytest.mark.parametrize("max_cases", [0, -5])
     def test_max_cases_below_one_rejected_naming_field(self, max_cases):
         with pytest.raises(ValidationError, match="max_cases"):
-            build_suites(catalog_default("mnist"), mnist_samples(5), max_cases=max_cases)
+            robustness(tiny_model(size=28), catalog_default("mnist"), mnist_samples(5), max_cases=max_cases)
 
 
 class TestRunSuite:
     def test_all_pass(self):
         model = constant_model()
-        suite = TestSuite(mr=IDENTITY, sources=tuple(digit_samples(4)))
-        out = score(model, suite, pass_threshold=0.8)
+        out = score(model, IDENTITY, digit_samples(4), pass_threshold=0.8)
         assert out.success_rate == 1.0 and out.verdict == "passed"
 
     def test_half_rate_fails_at_0_8(self):
         out = SuiteOutcome(IDENTITY, np.array([1, 0, 1, 0], dtype=np.int8), 0.5, "failed", "consistency")
         assert out.success_rate == np.mean(out.bits)
         model = constant_model()
-        # craft a suite where rate is deterministic 1.0, then check threshold logic directly
-        suite = TestSuite(mr=IDENTITY, sources=tuple(digit_samples(4)))
-        full = score(model, suite, pass_threshold=0.8)
+        # craft cases where rate is deterministic 1.0, then check threshold logic directly
+        full = score(model, IDENTITY, digit_samples(4), pass_threshold=0.8)
         assert full.verdict == "passed"
 
     def test_zero_threshold_always_passes(self):
         model = tiny_model(seed=9)
         mrs = catalog_by_id("cifar10")
         s = digit_samples(6, seed=3)
-        suite = TestSuite(mr=IDENTITY, sources=tuple(s))
-        out = score(model, suite, pass_threshold=0.0)
+        out = score(model, IDENTITY, s, pass_threshold=0.0)
         assert out.verdict == "passed"
 
     def test_empty_suite_rejected(self):
         with pytest.raises(ValidationError):
-            TestSuite(mr=IDENTITY, sources=())
+            score(constant_model(), IDENTITY, [])
 
     def test_bad_threshold_rejected(self):
         model = constant_model()
-        suite = TestSuite(mr=IDENTITY, sources=tuple(digit_samples(2)))
         with pytest.raises(ValidationError):
-            score(model, suite, pass_threshold=1.5)
+            score(model, IDENTITY, digit_samples(2), pass_threshold=1.5)
 
     def test_rate_equals_mean_bits(self):
         model = tiny_model(seed=2, size=28)
         mrs = catalog_by_id("mnist")
-        suite = TestSuite(mr=mrs["noise8"], sources=tuple(mnist_samples(9, seed=8)))
-        out = score(model, suite)
+        out = score(model, mrs["noise8"], mnist_samples(9, seed=8))
         assert out.success_rate == pytest.approx(out.bits.mean())
         assert out.verdict == ("passed" if out.success_rate >= 0.8 else "failed")
 
@@ -174,56 +178,51 @@ class TestRobustness:
     def test_sr_is_global_case_average(self):
         model = tiny_model(seed=1, size=28)
         mrs = catalog_default("mnist")[:4]
-        suites = build_suites(mrs, mnist_samples(5, seed=1))
-        report = robustness(model, suites)
+        report = robustness(model, mrs, mnist_samples(5, seed=1))
         total_bits = np.concatenate([o.bits for o in report.outcomes])
         assert report.total_cases == 20
         assert report.sr_mt == pytest.approx(total_bits.mean())
 
     def test_arithmetic_two_suites(self):
-        # two 5-case suites with 7 total passes -> 0.7; realized via constant model
+        # two relations on 5 cases with 8 total passes -> 0.8; realized via constant model
         model = constant_model(size=28, winner=2)
         mrs = catalog_by_id("mnist")
         sources = mnist_samples(5, seed=4)
         # identity suite passes 5/5; rot180 mapped-truth passes where map(label)==2
         labels = [2, 5, 5, 5, 0]  # map -> 5,2,2,2,0; prediction 2 passes 3 cases
         sources = [ImageSample(s.pixels, lab, s.source_id) for s, lab in zip(sources, labels)]
-        suites = [
-            TestSuite(mr=IDENTITY, sources=tuple(sources)),
-            TestSuite(mr=mrs["rot180"], sources=tuple(sources)),
-        ]
-        report = robustness(model, suites)
+        report = robustness(model, [IDENTITY, mrs["rot180"]], sources)
         assert report.total_cases == 10
         assert report.sr_mt == pytest.approx(0.8)  # 5 + 3 passes
 
     def test_perfect_model_on_identity(self):
         model = tiny_model(seed=3)
-        suites = [TestSuite(mr=IDENTITY, sources=tuple(digit_samples(8, seed=2)))]
-        assert robustness(model, suites).sr_mt == 1.0
+        assert robustness(model, [IDENTITY], digit_samples(8, seed=2)).sr_mt == 1.0
 
     def test_invariant_under_suite_reordering(self):
         model = tiny_model(seed=5, size=28)
         mrs = catalog_default("mnist")[:5]
-        suites = build_suites(mrs, mnist_samples(6, seed=6))
-        a = robustness(model, suites)
-        b = robustness(model, list(reversed(suites)))
+        sources = mnist_samples(6, seed=6)
+        a = robustness(model, mrs, sources)
+        b = robustness(model, list(reversed(mrs)), sources)
         assert a.sr_mt == b.sr_mt
         assert [o.mr.id for o in a.outcomes] == sorted(mr.id for mr in mrs)
         assert [o.mr.id for o in b.outcomes] == [o.mr.id for o in a.outcomes]
 
     def test_deterministic_for_fixed_snapshot(self):
         model = tiny_model(seed=6, size=28)
-        suites = build_suites(catalog_default("mnist"), mnist_samples(4, seed=7))
-        a = robustness(model, suites, seed=3)
-        b = robustness(model, suites, seed=3)
+        sources = mnist_samples(4, seed=7)
+        a = robustness(model, catalog_default("mnist"), sources, seed=3)
+        b = robustness(model, catalog_default("mnist"), sources, seed=3)
         assert a.to_dict() == b.to_dict()
 
     def test_empty_suites_rejected(self):
         with pytest.raises(ValidationError):
-            robustness(tiny_model(), [])
+            robustness(tiny_model(), [], digit_samples(2))
 
     def test_each_source_predicted_once(self, monkeypatch):
-        # 10 relations over N sources: 10 follow-up sets plus one shared source set
+        # 10 relations over k of N samples: one forward of the N-sample split,
+        # which also gives top-N accuracy, plus 10 follow-up sets of k cases
         forwarded = []
         original = Model.predict_logits
 
@@ -235,10 +234,16 @@ class TestRobustness:
         catalog = catalog_default("mnist")
         assert len(catalog) == 10
         n = 7
-        suites = build_suites(catalog, mnist_samples(n, seed=12))
-        report = robustness(tiny_model(seed=11, size=28), suites)
-        assert report.total_cases == 10 * n
-        assert sum(forwarded) == 11 * n
+        samples = mnist_samples(n, seed=12)
+        labels = [s.label for s in samples]
+        model = tiny_model(seed=11, size=28)
+        for max_cases, k in ((None, n), (3, 3)):
+            forwarded.clear()
+            report = robustness(model, catalog, samples, max_cases=max_cases)
+            accuracy = evaluate(report.logits, labels, topn_list=(1, 5))
+            assert report.total_cases == 10 * k
+            assert sum(forwarded) == n + 10 * k
+            assert accuracy.topn == {1: topn_accuracy(model, samples, 1), 5: topn_accuracy(model, samples, 5)}
 
     def test_predict_converts_the_stack_like_each_image(self, monkeypatch):
         forwarded = []
@@ -252,43 +257,28 @@ class TestRobustness:
         images = [s.pixels for s in mnist_samples(9, seed=4)] + [np.zeros((1, 28, 28), np.uint8),
                                                                  np.full((1, 28, 28), 255, np.uint8)]
         model = tiny_model(seed=5, size=28)
-        preds = _predict(model, images)
+        logits = _logits(model, images)
         per_image = np.stack([to_model_input(x) for x in images])
         (got,) = forwarded
         assert got.dtype == per_image.dtype and got.tobytes() == per_image.tobytes()
-        assert np.array_equal(preds, np.argmax(original(model, per_image), axis=1))
-
-    def test_source_sets_keyed_by_object_not_source_id(self):
-        # same source ids, different pixels: each suite must use its own source predictions
-        model = tiny_model(seed=13)
-        a = digit_samples(6, seed=14)
-        b = digit_samples(6, seed=15)
-        preds = [np.argmax(model.predict_logits(np.stack([to_model_input(s.pixels) for s in x])), axis=1)
-                 for x in (a, b)]
-        assert (preds[0] != preds[1]).any()
-        twin = MetamorphicRelation("identity_twin", IDENTITY.transform, strength="weak")
-        suites = [TestSuite(mr=IDENTITY, sources=tuple(a)), TestSuite(mr=twin, sources=tuple(b))]
-        assert robustness(model, suites).sr_mt == 1.0
+        assert np.array_equal(logits, original(model, per_image))
 
     def test_constant_model_below_one_with_label_map(self):
         model = constant_model(size=28, winner=2)
         mrs = catalog_by_id("mnist")
         sources = [ImageSample(s.pixels, 2, s.source_id) for s in mnist_samples(6, seed=9)]
-        suites = [TestSuite(mr=mrs["rot180"], sources=tuple(sources))]
-        report = robustness(model, suites)
+        report = robustness(model, [mrs["rot180"]], sources)
         assert report.sr_mt < 1.0
 
     def test_repeated_relation_rejected_naming_it(self):
         model = constant_model()
         mrs = catalog_by_id("mnist")
-        sources = tuple(digit_samples(2))
-        suites = [TestSuite(mr=mr, sources=sources) for mr in (IDENTITY, mrs["rot180"], IDENTITY)]
         with pytest.raises(ValidationError, match="repeated: identity$"):
-            robustness(model, suites)
+            robustness(model, [IDENTITY, mrs["rot180"], IDENTITY], digit_samples(2))
 
     def test_relation_id_names_the_suite_in_the_report(self):
         mrs = catalog_default("mnist")[:3]
-        report = robustness(constant_model(size=28), build_suites(mrs, mnist_samples(4, seed=2)))
+        report = robustness(constant_model(size=28), mrs, mnist_samples(4, seed=2))
         for record in report.to_dict()["suites"]:
             assert record["suite_id"] == record["mr_id"]
         assert [line.split()[0] for line in report.to_text().splitlines()[1:-1]] == sorted(m.id for m in mrs)
