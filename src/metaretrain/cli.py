@@ -26,7 +26,7 @@ from .errors import MetaRetrainError, NonFiniteError, ValidationError
 from .metrics import evaluate
 from .nn import Model, load_checkpoint, model_spec, save_checkpoint
 from .nn.checkpoint import write_atomic
-from .orchestrator import CycleConfig, RunHistory, resume_state_from, run_cycles
+from .orchestrator import RunHistory, resume_state_from, run_cycles
 from .relations import LABEL_PRESERVING, catalog_default, label_map_array
 from .report import comparison_table, export, json_bytes
 from .tester import robustness
@@ -113,15 +113,7 @@ def cmd_run(args) -> int:
     for seed in cfg.seeds:
         split = subsample_and_split(samples, cfg.fraction, cfg.ratios(), seed=seed,
                                     stratified=cfg.stratified)
-        cycle_cfg = CycleConfig(
-            mode=cfg.mode, trainer=cfg.trainer, cycles=cfg.cycles,
-            epochs_per_cycle=cfg.epochs_per_cycle, batch_size=cfg.batch_size, seed=seed,
-            num_classes=n_classes, pass_threshold=cfg.pass_threshold,
-            learning_rate=cfg.learning_rate, momentum=cfg.momentum,
-            trainer_cfg=cfg.trainer_config(), stopping=cfg.stopping_criterion,
-            topn=tuple(cfg.topn), robustness_cases=cfg.robustness_cases,
-            static_k=cfg.static_k, frozen_realizations=cfg.frozen_realizations,
-        )
+        cycle_cfg = cfg.cycle_config(seed)
 
         resume = None
         if args.resume:

@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ValidationError
-from .orchestrator import MODES, StoppingCriterion
+from .nn import model_spec
+from .orchestrator import CycleConfig, StoppingCriterion
 from .relations import catalog_default
-from .trainers import TRAINER_NAMES, TrainerConfig
+from .trainers import TrainerConfig
 
 # dataset name -> (input_shape, num_classes)
 DATASETS = {"mnist": ((1, 28, 28), 10), "cifar10": ((3, 32, 32), 10), "cifar100": ((3, 32, 32), 100)}
-MODELS = ("cnn_small", "mlp_small", "linear")
 ENV_DATA_DIR = "METARETRAIN_DATA_DIR"
 
 
@@ -51,7 +51,11 @@ def _parse_stopping(raw: str):
     raise ValueError(f"expected 'fixed' or 'metric:<name>:<gte|lte>:<value>', got {raw!r}")
 
 
-# key -> (parser, default). None default means optional/unset.
+_CYCLE_DEFAULTS = {f.name: f.default for f in fields(CycleConfig)}
+
+# key -> (parser, default), in the order a run's config file lists them. None
+# default means optional/unset. A key that CycleConfig or TrainerConfig holds
+# takes its default from there, and there its range is checked.
 _SCHEMA = {
     "data_dir": (str, None),
     "dataset": (str, "mnist"),
@@ -67,22 +71,15 @@ _SCHEMA = {
     "epochs_per_cycle": (int, 2),
     "batch_size": (int, 32),
     "seeds": (_parse_int_list, (0,)),
-    "pass_threshold": (float, 0.8),
-    "learning_rate": (float, 0.05),
-    "momentum": (float, 0.9),
-    "lambda_u": (float, 1.0),
-    "lambda_p": (float, 0.5),
-    "tau": (float, 0.95),
-    "tau_min": (float, 0.5),
-    "temperature": (float, 0.5),
-    "alpha": (float, 0.75),
-    "k_augmentations": (int, 2),
-    "low_tau": (float, 0.05),
+    "pass_threshold": (float, _CYCLE_DEFAULTS["pass_threshold"]),
+    "learning_rate": (float, _CYCLE_DEFAULTS["learning_rate"]),
+    "momentum": (float, _CYCLE_DEFAULTS["momentum"]),
+    **{f.name: (type(f.default), f.default) for f in fields(TrainerConfig)},
     "stopping": (str, "fixed"),
-    "topn": (_parse_int_list, (1, 5)),
-    "robustness_cases": (int, None),
-    "static_k": (int, 2),
-    "frozen_realizations": (_parse_bool, False),
+    "topn": (_parse_int_list, _CYCLE_DEFAULTS["topn"]),
+    "robustness_cases": (int, _CYCLE_DEFAULTS["robustness_cases"]),
+    "static_k": (int, _CYCLE_DEFAULTS["static_k"]),
+    "frozen_realizations": (_parse_bool, _CYCLE_DEFAULTS["frozen_realizations"]),
     "output_dir": (str, "runs"),
     "warm_start": (str, None),
     "trainable_last_k": (int, None),
@@ -99,17 +96,18 @@ class RunConfig:
             return values[key]
         raise AttributeError(key)
 
-    @property
-    def stopping_criterion(self):
-        return _parse_stopping(self.values["stopping"])
-
-    def trainer_config(self) -> TrainerConfig:
+    def cycle_config(self, seed: int) -> CycleConfig:
+        """The loop settings of the run with `seed`; their checks raise
+        ValidationError naming the key."""
         v = self.values
-        return TrainerConfig(
-            lambda_u=v["lambda_u"], lambda_p=v["lambda_p"], tau=v["tau"], tau_min=v["tau_min"],
-            temperature=v["temperature"], alpha=v["alpha"], k_augmentations=v["k_augmentations"],
-            low_tau=v["low_tau"],
-        )
+        try:
+            stopping = _parse_stopping(v["stopping"])
+        except (ValueError, ValidationError) as exc:
+            raise ConfigError(f"stopping: {exc}") from exc
+        held = {f.name: v[f.name] for f in fields(CycleConfig) if f.name in v}
+        held.update(seed=seed, num_classes=DATASETS[v["dataset"]][1], stopping=stopping,
+                    trainer_cfg=TrainerConfig(**{f.name: v[f.name] for f in fields(TrainerConfig)}))
+        return CycleConfig(**held)
 
     def ratios(self) -> tuple:
         v = self.values
@@ -172,7 +170,10 @@ def load_config(path) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Field-level validation; raises ConfigError naming the offending key."""
+    """Field-level validation; raises ConfigError naming the offending key.
+
+    Checks the keys no dataclass holds here, then builds the first seed's
+    CycleConfig, which checks the rest, so all run before any output exists."""
     v = cfg.values
     for key, (parser, _) in _SCHEMA.items():
         # NaN passes every range comparison below, so it is rejected first
@@ -180,12 +181,10 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"{key}: must be finite, got {v[key]}")
     if v["dataset"] not in DATASETS:
         raise ConfigError(f"dataset: unknown value {v['dataset']!r} (choose from {tuple(DATASETS)})")
-    if v["model"] not in MODELS:
-        raise ConfigError(f"model: unknown value {v['model']!r} (choose from {MODELS})")
-    if v["trainer"] not in TRAINER_NAMES:
-        raise ConfigError(f"trainer: unknown value {v['trainer']!r} (choose from {TRAINER_NAMES})")
-    if v["mode"] not in MODES:
-        raise ConfigError(f"mode: unknown value {v['mode']!r} (choose from {MODES})")
+    try:
+        model_spec(v["model"], *DATASETS[v["dataset"]])
+    except ValidationError as exc:
+        raise ConfigError(f"model: {exc}") from exc
     if not 0 < v["fraction"] <= 1:
         raise ConfigError(f"fraction: must be in (0, 1], got {v['fraction']}")
     total = sum(cfg.ratios())
@@ -197,47 +196,18 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("ratio_labeled/ratio_unlabeled/ratio_test: must be non-negative")
     if v["ratio_test"] == 0:
         raise ConfigError("ratio_test: must be positive, the robustness cycles score the test split")
-    if v["cycles"] < 1:
-        raise ConfigError(f"cycles: must be at least 1, got {v['cycles']}")
-    if v["epochs_per_cycle"] < 1:
-        raise ConfigError(f"epochs_per_cycle: must be at least 1, got {v['epochs_per_cycle']}")
-    if v["batch_size"] < 1:
-        raise ConfigError(f"batch_size: must be at least 1, got {v['batch_size']}")
-    if v["trainer"] == "mixmatch" and v["batch_size"] < 2:
-        raise ConfigError("batch_size: mix-based trainers need batch_size >= 2")
     if not v["seeds"]:
         raise ConfigError("seeds: at least one seed required")
     if min(v["seeds"]) < 0:
         raise ConfigError(f"seeds: must be non-negative, got {min(v['seeds'])}")
-    if not 0 <= v["pass_threshold"] <= 1:
-        raise ConfigError(f"pass_threshold: must be in [0, 1], got {v['pass_threshold']}")
-    if v["learning_rate"] < 0:
-        raise ConfigError(f"learning_rate: must be non-negative, got {v['learning_rate']}")
-    if not 0 <= v["momentum"] < 1:
-        raise ConfigError(f"momentum: must be in [0, 1), got {v['momentum']}")
     n_relations = len(catalog_default(v["dataset"]))
-    if not 2 <= v["static_k"] <= n_relations:
+    if v["static_k"] > n_relations:
         raise ConfigError(f"static_k: static compositions take 2 to {n_relations} distinct {v['dataset']} "
                           f"relations, got {v['static_k']}")
-    if v["robustness_cases"] is not None and v["robustness_cases"] < 1:
-        raise ConfigError("robustness_cases: must be at least 1 when set")
     try:
-        cfg.trainer_config()
+        cfg.cycle_config(v["seeds"][0])
     except ValidationError as exc:
-        raise ConfigError(f"trainer hyperparameters: {exc}") from exc
-    if 1 not in v["topn"]:
-        raise ConfigError(f"topn: must include 1, the accuracy reports tabulate, got {list(v['topn'])}")
-    n_classes = DATASETS[v["dataset"]][1]
-    for n in v["topn"]:
-        if not 1 <= n <= n_classes:
-            raise ConfigError(f"topn: N={n} out of range for {n_classes} classes")
-    try:
-        stopping = cfg.stopping_criterion
-    except (ValueError, ValidationError) as exc:
-        raise ConfigError(f"stopping: {exc}") from exc
-    metrics = ["sr_mt"] + [f"top{n}_accuracy" for n in v["topn"]]
-    if stopping is not None and stopping.metric not in metrics:
-        raise ConfigError(f"stopping: unknown metric {stopping.metric!r} (choose from {metrics})")
+        raise ConfigError(str(exc)) from exc
     data_dir = v["data_dir"] or os.environ.get(ENV_DATA_DIR)
     if not data_dir:
         raise ConfigError(f"data_dir: not set (flag, config key, or ${ENV_DATA_DIR})")

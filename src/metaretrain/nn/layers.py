@@ -15,6 +15,9 @@ from ..errors import ConfigurationError, ValidationError
 from . import functional as F
 from .tensor import Tensor, no_grad
 
+# rows of every Model.predict_logits forward; see its docstring
+PREDICT_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class Conv2d:
@@ -244,10 +247,10 @@ class Model:
                 out = out.relu()
         return out
 
-    def predict_logits(self, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
+    def predict_logits(self, images: np.ndarray) -> np.ndarray:
         """Graph-free forward over an ndarray [N,C,H,W]; returns [N,num_classes].
 
-        Every forward has `batch_size` rows, the last chunk padded with zero
+        Every forward has PREDICT_CHUNK rows, the last chunk padded with zero
         images whose rows are dropped: a float32 GEMM rounds by its shapes, so
         only a fixed shape makes each row depend on its own image alone. The
         chunk also bounds the largest transient, a conv layer's im2col matrix.
@@ -257,9 +260,9 @@ class Model:
             raise ValidationError("predict_logits expects [N,C,H,W]")
         outs = [np.zeros((0, self.spec.num_classes), dtype=np.float32)]
         with no_grad():
-            for start in range(0, images.shape[0], batch_size):
-                part = images[start : start + batch_size]
-                chunk = np.zeros((batch_size, *images.shape[1:]), dtype=np.float32)
+            for start in range(0, images.shape[0], PREDICT_CHUNK):
+                part = images[start : start + PREDICT_CHUNK]
+                chunk = np.zeros((PREDICT_CHUNK, *images.shape[1:]), dtype=np.float32)
                 chunk[: len(part)] = part
                 outs.append(self.forward(Tensor(chunk)).data[: len(part)])
         return np.concatenate(outs, axis=0)

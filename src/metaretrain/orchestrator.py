@@ -20,6 +20,7 @@ import io
 import json
 import logging
 import time
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -34,7 +35,7 @@ from .nn.checkpoint import typed_field, write_atomic
 from .policy import AugmentationPolicy, CycleDatasetSpec, CycleStream, adaptive_policy, base_policy, base_pools, build_cycle_stream, static_policy
 from .report import json_bytes
 from .tester import partition, robustness
-from .trainers import Trainer, TrainerConfig, build_trainer
+from .trainers import TRAINER_NAMES, Trainer, TrainerConfig, build_trainer
 
 log = logging.getLogger(__name__)
 
@@ -77,14 +78,34 @@ class CycleConfig:
     frozen_realizations: bool = False
 
     def __post_init__(self):
+        """Each message starts with the field's name, which is also its config key."""
         if self.mode not in MODES:
-            raise ValidationError(f"unknown mode {self.mode!r}")
-        if self.cycles < 1:
-            raise ValidationError("cycles must be at least 1")
-        if self.epochs_per_cycle < 1:
-            raise ValidationError("epochs_per_cycle must be at least 1")
+            raise ValidationError(f"mode: unknown value {self.mode!r} (choose from {MODES})")
+        if self.trainer not in TRAINER_NAMES:
+            raise ValidationError(f"trainer: unknown value {self.trainer!r} (choose from {TRAINER_NAMES})")
+        for name in ("cycles", "epochs_per_cycle", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name}: must be at least 1, got {getattr(self, name)}")
+        if self.trainer == "mixmatch" and self.batch_size < 2:
+            raise ValidationError("batch_size: mix-based trainers need batch_size >= 2")
         if not 0.0 <= self.pass_threshold <= 1.0:
-            raise ValidationError("pass_threshold must be in [0, 1]")
+            raise ValidationError(f"pass_threshold: must be in [0, 1], got {self.pass_threshold}")
+        if not self.learning_rate >= 0:
+            raise ValidationError(f"learning_rate: must be non-negative, got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValidationError(f"momentum: must be in [0, 1), got {self.momentum}")
+        if self.static_k < 2:
+            raise ValidationError(f"static_k: static compositions take at least 2 relations, got {self.static_k}")
+        if self.robustness_cases is not None and self.robustness_cases < 1:
+            raise ValidationError(f"robustness_cases: must be at least 1 when set, got {self.robustness_cases}")
+        if 1 not in self.topn:
+            raise ValidationError(f"topn: must include 1, the accuracy reports tabulate, got {list(self.topn)}")
+        for n in self.topn:
+            if not 1 <= n <= self.num_classes:
+                raise ValidationError(f"topn: N={n} out of range for {self.num_classes} classes")
+        metrics = ["sr_mt"] + [f"top{n}_accuracy" for n in self.topn]
+        if self.stopping is not None and self.stopping.metric not in metrics:
+            raise ValidationError(f"stopping: unknown metric {self.stopping.metric!r} (choose from {metrics})")
 
 
 _RECORD_KINDS = {"cycle": int, "sr_mt": (int, float), "accuracy": dict, "suites": list, "loss_stats": dict,
@@ -124,6 +145,8 @@ class CycleRecord:
         if missing:
             raise KeyError(missing[0])
         fields = {key: typed_field(d, key, kind, "") for key, kind in _RECORD_KINDS.items()}
+        if not all(k.isdecimal() for k in fields["accuracy"]):
+            raise ValueError(f"field 'accuracy' has a key that is not an int N: {d['accuracy']!r}")
         fields["accuracy"] = {int(k): v for k, v in fields["accuracy"].items()}
         for key in ("accuracy", "loss_stats"):
             if not all(_is_number(v) for v in fields[key].values()):
@@ -253,7 +276,7 @@ class ResumeState:
     failed set."""
 
     records: list
-    optimizer_velocities: Optional[dict] = None
+    optimizer_velocities: dict
 
 
 def _train_one_cycle(trainer: Trainer, stream: CycleStream, cycle: int,
@@ -312,7 +335,7 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
     if records:
         catalog_map = {mr.id: mr for mr in catalog}
         failed = [catalog_map[i] for i in records[-1].failed_ids if i in catalog_map]
-    if resume is not None and resume.optimizer_velocities:
+    if resume is not None:
         trainer.optimizer.load_state_arrays(resume.optimizer_velocities)
     config = run_config or {"trainer": cfg.trainer, "mode": cfg.mode, "seed": cfg.seed}
 
@@ -399,8 +422,9 @@ def resume_state_from(history: RunHistory, checkpoint_dir) -> tuple:
     ckpt = Path(checkpoint_dir) / f"cycle_{last.cycle:04d}.ckpt"
     model = Model.from_snapshot(load_checkpoint(ckpt))
     opt_path = Path(checkpoint_dir) / f"cycle_{last.cycle:04d}_optimizer.npz"
-    velocities = None
-    if opt_path.exists():
+    try:
         with np.load(opt_path) as data:
             velocities = {name: data[name].copy() for name in data.files}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:  # missing, empty, cut short or garbage
+        raise ValidationError(f"{opt_path}: optimizer state of the last completed cycle unreadable: {exc}") from exc
     return model, ResumeState(records=list(history.records), optimizer_velocities=velocities)

@@ -70,20 +70,22 @@ class TrainerConfig:
     low_tau: float = 0.05  # FullMatch negative-learning threshold
 
     def __post_init__(self):
-        if self.lambda_u < 0 or self.lambda_p < 0:
-            raise ValidationError("loss weights must be non-negative")
+        """Each message starts with the field's name, which is also its config key."""
+        for name in ("lambda_u", "lambda_p"):
+            if not getattr(self, name) >= 0:
+                raise ValidationError(f"{name}: loss weights must be non-negative, got {getattr(self, name)}")
         if not 0.0 < self.tau <= 1.0:
-            raise ValidationError("tau must be in (0, 1]")
+            raise ValidationError(f"tau: must be in (0, 1], got {self.tau}")
         if not 0.0 < self.tau_min <= self.tau:
-            raise ValidationError("tau_min must be in (0, tau]")
-        if self.temperature <= 0:
-            raise ValidationError("temperature must be positive")
-        if self.alpha <= 0:
-            raise ValidationError("alpha must be positive")
+            raise ValidationError(f"tau_min: must be in (0, tau], got {self.tau_min}")
+        if not self.temperature > 0:
+            raise ValidationError(f"temperature: must be positive, got {self.temperature}")
+        if not self.alpha > 0:
+            raise ValidationError(f"alpha: must be positive, got {self.alpha}")
         if self.k_augmentations < 1:
-            raise ValidationError("k_augmentations must be at least 1")
+            raise ValidationError(f"k_augmentations: must be at least 1, got {self.k_augmentations}")
         if not self.low_tau < self.tau:
-            raise ValidationError("low_tau must be below tau")
+            raise ValidationError(f"low_tau: must be below tau, got {self.low_tau}")
 
 
 @dataclass(frozen=True)

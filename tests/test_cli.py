@@ -1,13 +1,15 @@
 import json
+import re
 import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from metaretrain import cli, orchestrator
 from metaretrain.cli import main
-from metaretrain.config import _SCHEMA
+from metaretrain.config import _SCHEMA, parse_config_text
 from metaretrain.nn import Dense, Flatten, Model, ModelSpec, load_checkpoint, model_spec, save_checkpoint
 from metaretrain.nn.layers import ModelSnapshot
 from metaretrain.orchestrator import CycleRecord, RunHistory
@@ -62,6 +64,8 @@ BAD_CONFIGS = {
     "static-k-above-catalog": ({"mode": "static", "static_k": 11}, "static_k"),
     "robustness-cases": ({"robustness_cases": 0}, "robustness_cases"),
     "trainer-hyperparameter": ({"tau": 1.5}, "tau"),
+    "lambda-u-negative": ({"lambda_u": -0.5}, "lambda_u"),
+    "lambda-p-negative": ({"lambda_p": -0.5}, "lambda_p"),
     "stopping-parse": ({"stopping": "sometimes"}, "stopping"),
     "stopping-metric": ({"stopping": "metric:f1:gte:0.5"}, "stopping"),
     "stopping-nan": ({"stopping": "metric:sr_mt:gte:nan"}, "stopping"),
@@ -114,11 +118,21 @@ MALFORMED_HISTORIES = {
     "record-sr-mt-not-a-number": (edited_record(b'"sr_mt": 0.5', b'"sr_mt": "high"'), "field 'sr_mt'"),
     "record-loss-stats-not-numbers": (edited_record(b'"loss_stats": {}', b'"loss_stats": {"total_mean": "x"}'),
                                       "field 'loss_stats'"),
+    "record-accuracy-key-not-int": (edited_record(b'"accuracy": {"1": 0.5}', b'"accuracy": {"x": 0.5}'),
+                                    "field 'accuracy'"),
 }
 
 
 def run_dirs(output_dir):
     return sorted(p for p in output_dir.iterdir() if p.is_dir())
+
+
+def test_readme_config_block_names_every_key_in_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+    parse_config_text(block, source="README.md")  # every key known, every value parses
+    named = [line.split("=", 1)[0].strip() for line in block.splitlines() if line.split("#", 1)[0].strip()]
+    assert named == list(_SCHEMA)
 
 
 class TestRunCommand:
@@ -336,6 +350,25 @@ class TestRunCommand:
         assert "--resume" in err and "fraction, trainer" in err and "cycles" not in err
         assert tree_bytes(run_dir) == before
         assert run_dirs(tmp_path / "runs") == [run_dir]
+
+    @pytest.mark.parametrize("damage", ["missing", "empty", "garbage", "truncated"])
+    def test_resume_without_readable_optimizer_sidecar_exit_2_naming_it(self, tmp_path, data_dir, capsys, damage):
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", cycles=1)
+        assert main(["run", "--config", str(cfg)]) == 0
+        (run_dir,) = run_dirs(tmp_path / "runs")
+        sidecar = run_dir / "checkpoints" / "cycle_0000_optimizer.npz"
+        if damage == "missing":
+            sidecar.unlink()
+        else:
+            damaged = {"empty": b"", "garbage": b"not an npz", "truncated": sidecar.read_bytes()[:60]}
+            sidecar.write_bytes(damaged[damage])
+        before = tree_bytes(run_dir)
+        longer = write_config(tmp_path / "longer.cfg", data_dir, tmp_path / "runs", cycles=2)
+        capsys.readouterr()
+        assert main(["run", "--config", str(longer), "--resume", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert str(sidecar) in err and "Traceback" not in err
+        assert tree_bytes(run_dir) == before
 
     def test_missing_data_dir_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.cfg", tmp_path / "nowhere", tmp_path / "runs")

@@ -37,6 +37,30 @@ def config(**kw):
     return CycleConfig(**defaults)
 
 
+# one row per check CycleConfig makes: keyword overrides, then the field its
+# error must start with, which is also the config key
+BAD_CYCLE_CONFIGS = {
+    "mode": ({"mode": "turbo"}, "mode"),
+    "trainer": ({"trainer": "meanteacher"}, "trainer"),
+    "cycles": ({"cycles": 0}, "cycles"),
+    "epochs": ({"epochs_per_cycle": 0}, "epochs_per_cycle"),
+    "batch-size": ({"batch_size": 0}, "batch_size"),
+    "batch-size-mix": ({"trainer": "mixmatch", "batch_size": 1}, "batch_size"),
+    "pass-threshold": ({"pass_threshold": 1.5}, "pass_threshold"),
+    "pass-threshold-nan": ({"pass_threshold": float("nan")}, "pass_threshold"),
+    "learning-rate": ({"learning_rate": -0.1}, "learning_rate"),
+    "learning-rate-nan": ({"learning_rate": float("nan")}, "learning_rate"),
+    "momentum": ({"momentum": 1.0}, "momentum"),
+    "static-k": ({"static_k": 1}, "static_k"),
+    "robustness-cases": ({"robustness_cases": 0}, "robustness_cases"),
+    "topn-without-1": ({"topn": (5,)}, "topn"),
+    "topn-empty": ({"topn": ()}, "topn"),
+    "topn-above-classes": ({"topn": (1, 11)}, "topn"),
+    "stopping-metric": ({"stopping": StoppingCriterion("f1", "gte", 0.5)}, "stopping"),
+    "stopping-unrecorded-topn": ({"stopping": StoppingCriterion("top7_accuracy", "gte", 0.5)}, "stopping"),
+}
+
+
 def scripted_scores(monkeypatch, sr_values):
     """Deterministic fake tester and accuracy in the loop: evaluation k reports
     sr_values[k] and fails no relation. Returns the call log."""
@@ -253,10 +277,8 @@ class TestRunCycles:
         for n in pa:
             assert np.array_equal(pa[n], pc[n])
 
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValidationError):
-            config(cycles=0)
-        with pytest.raises(ValidationError):
-            config(mode="turbo")
-        with pytest.raises(ValidationError):
-            config(pass_threshold=1.5)
+    @pytest.mark.parametrize("row", sorted(BAD_CYCLE_CONFIGS))
+    def test_invalid_config_rejected(self, row):
+        overrides, key = BAD_CYCLE_CONFIGS[row]
+        with pytest.raises(ValidationError, match=f"^{key}: "):
+            config(**overrides)

@@ -413,16 +413,14 @@ class TestSharedInvariants:
                           mask_rate=0.0, lambda_u=1.0, lambda_p=0.0)
 
     def test_config_invariants(self):
-        with pytest.raises(ValidationError):
-            TrainerConfig(tau=0.0)
-        with pytest.raises(ValidationError):
-            TrainerConfig(lambda_u=-0.1)
-        with pytest.raises(ValidationError):
-            TrainerConfig(low_tau=0.95, tau=0.95)
-        with pytest.raises(ValidationError):
-            TrainerConfig(k_augmentations=0)
-        with pytest.raises(ValidationError):
-            TrainerConfig(temperature=0.0)
+        # each message starts with the field's name, which is also its config key
+        bad = [({"tau": 0.0}, "tau"), ({"lambda_u": -0.1}, "lambda_u"), ({"lambda_p": -0.1}, "lambda_p"),
+               ({"tau_min": 0.99}, "tau_min"), ({"low_tau": 0.95, "tau": 0.95}, "low_tau"),
+               ({"k_augmentations": 0}, "k_augmentations"), ({"temperature": 0.0}, "temperature"),
+               ({"alpha": float("nan")}, "alpha")]
+        for kwargs, key in bad:
+            with pytest.raises(ValidationError, match=f"^{key}: "):
+                TrainerConfig(**kwargs)
 
     def test_unknown_trainer_rejected(self):
         with pytest.raises(ValidationError):
