@@ -16,7 +16,7 @@ from . import functional as F
 from .tensor import Tensor, no_grad
 
 # rows of every Model.predict_logits forward; see its docstring
-PREDICT_CHUNK = 64
+PREDICT_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -175,6 +175,22 @@ def _param_shapes(spec: ModelSpec):
         shape = _propagate(shape, layer, i)
 
 
+def _forward_order(layers: tuple) -> list:
+    """Indices of `layers` in the order Model.forward runs them: a ReLU between
+    a Conv2d and a MaxPool2d runs after the pool, on a quarter of the elements
+    for a 2x2 kernel. relu(max) equals max(relu) bit for bit on finite input,
+    and the conv's output is checked finite. The two orders' backward passes
+    differ only in where a -0.0 gradient lands inside a tile; the conv's
+    backward sums such zeros into +0.0, so every gradient keeps its bits too.
+    At the model input, which is not checked, the order is kept."""
+    order = list(range(len(layers)))
+    for i in range(1, len(layers) - 1):
+        if (isinstance(layers[i - 1], Conv2d) and isinstance(layers[i], ReLU)
+                and isinstance(layers[i + 1], MaxPool2d)):
+            order[i], order[i + 1] = i + 1, i
+    return order
+
+
 @dataclass(frozen=True)
 class ModelSnapshot:
     """Frozen parameter state; equal version ids imply bitwise-equal params."""
@@ -234,7 +250,8 @@ class Model:
                 f"input shape {x.data.shape} does not match model input {self.spec.input_shape}"
             )
         out = x
-        for i, layer in enumerate(self.spec.layers):
+        for i in _forward_order(self.spec.layers):
+            layer = self.spec.layers[i]
             if isinstance(layer, Conv2d):
                 out = F.conv2d(out, self._params[f"{i}.weight"], self._params[f"{i}.bias"], layer.stride, layer.padding)
             elif isinstance(layer, MaxPool2d):

@@ -427,4 +427,11 @@ def resume_state_from(history: RunHistory, checkpoint_dir) -> tuple:
             velocities = {name: data[name].copy() for name in data.files}
     except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:  # missing, empty, cut short or garbage
         raise ValidationError(f"{opt_path}: optimizer state of the last completed cycle unreadable: {exc}") from exc
+    params = dict(model.named_parameters())
+    for name, velocity in velocities.items():
+        if name not in params:
+            raise ValidationError(f"{opt_path}: optimizer state for unknown parameter {name!r}")
+        if velocity.shape != params[name].data.shape:
+            raise ValidationError(f"{opt_path}: optimizer state for parameter {name!r} has shape "
+                                  f"{velocity.shape}, expected {params[name].data.shape}")
     return model, ResumeState(records=list(history.records), optimizer_velocities=velocities)

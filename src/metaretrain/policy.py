@@ -13,6 +13,8 @@ A spec for a trainer that reads no strong views (MixMatch, supervised) gives
 a stream without them: each strong relation is still drawn, so every other
 byte of the batch is the same, but none is applied, and the strong fields are
 empty.
+Each view's samples are transformed one relation at a time, every sample a
+relation was drawn for in one call, and put back in draw order.
 The stream keeps no batch it has yielded. Everything is a pure function of
 (policy, split, cycle index, epoch), so iterating a stream again, or
 rebuilding it, always yields bitwise-identical batches.
@@ -190,13 +192,18 @@ def build_cycle_stream(spec: CycleDatasetSpec) -> CycleStream:
     return CycleStream(spec=spec, steps_per_epoch=steps)
 
 
-def _views(mrs, samples, seed: int) -> list:
-    return [mr.transform(s.pixels, (seed, s.source_id)) for mr, s in zip(mrs, samples)]
-
-
-def _model_input(images: list, shape: tuple) -> np.ndarray:
-    # to_model_input is elementwise, so converting the stack gives each image's own bits
-    return to_model_input(np.stack(images)) if images else np.zeros((0,) + shape, dtype=np.float32)
+def _views(mrs, samples, seed: int, shape: tuple) -> np.ndarray:
+    """uint8 [n,C,H,W]: row i is samples[i] transformed by mrs[i] under its
+    (seed, source_id) key. The rows of each relation are transformed in one
+    call, which gives each row its own bits, and put back in draw order."""
+    groups = {}  # relation -> its rows
+    for i, mr in enumerate(mrs):
+        groups.setdefault(mr, []).append(i)
+    out = np.empty((len(mrs),) + shape, dtype=np.uint8)
+    for mr, rows in groups.items():
+        out[rows] = mr.transform(np.stack([samples[i].pixels for i in rows]),
+                                 [(seed, samples[i].source_id) for i in rows])
+    return out
 
 
 def _generate_batches(spec: CycleDatasetSpec, steps: int):
@@ -234,14 +241,12 @@ def _generate_batches(spec: CycleDatasetSpec, steps: int):
             if not spec.strong_views:
                 strong_idx = []  # drawn for the draw order, never transformed
             strong_mrs = [policy.strong_pool[i] for i in strong_idx]
+            # to_model_input is elementwise, so converting a stack gives each image's own bits
             yield Batch(
-                x_labeled=_model_input(_views(lab_mrs, lab, seed), shape),
+                x_labeled=to_model_input(_views(lab_mrs, lab, seed, shape)),
                 y_labeled=np.array([mr.label_map(s.label) for mr, s in zip(lab_mrs, lab)], dtype=np.int64),
-                x_unlabeled_weak=(
-                    to_model_input(np.stack([np.stack(_views(mrs, unl, seed)) for mrs in weak_mrs]))
-                    if unl else np.zeros((n_views, 0) + shape, dtype=np.float32)
-                ),
-                x_unlabeled_strong=_model_input(_views(strong_mrs, unl, seed), shape),
+                x_unlabeled_weak=to_model_input(np.stack([_views(mrs, unl, seed, shape) for mrs in weak_mrs])),
+                x_unlabeled_strong=to_model_input(_views(strong_mrs, unl, seed, shape)),
                 strong_label_maps=strong_maps[np.array(strong_idx, dtype=np.intp)],
                 labeled_mr_ids=tuple(mr.id for mr in lab_mrs),
                 strong_mr_ids=tuple(mr.id for mr in strong_mrs),

@@ -1,10 +1,14 @@
 """Metamorphic relations: image transformations paired with label mappings.
 
-A relation is a pure pair (transform g, label_map h). Transforms take and
-return uint8 [C,H,W] arrays, preserve shape, and clamp to [0,255]. Stochastic
-transforms (noise) derive their randomness from an explicit key so every
-application is reproducible; deterministic transforms ignore the key. A
-composition is itself a relation, whose parts are listed in `components`.
+A relation is a pure pair (transform g, label_map h). A transform takes one
+uint8 image [C,H,W] with its key, or a uint8 stack [N,C,H,W] with one key per
+image; it preserves shape and clamps to [0,255]. A stack's result equals the
+results of its images transformed one at a time, byte for byte, so callers
+transform a block of images in one call. Stochastic transforms (noise) derive
+each image's randomness from that image's key alone, so every application is
+reproducible whatever stack it is part of; deterministic transforms ignore
+the key. A composition is itself a relation, whose parts are listed in
+`components`.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ class MetamorphicRelation:
     equal, and hash alike, when their ids are."""
 
     id: str
-    transform: Callable  # (uint8 [C,H,W], key tuple) -> uint8 [C,H,W]
+    transform: Callable  # (uint8 [C,H,W], key) or (uint8 [N,C,H,W], N keys) -> same shape
     label_map: Callable = identity_label_map
     kind: str = LABEL_PRESERVING
     strength: str = "strong"
@@ -56,17 +60,34 @@ class MetamorphicRelation:
         return hash(self.id)
 
 
+def _per_image_keys(fn):
+    """Lift `fn(stack, keys)`, which reads one key per image of a uint8 stack
+    [N,C,H,W], to the transform contract: it also takes one [C,H,W] image
+    with its key."""
+
+    def transform(images, keys=()):
+        if images.ndim == 3:
+            return fn(images[None], [keys])[0]
+        if len(keys) != len(images):
+            raise ValidationError(f"a stack of {len(images)} images needs one key per image, got {len(keys)}")
+        return fn(images, keys)
+
+    return transform
+
+
 def compose(mrs) -> MetamorphicRelation:
     """Ordered composition applied left to right; composed inputs contribute
-    their components. Component `i` transforms under `key + (i,)`."""
+    their components. Component `i` transforms each image under that image's
+    `key + (i,)`."""
     parts = tuple(part for mr in mrs for part in (mr.components or (mr,)))
     if not parts:
         raise ValidationError("compose() requires a non-empty relation list")
 
-    def transform(image, key=()):
+    @_per_image_keys
+    def transform(images, keys):
         for i, part in enumerate(parts):
-            image = part.transform(image, tuple(key) + (i,))
-        return image
+            images = part.transform(images, [tuple(key) + (i,) for key in keys])
+        return images
 
     def label_map(label):
         for part in parts:
@@ -91,6 +112,8 @@ def label_map_array(mr, n_classes: int) -> np.ndarray:
 
 
 # -- transform implementations -------------------------------------------------
+# Each works on the last two axes, or elementwise, so it takes one image and a
+# stack alike; noise reads its keys, and is lifted from its stack form.
 
 
 def _clamp(img: np.ndarray) -> np.ndarray:
@@ -98,10 +121,10 @@ def _clamp(img: np.ndarray) -> np.ndarray:
 
 
 def _rot_right_angle(k: int):
-    def transform(image, key=()):
-        if image.shape[1] != image.shape[2]:
+    def transform(images, keys=()):
+        if images.shape[-2] != images.shape[-1]:
             raise ValidationError("right-angle rotation requires square images")
-        return np.ascontiguousarray(np.rot90(image, k, axes=(1, 2)))
+        return np.ascontiguousarray(np.rot90(images, k, axes=(-2, -1)))
 
     return transform
 
@@ -139,66 +162,69 @@ def _rot15_table(plane: tuple) -> tuple:
 def _rot15():
     """`ndimage.rotate(image, 15, axes=(2, 1), reshape=False, order=1)` on
     float32, then `_clamp`, equal byte for byte, in numpy alone. Each call
-    gathers through `_rot15_table`, built once per plane shape, sums the four
-    weighted neighbours in float64 and stores the sum as float32 before
-    clamping, as the affine transform writes its float32 output."""
+    gathers every channel plane of its image or stack through `_rot15_table`,
+    built once per plane shape, sums the four weighted neighbours in float64
+    and stores the sum as float32 before clamping, as the affine transform
+    writes its float32 output."""
     tables = {}
 
-    def transform(image, key=()):
-        plane = image.shape[1:]
+    def transform(images, keys=()):
+        plane = images.shape[-2:]
         if plane not in tables:
             tables[plane] = _rot15_table(plane)
         indices, weights = tables[plane]
-        neighbours = np.take(image.reshape(image.shape[0], -1), indices, axis=1) * weights
+        neighbours = np.take(images.reshape(-1, plane[0] * plane[1]), indices, axis=1) * weights
         rotated = np.add.reduce(neighbours, axis=1)  # in neighbour order, as affine_transform sums
-        return _clamp(rotated.astype(np.float32).reshape(image.shape))
+        return _clamp(rotated.astype(np.float32).reshape(images.shape))
 
     return transform
 
 
-def _hflip(image, key=()):
-    return np.ascontiguousarray(image[:, :, ::-1])
+def _hflip(images, keys=()):
+    return np.ascontiguousarray(images[..., ::-1])
 
 
 def _brightness(delta: float):
-    def transform(image, key=()):
-        return _clamp(image.astype(np.float32) + delta * 255.0)
+    def transform(images, keys=()):
+        return _clamp(images.astype(np.float32) + delta * 255.0)
 
     return transform
 
 
 def _contrast(factor: float):
-    def transform(image, key=()):
-        return _clamp((image.astype(np.float32) - 127.5) * factor + 127.5)
+    def transform(images, keys=()):
+        return _clamp((images.astype(np.float32) - 127.5) * factor + 127.5)
 
     return transform
 
 
 def _gaussian_noise(sigma: float):
-    def transform(image, key=()):
-        rng = np.random.default_rng(tuple(int(k) for k in key) if key else 0)
-        noisy = image.astype(np.float32) + rng.normal(0.0, sigma, size=image.shape)
-        return _clamp(noisy)
+    @_per_image_keys
+    def transform(images, keys):
+        # one generator per image, seeded by its key alone (0 for an empty key)
+        noise = np.stack([np.random.default_rng(tuple(int(k) for k in key) if key else 0)
+                          .normal(0.0, sigma, size=images.shape[1:]) for key in keys])
+        return _clamp(images.astype(np.float32) + noise)
 
     return transform
 
 
 def _translate(dy: int, dx: int):
-    def transform(image, key=()):
-        out = np.zeros_like(image)
-        h, w = image.shape[1:]
+    def transform(images, keys=()):
+        out = np.zeros_like(images)
+        h, w = images.shape[-2:]
         ys = slice(max(dy, 0), h + min(dy, 0))
         xs = slice(max(dx, 0), w + min(dx, 0))
         ys_src = slice(max(-dy, 0), h + min(-dy, 0))
         xs_src = slice(max(-dx, 0), w + min(-dx, 0))
-        out[:, ys, xs] = image[:, ys_src, xs_src]
+        out[..., ys, xs] = images[..., ys_src, xs_src]
         return out
 
     return transform
 
 
 IDENTITY = MetamorphicRelation(
-    id="identity", transform=lambda image, key=(): image, strength="weak"
+    id="identity", transform=lambda images, keys=(): images, strength="weak"
 )
 
 

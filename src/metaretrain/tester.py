@@ -7,7 +7,9 @@ prediction on the source (self-consistency, usable without labels); for
 non-label-preserving relations it is the mapped ground truth. The global
 success rate over all cases is the robustness metric. One `robustness()` call
 forwards the split once; those logits give every label-preserving reference
-and, on the report, top-N accuracy.
+and, on the report, top-N accuracy. Each relation then transforms its cases a
+block of `PREDICT_CHUNK` at a time, one transform call and one forward per
+block, so no transform's temporaries span the split.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from .data import to_model_input
 from .errors import ValidationError
 from .nn import Model
+from .nn.layers import PREDICT_CHUNK
 from .relations import LABEL_PRESERVING, label_map_array
 
 
@@ -68,15 +71,20 @@ class RobustnessReport:
         return "\n".join(lines)
 
 
-def _logits(model: Model, images) -> np.ndarray:
-    # to_model_input is elementwise, so converting the stack gives each image's own bits
-    return model.predict_logits(to_model_input(np.stack(images)))
+def _logits(model: Model, pixels: np.ndarray) -> np.ndarray:
+    # to_model_input is elementwise, so converting a stack gives each image's own bits
+    return model.predict_logits(to_model_input(pixels))
 
 
 def _score(model: Model, mr, cases, predicted: np.ndarray, labels: np.ndarray,
            pass_threshold: float, seed: int) -> SuiteOutcome:
     """`predicted` and `labels` are the model's prediction and the ground truth per case."""
-    preds_t = np.argmax(_logits(model, [mr.transform(s.pixels, (seed, s.source_id)) for s in cases]), axis=1)
+    preds_t = []
+    for start in range(0, len(cases), PREDICT_CHUNK):
+        block = cases[start : start + PREDICT_CHUNK]
+        images = mr.transform(np.stack([s.pixels for s in block]), [(seed, s.source_id) for s in block])
+        preds_t.append(np.argmax(_logits(model, images), axis=1))
+    preds_t = np.concatenate(preds_t)
     mode = "consistency" if mr.kind == LABEL_PRESERVING else "mapped_truth"
     reference = predicted if mode == "consistency" else labels
     table = label_map_array(mr, model.spec.num_classes)
@@ -108,7 +116,7 @@ def robustness(model: Model, relations, samples, *, max_cases: Optional[int] = N
     if repeated:
         raise ValidationError(f"one suite per relation; repeated: {', '.join(repeated)}")
     # the float32 stack of the split is freed when _logits returns, before any relation runs
-    logits = _logits(model, [s.pixels for s in samples])
+    logits = _logits(model, np.stack([s.pixels for s in samples]))
     rows = np.arange(len(samples))
     if max_cases is not None and len(samples) > max_cases:
         rows = np.sort(np.random.default_rng(seed).permutation(len(samples))[:max_cases])

@@ -370,6 +370,27 @@ class TestRunCommand:
         assert str(sidecar) in err and "Traceback" not in err
         assert tree_bytes(run_dir) == before
 
+    @pytest.mark.parametrize("name,shape", [("1.weight", (3, 3)), ("1.weight", (784,)), ("7.weight", (10,))])
+    def test_resume_with_optimizer_state_not_fitting_the_model_exit_2_naming_it(self, tmp_path, data_dir,
+                                                                                capsys, name, shape):
+        # (3, 3) fails to broadcast in the first SGD step, (784,) broadcasts
+        # against the (10, 784) weight and would train silently wrong
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", cycles=1)
+        assert main(["run", "--config", str(cfg)]) == 0
+        (run_dir,) = run_dirs(tmp_path / "runs")
+        sidecar = run_dir / "checkpoints" / "cycle_0000_optimizer.npz"
+        with np.load(sidecar) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays[name] = np.zeros(shape, np.float32)
+        np.savez(sidecar, **arrays)
+        before = tree_bytes(run_dir)
+        longer = write_config(tmp_path / "longer.cfg", data_dir, tmp_path / "runs", cycles=2)
+        capsys.readouterr()
+        assert main(["run", "--config", str(longer), "--resume", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert str(sidecar) in err and repr(name) in err and "Traceback" not in err
+        assert tree_bytes(run_dir) == before
+
     def test_missing_data_dir_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.cfg", tmp_path / "nowhere", tmp_path / "runs")
         assert main(["run", "--config", str(cfg)]) == 2

@@ -248,9 +248,9 @@ class TestCycleStream:
     def test_stream_is_built_one_batch_at_a_time(self, strong_views, views_per_unlabeled):
         calls = []
 
-        def counted(image, key=()):
-            calls.append(key)
-            return image
+        def counted(images, keys):
+            calls.extend(keys)  # the stream hands it stacks, one key per image
+            return images
 
         mr = MetamorphicRelation("counted", counted, strength="weak")
         pol = AugmentationPolicy(mode="base", weak_pool=(mr,), strong_pool=(mr,), seed=11)

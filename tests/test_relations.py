@@ -285,6 +285,61 @@ class TestRelationProperties:
             assert out.dtype == np.uint8 and out.tobytes() == expected.tobytes(), dataset
 
 
+STACK_SHAPES = {"mnist": (1, 28, 28), "cifar10": (3, 32, 32), "cifar100": (3, 32, 32)}
+image_keys = st.tuples(st.integers(0, 2**31), st.integers(0, 2**31))
+
+
+class TestStackTransforms:
+    """A uint8 stack [N,C,H,W] with one key per image transforms to the
+    images' own results, byte for byte."""
+
+    @pytest.mark.parametrize("dataset", sorted(STACK_SHAPES))
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 70), pixel_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_stack_equals_each_image_alone(self, dataset, n, pixel_seed, data):
+        # every catalog relation, alone and followed by one or two drawn parts
+        catalog = catalog_default(dataset)
+        tail = data.draw(st.lists(st.sampled_from(catalog), min_size=1, max_size=2))
+        images = np.random.default_rng(pixel_seed).integers(0, 256, size=(n, *STACK_SHAPES[dataset]),
+                                                            dtype=np.uint8)
+        images[: n // 4] = 255  # saturated rows: clamping must not depend on the stack
+        keys = data.draw(st.lists(image_keys, min_size=n, max_size=n))
+        before = images.tobytes()
+        for mr in [relation for head in catalog for relation in (head, compose([head, *tail]))]:
+            out = mr.transform(images, keys)
+            assert out.dtype == np.uint8 and out.shape == images.shape, mr.id
+            assert images.tobytes() == before, mr.id
+            for image, key, row in zip(images, keys, out):
+                assert mr.transform(image, key).tobytes() == row.tobytes(), mr.id
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 70), pixel_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_noise8_row_depends_on_its_own_image_and_key_alone(self, n, pixel_seed, data):
+        # the rows of a second stack: a permutation of the first, with some
+        # rows replaced by other images under other keys
+        noise8 = catalog_by_id("mnist")["noise8"]
+        rng = np.random.default_rng(pixel_seed)
+        images = rng.integers(0, 256, size=(n, 1, 28, 28), dtype=np.uint8)
+        keys = data.draw(st.lists(image_keys, min_size=n, max_size=n, unique=True))
+        out = noise8.transform(images, keys)
+        order = data.draw(st.permutations(range(n)))
+        replaced = set(data.draw(st.lists(st.integers(0, n - 1), max_size=n - 1)))
+        others = rng.integers(0, 256, size=images.shape, dtype=np.uint8)
+        other_keys = [(key[1], key[0] + 1) for key in keys]
+        stack = np.stack([others[i] if j in replaced else images[i] for j, i in enumerate(order)])
+        stack_keys = [other_keys[i] if j in replaced else keys[i] for j, i in enumerate(order)]
+        again = noise8.transform(stack, stack_keys)
+        for j, i in enumerate(order):
+            if j not in replaced:
+                assert again[j].tobytes() == out[i].tobytes()
+
+    @pytest.mark.parametrize("ids", [["noise8"], ["rot90", "noise8"]])
+    def test_stack_without_one_key_per_image_rejected(self, ids):
+        mr = relation_of([catalog_by_id("mnist")[i] for i in ids])
+        with pytest.raises(ValidationError, match="one key per image"):
+            mr.transform(np.zeros((3, 1, 28, 28), np.uint8), [(0, 1), (0, 2)])
+
+
 def ndimage_rot15(image):
     """The oracle: scipy's interpolated rotation, clamped as every relation clamps."""
     ndimage = pytest.importorskip("scipy.ndimage")

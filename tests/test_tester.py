@@ -111,12 +111,13 @@ class TestCaseSelection:
     @given(n=st.integers(1, 12), max_cases=st.integers(1, 14), seed=st.integers(0, 2**32 - 1))
     @example(n=12, max_cases=5, seed=0)
     def test_capped_cases_are_the_seeded_draw(self, n, max_cases, seed):
-        # a relation whose transform records the (seed, source_id) key of every case it sees
+        # a relation whose transform records the (seed, source_id) key of every case it sees;
+        # the tester hands it stacks, one key per image
         seen = []
 
-        def recording(x, key):
-            seen.append(key)
-            return IDENTITY.transform(x, key)
+        def recording(x, keys):
+            seen.extend(keys)
+            return IDENTITY.transform(x, keys)
 
         probe = MetamorphicRelation("probe", recording, strength="weak")
         mrs = [probe, catalog_by_id("mnist")["rot180"], catalog_by_id("mnist")["noise8"]]

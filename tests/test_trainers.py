@@ -248,7 +248,7 @@ class TestMixMatch:
     @pytest.mark.parametrize("n_u", [1, 31, 32, 33])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_guess_equals_k_separate_forwards_bitwise(self, k, n_u):
-        # K*n_u spans one padded chunk of predict_logits' 64 rows up to two
+        # K*n_u spans one to four of predict_logits' 32-row chunks, n_u = 32 exactly one at k = 1
         spec = ModelSpec(input_shape=(1, SIZE, SIZE), num_classes=C,
                          layers=(Conv2d(4, 3, padding=1), ReLU(), Flatten(), Dense(C)))
         model = Model(spec, seed=40)
