@@ -10,7 +10,7 @@ metric, and the failed/passed partition is what the retraining loop feeds on.
 
 import numpy as np
 
-from metaretrain.data import subsample_and_split
+from metaretrain.data import subsample_and_split, to_model_input
 from metaretrain.metrics import evaluate
 from metaretrain.nn import SGD, Model, Tensor, backward, model_spec
 from metaretrain.nn import functional as F
@@ -21,17 +21,16 @@ from metaretrain.tester import partition, robustness
 split = subsample_and_split(make_digits(3000, seed=5), 0.2, (0.5, 0.0, 0.5), seed=5)
 model = Model(model_spec("cnn_small", (1, 28, 28), 10), seed=5)
 catalog = catalog_default("mnist")
-test_labels = [s.label for s in split.test]
 
 print("untrained model:")
 before = robustness(model, catalog, split.test, max_cases=60, pass_threshold=0.8, seed=5)
 print(before.to_text())
-print(f"top1 = {evaluate(before.logits, test_labels, topn_list=(1,)).topn[1]:.4f}")
+print(f"top1 = {evaluate(before.logits, split.test.labels, topn_list=(1,)).topn[1]:.4f}")
 
 # --- a short supervised warm-up, then retest ------------------------------------
 opt = SGD(0.05, momentum=0.9)
-images = np.stack([s.pixels for s in split.labeled]).astype(np.float32) / 255.0
-labels = F.one_hot([s.label for s in split.labeled], 10)
+images = to_model_input(split.labeled.pixels)
+labels = F.one_hot(split.labeled.labels, 10)
 for epoch in range(8):
     order = np.random.default_rng(epoch).permutation(len(images))
     for start in range(0, len(images), 32):
@@ -44,7 +43,7 @@ for epoch in range(8):
 print("\nafter a short supervised warm-up:")
 after = robustness(model, catalog, split.test, max_cases=60, pass_threshold=0.8, seed=5)
 print(after.to_text())
-print(f"top1 = {evaluate(after.logits, test_labels, topn_list=(1,)).topn[1]:.4f}")
+print(f"top1 = {evaluate(after.logits, split.test.labels, topn_list=(1,)).topn[1]:.4f}")
 
 failed, passed = partition(after.outcomes)
 print("\nfailed relations (these would become the next adaptive strong pool):")

@@ -20,8 +20,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .config import DATASETS, ENV_DATA_DIR, ConfigError, RunConfig, load_config, validate_config
-from .data import load_cifar, load_mnist, subsample_and_split
+from .data import Samples, load_cifar, load_mnist, subsample_and_split
 from .errors import MetaRetrainError, NonFiniteError, ValidationError
 from .metrics import evaluate
 from .nn import Model, load_checkpoint, model_spec, save_checkpoint
@@ -41,32 +43,34 @@ LOG_LEVEL = {"default": "WARNING", "choices": ("DEBUG", "INFO", "WARNING", "ERRO
              "help": "level of the log records written to stderr (default WARNING)"}
 
 
-def load_dataset(dataset: str, data_dir) -> list:
+def load_dataset(dataset: str, data_dir) -> Samples:
     """Load the training portion of a stock dataset from `data_dir`.
 
     Expected filenames: MNIST `train-images-idx3-ubyte`/`train-labels-idx1-ubyte`
     (unpacked IDX), CIFAR-10 `data_batch_1..5.bin`, CIFAR-100 `train.bin`
     (searched in data_dir and the stock `cifar-*-batches-bin` subdirectories).
+    Every label must be a class of `dataset`.
     """
     data_dir = Path(data_dir)
+    n_classes = DATASETS[dataset][1]
     if dataset == "mnist":
-        images = data_dir / "train-images-idx3-ubyte"
-        labels = data_dir / "train-labels-idx1-ubyte"
+        images, labels = data_dir / "train-images-idx3-ubyte", data_dir / "train-labels-idx1-ubyte"
         for p in (images, labels):
             if not p.exists():
                 raise ValidationError(f"dataset file not found: {p}")
-        return load_mnist(images, labels)
-    if dataset == "cifar10":
-        for root in (data_dir, data_dir / "cifar-10-batches-bin"):
-            batches = sorted(root.glob("data_batch_*.bin"))
-            if batches:
-                return load_cifar(batches, variant=10)
-        raise ValidationError(f"no CIFAR-10 data_batch_*.bin under {data_dir}")
-    for root in (data_dir, data_dir / "cifar-100-binary"):
-        train = root / "train.bin"
-        if train.exists():
-            return load_cifar([train], variant=100)
-    raise ValidationError(f"no CIFAR-100 train.bin under {data_dir}")
+        files, samples = [labels], load_mnist(images, labels)
+    else:
+        pattern, stock = ("data_batch_*.bin", "cifar-10-batches-bin") if dataset == "cifar10" else \
+            ("train.bin", "cifar-100-binary")
+        files = next((found for root in (data_dir, data_dir / stock) if (found := sorted(root.glob(pattern)))), [])
+        if not files:
+            raise ValidationError(f"no {pattern} under {data_dir} or {data_dir / stock}")
+        samples = load_cifar(files, variant=n_classes)
+    bad = np.flatnonzero(samples.labels >= n_classes)
+    if bad.size:
+        raise ValidationError(f"{', '.join(map(str, files))}: row {bad[0]} has label {samples.labels[bad[0]]}, "
+                              f"but {dataset} has {n_classes} classes")
+    return samples
 
 
 def _check_fits(model: Model, dataset: str, name: str) -> None:
@@ -193,7 +197,7 @@ def cmd_test(args) -> int:
     split = subsample_and_split(samples, args.fraction, (0.0, 0.0, 1.0), seed=args.seed)
     report = robustness(model, catalog_default(args.dataset), split.test, max_cases=args.cases,
                         pass_threshold=args.pass_threshold, seed=args.seed)
-    eval_report = evaluate(report.logits, [s.label for s in split.test], topn_list=(1, 5), sr_mt=report.sr_mt)
+    eval_report = evaluate(report.logits, split.test.labels, topn_list=(1, 5), sr_mt=report.sr_mt)
     print(report.to_text())
     print(f"top1={eval_report.topn[1]:.4f} top5={eval_report.topn[5]:.4f} on {eval_report.sample_count} samples")
     out_dir = Path(args.output_dir)

@@ -1,5 +1,9 @@
 """Dataset loading and data-scarcity splitting.
 
+A dataset is one `Samples` table, a uint8 pixel stack [N,C,H,W] with a label
+and a source id per row, which every loader, split and consumer passes on
+whole; `samples[i]` views one row as an `ImageSample`.
+
 Handles the stock binary distributions:
 
 MNIST IDX image file (big-endian):
@@ -33,29 +37,55 @@ MNIST_LABEL_MAGIC = 0x00000801
 
 @dataclass(frozen=True)
 class ImageSample:
-    """One image with its class label and a stable source id."""
+    """One row of a `Samples` table: an image with its class label and source id."""
 
     pixels: np.ndarray  # uint8 [C,H,W]
     label: int
     source_id: int
 
+
+@dataclass(frozen=True, eq=False)
+class Samples:
+    """uint8 pixels [N,C,H,W] with int64 labels [N] and source ids [N]; a
+    source id names an image across splits and keys its transforms."""
+
+    pixels: np.ndarray
+    labels: np.ndarray
+    source_ids: np.ndarray
+
     def __post_init__(self):
-        if self.pixels.dtype != np.uint8 or self.pixels.ndim != 3:
-            raise ValidationError("pixels must be a uint8 [C,H,W] array")
+        if self.pixels.dtype != np.uint8 or self.pixels.ndim != 4:
+            raise ValidationError("pixels must be a uint8 [N,C,H,W] array")
+        for name in ("labels", "source_ids"):
+            column = np.asarray(getattr(self, name))
+            if column.shape != (len(self.pixels),) or (column.size and column.dtype.kind not in "iu"):
+                raise ValidationError(f"{name} must hold one integer per image, {len(self.pixels)} in all")
+            object.__setattr__(self, name, column.astype(np.int64, copy=False))
+
+    def __len__(self) -> int:
+        return len(self.pixels)
+
+    def __getitem__(self, i) -> ImageSample:
+        return ImageSample(self.pixels[i], int(self.labels[i]), int(self.source_ids[i]))
+
+    def take(self, rows) -> "Samples":
+        """The table of `rows` (indices or a slice), in their order."""
+        return Samples(self.pixels[rows], self.labels[rows], self.source_ids[rows])
+
+    def keys(self, seed: int) -> list:
+        """Each row's transform key, (seed, source_id)."""
+        return [(seed, source_id) for source_id in self.source_ids.tolist()]
 
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    """Labeled / unlabeled / test partition of a subsampled dataset.
+    """Labeled / unlabeled / test tables of a subsampled dataset. Unlabeled
+    rows keep their labels for evaluation-only diagnostics: the batch stream
+    reads their pixels and source ids, never a label."""
 
-    Unlabeled samples retain their ground-truth label on the sample object for
-    evaluation-only diagnostics; training consumes unlabeled data through the
-    batch stream, which reads their pixels and source ids but never a label.
-    """
-
-    labeled: tuple
-    unlabeled: tuple
-    test: tuple
+    labeled: Samples
+    unlabeled: Samples
+    test: Samples
     seed: int
 
     def sizes(self) -> tuple:
@@ -78,8 +108,8 @@ def _read_be_u32(data: bytes, offset: int, path, what: str) -> int:
     return struct.unpack_from(">I", data, offset)[0]
 
 
-def load_mnist(images_path, labels_path) -> list:
-    """Parse an IDX image/label file pair into ImageSamples."""
+def load_mnist(images_path, labels_path) -> Samples:
+    """Parse an IDX image/label file pair into a table; row i has source id i."""
     images_path, labels_path = Path(images_path), Path(labels_path)
     img_data = images_path.read_bytes()
     lbl_data = labels_path.read_bytes()
@@ -107,33 +137,25 @@ def load_mnist(images_path, labels_path) -> list:
         raise ParseError(f"{labels_path}: expected {8 + lcount} bytes, found {len(lbl_data)} (labels start at offset 8)")
 
     pixels = np.frombuffer(img_data, dtype=np.uint8, offset=16).reshape(count, 1, rows, cols)
-    labels = np.frombuffer(lbl_data, dtype=np.uint8, offset=8)
-    return [ImageSample(pixels[i].copy(), int(labels[i]), i) for i in range(count)]
+    return Samples(pixels, np.frombuffer(lbl_data, dtype=np.uint8, offset=8), np.arange(count))
 
 
-def load_cifar(batch_files, variant: int = 10) -> list:
-    """Parse CIFAR-10/100 binary batches; source ids run across files in order."""
+def load_cifar(batch_files, variant: int = 10) -> Samples:
+    """Parse CIFAR-10/100 binary batches into one table; source ids run
+    across files in order."""
     if variant not in (10, 100):
         raise ValidationError("variant must be 10 or 100")
     record = 3073 if variant == 10 else 3074
     label_offset = 0 if variant == 10 else 1  # CIFAR-100: fine label is byte 1
-    samples = []
-    next_id = 0
+    records = [np.empty((0, record), dtype=np.uint8)]
     for file in batch_files:
-        file = Path(file)
-        data = file.read_bytes()
+        data = Path(file).read_bytes()
         if len(data) == 0 or len(data) % record:
-            raise ParseError(
-                f"{file}: length {len(data)} is not a positive multiple of record size {record}"
-            )
-        n = len(data) // record
-        arr = np.frombuffer(data, dtype=np.uint8).reshape(n, record)
-        labels = arr[:, label_offset]
-        pixels = arr[:, record - 3072 :].reshape(n, 3, 32, 32)
-        for i in range(n):
-            samples.append(ImageSample(pixels[i].copy(), int(labels[i]), next_id))
-            next_id += 1
-    return samples
+            raise ParseError(f"{file}: length {len(data)} is not a positive multiple of record size {record}")
+        records.append(np.frombuffer(data, dtype=np.uint8).reshape(-1, record))
+    records = np.concatenate(records)
+    return Samples(records[:, record - 3072 :].reshape(-1, 3, 32, 32), records[:, label_offset],
+                   np.arange(len(records)))
 
 
 def largest_remainder(total: int, weights) -> list:
@@ -141,16 +163,13 @@ def largest_remainder(total: int, weights) -> list:
     weights = np.asarray(weights, dtype=np.float64)
     quotas = weights / weights.sum() * total
     base = np.floor(quotas).astype(int)
-    short = total - int(base.sum())
-    # distribute leftovers to the largest fractional parts, ties by index
-    order = sorted(range(len(weights)), key=lambda i: (-(quotas[i] - base[i]), i))
-    for i in order[:short]:
-        base[i] += 1
+    # leftovers go to the largest fractional parts, ties by index
+    base[np.argsort(base - quotas, kind="stable")[: total - int(base.sum())]] += 1
     return base.tolist()
 
 
-def subsample_and_split(samples, fraction, ratios, seed, stratified: bool = True) -> DatasetSplit:
-    """Take round(fraction*N) samples and split by largest-remainder ratios.
+def subsample_and_split(samples: Samples, fraction, ratios, seed, stratified: bool = True) -> DatasetSplit:
+    """Take round(fraction*N) rows and split them by largest-remainder ratios.
 
     `ratios` is (labeled, unlabeled, test). Stratified mode apportions the
     subset per class so realized per-class counts differ from proportional by
@@ -175,25 +194,20 @@ def subsample_and_split(samples, fraction, ratios, seed, stratified: bool = True
 
     rng = np.random.default_rng(seed)
     if stratified:
-        by_class: dict[int, list] = {}
-        for idx, s in enumerate(samples):
-            by_class.setdefault(s.label, []).append(idx)
-        class_order = sorted(by_class)
-        per_class = largest_remainder(n_sub, [len(by_class[c]) for c in class_order])
+        classes, counts = np.unique(samples.labels, return_counts=True)
         chosen = []
-        for c, take in zip(class_order, per_class):
-            pool = np.array(by_class[c])
-            chosen.extend(pool[rng.choice(len(pool), size=take, replace=False)])
-        chosen = np.array(sorted(chosen))
+        for c, take in zip(classes, largest_remainder(n_sub, counts)):
+            pool = np.flatnonzero(samples.labels == c)
+            chosen.append(pool[rng.choice(len(pool), size=take, replace=False)])
+        chosen = np.sort(np.concatenate(chosen))
         chosen = chosen[rng.permutation(len(chosen))]
     else:
         chosen = rng.choice(n_total, size=n_sub, replace=False)
 
-    picked = [samples[i] for i in chosen]
-    n_lab, n_unl, n_test = sizes
+    n_lab, n_unl, _ = sizes
     return DatasetSplit(
-        labeled=tuple(picked[:n_lab]),
-        unlabeled=tuple(picked[n_lab : n_lab + n_unl]),
-        test=tuple(picked[n_lab + n_unl :]),
+        labeled=samples.take(chosen[:n_lab]),
+        unlabeled=samples.take(chosen[n_lab : n_lab + n_unl]),
+        test=samples.take(chosen[n_lab + n_unl :]),
         seed=seed,
     )

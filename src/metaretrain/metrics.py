@@ -1,4 +1,4 @@
-"""Top-N accuracy metrics of a model over labeled samples."""
+"""Top-N accuracy metrics of a model over a labeled table."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import to_model_input
+from .data import Samples, to_model_input
 from .errors import ValidationError
 from .nn import Model
 
@@ -17,13 +17,10 @@ def _topn_hits(logits: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
     return (order[:, :n] == labels[:, None]).any(axis=1)
 
 
-def topn_accuracy(model: Model, samples, n: int) -> float:
-    """Fraction of samples whose true label ranks among the n highest logits."""
-    samples = list(samples)
-    if not samples:
-        raise ValidationError("evaluation needs a non-empty test set")
-    logits = model.predict_logits(to_model_input(np.stack([s.pixels for s in samples])))
-    return evaluate(logits, [s.label for s in samples], topn_list=(n,)).topn[int(n)]
+def topn_accuracy(model: Model, samples: Samples, n: int) -> float:
+    """Fraction of rows whose true label ranks among the n highest logits."""
+    logits = model.predict_logits(to_model_input(samples.pixels))
+    return evaluate(logits, samples.labels, topn_list=(n,)).topn[int(n)]
 
 
 @dataclass(frozen=True)

@@ -325,7 +325,6 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
     catalog = list(catalog)
     if not split.test:
         raise ValidationError("run needs a non-empty test split")
-    labels = [s.label for s in split.test]
     trainer = build_trainer(
         cfg.trainer, model, SGD(cfg.learning_rate, cfg.momentum), cfg.trainer_cfg,
         cfg.num_classes, seed=cfg.seed,
@@ -350,7 +349,7 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
         version = model.version
         report = robustness(model, catalog, split.test, max_cases=cfg.robustness_cases,
                             pass_threshold=cfg.pass_threshold, seed=cfg.seed)
-        eval_report = evaluate(report.logits, labels, topn_list=cfg.topn, sr_mt=report.sr_mt)
+        eval_report = evaluate(report.logits, split.test.labels, topn_list=cfg.topn, sr_mt=report.sr_mt)
         failed, passed = partition(report.outcomes)
         spec = CycleDatasetSpec(
             split=split, policy=policy, batch_size=cfg.batch_size, epochs=cfg.epochs_per_cycle,
@@ -392,7 +391,7 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
     else:
         report = robustness(model, catalog, split.test, max_cases=cfg.robustness_cases,
                             pass_threshold=cfg.pass_threshold, seed=cfg.seed)
-        eval_report = evaluate(report.logits, labels, topn_list=cfg.topn, sr_mt=report.sr_mt)
+        eval_report = evaluate(report.logits, split.test.labels, topn_list=cfg.topn, sr_mt=report.sr_mt)
         final_eval = {"sr_mt": report.sr_mt, "topn": {str(k): v for k, v in sorted(eval_report.topn.items())}}
     return RunHistory(
         config=config,

@@ -192,17 +192,16 @@ def build_cycle_stream(spec: CycleDatasetSpec) -> CycleStream:
     return CycleStream(spec=spec, steps_per_epoch=steps)
 
 
-def _views(mrs, samples, seed: int, shape: tuple) -> np.ndarray:
-    """uint8 [n,C,H,W]: row i is samples[i] transformed by mrs[i] under its
-    (seed, source_id) key. The rows of each relation are transformed in one
-    call, which gives each row its own bits, and put back in draw order."""
+def _views(mrs, samples: Samples, seed: int) -> np.ndarray:
+    """uint8 [len(mrs),C,H,W]: row i is row i of `samples` transformed by
+    mrs[i]; one transform call per relation, each row keeping its own bits."""
     groups = {}  # relation -> its rows
     for i, mr in enumerate(mrs):
         groups.setdefault(mr, []).append(i)
-    out = np.empty((len(mrs),) + shape, dtype=np.uint8)
+    out = np.empty((len(mrs),) + samples.pixels.shape[1:], dtype=np.uint8)
     for mr, rows in groups.items():
-        out[rows] = mr.transform(np.stack([samples[i].pixels for i in rows]),
-                                 [(seed, samples[i].source_id) for i in rows])
+        group = samples.take(rows)
+        out[rows] = mr.transform(group.pixels, group.keys(seed))
     return out
 
 
@@ -211,7 +210,6 @@ def _generate_batches(spec: CycleDatasetSpec, steps: int):
     labeled, unlabeled = spec.split.labeled, spec.split.unlabeled
     bsz, n_views = spec.batch_size, spec.n_weak_views
     n_lab, n_unl = min(bsz, len(labeled)), min(bsz, len(unlabeled))
-    shape = (labeled or unlabeled)[0].pixels.shape
     weak_cdf = _uniform_cdf(len(policy.weak_pool))
     strong_cdf = _uniform_cdf(len(policy.strong_pool))
     weak_candidates = _weak_candidates(policy)
@@ -220,21 +218,21 @@ def _generate_batches(spec: CycleDatasetSpec, steps: int):
         # frozen realizations: every epoch replays epoch 0's draws
         key = 0 if spec.frozen_realizations else epoch
         rng = np.random.default_rng((seed, spec.cycle_index, key))
-        lab_order = rng.permutation(len(labeled)) if labeled else np.array([], dtype=int)
-        unl_order = rng.permutation(len(unlabeled)) if unlabeled else np.array([], dtype=int)
+        # an empty part's permutation is empty and draws nothing
+        lab_order, unl_order = rng.permutation(len(labeled)), rng.permutation(len(unlabeled))
         for step in range(steps):
             base = step * bsz
             # seeded streams depend on the draw order: each labeled sample's
             # relation, then per unlabeled sample its weak views and its strong
             # relation; transforms draw nothing, so they run afterwards
-            lab = [labeled[lab_order[(base + j) % len(labeled)]] for j in range(n_lab)]
+            lab = labeled.take(lab_order.take(np.arange(base, base + n_lab), mode="wrap"))
             # labeled samples draw from both pools so non-label-preserving
             # strong relations reach supervised training with remapped labels
             lab_mrs = [policy.weak_pool[_draw(rng, weak_cdf)] if rng.random() < 0.5
-                       else policy.strong_pool[_draw(rng, strong_cdf)] for _ in lab]
-            unl = [unlabeled[unl_order[(base + j) % len(unlabeled)]] for j in range(n_unl)]
+                       else policy.strong_pool[_draw(rng, strong_cdf)] for _ in range(n_lab)]
+            unl = unlabeled.take(unl_order.take(np.arange(base, base + n_unl), mode="wrap"))
             weak_mrs, strong_idx = [[] for _ in range(n_views)], []  # weak_mrs[view][sample]
-            for _ in unl:
+            for _ in range(n_unl):
                 for view in weak_mrs:
                     view.append(weak_candidates[rng.choice(len(weak_candidates))])
                 strong_idx.append(_draw(rng, strong_cdf))
@@ -243,13 +241,13 @@ def _generate_batches(spec: CycleDatasetSpec, steps: int):
             strong_mrs = [policy.strong_pool[i] for i in strong_idx]
             # to_model_input is elementwise, so converting a stack gives each image's own bits
             yield Batch(
-                x_labeled=to_model_input(_views(lab_mrs, lab, seed, shape)),
-                y_labeled=np.array([mr.label_map(s.label) for mr, s in zip(lab_mrs, lab)], dtype=np.int64),
-                x_unlabeled_weak=to_model_input(np.stack([_views(mrs, unl, seed, shape) for mrs in weak_mrs])),
-                x_unlabeled_strong=to_model_input(_views(strong_mrs, unl, seed, shape)),
+                x_labeled=to_model_input(_views(lab_mrs, lab, seed)),
+                y_labeled=np.array([mr.label_map(y) for mr, y in zip(lab_mrs, lab.labels.tolist())], dtype=np.int64),
+                x_unlabeled_weak=to_model_input(np.stack([_views(mrs, unl, seed) for mrs in weak_mrs])),
+                x_unlabeled_strong=to_model_input(_views(strong_mrs, unl, seed)),
                 strong_label_maps=strong_maps[np.array(strong_idx, dtype=np.intp)],
                 labeled_mr_ids=tuple(mr.id for mr in lab_mrs),
                 strong_mr_ids=tuple(mr.id for mr in strong_mrs),
-                labeled_source_ids=tuple(s.source_id for s in lab),
-                unlabeled_source_ids=tuple(s.source_id for s in unl),
+                labeled_source_ids=tuple(lab.source_ids.tolist()),
+                unlabeled_source_ids=tuple(unl.source_ids.tolist()),
             )

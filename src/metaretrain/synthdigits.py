@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ImageSample
+from .data import Samples
+from .errors import ValidationError
 
 _FONT = {
     0: ("01110", "10001", "10011", "10101", "11001", "10001", "01110"),
@@ -50,29 +51,32 @@ def render_digit(digit: int, rng: np.random.Generator) -> np.ndarray:
     return np.clip(canvas, 0, 255).astype(np.uint8)[None, :, :]
 
 
-def make_digits(n: int, seed: int = 0) -> list:
-    """n ImageSamples with uniformly cycling labels, deterministic in seed."""
+def make_digits(n: int, seed: int = 0) -> Samples:
+    """A table of n digits with uniformly cycling labels, deterministic in seed."""
     rng = np.random.default_rng(seed)
-    samples = []
+    pixels = np.empty((n, 1, 28, 28), dtype=np.uint8)
     for i in range(n):
-        digit = i % 10
-        samples.append(ImageSample(render_digit(digit, rng), digit, i))
-    return samples
+        pixels[i] = render_digit(i % 10, rng)
+    return Samples(pixels, np.arange(n) % 10, np.arange(n))
 
 
-def write_idx(samples, images_path, labels_path) -> None:
-    """Write samples as a big-endian IDX image/label file pair."""
+def write_idx(samples: Samples, images_path, labels_path) -> None:
+    """Write a one-channel table as a big-endian IDX image/label file pair."""
+    n, channels, h, w = samples.pixels.shape
+    if channels != 1:
+        raise ValidationError(f"write_idx: IDX images have one channel, got {channels}")
+    bad = np.flatnonzero((samples.labels < 0) | (samples.labels > 255))
+    if bad.size:
+        raise ValidationError(f"write_idx: row {bad[0]} has label {samples.labels[bad[0]]}, "
+                              "but IDX labels are bytes 0-255")
     images_path, labels_path = Path(images_path), Path(labels_path)
     images_path.parent.mkdir(parents=True, exist_ok=True)
-    n = len(samples)
-    h, w = samples[0].pixels.shape[1:] if n else (28, 28)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", 0x00000803, n, h, w))
-        for s in samples:
-            f.write(s.pixels[0].tobytes())
+        f.write(samples.pixels.tobytes())
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">II", 0x00000801, n))
-        f.write(bytes(s.label for s in samples))
+        f.write(samples.labels.astype(np.uint8).tobytes())
 
 
 def ensure_dataset(data_dir, n_train: int = 2000, n_test: int = 400, seed: int = 1234) -> dict:

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import to_model_input
+from .data import Samples, to_model_input
 from .errors import ValidationError
 from .nn import Model
 from .nn.layers import PREDICT_CHUNK
@@ -76,17 +76,16 @@ def _logits(model: Model, pixels: np.ndarray) -> np.ndarray:
     return model.predict_logits(to_model_input(pixels))
 
 
-def _score(model: Model, mr, cases, predicted: np.ndarray, labels: np.ndarray,
-           pass_threshold: float, seed: int) -> SuiteOutcome:
-    """`predicted` and `labels` are the model's prediction and the ground truth per case."""
+def _score(model: Model, mr, cases: Samples, predicted: np.ndarray, pass_threshold: float,
+           seed: int) -> SuiteOutcome:
+    """`predicted` is the model's prediction per case."""
     preds_t = []
     for start in range(0, len(cases), PREDICT_CHUNK):
-        block = cases[start : start + PREDICT_CHUNK]
-        images = mr.transform(np.stack([s.pixels for s in block]), [(seed, s.source_id) for s in block])
-        preds_t.append(np.argmax(_logits(model, images), axis=1))
+        block = cases.take(slice(start, start + PREDICT_CHUNK))
+        preds_t.append(np.argmax(_logits(model, mr.transform(block.pixels, block.keys(seed))), axis=1))
     preds_t = np.concatenate(preds_t)
     mode = "consistency" if mr.kind == LABEL_PRESERVING else "mapped_truth"
-    reference = predicted if mode == "consistency" else labels
+    reference = predicted if mode == "consistency" else cases.labels
     table = label_map_array(mr, model.spec.num_classes)
     bits = (preds_t == table[reference]).astype(np.int8)
     rate = float(bits.mean())
@@ -94,15 +93,15 @@ def _score(model: Model, mr, cases, predicted: np.ndarray, labels: np.ndarray,
     return SuiteOutcome(mr=mr, bits=bits, success_rate=rate, verdict=verdict, mode=mode)
 
 
-def robustness(model: Model, relations, samples, *, max_cases: Optional[int] = None,
+def robustness(model: Model, relations, samples: Samples, *, max_cases: Optional[int] = None,
                pass_threshold: float = 0.8, seed: int = 0) -> RobustnessReport:
     """SR_MT over every case of every relation, plus per-relation outcomes.
 
-    Every relation is tested on the same cases: all of `samples`, or a
-    `seed`-drawn `max_cases` of them in split order. A relation may appear
+    Every relation is tested on the same cases: every row of `samples`, or a
+    `seed`-drawn `max_cases` of them in table order. A relation may appear
     once only, so its id names its outcome.
     """
-    relations, samples = list(relations), list(samples)
+    relations = list(relations)
     if not relations:
         raise ValidationError("robustness() needs at least one relation")
     if not samples:
@@ -116,14 +115,12 @@ def robustness(model: Model, relations, samples, *, max_cases: Optional[int] = N
     if repeated:
         raise ValidationError(f"one suite per relation; repeated: {', '.join(repeated)}")
     # the float32 stack of the split is freed when _logits returns, before any relation runs
-    logits = _logits(model, np.stack([s.pixels for s in samples]))
-    rows = np.arange(len(samples))
+    logits = _logits(model, samples.pixels)
+    cases, predicted = samples, np.argmax(logits, axis=1)
     if max_cases is not None and len(samples) > max_cases:
         rows = np.sort(np.random.default_rng(seed).permutation(len(samples))[:max_cases])
-    cases = [samples[i] for i in rows]
-    predicted = np.argmax(logits[rows], axis=1)
-    labels = np.array([s.label for s in cases])
-    outcomes = sorted((_score(model, mr, cases, predicted, labels, pass_threshold, seed) for mr in relations),
+        cases, predicted = samples.take(rows), predicted[rows]
+    outcomes = sorted((_score(model, mr, cases, predicted, pass_threshold, seed) for mr in relations),
                       key=lambda o: o.mr.id)
     total = sum(o.bits.size for o in outcomes)
     passes = sum(int(o.bits.sum()) for o in outcomes)

@@ -34,7 +34,7 @@ from metaretrain.synthdigits import make_digits
 from metaretrain.tester import robustness
 from metaretrain.trainers import TrainerConfig, build_trainer
 
-from util import finite_diff_grad, max_rel_error
+from util import finite_diff_grad, max_rel_error, table
 
 
 def report(criterion, ok, detail=""):
@@ -358,10 +358,10 @@ def test_criterion_10_topn_properties():
     from metaretrain.data import ImageSample
 
     rng = np.random.default_rng(55)
-    random_samples = [
+    random_samples = table([
         ImageSample(rng.integers(0, 256, size=(1, 1, 10), dtype=np.uint8), int(rng.integers(0, 10)), i)
         for i in range(25)
-    ]
+    ])
     accs = [topn_accuracy(probe, random_samples, n) for n in range(1, 11)]
     monotone = all(a <= b for a, b in zip(accs, accs[1:]))
     top_c = accs[-1] == 1.0
@@ -369,7 +369,7 @@ def test_criterion_10_topn_properties():
     def fixture_sample(values, label, i):
         return ImageSample(np.array(values, dtype=np.uint8).reshape(1, 1, 10), label, i)
 
-    hand = [
+    hand = table([
         fixture_sample([200, 150, 100, 0, 0, 0, 0, 0, 0, 0], 0, 0),   # rank 1
         fixture_sample([200, 150, 100, 0, 0, 0, 0, 0, 0, 0], 1, 1),   # rank 2
         fixture_sample([200, 150, 100, 0, 0, 0, 0, 0, 0, 0], 3, 2),   # rank 4
@@ -381,7 +381,7 @@ def test_criterion_10_topn_properties():
         fixture_sample([50, 40, 30, 20, 10, 0, 0, 0, 0, 0], 4, 7),    # rank 5
         fixture_sample([50, 40, 30, 20, 10, 0, 0, 0, 0, 0], 0, 8),    # rank 1
         fixture_sample([0, 0, 0, 0, 0, 0, 0, 0, 0, 255], 9, 9),       # rank 1
-    ]
+    ])
     # manual count: top-1 hits are samples 0,3,5,8,9 (5/10); top-3 adds 1,4 (7/10)
     top1_ok = topn_accuracy(probe, hand, 1) == pytest.approx(5 / 10)
     top3_ok = topn_accuracy(probe, hand, 3) == pytest.approx(7 / 10)

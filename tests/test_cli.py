@@ -10,9 +10,11 @@ import pytest
 from metaretrain import cli, orchestrator
 from metaretrain.cli import main
 from metaretrain.config import _SCHEMA, parse_config_text
+from metaretrain.data import Samples
 from metaretrain.nn import Dense, Flatten, Model, ModelSpec, load_checkpoint, model_spec, save_checkpoint
 from metaretrain.nn.layers import ModelSnapshot
 from metaretrain.orchestrator import CycleRecord, RunHistory
+from metaretrain.synthdigits import make_digits, write_idx
 
 
 def write_config(path, data_dir, output_dir, **overrides):
@@ -395,6 +397,64 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "run.cfg", tmp_path / "nowhere", tmp_path / "runs")
         assert main(["run", "--config", str(cfg)]) == 2
         assert "data_dir" in capsys.readouterr().err
+
+
+class TestCorpusLabels:
+    """A corpus label that is not a class of the dataset exits 2, naming the
+    file, the row and the label, before any run or output directory exists."""
+
+    def mnist_corpus(self, tmp_path, n=400, bad_row=123, bad_label=12):
+        samples = make_digits(n, seed=4)
+        labels = samples.labels.copy()
+        if n:
+            labels[bad_row] = bad_label
+        data = tmp_path / "data"
+        write_idx(Samples(samples.pixels, labels, samples.source_ids),
+                  data / "train-images-idx3-ubyte", data / "train-labels-idx1-ubyte")
+        return data
+
+    def test_run_exit_2_before_any_run_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.cfg", self.mnist_corpus(tmp_path), tmp_path / "runs", fraction=0.5)
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "train-labels-idx1-ubyte: row 123 has label 12" in err and "mnist has 10 classes" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_test_exit_2_before_any_output_directory(self, tmp_path, capsys):
+        data = self.mnist_corpus(tmp_path, bad_row=0, bad_label=255)
+        ckpt = tmp_path / "linear.ckpt"
+        save_checkpoint(Model(model_spec("linear", (1, 28, 28), 10), seed=0).snapshot(), ckpt)
+        rc = main(["test", "--checkpoint", str(ckpt), "--dataset", "mnist", "--data-dir", str(data),
+                   "--fraction", "1.0", "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "row 0 has label 255" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_cifar10_label_of_ten_exit_2_naming_the_batches(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        for i, n in ((1, 5), (2, 4)):
+            raw = rng.integers(0, 256, size=(n, 3073), dtype=np.uint8)
+            raw[:, 0] = rng.integers(0, 10, size=n)
+            raw[2, 0] = 10 if i == 2 else raw[2, 0]
+            (tmp_path / f"data_batch_{i}.bin").write_bytes(raw.tobytes())
+        ckpt = tmp_path / "linear.ckpt"
+        save_checkpoint(Model(model_spec("linear", (3, 32, 32), 10), seed=0).snapshot(), ckpt)
+        rc = main(["test", "--checkpoint", str(ckpt), "--dataset", "cifar10", "--data-dir", str(tmp_path),
+                   "--fraction", "1.0", "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "data_batch_1.bin" in err and "data_batch_2.bin: row 7 has label 10" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_corpus_loads_and_exit_2_at_the_split(self, tmp_path, capsys):
+        data = self.mnist_corpus(tmp_path, n=0)
+        assert len(cli.load_dataset("mnist", data)) == 0
+        cfg = write_config(tmp_path / "run.cfg", data, tmp_path / "runs", fraction=0.5)
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "of 0 samples is empty" in err and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
 
 
 class TestWarmStart:

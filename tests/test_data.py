@@ -1,10 +1,15 @@
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from util import reference_largest_remainder, reference_subsample_and_split, table
 
 from metaretrain.data import (
     ImageSample,
+    Samples,
     largest_remainder,
     load_cifar,
     load_mnist,
@@ -85,6 +90,19 @@ class TestMnistLoader:
         b = load_mnist(tmp_path / "i", tmp_path / "l")
         assert all(np.array_equal(x.pixels, y.pixels) and x.label == y.label for x, y in zip(a, b))
 
+    def test_idx_writer_rejects_multi_channel_images_before_writing(self, tmp_path):
+        rows = [ImageSample(np.full((3, 4, 4), i, dtype=np.uint8), i, i) for i in range(2)]
+        with pytest.raises(ValidationError, match="one channel, got 3"):
+            write_idx(table(rows), tmp_path / "imgs", tmp_path / "lbls")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_idx_writer_rejects_label_above_a_byte_before_writing(self, tmp_path):
+        samples = make_digits(4, seed=2)
+        samples = Samples(samples.pixels, [1, 2, 300, 3], samples.source_ids)
+        with pytest.raises(ValidationError, match="row 2 has label 300"):
+            write_idx(samples, tmp_path / "imgs", tmp_path / "lbls")
+        assert list(tmp_path.iterdir()) == []
+
     def test_official_train_files_when_available(self):
         import os
         from pathlib import Path
@@ -140,9 +158,32 @@ class TestCifarLoader:
         assert [s.source_id for s in samples] == [0, 1, 2, 3, 4]
 
 
+class TestSamples:
+    def test_rows_view_the_table(self):
+        samples = make_digits(12, seed=3)
+        assert len(samples) == 12 and samples.labels.dtype == samples.source_ids.dtype == np.int64
+        row = samples[7]
+        assert isinstance(row, ImageSample) and (row.label, row.source_id) == (7, 7)
+        assert np.shares_memory(row.pixels, samples.pixels)
+        part = samples.take([9, 2])
+        assert part.labels.tolist() == [9, 2] and np.array_equal(part.pixels, samples.pixels[[9, 2]])
+        assert part.keys(5) == [(5, 9), (5, 2)]
+
+    @pytest.mark.parametrize("pixels,labels,source_ids,field", [
+        (np.zeros((2, 1, 3, 3), dtype=np.float32), [0, 1], [0, 1], "pixels"),
+        (np.zeros((1, 3, 3), dtype=np.uint8), [0], [0], "pixels"),
+        (np.zeros((2, 1, 3, 3), dtype=np.uint8), [0], [0, 1], "labels"),
+        (np.zeros((2, 1, 3, 3), dtype=np.uint8), [0, 1], [[0, 1]], "source_ids"),
+        (np.zeros((2, 1, 3, 3), dtype=np.uint8), [0.5, 1.0], [0, 1], "labels"),
+    ])
+    def test_table_checks_dtype_rank_and_row_count(self, pixels, labels, source_ids, field):
+        with pytest.raises(ValidationError, match=field):
+            Samples(pixels, labels, source_ids)
+
+
 class TestSubsampleAndSplit:
     def fake_samples(self, n, classes=10):
-        return [ImageSample(np.zeros((1, 2, 2), dtype=np.uint8), i % classes, i) for i in range(n)]
+        return table(ImageSample(np.zeros((1, 2, 2), dtype=np.uint8), i % classes, i) for i in range(n))
 
     def test_mnist_scale_arithmetic(self):
         split = subsample_and_split(self.fake_samples(60000), 0.001, (0.1, 0.7, 0.2), seed=0)
@@ -181,6 +222,37 @@ class TestSubsampleAndSplit:
     def test_too_small_subset_is_validation_error(self):
         with pytest.raises(ValidationError, match="no samples"):
             subsample_and_split(self.fake_samples(100), 0.02, (0.1, 0.7, 0.2), seed=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(st.integers(0, 11), min_size=1, max_size=200), fraction=st.floats(0.005, 1.0),
+           weights=st.tuples(*[st.integers(0, 9)] * 3).filter(any), seed=st.integers(0, 2**32 - 1),
+           stratified=st.booleans())
+    @example(labels=[3, 0, 3, 7, 0, 0, 3, 7, 7, 3], fraction=0.5, weights=(2, 5, 3), seed=0, stratified=True)
+    @example(labels=[4] * 9 + [1], fraction=0.3, weights=(1, 1, 1), seed=7, stratified=True)  # a class takes 0
+    def test_draws_match_the_per_object_split(self, labels, fraction, weights, seed, stratified):
+        # source ids that are not the row numbers, so a part cannot match by row alone
+        ids = np.random.default_rng(seed).permutation(len(labels)) * 3 + 100
+        rows = [ImageSample(np.full((1, 1, 1), i % 256, dtype=np.uint8), lab, int(sid))
+                for i, (lab, sid) in enumerate(zip(labels, ids))]
+        ratios = tuple(w / sum(weights) for w in weights)
+        try:
+            expected = reference_subsample_and_split(rows, fraction, ratios, seed, stratified)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError, match=re.escape(str(exc))):
+                subsample_and_split(table(rows), fraction, ratios, seed, stratified)
+            return
+        split = subsample_and_split(table(rows), fraction, ratios, seed, stratified)
+        for name in ("labeled", "unlabeled", "test"):
+            part, want = getattr(split, name), getattr(expected, name)
+            assert part.source_ids.tolist() == [r.source_id for r in want], name
+            assert part.labels.tolist() == [r.label for r in want], name
+            assert part.pixels.tobytes() == b"".join(r.pixels.tobytes() for r in want), name
+
+    @settings(max_examples=200, deadline=None)
+    @given(total=st.integers(0, 500), weights=st.lists(st.floats(0, 50), min_size=1, max_size=12).filter(any))
+    @example(total=10, weights=[1.0, 1.0, 1.0, 1.0])  # equal remainders go to the lower index
+    def test_largest_remainder_matches_the_sorted_loop(self, total, weights):
+        assert largest_remainder(total, weights) == reference_largest_remainder(total, weights)
 
     def test_largest_remainder_exact(self):
         assert largest_remainder(60, (0.1, 0.7, 0.2)) == [6, 42, 12]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from util import table
 
 from metaretrain.data import ImageSample, to_model_input
 from metaretrain.errors import ValidationError
@@ -32,10 +33,10 @@ class TestTopN:
     def test_top_c_is_always_one(self):
         rng = np.random.default_rng(0)
         model = probe_model()
-        samples = [
+        samples = table([
             sample_with_logit_ranks(rng.integers(0, 256, size=10), int(rng.integers(0, 10)), i)
             for i in range(12)
-        ]
+        ])
         assert topn_accuracy(model, samples, 10) == 1.0
 
     def test_perfect_model_top1(self):
@@ -46,7 +47,7 @@ class TestTopN:
             label = i % 10
             values[label] = 255
             samples.append(sample_with_logit_ranks(values, label, i))
-        assert topn_accuracy(model, samples, 1) == 1.0
+        assert topn_accuracy(model, table(samples), 1) == 1.0
 
     def test_hand_fixture_matches_manual_count(self):
         model = probe_model()
@@ -64,7 +65,7 @@ class TestTopN:
             ([0, 10, 0, 0, 0, 0, 0, 0, 0, 0], 0, False, True),
             ([0, 0, 0, 0, 0, 255, 0, 0, 0, 0], 5, True, True),
         ]
-        samples = [sample_with_logit_ranks(v, lab, i) for i, (v, lab, _, _) in enumerate(rows)]
+        samples = table(sample_with_logit_ranks(v, lab, i) for i, (v, lab, _, _) in enumerate(rows))
         expected_top1 = sum(1 for _, _, hit1, _ in rows if hit1) / len(rows)
         expected_top3 = sum(1 for _, _, _, hit3 in rows if hit3) / len(rows)
         assert topn_accuracy(model, samples, 1) == pytest.approx(expected_top1)
@@ -73,10 +74,10 @@ class TestTopN:
     def test_monotone_in_n(self):
         rng = np.random.default_rng(1)
         model = Model(ModelSpec((1, 1, 10), 10, (Flatten(), Dense(10))), seed=2)
-        samples = [
+        samples = table([
             ImageSample(rng.integers(0, 256, size=(1, 1, 10), dtype=np.uint8), int(rng.integers(0, 10)), i)
             for i in range(30)
-        ]
+        ])
         accs = [topn_accuracy(model, samples, n) for n in range(1, 11)]
         assert all(a <= b for a, b in zip(accs, accs[1:]))
         assert accs[-1] == 1.0
@@ -84,19 +85,19 @@ class TestTopN:
     def test_ties_break_by_ascending_class_index(self):
         model = probe_model()
         flat = sample_with_logit_ranks(np.zeros(10), 2, 0)  # all logits equal
-        assert topn_accuracy(model, [flat], 3) == 1.0  # classes 0,1,2 fill top-3
+        assert topn_accuracy(model, table([flat]), 3) == 1.0  # classes 0,1,2 fill top-3
         flat_high = sample_with_logit_ranks(np.zeros(10), 3, 0)
-        assert topn_accuracy(model, [flat_high], 3) == 0.0
+        assert topn_accuracy(model, table([flat_high]), 3) == 0.0
 
     def test_validation(self):
         model = probe_model()
         with pytest.raises(ValidationError):
-            topn_accuracy(model, [], 1)
-        s = sample_with_logit_ranks(np.zeros(10), 0, 0)
+            topn_accuracy(model, table([], shape=(1, 1, 10)), 1)
+        s = table([sample_with_logit_ranks(np.zeros(10), 0, 0)])
         with pytest.raises(ValidationError):
-            topn_accuracy(model, [s], 0)
+            topn_accuracy(model, s, 0)
         with pytest.raises(ValidationError):
-            topn_accuracy(model, [s], 11)
+            topn_accuracy(model, s, 11)
 
 
 class TestEvaluate:

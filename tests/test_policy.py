@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from util import table
 
 from metaretrain.data import ImageSample, subsample_and_split, to_model_input
 from metaretrain.errors import ValidationError
@@ -233,7 +234,7 @@ class TestCycleStream:
 
     def test_stream_never_reads_unlabeled_labels(self):
         split = mnist_split(40, ratios=(0.3, 0.5, 0.2))
-        relabeled = replace(split, unlabeled=tuple(
+        relabeled = replace(split, unlabeled=table(
             ImageSample(s.pixels, (s.label + 1) % 10, s.source_id) for s in split.unlabeled))
         catalog = catalog_default("mnist")
         for pol in (base_policy(catalog, seed=10), static_policy(catalog, k=2, seed=10)):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from util import table
 
 from metaretrain.data import ImageSample, to_model_input
 from metaretrain.errors import ValidationError
@@ -35,8 +36,8 @@ def constant_model(size=8, classes=10, winner=3):
 
 def digit_samples(n, size=8, seed=0):
     rng = np.random.default_rng(seed)
-    return [ImageSample(rng.integers(0, 256, size=(1, size, size), dtype=np.uint8), int(rng.integers(0, 10)), i)
-            for i in range(n)]
+    return table([ImageSample(rng.integers(0, 256, size=(1, size, size), dtype=np.uint8),
+                              int(rng.integers(0, 10)), i) for i in range(n)], shape=(1, size, size))
 
 
 def mnist_samples(n, seed=0):
@@ -68,7 +69,7 @@ class TestRunCase:
         model = constant_model(size=28)
         mrs = catalog_by_id("mnist")
         for s in mnist_samples(5):
-            assert score(model, mrs["rot90"], [s]).bits.tolist() == [1]
+            assert score(model, mrs["rot90"], table([s])).bits.tolist() == [1]
 
     def test_mapped_label_mismatch_fails(self):
         # constant model predicts 2 everywhere; rot180 maps a source-2 to 5
@@ -76,7 +77,7 @@ class TestRunCase:
         mrs = catalog_by_id("mnist")
         s = mnist_samples(1)[0]
         s = ImageSample(s.pixels, 2, s.source_id)
-        assert score(model, mrs["rot180"], [s]).bits.tolist() == [0]
+        assert score(model, mrs["rot180"], table([s])).bits.tolist() == [0]
 
     def test_matches_brute_force_enumeration(self):
         model = tiny_model(seed=4, size=28)
@@ -160,7 +161,7 @@ class TestRunSuite:
 
     def test_empty_suite_rejected(self):
         with pytest.raises(ValidationError):
-            score(constant_model(), IDENTITY, [])
+            score(constant_model(), IDENTITY, table([], shape=(1, 8, 8)))
 
     def test_bad_threshold_rejected(self):
         model = constant_model()
@@ -191,7 +192,7 @@ class TestRobustness:
         sources = mnist_samples(5, seed=4)
         # identity suite passes 5/5; rot180 mapped-truth passes where map(label)==2
         labels = [2, 5, 5, 5, 0]  # map -> 5,2,2,2,0; prediction 2 passes 3 cases
-        sources = [ImageSample(s.pixels, lab, s.source_id) for s, lab in zip(sources, labels)]
+        sources = table(ImageSample(s.pixels, lab, s.source_id) for s, lab in zip(sources, labels))
         report = robustness(model, [IDENTITY, mrs["rot180"]], sources)
         assert report.total_cases == 10
         assert report.sr_mt == pytest.approx(0.8)  # 5 + 3 passes
@@ -267,7 +268,7 @@ class TestRobustness:
     def test_constant_model_below_one_with_label_map(self):
         model = constant_model(size=28, winner=2)
         mrs = catalog_by_id("mnist")
-        sources = [ImageSample(s.pixels, 2, s.source_id) for s in mnist_samples(6, seed=9)]
+        sources = table(ImageSample(s.pixels, 2, s.source_id) for s in mnist_samples(6, seed=9))
         report = robustness(model, [mrs["rot180"]], sources)
         assert report.sr_mt < 1.0
 

@@ -1,8 +1,20 @@
-"""Shared test oracles: central finite differences and error metrics."""
+"""Shared test oracles: central finite differences, error metrics, reference
+kernels, the per-object split, and the `table` fixture builder."""
 
 import numpy as np
 
+from metaretrain.data import DatasetSplit, Samples
+from metaretrain.errors import ValidationError
 from metaretrain.nn import Tensor
+
+
+def table(rows, shape=(1, 28, 28)) -> Samples:
+    """A `Samples` table of `rows` in order: anything with `.pixels`, `.label`
+    and `.source_id`, such as `ImageSample`s. No rows give an empty table of
+    images of `shape`."""
+    rows = list(rows)
+    pixels = np.stack([r.pixels for r in rows]) if rows else np.zeros((0, *shape), dtype=np.uint8)
+    return Samples(pixels, [r.label for r in rows], [r.source_id for r in rows])
 
 
 def finite_diff_grad(loss_fn, arr, eps=1e-4):
@@ -105,3 +117,58 @@ def reference_maxpool2d(x, kernel=2):
         return gflat.reshape(B, C, Ho, Wo, kernel, kernel).transpose(0, 1, 2, 4, 3, 5).reshape(B, C, H, W)
 
     return np.ascontiguousarray(out), backward
+
+
+# -- reference split -----------------------------------------------------------
+# subsample_and_split and largest_remainder as they were when the split took a
+# list of per-image objects, kept as the oracle for the table version's draws.
+
+
+def reference_largest_remainder(total: int, weights) -> list:
+    weights = np.asarray(weights, dtype=np.float64)
+    quotas = weights / weights.sum() * total
+    base = np.floor(quotas).astype(int)
+    short = total - int(base.sum())
+    order = sorted(range(len(weights)), key=lambda i: (-(quotas[i] - base[i]), i))
+    for i in order[:short]:
+        base[i] += 1
+    return base.tolist()
+
+
+def reference_subsample_and_split(samples, fraction, ratios, seed, stratified=True) -> DatasetSplit:
+    """The per-object split: `samples` is a list of rows with `.label`; the
+    parts are tuples of those rows."""
+    if not 0 < fraction <= 1:
+        raise ValidationError("fraction must be in (0, 1]")
+    ratios = tuple(float(r) for r in ratios)
+    if len(ratios) != 3 or min(ratios) < 0:
+        raise ValidationError("ratios must be three non-negative numbers")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValidationError(f"ratios must sum to 1 within 1e-9, got {sum(ratios)}")
+    n_total = len(samples)
+    n_sub = round(fraction * n_total)
+    if n_sub < 1:
+        raise ValidationError(f"fraction {fraction} of {n_total} samples is empty")
+    sizes = reference_largest_remainder(n_sub, ratios) if sum(ratios) else [0, 0, 0]
+    for name, size, ratio in zip(("labeled", "unlabeled", "test"), sizes, ratios):
+        if ratio > 0 and size < 1:
+            raise ValidationError(f"subset of {n_sub} gives no samples for the {name} split")
+    rng = np.random.default_rng(seed)
+    if stratified:
+        by_class = {}
+        for idx, s in enumerate(samples):
+            by_class.setdefault(s.label, []).append(idx)
+        class_order = sorted(by_class)
+        per_class = reference_largest_remainder(n_sub, [len(by_class[c]) for c in class_order])
+        chosen = []
+        for c, take in zip(class_order, per_class):
+            pool = np.array(by_class[c])
+            chosen.extend(pool[rng.choice(len(pool), size=take, replace=False)])
+        chosen = np.array(sorted(chosen))
+        chosen = chosen[rng.permutation(len(chosen))]
+    else:
+        chosen = rng.choice(n_total, size=n_sub, replace=False)
+    picked = [samples[i] for i in chosen]
+    n_lab, n_unl, _ = sizes
+    return DatasetSplit(labeled=tuple(picked[:n_lab]), unlabeled=tuple(picked[n_lab : n_lab + n_unl]),
+                        test=tuple(picked[n_lab + n_unl :]), seed=seed)
