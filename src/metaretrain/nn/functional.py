@@ -3,18 +3,22 @@
 conv2d is one GEMM over an im2col matrix, in float32 unless the input or the
 weight is float64: the input is written into a zero-bordered buffer, and its
 sliding windows unrolled into one column per output pixel (Chellapilla et al.
-2006). The weight gradient is a GEMM against the same windows laid out one row
-per output pixel, [B*Ho*Wo, Cin*KH*KW]; the backward pass gathers them from the
-padded input with one strided copy per kernel offset, so the graph holds only
-that buffer. The input gradient is scattered back one kernel offset at a time
-into a [Cin, B, Hp, Wp] buffer and transposed once. A float32 GEMM rounds by
-its shapes, so predict chunks have one shape.
+2006). The bias is added in place to the [Cout, B*Ho*Wo] GEMM output, which is
+then copied once into [B, Cout, Ho, Wo]. The weight gradient is a GEMM against
+the same windows laid out one row per output pixel, [B*Ho*Wo, Cin*KH*KW]; the
+backward pass gathers them from the padded input with one strided copy per
+kernel offset, so the graph holds only that buffer. The input gradient is
+scattered back one kernel offset at a time into a [Cin, B, Hp, Wp] buffer and
+transposed once. A float32 GEMM rounds by its shapes, so predict chunks have
+one shape.
 
-maxpool2d takes np.maximum over the kernel**2 strided views of each tile, in
-row-major offset order. On ties the first offset in that order holds the max
-and receives the gradient. The backward pass routes without a branch: each
-offset's gradient is the incoming one, viewed as unsigned integers of the
-storage width, times its 0/1 hit mask.
+maxpool2d folds each tile's rows with np.maximum over the kernel strided
+column views, then folds those row maxima over the kernel strided row views.
+Both folds keep the earlier operand on a tie, so the max is the first in
+row-major offset order, signed zeros included; that offset receives the
+gradient. The backward pass routes without a branch: each offset's gradient is
+the incoming one, viewed as unsigned integers of the storage width, times its
+0/1 hit mask.
 """
 
 from __future__ import annotations
@@ -47,9 +51,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     # im2col: one column per output pixel, [Cin*KH*KW, B*Ho*Wo]
     cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(Cin * KH * KW, B * Ho * Wo)
     with np.errstate(over="ignore"):  # Tensor._make reports an overflow, naming the op
-        out = (weight.data.reshape(Cout, -1) @ cols).reshape(Cout, B, Ho, Wo).transpose(1, 0, 2, 3)
+        out = weight.data.reshape(Cout, -1) @ cols  # [Cout, B*Ho*Wo]
         del cols  # freed before the output copy; backward gathers its windows from `xp`
-        data = np.add(out, bias.data[None, :, None, None], dtype=dtype, order="C")
+        # the bias is added in place (rounded to `dtype` first), then the one
+        # layout copy to [B, Cout, Ho, Wo]
+        np.add(out, bias.data[:, None], out=out, dtype=dtype)
+    data = np.ascontiguousarray(out.reshape(Cout, B, Ho, Wo).transpose(1, 0, 2, 3))
+    del out
 
     def backward(grad):
         if bias.requires_grad:
@@ -82,13 +90,18 @@ def maxpool2d(x: Tensor, kernel: int = 2) -> Tensor:
     B, C, H, W = x.data.shape
     if H % kernel or W % kernel:
         raise ConfigurationError(f"maxpool2d: input {H}x{W} not divisible by kernel {kernel}")
-    # the kernel**2 strided views x[:, :, i::k, j::k], in row-major offset order
+    # each tile's rows folded along W, then those row maxima along H; on ties
+    # np.maximum returns its second operand, so the earlier value (and its
+    # sign, for -0.0 against 0.0) stays in both folds: the first max in
+    # row-major order, as one fold over the kernel**2 offsets gives
+    rows = x.data[..., ::kernel].copy()
+    for j in range(1, kernel):
+        np.maximum(x.data[..., j::kernel], rows, out=rows)
+    data = rows[:, :, ::kernel].copy()
+    for i in range(1, kernel):
+        np.maximum(rows[:, :, i::kernel], data, out=data)
+    del rows
     offsets = [(i, j) for i in range(kernel) for j in range(kernel)]
-    data = x.data[:, :, ::kernel, ::kernel].copy()
-    for i, j in offsets[1:]:
-        # on ties np.maximum returns its second operand, so the earlier value
-        # (and its sign, for -0.0 against 0.0) stays
-        np.maximum(x.data[:, :, i::kernel, j::kernel], data, out=data)
 
     def backward(grad):
         # each gradient goes to the first offset that holds the max; the
@@ -107,7 +120,7 @@ def maxpool2d(x: Tensor, kernel: int = 2) -> Tensor:
             np.multiply(g, hit, out=gx.view(bits)[:, :, i::kernel, j::kernel])
         x._accumulate(gx)
 
-    return Tensor._make(data, "maxpool2d", (x,), backward)
+    return Tensor._make(data, "maxpool2d", (x,), backward, keeps_finite=True)
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

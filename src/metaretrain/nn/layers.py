@@ -267,10 +267,13 @@ class Model:
     def predict_logits(self, images: np.ndarray) -> np.ndarray:
         """Graph-free forward over an ndarray [N,C,H,W]; returns [N,num_classes].
 
-        Every forward has PREDICT_CHUNK rows, the last chunk padded with zero
-        images whose rows are dropped: a float32 GEMM rounds by its shapes, so
-        only a fixed shape makes each row depend on its own image alone. The
-        chunk also bounds the largest transient, a conv layer's im2col matrix.
+        Every forward has PREDICT_CHUNK rows: a float32 GEMM rounds by its
+        shapes, so only a fixed shape makes each row depend on its own image
+        alone. A full float32 chunk is forwarded as the caller's contiguous
+        slice, which no op writes to; only a short last chunk, or an input of
+        another dtype, is copied into a float32 block padded with zero images
+        whose rows are dropped. The chunk also bounds the largest transient, a
+        conv layer's im2col matrix.
         """
         images = np.asarray(images)
         if images.ndim != 4:
@@ -279,8 +282,11 @@ class Model:
         with no_grad():
             for start in range(0, images.shape[0], PREDICT_CHUNK):
                 part = images[start : start + PREDICT_CHUNK]
-                chunk = np.zeros((PREDICT_CHUNK, *images.shape[1:]), dtype=np.float32)
-                chunk[: len(part)] = part
+                if len(part) == PREDICT_CHUNK and part.dtype == np.float32:
+                    chunk = np.ascontiguousarray(part)
+                else:
+                    chunk = np.zeros((PREDICT_CHUNK, *images.shape[1:]), dtype=np.float32)
+                    chunk[: len(part)] = part
                 outs.append(self.forward(Tensor(chunk)).data[: len(part)])
         return np.concatenate(outs, axis=0)
 

@@ -6,9 +6,12 @@ reverse topological order and drops each interior node's gradient once its
 closure has consumed it, so only leaves (parameters and inputs created with
 requires_grad) hold a gradient afterwards. matmul computes in float32 unless
 an operand is float64; reductions accumulate in float64 and cast back to the
-storage dtype. Every op checks its result for NaN/Inf and raises
-NonFiniteError on the spot. relu is branch-free: np.fmax against 0, with -0.0
-turned into +0.0.
+storage dtype. An op's result carries a `finite` flag: an op checks its result
+for NaN/Inf and raises NonFiniteError on the spot, unless it cannot turn finite
+input non-finite (maxpool2d, relu, reshape) and every input already carries the
+flag. A leaf (a parameter or a model input) never carries it, so an op on a leaf
+always checks. relu is branch-free: np.fmax against 0, with -0.0 turned into
++0.0.
 """
 
 from __future__ import annotations
@@ -67,13 +70,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "name", "finite", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         self.data = _as_array(data, DEFAULT_DTYPE)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self.name = name
+        self.finite = False  # a leaf is never known finite; see the module docstring
         self._parents: tuple = ()
         self._backward = None
 
@@ -133,12 +137,15 @@ class Tensor:
     # -- op construction -------------------------------------------------
 
     @staticmethod
-    def _make(data: np.ndarray, op: str, parents: tuple, backward) -> "Tensor":
-        _check_finite(data, op)
+    def _make(data: np.ndarray, op: str, parents: tuple, backward, keeps_finite: bool = False) -> "Tensor":
+        # `keeps_finite`: the op cannot turn finite input non-finite
+        if not (keeps_finite and all(p.finite for p in parents)):
+            _check_finite(data, op)
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
         out.name = ""
+        out.finite = True
         needs = grad_enabled() and any(p.requires_grad for p in parents)
         out.requires_grad = needs
         if needs:
@@ -239,7 +246,7 @@ class Tensor:
             # the mask is built here, so a graph-free forward never makes it
             self._accumulate(grad * (self.data > 0))
 
-        return Tensor._make(data, "relu", (self,), backward)
+        return Tensor._make(data, "relu", (self,), backward, keeps_finite=True)
 
     def exp(self) -> "Tensor":
         with np.errstate(over="ignore"):
@@ -294,7 +301,7 @@ class Tensor:
         def backward(grad):
             self._accumulate(grad.reshape(src_shape))
 
-        return Tensor._make(data, "reshape", (self,), backward)
+        return Tensor._make(data, "reshape", (self,), backward, keeps_finite=True)
 
     def log_softmax(self) -> "Tensor":
         """Row-wise log softmax over axis 1, computed via stable log-sum-exp."""

@@ -27,11 +27,20 @@ from metaretrain.nn import (
     backward,
     load_checkpoint,
     model_spec,
+    no_grad,
     save_checkpoint,
 )
 from metaretrain.nn import functional as F
+from metaretrain.nn import tensor as tensor_module
 
-from util import finite_diff_grad, gradcheck, max_rel_error, reference_conv2d, reference_maxpool2d
+from util import (
+    finite_diff_grad,
+    gradcheck,
+    max_rel_error,
+    reference_conv2d,
+    reference_conv2d_forward,
+    reference_maxpool2d,
+)
 
 
 def mlp_spec(din=4, hidden=5, classes=3):
@@ -111,6 +120,26 @@ class TestForward:
         x = rng.integers(0, 256, size=(n, 1, 12, 12)).astype(np.float32) / 255
         idx = rng.permutation(n)[:k]  # a random subset in random order; all of x when k >= n
         assert model.predict_logits(x[idx]).tobytes() == model.predict_logits(x)[idx].tobytes()
+
+    def test_full_chunks_forward_the_callers_rows_unchanged(self, monkeypatch):
+        model = Model(model_spec("cnn_small", (1, 12, 12), 10), seed=3)
+        x = np.random.default_rng(3).random((65, 1, 12, 12)).astype(np.float32)
+        x[0, 0, 0, :2] = -0.0
+        before = x.tobytes()
+        shared = []
+        forward = Model.forward
+
+        def recording(self, xt):
+            shared.append(np.shares_memory(xt.data, x))
+            return forward(self, xt)
+
+        monkeypatch.setattr(Model, "forward", recording)
+        logits = model.predict_logits(x)
+        assert x.tobytes() == before
+        assert shared == [True, True, False]  # two full chunks as views, the 1-row tail padded
+        # a float64 copy of the same values takes the padded path, with the same bytes
+        assert model.predict_logits(x.astype(np.float64)).tobytes() == logits.tobytes()
+        assert model.predict_logits(x[:64]).tobytes() == logits[:64].tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(blocks=st.lists(st.tuples(st.integers(1, 3), st.sampled_from([1, 3]), st.integers(1, 3)),
@@ -327,6 +356,41 @@ class TestBackward:
             Tensor(np.array([1000.0]), requires_grad=True).exp()
 
 
+class TestFiniteChecks:
+    """Where Tensor._make runs its finite check: on every op's result, except
+    for ops that keep finite input finite when every input is an op result."""
+
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_cnn_small_forward_checks_conv_and_dense_only(self, monkeypatch, grad):
+        model = Model(model_spec("cnn_small", (1, 28, 28), 10), seed=0)
+        x = Tensor(np.random.default_rng(0).random((2, 1, 28, 28)).astype(np.float32))
+        ops = []
+        check = tensor_module._check_finite
+
+        def recording(arr, op):
+            ops.append(op)
+            check(arr, op)
+
+        monkeypatch.setattr(tensor_module, "_check_finite", recording)
+        if grad:
+            out = model.forward(x)
+        else:
+            with no_grad():
+                out = model.forward(x)
+        assert ops == ["conv2d", "conv2d", "transpose", "matmul", "add"]
+        assert out.finite and not x.finite
+
+    @pytest.mark.parametrize("op,bad", [("maxpool2d", np.nan), ("reshape", np.nan), ("relu", np.inf)])
+    def test_a_leaf_is_checked_and_named(self, op, bad):
+        x = np.ones((1, 1, 2, 2))
+        x[0, 0, 1, 1] = bad
+        run = {"maxpool2d": lambda t: F.maxpool2d(t, 2), "reshape": lambda t: t.reshape(1, -1),
+               "relu": lambda t: t.relu()}[op]
+        for leaf in (Tensor(x), Tensor(x, requires_grad=True)):
+            with pytest.raises(NonFiniteError, match=f"op '{op}'"):
+                run(leaf)
+
+
 def conv_case(data, batch=4, cin=4, cout=8):
     """Draw (x, w, b, stride, padding) with a valid output size and at most the given sizes."""
     k = data.draw(st.integers(1, 4), "kernel")
@@ -397,6 +461,25 @@ class TestKernelsMatchReference:
             assert got.dtype == want.dtype == np.float64
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("dtype,bias_dtype", [(np.float32, np.float32), (np.float32, np.float64),
+                                                  (np.float64, np.float64)])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("cin,cout,size", [(1, 8, 28), (8, 16, 14)])
+    @pytest.mark.parametrize("batch", [1, 32, 64])
+    def test_conv2d_forward_equals_transposing_add_bytewise(self, batch, cin, cout, size, stride, dtype,
+                                                             bias_dtype):
+        # the bias added before the layout copy, not in it: the same GEMM and
+        # the same float adds, so every output byte stays, float32 included;
+        # a float64 bias still rounds to the compute dtype first
+        rng = np.random.default_rng((batch, cin, stride))
+        x, w = (rng.normal(size=shape).astype(dtype) for shape in ((batch, cin, size, size), (cout, cin, 3, 3)))
+        b = rng.normal(size=cout).astype(bias_dtype)
+        with no_grad():
+            out = F.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=1).data
+        want = reference_conv2d_forward(x, w, b, stride=stride, padding=1)
+        assert out.dtype == want.dtype == dtype and out.shape == want.shape and out.flags.c_contiguous
+        assert out.tobytes() == want.tobytes()
+
     @settings(max_examples=100, deadline=None)
     @given(m=st.integers(1, 70), k=st.integers(1, 70), n=st.integers(1, 70),
            dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
@@ -410,19 +493,30 @@ class TestKernelsMatchReference:
             assert got.dtype == dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(kernel=st.integers(1, 3), batch=st.integers(1, 3), channels=st.integers(1, 3),
-           ho=st.integers(1, 5), wo=st.integers(1, 5), post_relu=st.booleans(), special_grad=st.booleans(),
-           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
-    @example(kernel=2, batch=1, channels=1, ho=2, wo=2, post_relu=True, special_grad=False,
+           ho=st.integers(1, 5), wo=st.integers(1, 5), values=st.sampled_from(["integers", "relu", "signed_zeros"]),
+           special_grad=st.booleans(), dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(kernel=2, batch=1, channels=1, ho=2, wo=2, values="relu", special_grad=False,
              dtype=np.float32, seed=0)
-    @example(kernel=2, batch=1, channels=1, ho=2, wo=2, post_relu=False, special_grad=True,
+    @example(kernel=2, batch=1, channels=1, ho=2, wo=2, values="integers", special_grad=True,
              dtype=np.float32, seed=0)
-    def test_maxpool2d_equals_argmax_reference_on_ties(self, kernel, batch, channels, ho, wo, post_relu,
+    @example(kernel=3, batch=1, channels=1, ho=2, wo=2, values="signed_zeros", special_grad=False,
+             dtype=np.float64, seed=0)
+    def test_maxpool2d_equals_argmax_reference_on_ties(self, kernel, batch, channels, ho, wo, values,
                                                        special_grad, dtype, seed):
         rng = np.random.default_rng(seed)
-        x = rng.integers(-2, 3, size=(batch, channels, ho * kernel, wo * kernel)).astype(dtype)
-        if post_relu:  # many all-zero tiles
+        shape = (batch, channels, ho * kernel, wo * kernel)
+        if values == "signed_zeros":
+            # a max of zero often ties across signs; the first zero in
+            # row-major order, sign and all, is the max
+            x = rng.choice(np.array([-0.0, 0.0, -1.0], dtype=dtype), size=shape, p=[0.4, 0.4, 0.2])
+            x[0, 0, :kernel, :kernel] = 0.0  # at least one tile holds both zeros, -0.0 first
+            x[0, 0, 0, 0] = -0.0
+        else:
+            x = rng.integers(-2, 3, size=shape).astype(dtype)
+        if values == "relu":  # many all-zero tiles
             x = Tensor(x).relu().data
         xt = Tensor(x, requires_grad=True)
         out = F.maxpool2d(xt, kernel)

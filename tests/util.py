@@ -68,7 +68,8 @@ def gradcheck(build_loss, params, eps=1e-4):
 # -- reference kernels ---------------------------------------------------------
 # The einsum conv2d and argmax maxpool2d that metaretrain.nn.functional used
 # before its im2col GEMM and strided-slice rewrite, kept as oracles: the
-# production kernels must match them bit for bit.
+# production kernels must match them bit for bit (the float32 GEMM to within
+# its rounding, and bit for bit against reference_conv2d_forward).
 
 
 def reference_conv2d(x, weight, bias, stride=1, padding=0):
@@ -100,6 +101,25 @@ def reference_conv2d(x, weight, bias, stride=1, padding=0):
         return gx, gw, gb
 
     return out.astype(dtype), backward
+
+
+def reference_conv2d_forward(x, weight, bias, stride=1, padding=0):
+    """The im2col GEMM forward as it was before the bias moved ahead of the
+    layout copy: the same GEMM, then one broadcast, transposing add. Its bytes
+    are the production forward's, in float32 too."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    B, Cin, H, W = x.shape
+    Cout, _, KH, KW = weight.shape
+    Ho = (H + 2 * padding - KH) // stride + 1
+    Wo = (W + 2 * padding - KW) // stride + 1
+    dtype = np.result_type(x, weight)
+    xp = np.zeros((B, Cin, H + 2 * padding, W + 2 * padding), dtype=dtype)
+    xp[:, :, padding : padding + H, padding : padding + W] = x
+    win = sliding_window_view(xp, (KH, KW), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(Cin * KH * KW, B * Ho * Wo)
+    out = (weight.reshape(Cout, -1) @ cols).reshape(Cout, B, Ho, Wo).transpose(1, 0, 2, 3)
+    return np.add(out, bias[None, :, None, None], dtype=dtype, order="C")
 
 
 def reference_maxpool2d(x, kernel=2):
