@@ -219,6 +219,8 @@ class RunHistory:
                 raise ValueError("field 'final_eval' lacks 'sr_mt' or a 'topn' dict")
             if final["sr_mt"] is not None and not _is_number(final["sr_mt"]):
                 raise ValueError(f"field 'final_eval.sr_mt' is not a number or null: {final['sr_mt']!r}")
+            if not all(k.isdecimal() for k in final["topn"]):
+                raise ValueError(f"field 'final_eval.topn' has a key that is not an int N: {final['topn']!r}")
             for n, acc in final["topn"].items():
                 if not _is_number(acc):
                     raise ValueError(f"field 'final_eval.topn.{n}' is not a number: {acc!r}")

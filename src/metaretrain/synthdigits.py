@@ -5,6 +5,20 @@ placement, stroke intensity, and pixel noise make the task non-trivial while
 staying learnable by a small CNN in seconds. Useful for demos and offline
 test runs when the real MNIST binaries are not on disk; files written by
 `write_idx` parse with `data.load_mnist`.
+
+The corpus bytes of `make_digits(n, seed)` are fixed by the order of the
+draws from `np.random.default_rng(seed)`. Image i (label i % 10) draws, in
+this order and before image i + 1 draws anything:
+
+1. `integers(2, 4)`: the glyph scale, 2 (10x14 glyph) or 3 (15x21);
+2. `integers(lo, hi)` for the top row, then for the left column, each
+   within 2 pixels of centring the glyph (`_OFFSETS`);
+3. `uniform(0.75, 1.0)`: the stroke intensity, times 255;
+4. `normal(0.0, 6.0, size=(28, 28))`: float64 pixel noise.
+
+The pixels are `clip(float32(canvas + noise), 0, 255)` cast to uint8, where
+the float32 canvas holds `glyph * float32(intensity)` at the drawn offset
+and 0 elsewhere. Everything but the draws runs on blocks of `BLOCK` images.
 """
 
 from __future__ import annotations
@@ -16,6 +30,7 @@ import numpy as np
 
 from .data import Samples
 from .errors import ValidationError
+from .nn.checkpoint import write_atomic
 
 _FONT = {
     0: ("01110", "10001", "10011", "10101", "11001", "10001", "01110"),
@@ -36,32 +51,69 @@ def _glyph(digit: int) -> np.ndarray:
     return np.array([[pix == "1" for pix in row] for row in rows], dtype=np.float32)
 
 
-def render_digit(digit: int, rng: np.random.Generator) -> np.ndarray:
-    """One 28x28 uint8 image of `digit` with placement/intensity/noise jitter."""
-    scale = int(rng.integers(2, 4))  # 10x14 or 15x21 glyph
-    glyph = np.kron(_glyph(digit), np.ones((scale, scale), dtype=np.float32))
-    gh, gw = glyph.shape
-    canvas = np.zeros((28, 28), dtype=np.float32)
-    max_r, max_c = 28 - gh, 28 - gw
-    r0 = int(rng.integers(max(0, max_r // 2 - 2), min(max_r, max_r // 2 + 2) + 1))
-    c0 = int(rng.integers(max(0, max_c // 2 - 2), min(max_c, max_c // 2 + 2) + 1))
-    intensity = float(rng.uniform(0.75, 1.0)) * 255.0
-    canvas[r0 : r0 + gh, c0 : c0 + gw] = glyph * intensity
-    canvas += rng.normal(0.0, 6.0, size=canvas.shape)
-    return np.clip(canvas, 0, 255).astype(np.uint8)[None, :, :]
+BLOCK = 2048  # images rendered together: bounds the float64 noise block at 12.8 MB
+
+
+def _offset_bounds(scale: int) -> tuple:
+    """(lo, hi) of the top-row and then the left-column draw at `scale`: the
+    glyph lands within 2 pixels of centred on the 28x28 canvas."""
+    return tuple((max(0, m // 2 - 2), min(m, m // 2 + 2) + 1) for m in (28 - 7 * scale, 28 - 5 * scale))
+
+
+_OFFSETS = {scale: _offset_bounds(scale) for scale in (2, 3)}
+
+
+def _templates(scale: int) -> np.ndarray:
+    """The ten digits' glyphs at `scale`, float32 [10, 7*scale, 5*scale]."""
+    block = np.ones((scale, scale), dtype=np.float32)
+    return np.stack([np.kron(_glyph(digit), block) for digit in range(10)])
 
 
 def make_digits(n: int, seed: int = 0) -> Samples:
     """A table of n digits with uniformly cycling labels, deterministic in seed."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValidationError(f"n: must be a non-negative integer, got {n!r}")
+    n = int(n)
     rng = np.random.default_rng(seed)
+    templates = {scale: _templates(scale) for scale in _OFFSETS}
+    labels = np.arange(n) % 10
     pixels = np.empty((n, 1, 28, 28), dtype=np.uint8)
-    for i in range(n):
-        pixels[i] = render_digit(i % 10, rng)
-    return Samples(pixels, np.arange(n) % 10, np.arange(n))
+    size = min(n, BLOCK)
+    scales = np.empty(size, dtype=np.int64)
+    rows = np.empty(size, dtype=np.int64)
+    cols = np.empty(size, dtype=np.int64)
+    intensity = np.empty(size, dtype=np.float64)
+    noise = np.empty((size, 28, 28), dtype=np.float64)
+    canvas = np.empty((size, 28, 28), dtype=np.float32)
+    for start in range(0, n, BLOCK):
+        m = min(BLOCK, n - start)
+        for j in range(m):
+            scale = int(rng.integers(2, 4))
+            (r_lo, r_hi), (c_lo, c_hi) = _OFFSETS[scale]
+            scales[j] = scale
+            rows[j] = rng.integers(r_lo, r_hi)
+            cols[j] = rng.integers(c_lo, c_hi)
+            intensity[j] = float(rng.uniform(0.75, 1.0)) * 255.0
+            noise[j] = rng.normal(0.0, 6.0, size=(28, 28))
+        block = canvas[:m]
+        block.fill(0.0)
+        digits = labels[start : start + m]
+        for scale, glyphs in templates.items():
+            idx = np.flatnonzero(scales[:m] == scale)
+            gh, gw = glyphs.shape[1:]
+            r = rows[idx, None, None] + np.arange(gh)[None, :, None]
+            c = cols[idx, None, None] + np.arange(gw)[None, None, :]
+            block[idx[:, None, None], r, c] = glyphs[digits[idx]] * intensity[idx].astype(np.float32)[:, None, None]
+        block += noise[:m]
+        np.clip(block, 0, 255, out=block)
+        pixels[start : start + m, 0] = block
+    return Samples(pixels, labels, np.arange(n))
 
 
 def write_idx(samples: Samples, images_path, labels_path) -> None:
-    """Write a one-channel table as a big-endian IDX image/label file pair."""
+    """Write a one-channel table as a big-endian IDX image/label file pair.
+    Each file is renamed into place whole, so an interrupted write leaves no
+    truncated file at either path."""
     n, channels, h, w = samples.pixels.shape
     if channels != 1:
         raise ValidationError(f"write_idx: IDX images have one channel, got {channels}")
@@ -71,16 +123,15 @@ def write_idx(samples: Samples, images_path, labels_path) -> None:
                               "but IDX labels are bytes 0-255")
     images_path, labels_path = Path(images_path), Path(labels_path)
     images_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", 0x00000803, n, h, w))
-        f.write(samples.pixels.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", 0x00000801, n))
-        f.write(samples.labels.astype(np.uint8).tobytes())
+    pixels = np.ascontiguousarray(samples.pixels)
+    write_atomic(images_path, b"".join((struct.pack(">IIII", 0x00000803, n, h, w), pixels.data)))
+    write_atomic(labels_path, struct.pack(">II", 0x00000801, n) + samples.labels.astype(np.uint8).tobytes())
 
 
 def ensure_dataset(data_dir, n_train: int = 2000, n_test: int = 400, seed: int = 1234) -> dict:
-    """Materialize train/test IDX files under data_dir if absent; return paths."""
+    """Materialize train/test IDX files under data_dir if absent; return paths.
+    The train pair is `make_digits(n_train, seed)`, the test pair
+    `make_digits(n_test, seed + 1)`."""
     data_dir = Path(data_dir)
     paths = {
         "train_images": data_dir / "train-images-idx3-ubyte",

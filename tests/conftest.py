@@ -1,6 +1,6 @@
 import pytest
 
-from metaretrain.synthdigits import ensure_dataset, make_digits
+from metaretrain.synthdigits import make_digits, write_idx
 
 
 @pytest.fixture(scope="session")
@@ -10,8 +10,11 @@ def digits60k():
 
 
 @pytest.fixture(scope="session")
-def data_dir(tmp_path_factory):
-    """IDX-format dataset directory shared across CLI/acceptance tests."""
+def data_dir(tmp_path_factory, digits60k):
+    """IDX-format dataset directory shared across CLI/acceptance tests: the
+    files `ensure_dataset(root, n_train=60000, n_test=2000, seed=1234)` writes,
+    with the train table taken from `digits60k` rather than rendered again."""
     root = tmp_path_factory.mktemp("dataset")
-    ensure_dataset(root, n_train=60000, n_test=2000, seed=1234)
+    write_idx(digits60k, root / "train-images-idx3-ubyte", root / "train-labels-idx1-ubyte")
+    write_idx(make_digits(2000, seed=1235), root / "t10k-images-idx3-ubyte", root / "t10k-labels-idx1-ubyte")
     return root

@@ -114,6 +114,9 @@ MALFORMED_HISTORIES = {
     "topn-not-a-number": (b'{"config": {}, "records": [' + ONE_RECORD + b'], "final_eval": {"sr_mt": 0.5, '
                           b'"topn": {"1": "x"}}, "termination": "completed", "final_version": 1}',
                           "field 'final_eval.topn.1'"),
+    "topn-key-not-int": (b'{"config": {}, "records": [' + ONE_RECORD + b'], "final_eval": {"sr_mt": 0.5, '
+                         b'"topn": {"a": 1}}, "termination": "completed", "final_version": 1}',
+                         "field 'final_eval.topn'"),
     "record-cycle-not-int": (edited_record(b'"cycle": 0', b'"cycle": "0"'), "field 'cycle'"),
     "record-failed-ids-nested": (edited_record(b'"failed_ids": []', b'"failed_ids": [["rot90"]]'),
                                  "field 'failed_ids'"),
