@@ -87,8 +87,6 @@ def _build_model(cfg: RunConfig, input_shape, n_classes: int, seed: int) -> Mode
     if cfg.warm_start:
         model = Model.from_snapshot(load_checkpoint(cfg.warm_start))
         _check_fits(model, cfg.dataset, "warm_start")
-        if cfg.trainable_last_k is not None:
-            model.set_trainable_last(cfg.trainable_last_k)
         return model
     return Model(model_spec(cfg.model, input_shape, n_classes), seed=seed)
 
@@ -133,6 +131,8 @@ def cmd_run(args) -> int:
             run_id = f"{time.strftime('%Y%m%d-%H%M%S')}-{time.time_ns() % 1_000_000:06d}-seed{seed}"
             run_dir = Path(cfg.output_dir) / run_id
             model = _build_model(cfg, input_shape, n_classes, seed)
+        # a model loaded from a checkpoint (warm start or resumed cycle) has every layer trainable
+        model.set_trainable_last(cfg.trainable_last_k)
 
         run_dir.mkdir(parents=True, exist_ok=True)
         (run_dir / "reports").mkdir(exist_ok=True)

@@ -79,7 +79,6 @@ _SCHEMA = {
     "topn": (_parse_int_list, _CYCLE_DEFAULTS["topn"]),
     "robustness_cases": (int, _CYCLE_DEFAULTS["robustness_cases"]),
     "static_k": (int, _CYCLE_DEFAULTS["static_k"]),
-    "frozen_realizations": (_parse_bool, _CYCLE_DEFAULTS["frozen_realizations"]),
     "output_dir": (str, "runs"),
     "warm_start": (str, None),
     "trainable_last_k": (int, None),

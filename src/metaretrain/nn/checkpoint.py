@@ -8,19 +8,25 @@ Layout (all integers little-endian):
                     {"version": int,
                      "spec": ModelSpec dict,
                      "params": [{"name": str, "shape": [int, ...]}, ...],
+                     "velocities": [{"name": str, "shape": [int, ...]}, ...],
                      "crc32": int}
-    remainder     parameter blobs, little-endian float32, concatenated in
-                  header order
+    remainder     parameter blobs, then velocity blobs, little-endian
+                  float32, each list concatenated in header order
 
-Round-trips are bitwise exact for float32 parameters. Files are written to a
+Only cycle checkpoints have "velocities": the SGD velocity of each parameter
+that has taken a step, which a resume reads. Without the key a file's bytes
+are those written before it existed, and `ModelSnapshot.velocities` is None.
+
+Round-trips are bitwise exact for float32 arrays. Files are written to a
 temporary name and renamed into place. Loading checks every header field and
-raises CheckpointError naming the first one that is missing or malformed.
+raises CheckpointError naming the first one that is missing or malformed, or
+a velocity whose name or shape is not a parameter's.
 
-"crc32" is zlib.crc32 of the blob region, so a flipped bit in a parameter
-raises CheckpointError instead of loading as a different model. Files written
-before the field existed have none and load unchecked. The magic stays
-MRCKPT01: a reader that predates the field reads only the keys it knows, so
-it still loads files that carry one.
+"crc32" is zlib.crc32 of the blob region, so a flipped bit in a parameter or
+a velocity raises CheckpointError instead of loading as different state.
+Files written before the field existed have none and load unchecked. The
+magic stays MRCKPT01: a reader that predates a field reads only the keys it
+knows, so it still loads files that carry one.
 """
 
 from __future__ import annotations
@@ -49,19 +55,21 @@ def write_atomic(path, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
-def save_checkpoint(snap: ModelSnapshot, path) -> None:
-    entries = []
+def save_checkpoint(snap: ModelSnapshot, path, *, velocities=None) -> None:
+    """Write `snap`, and with `velocities` (name -> array, as `SGD.velocities`
+    holds them) a second list of named blobs after the parameters."""
+    lists = {"params": snap.params}
+    if velocities is not None:
+        lists["velocities"] = tuple(velocities.items())
+    header = {"version": snap.version, "spec": snap.spec.to_dict()}
     blobs = []
-    for name, arr in snap.params:
-        entries.append({"name": name, "shape": list(arr.shape)})
-        blobs.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    for key, named in lists.items():
+        header[key] = [{"name": name, "shape": list(arr.shape)} for name, arr in named]
+        blobs += [np.ascontiguousarray(arr, dtype="<f4").tobytes() for _, arr in named]
     blob = b"".join(blobs)
-    header = json.dumps(
-        {"version": snap.version, "spec": snap.spec.to_dict(), "params": entries, "crc32": zlib.crc32(blob)},
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
-    write_atomic(path, b"".join((MAGIC, struct.pack("<I", len(header)), header, blob)))
+    header["crc32"] = zlib.crc32(blob)
+    encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    write_atomic(path, b"".join((MAGIC, struct.pack("<I", len(encoded)), encoded, blob)))
 
 
 def typed_field(obj, key: str, kind, where: str):
@@ -74,12 +82,17 @@ def typed_field(obj, key: str, kind, where: str):
     return value
 
 
-def _param_entry(entry, index: int) -> tuple:
-    where = f"params[{index}]."
+def _blob_entry(entry, where: str, params=None) -> tuple:
+    """(name, shape) of a blob list entry; with `params` (name -> shape) the
+    entry is a velocity and must name one of them and have its shape."""
     name = typed_field(entry, "name", str, where)
     shape = typed_field(entry, "shape", list, where)
     if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
         raise ValueError(f"field {where}'shape' of {name!r} is not a list of non-negative integers: {shape}")
+    if params is not None and name not in params:
+        raise ValueError(f"{where[:-1]} is for {name!r}, which is not a parameter")
+    if params is not None and tuple(shape) != params[name]:
+        raise ValueError(f"{where[:-1]} for parameter {name!r} has shape {tuple(shape)}, expected {params[name]}")
     return name, tuple(shape)
 
 
@@ -96,24 +109,30 @@ def load_checkpoint(path) -> ModelSnapshot:
     try:
         header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
         version = typed_field(header, "version", int, "")
-        entries = [_param_entry(e, i) for i, e in enumerate(typed_field(header, "params", list, ""))]
+        entries = [_blob_entry(e, f"params[{i}].") for i, e in enumerate(typed_field(header, "params", list, ""))]
         spec = ModelSpec.from_dict(typed_field(header, "spec", dict, ""))
         crc = typed_field(header, "crc32", int, "") if "crc32" in header else None
+        velocity_entries = None
+        if "velocities" in header:
+            shapes = dict(entries)
+            velocity_entries = [_blob_entry(e, f"velocities[{i}].", shapes)
+                                for i, e in enumerate(typed_field(header, "velocities", list, ""))]
     except (ValueError, KeyError, TypeError, ConfigurationError) as exc:
         raise CheckpointError(f"corrupt checkpoint header in {path}: {exc}") from exc
     offset = 12 + header_len
-    params = []
-    for name, shape in entries:
+    arrays = []
+    for name, shape in entries + (velocity_entries or []):
         nbytes = math.prod(shape) * 4
         blob = raw[offset : offset + nbytes]
         if len(blob) != nbytes:
-            raise CheckpointError(f"truncated parameter blob {name!r} in {path}")
+            raise CheckpointError(f"truncated blob {name!r} in {path}")
         arr = np.frombuffer(blob, dtype="<f4").reshape(shape).copy()
         arr.flags.writeable = False
-        params.append((name, arr))
+        arrays.append((name, arr))
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{len(raw) - offset} trailing bytes in {path}")
     if crc is not None and zlib.crc32(raw[12 + header_len :]) != crc:
-        raise CheckpointError(f"parameter blobs fail their crc32 check in {path}")
-    return ModelSnapshot(spec=spec, params=tuple(params), version=version)
+        raise CheckpointError(f"blobs fail their crc32 check in {path}")
+    velocities = None if velocity_entries is None else dict(arrays[len(entries) :])
+    return ModelSnapshot(spec=spec, params=tuple(arrays[: len(entries)]), version=version, velocities=velocities)

@@ -193,11 +193,14 @@ def _forward_order(layers: tuple) -> list:
 
 @dataclass(frozen=True)
 class ModelSnapshot:
-    """Frozen parameter state; equal version ids imply bitwise-equal params."""
+    """Frozen parameter state; equal version ids imply bitwise-equal params.
+    A snapshot loaded from a cycle checkpoint also holds the SGD velocities
+    written with it; no other snapshot has any."""
 
     spec: ModelSpec
     params: tuple  # ((name, readonly ndarray), ...)
     version: int
+    velocities: dict | None = None  # name -> readonly ndarray
 
     def param_dict(self) -> dict:
         return dict(self.params)

@@ -34,9 +34,3 @@ class SGD:
             self.velocities[name] = v
             p.data = p.data + v
         model.bump_version()
-
-    def state_arrays(self) -> dict:
-        return {name: v.copy() for name, v in self.velocities.items()}
-
-    def load_state_arrays(self, arrays: dict) -> None:
-        self.velocities = {name: np.asarray(v).copy() for name, v in arrays.items()}

@@ -16,11 +16,9 @@ so that identically-seeded runs serialize byte-identically.
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import time
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -30,7 +28,7 @@ import numpy as np
 from .data import DatasetSplit
 from .errors import NonFiniteError, ValidationError
 from .metrics import evaluate
-from .nn import SGD, Model, save_checkpoint
+from .nn import SGD, Model, load_checkpoint, save_checkpoint
 from .nn.checkpoint import typed_field, write_atomic
 from .policy import AugmentationPolicy, CycleDatasetSpec, CycleStream, adaptive_policy, base_policy, base_pools, build_cycle_stream, static_policy
 from .report import json_bytes
@@ -75,7 +73,6 @@ class CycleConfig:
     topn: tuple = (1, 5)
     robustness_cases: Optional[int] = None
     static_k: int = 2
-    frozen_realizations: bool = False
 
     def __post_init__(self):
         """Each message starts with the field's name, which is also its config key."""
@@ -274,11 +271,11 @@ def _policy_for_cycle(cfg: CycleConfig, catalog, failed, cycle: int) -> Augmenta
 
 @dataclass
 class ResumeState:
-    """Completed records; the run continues after the last one, from its
-    failed set."""
+    """Completed records and the SGD velocities after the last one; the run
+    continues after it, from its failed set."""
 
     records: list
-    optimizer_velocities: dict
+    velocities: dict
 
 
 def _train_one_cycle(trainer: Trainer, stream: CycleStream, cycle: int,
@@ -337,7 +334,7 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
         catalog_map = {mr.id: mr for mr in catalog}
         failed = [catalog_map[i] for i in records[-1].failed_ids if i in catalog_map]
     if resume is not None:
-        trainer.optimizer.load_state_arrays(resume.optimizer_velocities)
+        trainer.optimizer.velocities = dict(resume.velocities)
     config = run_config or {"trainer": cfg.trainer, "mode": cfg.mode, "seed": cfg.seed}
 
     termination = "completed"
@@ -356,8 +353,7 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
         spec = CycleDatasetSpec(
             split=split, policy=policy, batch_size=cfg.batch_size, epochs=cfg.epochs_per_cycle,
             num_classes=cfg.num_classes, n_weak_views=trainer.n_weak_views,
-            strong_views=trainer.reads_strong_views,
-            frozen_realizations=cfg.frozen_realizations, cycle_index=cycle,
+            strong_views=trainer.reads_strong_views, cycle_index=cycle,
         )
         loss_stats, nan_diag = _train_one_cycle(trainer, build_cycle_stream(spec), cycle, metrics_sink)
 
@@ -376,7 +372,9 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
             )
         )
         if checkpoint_dir is not None:
-            _write_cycle_checkpoint(model, trainer, checkpoint_dir, cycle)
+            Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
+            save_checkpoint(model.snapshot(), Path(checkpoint_dir) / f"cycle_{cycle:04d}.ckpt",
+                            velocities=trainer.optimizer.velocities)
         if history_path is not None:
             RunHistory(config=config, records=records, final_eval={"sr_mt": None, "topn": {}},
                        termination="incomplete", final_version=model.version).save(history_path)
@@ -404,35 +402,13 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
     )
 
 
-def _write_cycle_checkpoint(model: Model, trainer: Trainer, checkpoint_dir, cycle: int) -> None:
-    checkpoint_dir = Path(checkpoint_dir)
-    checkpoint_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(model.snapshot(), checkpoint_dir / f"cycle_{cycle:04d}.ckpt")
-    buffer = io.BytesIO()
-    np.savez(buffer, **trainer.optimizer.state_arrays())
-    write_atomic(checkpoint_dir / f"cycle_{cycle:04d}_optimizer.npz", buffer.getvalue())
-
-
 def resume_state_from(history: RunHistory, checkpoint_dir) -> tuple:
-    """Rebuild (model, ResumeState) from the last completed cycle's files."""
-    from .nn import load_checkpoint
-
+    """Rebuild (model, ResumeState) from the last completed cycle's checkpoint."""
     if not history.records:
         raise ValidationError("history has no completed cycles to resume from")
-    last = history.records[-1]
-    ckpt = Path(checkpoint_dir) / f"cycle_{last.cycle:04d}.ckpt"
-    model = Model.from_snapshot(load_checkpoint(ckpt))
-    opt_path = Path(checkpoint_dir) / f"cycle_{last.cycle:04d}_optimizer.npz"
-    try:
-        with np.load(opt_path) as data:
-            velocities = {name: data[name].copy() for name in data.files}
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:  # missing, empty, cut short or garbage
-        raise ValidationError(f"{opt_path}: optimizer state of the last completed cycle unreadable: {exc}") from exc
-    params = dict(model.named_parameters())
-    for name, velocity in velocities.items():
-        if name not in params:
-            raise ValidationError(f"{opt_path}: optimizer state for unknown parameter {name!r}")
-        if velocity.shape != params[name].data.shape:
-            raise ValidationError(f"{opt_path}: optimizer state for parameter {name!r} has shape "
-                                  f"{velocity.shape}, expected {params[name].data.shape}")
-    return model, ResumeState(records=list(history.records), optimizer_velocities=velocities)
+    path = Path(checkpoint_dir) / f"cycle_{history.records[-1].cycle:04d}.ckpt"
+    snap = load_checkpoint(path)
+    if snap.velocities is None:
+        raise ValidationError(f"{path}: no optimizer velocities in this cycle checkpoint, which was written "
+                              "before cycle checkpoints carried them; the run cannot resume")
+    return Model.from_snapshot(snap), ResumeState(records=list(history.records), velocities=snap.velocities)

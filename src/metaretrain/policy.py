@@ -29,7 +29,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .data import DatasetSplit, to_model_input
+from .data import DatasetSplit, Samples, to_model_input
 from .errors import ValidationError
 from .relations import IDENTITY, LABEL_PRESERVING, compose, label_map_array
 
@@ -125,7 +125,6 @@ class CycleDatasetSpec:
     num_classes: int
     n_weak_views: int = 1
     strong_views: bool = True  # the trainer's reads_strong_views
-    frozen_realizations: bool = False
     cycle_index: int = 0
 
     def __post_init__(self):
@@ -215,9 +214,7 @@ def _generate_batches(spec: CycleDatasetSpec, steps: int):
     weak_candidates = _weak_candidates(policy)
     strong_maps = np.stack([label_map_array(mr, spec.num_classes) for mr in policy.strong_pool])
     for epoch in range(spec.epochs):
-        # frozen realizations: every epoch replays epoch 0's draws
-        key = 0 if spec.frozen_realizations else epoch
-        rng = np.random.default_rng((seed, spec.cycle_index, key))
+        rng = np.random.default_rng((seed, spec.cycle_index, epoch))
         # an empty part's permutation is empty and draws nothing
         lab_order, unl_order = rng.permutation(len(labeled)), rng.permutation(len(unlabeled))
         for step in range(steps):

@@ -131,7 +131,8 @@ def write_idx(samples: Samples, images_path, labels_path) -> None:
 def ensure_dataset(data_dir, n_train: int = 2000, n_test: int = 400, seed: int = 1234) -> dict:
     """Materialize train/test IDX files under data_dir if absent; return paths.
     The train pair is `make_digits(n_train, seed)`, the test pair
-    `make_digits(n_test, seed + 1)`."""
+    `make_digits(n_test, seed + 1)`. Files already there must hold those
+    counts, or ValidationError names the file; IDX has no seed to check."""
     data_dir = Path(data_dir)
     paths = {
         "train_images": data_dir / "train-images-idx3-ubyte",
@@ -142,4 +143,12 @@ def ensure_dataset(data_dir, n_train: int = 2000, n_test: int = 400, seed: int =
     if not all(p.exists() for p in paths.values()):
         write_idx(make_digits(n_train, seed), paths["train_images"], paths["train_labels"])
         write_idx(make_digits(n_test, seed + 1), paths["test_images"], paths["test_labels"])
+        return paths
+    for key, path in paths.items():
+        want = n_train if key.startswith("train") else n_test
+        with open(path, "rb") as f:
+            have = int.from_bytes(f.read(8)[4:], "big")  # the count follows the 4-byte magic
+        if have != want:
+            raise ValidationError(f"{path}: holds {have} items, but {want} were asked for; "
+                                  "remove the corpus files or ask for their sizes")
     return paths

@@ -132,6 +132,16 @@ def run_dirs(output_dir):
     return sorted(p for p in output_dir.iterdir() if p.is_dir())
 
 
+def test_readme_run_layout_lists_exactly_the_files_of_a_run(tmp_path, data_dir):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"### Run directory layout\n\n```\n(.*?)```", readme, flags=re.DOTALL)
+    listed = sorted(line.split()[0].replace("NNNN", "0000") for line in block.splitlines()[1:])
+    cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", cycles=1)
+    assert main(["run", "--config", str(cfg)]) == 0
+    (run_dir,) = run_dirs(tmp_path / "runs")
+    assert sorted(tree_bytes(run_dir)) == listed
+
+
 def test_readme_config_block_names_every_key_in_order():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
@@ -356,44 +366,67 @@ class TestRunCommand:
         assert tree_bytes(run_dir) == before
         assert run_dirs(tmp_path / "runs") == [run_dir]
 
-    @pytest.mark.parametrize("damage", ["missing", "empty", "garbage", "truncated"])
-    def test_resume_without_readable_optimizer_sidecar_exit_2_naming_it(self, tmp_path, data_dir, capsys, damage):
+    @pytest.mark.parametrize("damage", ["missing", "empty", "garbage", "truncated", "malformed-velocity",
+                                        "without-velocities"])
+    def test_resume_without_readable_cycle_checkpoint_exit_2_naming_it(self, tmp_path, data_dir, capsys, damage):
         cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", cycles=1)
         assert main(["run", "--config", str(cfg)]) == 0
         (run_dir,) = run_dirs(tmp_path / "runs")
-        sidecar = run_dir / "checkpoints" / "cycle_0000_optimizer.npz"
+        ckpt = run_dir / "checkpoints" / "cycle_0000.ckpt"
+        raw = ckpt.read_bytes()
         if damage == "missing":
-            sidecar.unlink()
+            ckpt.unlink()
+        elif damage == "without-velocities":  # a cycle checkpoint as written before it carried them
+            save_checkpoint(load_checkpoint(ckpt), ckpt)
         else:
-            damaged = {"empty": b"", "garbage": b"not an npz", "truncated": sidecar.read_bytes()[:60]}
-            sidecar.write_bytes(damaged[damage])
+            damaged = {"empty": b"", "garbage": b"not a checkpoint", "truncated": raw[:-3],
+                       "malformed-velocity": raw.replace(b'"velocities":[{"name"', b'"velocities":[{"n`me"')}
+            assert damaged[damage] != raw
+            ckpt.write_bytes(damaged[damage])
         before = tree_bytes(run_dir)
         longer = write_config(tmp_path / "longer.cfg", data_dir, tmp_path / "runs", cycles=2)
         capsys.readouterr()
         assert main(["run", "--config", str(longer), "--resume", str(run_dir)]) == 2
         err = capsys.readouterr().err
-        assert str(sidecar) in err and "Traceback" not in err
+        assert str(ckpt) in err and "Traceback" not in err
+        if damage == "without-velocities":
+            assert "no optimizer velocities" in err
         assert tree_bytes(run_dir) == before
 
     @pytest.mark.parametrize("name,shape", [("1.weight", (3, 3)), ("1.weight", (784,)), ("7.weight", (10,))])
-    def test_resume_with_optimizer_state_not_fitting_the_model_exit_2_naming_it(self, tmp_path, data_dir,
-                                                                                capsys, name, shape):
+    def test_resume_with_velocity_not_fitting_the_model_exit_2_naming_it(self, tmp_path, data_dir, capsys,
+                                                                         name, shape):
         # (3, 3) fails to broadcast in the first SGD step, (784,) broadcasts
-        # against the (10, 784) weight and would train silently wrong
+        # against the (10, 784) weight and would train silently wrong, and
+        # the linear model has no layer 7
         cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", cycles=1)
         assert main(["run", "--config", str(cfg)]) == 0
         (run_dir,) = run_dirs(tmp_path / "runs")
-        sidecar = run_dir / "checkpoints" / "cycle_0000_optimizer.npz"
-        with np.load(sidecar) as data:
-            arrays = {key: data[key] for key in data.files}
-        arrays[name] = np.zeros(shape, np.float32)
-        np.savez(sidecar, **arrays)
+        ckpt = run_dir / "checkpoints" / "cycle_0000.ckpt"
+        snap = load_checkpoint(ckpt)
+        save_checkpoint(snap, ckpt, velocities={**snap.velocities, name: np.zeros(shape, np.float32)})
         before = tree_bytes(run_dir)
         longer = write_config(tmp_path / "longer.cfg", data_dir, tmp_path / "runs", cycles=2)
         capsys.readouterr()
         assert main(["run", "--config", str(longer), "--resume", str(run_dir)]) == 2
         err = capsys.readouterr().err
-        assert str(sidecar) in err and repr(name) in err and "Traceback" not in err
+        assert str(ckpt) in err and repr(name) in err and "Traceback" not in err
+        assert tree_bytes(run_dir) == before
+
+    def test_resume_of_a_run_whose_config_holds_frozen_realizations_exit_2_naming_it(self, tmp_path, data_dir,
+                                                                                     capsys):
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", cycles=1)
+        assert main(["run", "--config", str(cfg)]) == 0
+        (run_dir,) = run_dirs(tmp_path / "runs")
+        history = json.loads((run_dir / "history.json").read_text())
+        history["config"]["frozen_realizations"] = False  # what runs wrote while the key existed
+        (run_dir / "history.json").write_text(json.dumps(history))
+        before = tree_bytes(run_dir)
+        longer = write_config(tmp_path / "longer.cfg", data_dir, tmp_path / "runs", cycles=2)
+        capsys.readouterr()
+        assert main(["run", "--config", str(longer), "--resume", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "--resume: config differs from the run's own in frozen_realizations" in err
         assert tree_bytes(run_dir) == before
 
     def test_missing_data_dir_exit_2(self, tmp_path, capsys):
@@ -496,6 +529,47 @@ class TestWarmStart:
         for name in before:
             unchanged = before[name].tobytes() == after[name].tobytes()
             assert unchanged == name.startswith(frozen), name
+
+    def test_resume_keeps_trainable_last_k(self, tmp_path, data_dir):
+        ckpt = tmp_path / "pretrained.ckpt"
+        save_checkpoint(Model(model_spec("cnn_small", (1, 28, 28), 10), seed=7).snapshot(), ckpt)
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", model="cnn_small", cycles=2,
+                           trainable_last_k=1, warm_start=ckpt)
+        assert main(["run", "--config", str(cfg)]) == 0
+        (straight,) = run_dirs(tmp_path / "runs")
+        short = write_config(tmp_path / "short.cfg", data_dir, tmp_path / "runs", model="cnn_small", cycles=1,
+                             trainable_last_k=1, warm_start=ckpt)
+        assert main(["run", "--config", str(short)]) == 0
+        (resumed,) = set(run_dirs(tmp_path / "runs")) - {straight}
+        assert main(["run", "--config", str(cfg), "--resume", str(resumed)]) == 0
+        for name in ("history.json", "reports/history.csv", "reports/metrics.jsonl"):
+            assert (resumed / name).read_bytes() == (straight / name).read_bytes(), name
+        before = dict(load_checkpoint(ckpt).params)
+        after = dict(load_checkpoint(resumed / "checkpoints" / "final.ckpt").params)
+        for name in before:
+            unchanged = before[name].tobytes() == after[name].tobytes()
+            assert unchanged == name.startswith(("0.", "3.")), name
+
+    def test_cycle_checkpoint_warm_starts_and_scores_as_its_parameters_alone(self, tmp_path, data_dir):
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", cycles=1)
+        assert main(["run", "--config", str(cfg)]) == 0
+        (first,) = run_dirs(tmp_path / "runs")
+        cycle = first / "checkpoints" / "cycle_0000.ckpt"
+        plain = tmp_path / "plain.ckpt"
+        snap = load_checkpoint(cycle)
+        assert snap.velocities
+        save_checkpoint(snap, plain)
+        outputs = {}
+        for ckpt in (cycle, plain):
+            out = tmp_path / ckpt.stem
+            assert main(["run", "--config", str(cfg), "--checkpoint", str(ckpt), "--output-dir", str(out)]) == 0
+            assert main(["test", "--checkpoint", str(ckpt), "--data-dir", str(data_dir), "--fraction", "0.002",
+                         "--cases", "12", "--output-dir", str(out)]) == 0
+            (run_dir,) = run_dirs(out)
+            outputs[ckpt] = [(run_dir / name).read_bytes() for name in
+                             ("reports/history.csv", "reports/metrics.jsonl", "checkpoints/final.ckpt")]
+            outputs[ckpt].append((out / "robustness_report.json").read_bytes())
+        assert outputs[cycle] == outputs[plain]
 
 
 class TestTestCommand:

@@ -48,6 +48,15 @@ def mlp_spec(din=4, hidden=5, classes=3):
                      layers=(Flatten(), Dense(hidden), ReLU(), Dense(classes)))
 
 
+def save_with(snap, path, with_velocities: bool):
+    """Save `snap`, with velocities for all but its first parameter (a frozen
+    layer takes no step) when `with_velocities`; returns those velocities."""
+    rng = np.random.default_rng(1)
+    velocities = {name: rng.normal(size=arr.shape).astype(np.float32) for name, arr in snap.params[1:]}
+    save_checkpoint(snap, path, velocities=velocities if with_velocities else None)
+    return velocities if with_velocities else None
+
+
 class TestForward:
     def test_zero_weight_dense_gives_zero_logits(self):
         model = Model(mlp_spec(), seed=0)
@@ -662,17 +671,24 @@ class TestSnapshotsAndCheckpoints:
         SGD(0.1).step(model)
         assert model.snapshot().version == 1
 
-    def test_checkpoint_roundtrip_is_bitwise(self, tmp_path):
+    @pytest.mark.parametrize("with_velocities", [False, True])
+    def test_checkpoint_roundtrip_is_bitwise(self, tmp_path, with_velocities):
         model = Model(model_spec("cnn_small", (1, 28, 28), 10), seed=3)
         snap = model.snapshot()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(snap, path)
+        velocities = save_with(snap, path, with_velocities)
         loaded = load_checkpoint(path)
         assert loaded.version == snap.version
         assert loaded.spec == snap.spec
         for (na, a), (nb, b) in zip(snap.params, loaded.params):
             assert na == nb
             assert a.tobytes() == b.tobytes()
+        if velocities is None:  # no key at all: the bytes of a file that predates it
+            assert loaded.velocities is None and b"velocities" not in path.read_bytes()
+        else:
+            assert list(loaded.velocities) == list(velocities)
+            for name, v in velocities.items():
+                assert loaded.velocities[name].tobytes() == v.tobytes()
 
     def test_from_snapshot_copies_params_and_draws_no_init(self, monkeypatch):
         snap = Model(model_spec("cnn_small", (1, 28, 28), 10), seed=3).snapshot()
@@ -688,25 +704,28 @@ class TestSnapshotsAndCheckpoints:
             assert p.requires_grad and p.data.flags.writeable
             assert p.data.dtype == arr.dtype and p.data.tobytes() == arr.tobytes()
 
-    def test_corrupt_checkpoint_rejected(self, tmp_path):
+    @pytest.mark.parametrize("with_velocities", [False, True])
+    def test_corrupt_checkpoint_rejected(self, tmp_path, with_velocities):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
         model = Model(mlp_spec(), seed=0)
         good = tmp_path / "good.ckpt"
-        save_checkpoint(model.snapshot(), good)
+        save_with(model.snapshot(), good, with_velocities)
         truncated = good.read_bytes()[:-3]
         bad2 = tmp_path / "trunc.ckpt"
         bad2.write_bytes(truncated)
         with pytest.raises(CheckpointError):
             load_checkpoint(bad2)
 
+    @pytest.mark.parametrize("with_velocities", [False, True])
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_header_bit_flips_and_truncations_raise_checkpoint_error_or_load(self, tmp_path_factory, data):
+    def test_header_bit_flips_and_truncations_raise_checkpoint_error_or_load(self, tmp_path_factory, data,
+                                                                             with_velocities):
         path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
-        save_checkpoint(Model(model_spec("cnn_small", (1, 8, 8), 10), seed=0).snapshot(), path)
+        save_with(Model(model_spec("cnn_small", (1, 8, 8), 10), seed=0).snapshot(), path, with_velocities)
         raw = bytearray(path.read_bytes())
         header_end = 12 + int.from_bytes(raw[8:12], "little")
         for _ in range(data.draw(st.integers(0, 3), "flips")):
@@ -723,9 +742,10 @@ class TestSnapshotsAndCheckpoints:
         except ConfigurationError:
             pass
 
-    def test_blob_bit_flips_fail_crc32(self, tmp_path):
+    @pytest.mark.parametrize("with_velocities", [False, True])
+    def test_blob_bit_flips_fail_crc32(self, tmp_path, with_velocities):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(Model(model_spec("cnn_small", (1, 28, 28), 10), seed=0).snapshot(), path)
+        save_with(Model(model_spec("cnn_small", (1, 28, 28), 10), seed=0).snapshot(), path, with_velocities)
         raw = path.read_bytes()
         blob_start = 12 + int.from_bytes(raw[8:12], "little")
         rng = np.random.default_rng(0)

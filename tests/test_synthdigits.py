@@ -107,6 +107,17 @@ def test_ensure_dataset_writes_make_digits_of_seed_and_seed_plus_one(tmp_path):
     assert_same_table(read_pair(tmp_path, "t10k"), make_digits(12, 10))
 
 
+def test_ensure_dataset_of_other_sizes_raises_naming_file_and_counts_and_writes_nothing(tmp_path):
+    ensure_dataset(tmp_path, n_train=30, n_test=5, seed=1)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert ensure_dataset(tmp_path, n_train=30, n_test=5, seed=2)  # the seed is not recorded, so not checked
+    with pytest.raises(ValidationError, match=r"train-images-idx3-ubyte: holds 30 items, but 50 were asked for"):
+        ensure_dataset(tmp_path, n_train=50, n_test=8, seed=2)
+    with pytest.raises(ValidationError, match=r"t10k-images-idx3-ubyte: holds 5 items, but 8 were asked for"):
+        ensure_dataset(tmp_path, n_train=30, n_test=8, seed=1)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_interrupted_write_leaves_no_partial_file_and_is_redone(tmp_path, monkeypatch):
     calls = []
     real_write_bytes = Path.write_bytes
