@@ -30,7 +30,7 @@ from .nn import Model, load_checkpoint, model_spec, save_checkpoint
 from .nn.checkpoint import write_atomic
 from .orchestrator import RunHistory, resume_state_from, run_cycles
 from .relations import LABEL_PRESERVING, catalog_default, label_map_array
-from .report import comparison_table, export, json_bytes
+from .report import comparison_table, csv_bytes, json_bytes
 from .tester import robustness
 
 EXIT_OK = 0
@@ -136,7 +136,7 @@ def cmd_run(args) -> int:
 
         run_dir.mkdir(parents=True, exist_ok=True)
         (run_dir / "reports").mkdir(exist_ok=True)
-        (run_dir / "config").write_text(cfg.resolved_text(seed=seed))
+        write_atomic(run_dir / "config", cfg.resolved_text(seed=seed).encode("utf-8"))
 
         metrics_path = run_dir / "reports" / "metrics.jsonl"
         if resume is not None:
@@ -153,8 +153,8 @@ def cmd_run(args) -> int:
             )
 
         history.save(run_dir / "history.json")
-        (run_dir / "summary.txt").write_text(history.summary() + "\n")
-        export(history, "csv", run_dir / "reports" / "history.csv")
+        write_atomic(run_dir / "summary.txt", (history.summary() + "\n").encode("utf-8"))
+        write_atomic(run_dir / "reports" / "history.csv", csv_bytes(history.to_csv_rows()))
         save_checkpoint(model.snapshot(), run_dir / "checkpoints" / "final.ckpt")
         print(f"[{run_dir.name}] termination={history.termination}")
         print(history.summary())
@@ -215,8 +215,8 @@ def cmd_report(args) -> int:
     print(table.render())
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    export(table, "csv", out_dir / "comparison.csv")
-    export(table, "json", out_dir / "comparison.json")
+    write_atomic(out_dir / "comparison.csv", csv_bytes(table.to_csv_rows()))
+    write_atomic(out_dir / "comparison.json", json_bytes(table.to_json_dict()))
     return EXIT_OK
 
 

@@ -195,6 +195,10 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("ratio_labeled/ratio_unlabeled/ratio_test: must be non-negative")
     if v["ratio_test"] == 0:
         raise ConfigError("ratio_test: must be positive, the robustness cycles score the test split")
+    if v["ratio_labeled"] == 0 and v["ratio_unlabeled"] == 0:
+        raise ConfigError("ratio_labeled/ratio_unlabeled: both 0 leaves the trainer no samples to train on")
+    if v["ratio_labeled"] == 0 and v["trainer"] == "supervised":
+        raise ConfigError("ratio_labeled: the supervised trainer trains on labeled samples only, got 0")
     if not v["seeds"]:
         raise ConfigError("seeds: at least one seed required")
     if min(v["seeds"]) < 0:

@@ -210,9 +210,14 @@ class Trainer:
             pseudo=parts.get("pseudo", {}),
         )
 
-    # subclasses return (total loss tensor, parts: floats plus the "pseudo" arrays)
     def _losses(self, batch: Batch):
-        raise NotImplementedError
+        """(total loss tensor, parts: floats plus the "pseudo" arrays). Here the
+        labeled cross-entropy alone: the supervised trainer's loss, and every
+        trainer's on a batch without unlabeled rows."""
+        l_sup_t = self._supervised_loss(batch)
+        if l_sup_t is None:
+            raise ValidationError(f"{self.name} step received no labeled samples")
+        return l_sup_t, {"l_sup": l_sup_t.item(), "mask_rate": 0.0}
 
     def _supervised_loss(self, batch: Batch):
         if batch.x_labeled.shape[0] == 0:
@@ -233,12 +238,6 @@ class Trainer:
 class SupervisedTrainer(Trainer):
     name = "supervised"
     reads_strong_views = False
-
-    def _losses(self, batch: Batch):
-        l_sup_t = self._supervised_loss(batch)
-        if l_sup_t is None:
-            raise ValidationError("supervised trainer needs labeled samples")
-        return l_sup_t, {"l_sup": l_sup_t.item(), "mask_rate": 0.0}
 
 
 def _plus(total_t, term_t):
@@ -266,36 +265,36 @@ class ThresholdedTrainer(Trainer):
             self.status.reset()
 
     def _losses(self, batch: Batch):
-        l_sup_t = self._supervised_loss(batch)
-        parts = {"l_sup": l_sup_t.item() if l_sup_t is not None else 0.0, "mask_rate": 0.0}
-        total_t = l_sup_t
         n_u = batch.n_unlabeled
-        if n_u:
-            probs_weak, conf, raw, mapped = self._pseudo_labels(batch)
-            tau = self.cfg.tau if self.status is None else self.status.thresholds()[raw]
-            mask = conf >= tau
-            # per-class weighting normalized by tau_max, so a fixed tau (or a
-            # converged status, all tau_c == tau_max) weighs by the mask alone
-            weights = (tau / self.cfg.tau * mask).astype(np.float32)
-            parts["mask_rate"] = float(mask.mean())
-            parts["pseudo"] = {"raw": raw, "mapped": mapped, "mask": mask}
-            need_unsup = self.cfg.lambda_u != 0.0 and mask.any()
-            need_penalty = self.penalty and self.cfg.lambda_p != 0.0
-            if need_unsup or need_penalty:
-                logits_s = self.model.forward(Tensor(batch.x_unlabeled_strong))
-            if need_unsup:
-                l_unsup_t = F.softmax_cross_entropy(
-                    logits_s, F.one_hot(mapped, self.num_classes), weights=weights, normalizer=n_u
-                )
-                parts["l_unsup"] = l_unsup_t.item()
-                total_t = _plus(total_t, l_unsup_t * self.cfg.lambda_u)
-            if need_penalty:
-                l_pen_t = self._penalty(logits_s, probs_weak, mask)
-                if l_pen_t is not None:
-                    parts["l_penalty"] = l_pen_t.item()
-                    total_t = _plus(total_t, l_pen_t * self.cfg.lambda_p)
-            if self.status is not None:
-                self.status.update(raw[conf >= self.cfg.tau])
+        if n_u == 0:
+            return super()._losses(batch)
+        l_sup_t = self._supervised_loss(batch)
+        total_t = l_sup_t
+        probs_weak, conf, raw, mapped = self._pseudo_labels(batch)
+        tau = self.cfg.tau if self.status is None else self.status.thresholds()[raw]
+        mask = conf >= tau
+        # per-class weighting normalized by tau_max, so a fixed tau (or a
+        # converged status, all tau_c == tau_max) weighs by the mask alone
+        weights = (tau / self.cfg.tau * mask).astype(np.float32)
+        parts = {"l_sup": l_sup_t.item() if l_sup_t is not None else 0.0, "mask_rate": float(mask.mean()),
+                 "pseudo": {"raw": raw, "mapped": mapped, "mask": mask}}
+        need_unsup = self.cfg.lambda_u != 0.0 and mask.any()
+        need_penalty = self.penalty and self.cfg.lambda_p != 0.0
+        if need_unsup or need_penalty:
+            logits_s = self.model.forward(Tensor(batch.x_unlabeled_strong))
+        if need_unsup:
+            l_unsup_t = F.softmax_cross_entropy(
+                logits_s, F.one_hot(mapped, self.num_classes), weights=weights, normalizer=n_u
+            )
+            parts["l_unsup"] = l_unsup_t.item()
+            total_t = _plus(total_t, l_unsup_t * self.cfg.lambda_u)
+        if need_penalty:
+            l_pen_t = self._penalty(logits_s, probs_weak, mask)
+            if l_pen_t is not None:
+                parts["l_penalty"] = l_pen_t.item()
+                total_t = _plus(total_t, l_pen_t * self.cfg.lambda_p)
+        if self.status is not None:
+            self.status.update(raw[conf >= self.cfg.tau])
         if total_t is None:
             raise ValidationError(f"{self.name} step received an entirely empty batch")
         return total_t, parts
@@ -335,11 +334,7 @@ class MixMatchTrainer(Trainer):
         n_u = batch.n_unlabeled
         n_l = batch.x_labeled.shape[0]
         if n_u == 0:
-            # degenerate path: behave exactly like the supervised loop
-            l_sup_t = self._supervised_loss(batch)
-            if l_sup_t is None:
-                raise ValidationError("mixmatch step received an entirely empty batch")
-            return l_sup_t, {"l_sup": l_sup_t.item(), "mask_rate": 0.0}
+            return super()._losses(batch)
         if n_l + n_u * self.n_weak_views < 2:
             raise ValidationError("mixmatch needs at least 2 samples to mix")
 

@@ -53,6 +53,9 @@ BAD_CONFIGS = {
     "ratio-sum": ({"ratio_labeled": 0.2, "ratio_unlabeled": 0.7, "ratio_test": 0.2}, "ratio_labeled"),
     "ratio-negative": ({"ratio_labeled": -0.1, "ratio_unlabeled": 0.9, "ratio_test": 0.2}, "ratio_labeled"),
     "ratio-test-zero": ({"ratio_labeled": 0.3, "ratio_unlabeled": 0.7, "ratio_test": 0}, "ratio_test"),
+    "ratio-nothing-to-train": ({"ratio_labeled": 0, "ratio_unlabeled": 0, "ratio_test": 1}, "ratio_labeled"),
+    "ratio-supervised-unlabeled-only": ({"trainer": "supervised", "ratio_labeled": 0, "ratio_unlabeled": 0.8,
+                                         "ratio_test": 0.2}, "ratio_labeled"),
     "cycles": ({"cycles": 0}, "cycles"),
     "epochs": ({"epochs_per_cycle": 0}, "epochs_per_cycle"),
     "batch-size": ({"batch_size": 0}, "batch_size"),
@@ -297,6 +300,28 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--resume", str(killed)]) == 0
         for name in ("history.json", "reports/history.csv", "reports/metrics.jsonl"):
             assert (killed / name).read_bytes() == (straight / name).read_bytes(), name
+
+    @pytest.mark.parametrize("name", ["summary.txt", "reports/history.csv"])
+    def test_write_killed_half_way_leaves_no_partial_file(self, tmp_path, data_dir, monkeypatch, name):
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs")
+        assert main(["run", "--config", str(cfg)]) == 0
+        (straight,) = run_dirs(tmp_path / "runs")
+        real_write_bytes = Path.write_bytes
+
+        def dies_half_way(self, data):
+            if self.name.startswith(Path(name).name):
+                real_write_bytes(self, bytes(data)[: len(data) // 2])
+                raise OSError("killed mid-write")
+            return real_write_bytes(self, data)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_bytes", dies_half_way)
+            assert main(["run", "--config", str(cfg)]) == 2
+        (killed,) = set(run_dirs(tmp_path / "runs")) - {straight}
+        assert not (killed / name).exists()
+        assert main(["run", "--config", str(cfg), "--resume", str(killed)]) == 0
+        for output in ("history.json", "summary.txt", "reports/history.csv", "reports/metrics.jsonl"):
+            assert (killed / output).read_bytes() == (straight / output).read_bytes(), output
 
     def test_resume_finished_run_with_more_cycles_matches_straight_run(self, tmp_path, data_dir):
         cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", cycles=3)
@@ -723,6 +748,22 @@ class TestTestCommand:
         assert not (tmp_path / "out").exists()
 
 
+# the golden `report` run: (trainer, mode, seed, completed cycles, top-1, top-5, final SR_MT) per
+# history, in argument order. Rows appear as fixmatch, flexmatch, mixmatch, but the base and adaptive
+# columns fill in another order, and their float sums differ in the last digit between the two.
+GOLDEN_RUNS = [
+    ("fixmatch", "adaptive", 3, 2, 0.1, 0.35, 0.47),
+    ("flexmatch", "static", None, 1, 0.7, 0.9, 0.2),
+    ("mixmatch", "base", 5, 3, 0.3, 0.55, 0.3),
+    ("fixmatch", "base", 3, 1, 0.2, 0.4, 0.15),
+    ("mixmatch", "adaptive", 5, 2, 0.6, 0.8, 0.9),
+    ("flexmatch", "base", 4, 2, 0.1, 0.3, 0.1),
+    ("flexmatch", "adaptive", 4, 3, 0.8, 0.95, 0.7),
+    ("fixmatch", "static", 3, 2, 0.45, 0.65, 0.33),
+]
+GOLDEN = Path(__file__).parent / "golden" / "report"
+
+
 class TestReportCommand:
     def fake_history(self, path, trainer, mode, dataset="mnist", acc=0.5, sr=0.6, seed=0):
         record = CycleRecord(cycle=0, sr_mt=0.1, accuracy={1: 0.2}, suites=[],
@@ -750,12 +791,36 @@ class TestReportCommand:
         assert (tmp_path / "out" / "comparison.csv").exists()
         assert (tmp_path / "out" / "comparison.json").exists()
 
+    def test_golden_tables_with_layout_and_an_absent_cell(self, tmp_path, capsys):
+        paths = []
+        for i, (trainer, mode, seed, cycles, top1, top5, sr) in enumerate(GOLDEN_RUNS):
+            records = [CycleRecord(cycle=c, sr_mt=0.1 * c, accuracy={1: 0.2}, suites=[], loss_stats={"steps": 1},
+                                   failed_ids=[], passed_ids=[], policy={}, model_version=c)
+                       for c in range(cycles)]
+            config = {"trainer": trainer, "mode": mode, "dataset": "mnist"}
+            if seed is not None:
+                config["seed"] = seed
+            paths.append(tmp_path / f"h{i}.json")
+            RunHistory(config=config, records=records, final_eval={"sr_mt": sr, "topn": {"1": top1, "5": top5}},
+                       termination="completed", final_version=cycles).save(paths[-1])
+        out = tmp_path / "out"
+        assert main(["report", *map(str, paths), "--layout", "base,static,adaptive", "--output-dir", str(out)]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "table.txt").read_text()
+        for name in ("comparison.csv", "comparison.json"):
+            assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
     def test_single_run_table(self, tmp_path, capsys):
         path = self.fake_history(tmp_path / "h.json", "mixmatch", "static")
         assert main(["report", str(path), "--output-dir", str(tmp_path / "out")]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[1].startswith("mixmatch")
         assert lines[-1].startswith("Average")
+
+    def test_output_dir_that_is_a_file_exit_2_naming_it(self, tmp_path, capsys):
+        path = self.fake_history(tmp_path / "h.json", "fixmatch", "base")
+        (tmp_path / "out").write_bytes(b"")
+        assert main(["report", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        assert str(tmp_path / "out") in capsys.readouterr().err
 
     def test_mixed_datasets_exit_2(self, tmp_path, capsys):
         p1 = self.fake_history(tmp_path / "a.json", "fixmatch", "base", dataset="mnist")

@@ -1,15 +1,13 @@
+import csv
+import io
+import json
+
 import numpy as np
 import pytest
 
 from metaretrain.errors import ValidationError
 from metaretrain.orchestrator import CycleRecord, RunHistory
-from metaretrain.report import (
-    CSV_HEADER,
-    ComparisonTable,
-    comparison_table,
-    export,
-    parse_table_csv,
-)
+from metaretrain.report import CSV_HEADER, ComparisonTable, comparison_table, csv_bytes, json_bytes
 
 
 def paper_style_table():
@@ -64,13 +62,12 @@ class TestComparisonTable:
         assert avg[("base", "accuracy")] == 0.42
         assert avg[("base", "robustness")] == 0.9
 
-    def test_missing_cells_flagged_and_excluded(self):
+    def test_absent_cell_excluded_from_average_and_rendered_as_dash(self):
         table = ComparisonTable(["a", "b"], ["base"])
         table.set_cell("a", "base", "accuracy", 0.5)
         table.set_cell("a", "base", "robustness", 0.6)
-        assert ("b", "base", "accuracy") in table.missing_cells()
         assert table.average_row()[("base", "accuracy")] == 0.5
-        assert "-" in table.render()
+        assert table.render().splitlines()[2].split() == ["b", "-", "-"]
 
     def test_unknown_address_rejected(self):
         table = ComparisonTable(["a"], ["base"])
@@ -138,39 +135,48 @@ class TestFromHistories:
         assert "trainer=flexmatch mode=static seed=7" in message
         assert "lacks" not in message
 
+    def test_run_without_requested_top_n_named(self):
+        runs = [fake_history("fixmatch", "base", seed=3), fake_history("mixmatch", "static", seed=4)]
+        del runs[1].final_eval["topn"]["5"]
+        with pytest.raises(ValidationError) as info:
+            comparison_table(runs, accuracy_n=5)
+        message = str(info.value)
+        assert message.startswith("--accuracy-n: ")
+        assert "trainer=mixmatch mode=static seed=4 lacks top-5 accuracy" in message
 
-class TestExport:
-    def test_csv_roundtrip_byte_identical(self, tmp_path):
+
+class TestTableBytes:
+    def test_csv_values_parse_back_exactly_and_rewrite_byte_identical(self):
+        rng = np.random.default_rng(11)
+        table = ComparisonTable(["r1", "r2", "r3"], ["g1", "g2"])
+        # the first row's cells carry no cycle or seed, which the CSV writes as empty fields
+        fields = {}
+        for i, row in enumerate(table.row_labels):
+            for group in table.column_groups:
+                for metric in ("accuracy", "robustness"):
+                    table.set_cell(row, group, metric, float(rng.random()), cycle=i or None, seed=7 if i else None)
+                    fields[(row, group, metric)] = (str(i), "7") if i else ("", "")
+        data = csv_bytes(table.to_csv_rows())
+        header, *rows = csv.reader(io.StringIO(data.decode("utf-8")))
+        assert tuple(header) == CSV_HEADER
+        assert len(rows) == len(fields)
+        for algorithm, configuration, metric, value, cycle, seed in rows:
+            assert float(value) == table.get_cell(algorithm, configuration, metric)
+            assert (cycle, seed) == fields[(algorithm, configuration, metric)]
+        assert csv_bytes(rows) == data
+
+    def test_csv_header_schema(self):
+        assert csv_bytes(paper_style_table().to_csv_rows()).decode("utf-8").splitlines()[0] == ",".join(CSV_HEADER)
+
+    def test_json_numeric_fields_roundtrip(self):
         table = paper_style_table()
-        p1 = export(table, "csv", tmp_path / "t1.csv")
-        parsed = parse_table_csv(p1)
-        p2 = export(parsed, "csv", tmp_path / "t2.csv")
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_csv_header_schema(self, tmp_path):
-        p = export(paper_style_table(), "csv", tmp_path / "t.csv")
-        assert p.read_text().splitlines()[0] == ",".join(CSV_HEADER)
-
-    def test_json_numeric_fields_roundtrip(self, tmp_path):
-        import json
-
-        table = paper_style_table()
-        p = export(table, "json", tmp_path / "t.json")
-        loaded = json.loads(p.read_text())
+        loaded = json.loads(json_bytes(table.to_json_dict()))
         for cell in loaded["cells"]:
             assert cell["value"] == table.get_cell(cell["algorithm"], cell["configuration"], cell["metric"])
+        for column, value in loaded["average"].items():
+            assert value == table.average_row()[tuple(column.split("/"))]
 
-    def test_json_export_idempotent(self, tmp_path):
-        h = fake_history("fixmatch", "base")
-        p1 = export(h, "json", tmp_path / "h1.json")
-        reloaded = RunHistory.load(p1)
-        p2 = export(reloaded, "json", tmp_path / "h2.json")
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValidationError):
-            export(paper_style_table(), "yaml", tmp_path / "t.yaml")
-
-    def test_unwritable_path_raises(self, tmp_path):
-        with pytest.raises(ValidationError, match="cannot write"):
-            export(paper_style_table(), "csv", tmp_path / "missing_dir" / "t.csv")
+    def test_history_save_load_save_byte_identical(self, tmp_path):
+        fake_history("fixmatch", "base").save(tmp_path / "h1.json")
+        RunHistory.load(tmp_path / "h1.json").save(tmp_path / "h2.json")
+        assert (tmp_path / "h1.json").read_bytes() == (tmp_path / "h2.json").read_bytes()

@@ -376,6 +376,12 @@ class TestSharedInvariants:
         for n in pa:
             assert np.array_equal(pa[n], pb[n]), (name, n)
 
+    @pytest.mark.parametrize("name", ["fixmatch", "flexmatch", "mixmatch", "fullmatch", "supervised"])
+    def test_batch_without_samples_rejected_naming_the_trainer(self, name):
+        trainer = build_trainer(name, tiny_model(seed=35), SGD(0.1), TrainerConfig(), C)
+        with pytest.raises(ValidationError, match=f"^{name} step received no labeled samples$"):
+            trainer.step(empty_unlabeled_batch(np.random.default_rng(34), n_l=0))
+
     @pytest.mark.parametrize("name", ["fixmatch", "flexmatch", "fullmatch"])
     def test_mask_rate_is_exact_fraction(self, name):
         # pixel 0 drives class 0's logit: 7 of 20 weak views are confident and
