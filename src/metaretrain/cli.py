@@ -87,6 +87,8 @@ def _build_model(cfg: RunConfig, input_shape, n_classes: int, seed: int) -> Mode
     if cfg.warm_start:
         model = Model.from_snapshot(load_checkpoint(cfg.warm_start))
         _check_fits(model, cfg.dataset, "warm_start")
+        if model.spec != model_spec(cfg.model, input_shape, n_classes):
+            raise ConfigError(f"model: {cfg.model!r} is not the architecture of warm_start {cfg.warm_start}")
         return model
     return Model(model_spec(cfg.model, input_shape, n_classes), seed=seed)
 
@@ -113,8 +115,7 @@ def cmd_run(args) -> int:
     worst = EXIT_OK
 
     for seed in cfg.seeds:
-        split = subsample_and_split(samples, cfg.fraction, cfg.ratios(), seed=seed,
-                                    stratified=cfg.stratified)
+        split = subsample_and_split(samples, cfg.fraction, cfg.ratios(), seed=seed)
         cycle_cfg = cfg.cycle_config(seed)
 
         resume = None
@@ -126,7 +127,7 @@ def cmd_run(args) -> int:
                                if key not in RESUME_FREE_KEYS and config.get(key) != history.config.get(key))
             if differing:
                 raise ConfigError(f"--resume: config differs from the run's own in {', '.join(differing)}")
-            model, resume = resume_state_from(history, run_dir / "checkpoints")
+            model, resume = resume_state_from(history, run_dir / "checkpoints", catalog)
         else:
             run_id = f"{time.strftime('%Y%m%d-%H%M%S')}-{time.time_ns() % 1_000_000:06d}-seed{seed}"
             run_dir = Path(cfg.output_dir) / run_id

@@ -9,14 +9,12 @@ every run directory, so a run can be reproduced from its own config file.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ValidationError
 from .nn import model_spec
 from .orchestrator import CycleConfig, StoppingCriterion
-from .relations import catalog_default
 from .trainers import TrainerConfig
 
 # dataset name -> (input_shape, num_classes)
@@ -26,14 +24,6 @@ ENV_DATA_DIR = "METARETRAIN_DATA_DIR"
 
 class ConfigError(ValidationError):
     pass
-
-
-def _parse_bool(raw: str) -> bool:
-    if raw.lower() in ("true", "1", "yes"):
-        return True
-    if raw.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
 
 
 def _parse_int_list(raw: str) -> tuple:
@@ -63,7 +53,6 @@ _SCHEMA = {
     "ratio_labeled": (float, 0.1),
     "ratio_unlabeled": (float, 0.7),
     "ratio_test": (float, 0.2),
-    "stratified": (_parse_bool, True),
     "model": (str, "cnn_small"),
     "trainer": (str, "fixmatch"),
     "mode": (str, "adaptive"),
@@ -78,7 +67,6 @@ _SCHEMA = {
     "stopping": (str, "fixed"),
     "topn": (_parse_int_list, _CYCLE_DEFAULTS["topn"]),
     "robustness_cases": (int, _CYCLE_DEFAULTS["robustness_cases"]),
-    "static_k": (int, _CYCLE_DEFAULTS["static_k"]),
     "output_dir": (str, "runs"),
     "warm_start": (str, None),
     "trainable_last_k": (int, None),
@@ -122,9 +110,7 @@ class RunConfig:
                 value = (seed,)
             if value is None:
                 continue
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            elif isinstance(value, tuple):
+            if isinstance(value, tuple):
                 value = ",".join(str(x) for x in value)
             lines.append(f"{key} = {value}")
         return "\n".join(lines) + "\n"
@@ -197,25 +183,21 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("ratio_test: must be positive, the robustness cycles score the test split")
     if v["ratio_labeled"] == 0 and v["ratio_unlabeled"] == 0:
         raise ConfigError("ratio_labeled/ratio_unlabeled: both 0 leaves the trainer no samples to train on")
-    if v["ratio_labeled"] == 0 and v["trainer"] == "supervised":
-        raise ConfigError("ratio_labeled: the supervised trainer trains on labeled samples only, got 0")
+    if v["ratio_labeled"] == 0 and not (v["trainer"] == "mixmatch" and v["lambda_u"] > 0):
+        raise ConfigError(f"ratio_labeled: 0 is only for mixmatch with lambda_u > 0, whose every batch has an "
+                          f"unlabeled loss; got trainer {v['trainer']} with lambda_u {v['lambda_u']}")
     if not v["seeds"]:
         raise ConfigError("seeds: at least one seed required")
     if min(v["seeds"]) < 0:
         raise ConfigError(f"seeds: must be non-negative, got {min(v['seeds'])}")
-    n_relations = len(catalog_default(v["dataset"]))
-    if v["static_k"] > n_relations:
-        raise ConfigError(f"static_k: static compositions take 2 to {n_relations} distinct {v['dataset']} "
-                          f"relations, got {v['static_k']}")
     try:
         cfg.cycle_config(v["seeds"][0])
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
-    data_dir = v["data_dir"] or os.environ.get(ENV_DATA_DIR)
-    if not data_dir:
+    if not v["data_dir"]:
         raise ConfigError(f"data_dir: not set (flag, config key, or ${ENV_DATA_DIR})")
-    if not Path(data_dir).is_dir():
-        raise ConfigError(f"data_dir: directory not found: {data_dir}")
+    if not Path(v["data_dir"]).is_dir():
+        raise ConfigError(f"data_dir: directory not found: {v['data_dir']}")
     if v["warm_start"] is not None and not Path(v["warm_start"]).exists():
         raise ConfigError(f"warm_start: checkpoint not found: {v['warm_start']}")
     if v["trainable_last_k"] is not None:

@@ -168,12 +168,11 @@ def largest_remainder(total: int, weights) -> list:
     return base.tolist()
 
 
-def subsample_and_split(samples: Samples, fraction, ratios, seed, stratified: bool = True) -> DatasetSplit:
+def subsample_and_split(samples: Samples, fraction, ratios, seed) -> DatasetSplit:
     """Take round(fraction*N) rows and split them by largest-remainder ratios.
 
-    `ratios` is (labeled, unlabeled, test). Stratified mode apportions the
-    subset per class so realized per-class counts differ from proportional by
-    at most one.
+    `ratios` is (labeled, unlabeled, test). The subset is apportioned per
+    class, so its per-class counts differ from proportional by at most one.
     """
     if not 0 < fraction <= 1:
         raise ValidationError("fraction must be in (0, 1]")
@@ -193,16 +192,13 @@ def subsample_and_split(samples: Samples, fraction, ratios, seed, stratified: bo
             raise ValidationError(f"subset of {n_sub} gives no samples for the {name} split")
 
     rng = np.random.default_rng(seed)
-    if stratified:
-        classes, counts = np.unique(samples.labels, return_counts=True)
-        chosen = []
-        for c, take in zip(classes, largest_remainder(n_sub, counts)):
-            pool = np.flatnonzero(samples.labels == c)
-            chosen.append(pool[rng.choice(len(pool), size=take, replace=False)])
-        chosen = np.sort(np.concatenate(chosen))
-        chosen = chosen[rng.permutation(len(chosen))]
-    else:
-        chosen = rng.choice(n_total, size=n_sub, replace=False)
+    classes, counts = np.unique(samples.labels, return_counts=True)
+    chosen = []
+    for c, take in zip(classes, largest_remainder(n_sub, counts)):
+        pool = np.flatnonzero(samples.labels == c)
+        chosen.append(pool[rng.choice(len(pool), size=take, replace=False)])
+    chosen = np.sort(np.concatenate(chosen))
+    chosen = chosen[rng.permutation(len(chosen))]
 
     n_lab, n_unl, _ = sizes
     return DatasetSplit(

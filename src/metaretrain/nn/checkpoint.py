@@ -24,9 +24,9 @@ a velocity whose name or shape is not a parameter's.
 
 "crc32" is zlib.crc32 of the blob region, so a flipped bit in a parameter or
 a velocity raises CheckpointError instead of loading as different state.
-Files written before the field existed have none and load unchecked. The
-magic stays MRCKPT01: a reader that predates a field reads only the keys it
-knows, so it still loads files that carry one.
+Every file carries it; a header without it fails to load. The magic stays
+MRCKPT01: a reader that predates a field reads only the keys it knows, so it
+still loads files that carry one.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def load_checkpoint(path) -> ModelSnapshot:
         version = typed_field(header, "version", int, "")
         entries = [_blob_entry(e, f"params[{i}].") for i, e in enumerate(typed_field(header, "params", list, ""))]
         spec = ModelSpec.from_dict(typed_field(header, "spec", dict, ""))
-        crc = typed_field(header, "crc32", int, "") if "crc32" in header else None
+        crc = typed_field(header, "crc32", int, "")
         velocity_entries = None
         if "velocities" in header:
             shapes = dict(entries)
@@ -132,7 +132,7 @@ def load_checkpoint(path) -> ModelSnapshot:
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{len(raw) - offset} trailing bytes in {path}")
-    if crc is not None and zlib.crc32(raw[12 + header_len :]) != crc:
+    if zlib.crc32(raw[12 + header_len :]) != crc:
         raise CheckpointError(f"blobs fail their crc32 check in {path}")
     velocities = None if velocity_entries is None else dict(arrays[len(entries) :])
     return ModelSnapshot(spec=spec, params=tuple(arrays[: len(entries)]), version=version, velocities=velocities)

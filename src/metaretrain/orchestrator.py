@@ -72,7 +72,6 @@ class CycleConfig:
     stopping: Optional[StoppingCriterion] = None
     topn: tuple = (1, 5)
     robustness_cases: Optional[int] = None
-    static_k: int = 2
 
     def __post_init__(self):
         """Each message starts with the field's name, which is also its config key."""
@@ -91,8 +90,6 @@ class CycleConfig:
             raise ValidationError(f"learning_rate: must be non-negative, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError(f"momentum: must be in [0, 1), got {self.momentum}")
-        if self.static_k < 2:
-            raise ValidationError(f"static_k: static compositions take at least 2 relations, got {self.static_k}")
         if self.robustness_cases is not None and self.robustness_cases < 1:
             raise ValidationError(f"robustness_cases: must be at least 1 when set, got {self.robustness_cases}")
         if 1 not in self.topn:
@@ -261,7 +258,7 @@ def _policy_for_cycle(cfg: CycleConfig, catalog, failed, cycle: int) -> Augmenta
     if cfg.mode == "base":
         return base_policy(catalog, seed=cfg.seed)
     if cfg.mode == "static":
-        return static_policy(catalog, k=cfg.static_k, seed=cfg.seed)
+        return static_policy(catalog, seed=cfg.seed)
     weak, strong = base_pools(catalog)
     if failed is None:  # cycle 0: nothing tested yet
         log.info("adaptive cycle %d: no prior partition, using base strong pool", cycle)
@@ -329,10 +326,7 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
         cfg.num_classes, seed=cfg.seed,
     )
     records = list(resume.records) if resume is not None else []
-    failed = None  # cycle 0 has no partition yet
-    if records:
-        catalog_map = {mr.id: mr for mr in catalog}
-        failed = [catalog_map[i] for i in records[-1].failed_ids if i in catalog_map]
+    by_id = {mr.id: mr for mr in catalog}
     if resume is not None:
         trainer.optimizer.velocities = dict(resume.velocities)
     config = run_config or {"trainer": cfg.trainer, "mode": cfg.mode, "seed": cfg.seed}
@@ -343,8 +337,9 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
         termination, first = "threshold_met", cfg.cycles
     for cycle in range(first, cfg.cycles):
         started = time.perf_counter()
-        # the policy reads the previous cycle's failed set before the tester replaces it
-        policy = _policy_for_cycle(cfg, catalog, failed, cycle)
+        # the policy reads the previous cycle's failed set; cycle 0 has none yet
+        previous = [by_id[i] for i in records[-1].failed_ids] if records else None
+        policy = _policy_for_cycle(cfg, catalog, previous, cycle)
         version = model.version
         report = robustness(model, catalog, split.test, max_cases=cfg.robustness_cases,
                             pass_threshold=cfg.pass_threshold, seed=cfg.seed)
@@ -402,10 +397,17 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
     )
 
 
-def resume_state_from(history: RunHistory, checkpoint_dir) -> tuple:
-    """Rebuild (model, ResumeState) from the last completed cycle's checkpoint."""
+def resume_state_from(history: RunHistory, checkpoint_dir, catalog) -> tuple:
+    """Rebuild (model, ResumeState) from the last completed cycle's checkpoint;
+    the next cycle's policy reads its failed ids, which must name relations
+    of `catalog`."""
     if not history.records:
         raise ValidationError("history has no completed cycles to resume from")
+    known = {mr.id for mr in catalog}
+    unknown = [i for i in history.records[-1].failed_ids if i not in known]
+    if unknown:
+        raise ValidationError(f"cycle {history.records[-1].cycle} failed_ids name no catalog relation: "
+                              f"{', '.join(unknown)}")
     path = Path(checkpoint_dir) / f"cycle_{history.records[-1].cycle:04d}.ckpt"
     snap = load_checkpoint(path)
     if snap.velocities is None:

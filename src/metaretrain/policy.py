@@ -2,8 +2,8 @@
 
 Three modes mirror the retraining techniques: base (stock weak/strong pools,
 ignores test outcomes), adaptive (previous cycle's failed relations become the
-strong pool), and static (catalog singles as weak, ordered compositions as
-strong, each pool sampled uniformly).
+strong pool), and static (catalog singles as weak, ordered pairs of distinct
+relations as strong, each pool sampled uniformly).
 
 A cycle's stream is generated one batch at a time, every epoch in order: each
 batch holds an augmented labeled part (labels remapped through the applied
@@ -102,14 +102,13 @@ def adaptive_policy(failed, base_weak, base_strong, seed: int = 0) -> Augmentati
     )
 
 
-def static_policy(catalog, k: int = 2, seed: int = 0) -> AugmentationPolicy:
-    """Catalog singles as weak, all ordered k-tuples as strong."""
+def static_policy(catalog, seed: int = 0) -> AugmentationPolicy:
+    """Catalog singles as weak, every ordered pair of distinct relations as
+    strong: n * (n - 1) compositions, 90 on MNIST and 110 on CIFAR-10."""
     catalog = list(catalog)
     if len(catalog) < 2:
         raise ValidationError("static policy needs a catalog of at least 2 relations")
-    if k < 2:
-        raise ValidationError("static compositions need k >= 2")
-    strong = [compose(combo) for combo in permutations(catalog, k)]
+    strong = [compose(pair) for pair in permutations(catalog, 2)]
     return AugmentationPolicy(mode="static", weak_pool=tuple(catalog), strong_pool=tuple(strong), seed=seed)
 
 

@@ -54,8 +54,12 @@ BAD_CONFIGS = {
     "ratio-negative": ({"ratio_labeled": -0.1, "ratio_unlabeled": 0.9, "ratio_test": 0.2}, "ratio_labeled"),
     "ratio-test-zero": ({"ratio_labeled": 0.3, "ratio_unlabeled": 0.7, "ratio_test": 0}, "ratio_test"),
     "ratio-nothing-to-train": ({"ratio_labeled": 0, "ratio_unlabeled": 0, "ratio_test": 1}, "ratio_labeled"),
-    "ratio-supervised-unlabeled-only": ({"trainer": "supervised", "ratio_labeled": 0, "ratio_unlabeled": 0.8,
-                                         "ratio_test": 0.2}, "ratio_labeled"),
+    # an unlabeled-only split leaves a batch no loss term but mixmatch's with lambda_u > 0
+    **{f"ratio-{trainer}-unlabeled-only": ({"trainer": trainer, "ratio_labeled": 0, "ratio_unlabeled": 0.8,
+                                            "ratio_test": 0.2}, "ratio_labeled")
+       for trainer in ("supervised", "fixmatch", "flexmatch", "fullmatch")},
+    "ratio-mixmatch-unlabeled-only-without-lambda-u": ({"trainer": "mixmatch", "lambda_u": 0, "ratio_labeled": 0,
+                                                        "ratio_unlabeled": 0.8, "ratio_test": 0.2}, "ratio_labeled"),
     "cycles": ({"cycles": 0}, "cycles"),
     "epochs": ({"epochs_per_cycle": 0}, "epochs_per_cycle"),
     "batch-size": ({"batch_size": 0}, "batch_size"),
@@ -65,8 +69,6 @@ BAD_CONFIGS = {
     "pass-threshold": ({"pass_threshold": 1.5}, "pass_threshold"),
     "learning-rate": ({"learning_rate": -0.1}, "learning_rate"),
     "momentum": ({"momentum": 1.0}, "momentum"),
-    "static-k-low": ({"mode": "static", "static_k": 1}, "static_k"),
-    "static-k-above-catalog": ({"mode": "static", "static_k": 11}, "static_k"),
     "robustness-cases": ({"robustness_cases": 0}, "robustness_cases"),
     "trainer-hyperparameter": ({"tau": 1.5}, "tau"),
     "lambda-u-negative": ({"lambda_u": -0.5}, "lambda_u"),
@@ -205,12 +207,34 @@ class TestRunCommand:
         assert "ratio" in err
         assert not (tmp_path / "runs").exists()  # no side effects on invalid config
 
-    @pytest.mark.parametrize("mode", ["static", "adaptive"])
-    def test_static_k_below_two_exit_2_before_output(self, tmp_path, data_dir, capsys, mode):
-        cfg = write_config(tmp_path / "bad.cfg", data_dir, tmp_path / "runs", mode=mode, static_k=1)
-        assert main(["run", "--config", str(cfg)]) == 2
-        assert "static_k" in capsys.readouterr().err
-        assert not (tmp_path / "runs").exists()
+    def test_removed_static_k_and_stratified_keys_exit_2_before_output(self, tmp_path, data_dir, capsys):
+        for key, value in (("static_k", 2), ("stratified", "true")):
+            cfg = write_config(tmp_path / "old.cfg", data_dir, tmp_path / "runs", mode="static", **{key: value})
+            assert main(["run", "--config", str(cfg)]) == 2
+            assert f"unknown key {key!r}" in capsys.readouterr().err
+            assert not (tmp_path / "runs").exists()
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", mode="static", cycles=1)
+        assert main(["run", "--config", str(cfg)]) == 0
+        (run_dir,) = run_dirs(tmp_path / "runs")
+        history = json.loads((run_dir / "history.json").read_text())
+        assert "static_k" not in history["config"] and "stratified" not in history["config"]
+        history["config"].update(static_k=2, stratified=True)  # what runs wrote while the keys existed
+        (run_dir / "history.json").write_text(json.dumps(history))
+        before = tree_bytes(run_dir)
+        longer = write_config(tmp_path / "longer.cfg", data_dir, tmp_path / "runs", mode="static", cycles=2)
+        capsys.readouterr()
+        assert main(["run", "--config", str(longer), "--resume", str(run_dir)]) == 2
+        assert "--resume: config differs from the run's own in static_k, stratified" in capsys.readouterr().err
+        assert tree_bytes(run_dir) == before
+
+    def test_mixmatch_on_an_unlabeled_only_split_completes(self, tmp_path, data_dir):
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", trainer="mixmatch",
+                           ratio_labeled=0, ratio_unlabeled=0.8, ratio_test=0.2)
+        assert main(["run", "--config", str(cfg)]) == 0
+        (run_dir,) = run_dirs(tmp_path / "runs")
+        history = RunHistory.load(run_dir / "history.json")
+        assert history.termination == "completed" and len(history.records) == 2
+        assert all(r.loss_stats["l_sup_mean"] == 0 and r.loss_stats["steps"] > 0 for r in history.records)
 
     @pytest.mark.parametrize("metric", ["top7_accuracy", "f1"])
     def test_unknown_stopping_metric_exit_2_before_output(self, tmp_path, data_dir, capsys, metric):
@@ -454,6 +478,22 @@ class TestRunCommand:
         assert "--resume: config differs from the run's own in frozen_realizations" in err
         assert tree_bytes(run_dir) == before
 
+    def test_resume_of_a_run_whose_failed_ids_name_no_relation_exit_2_naming_it(self, tmp_path, data_dir,
+                                                                                 capsys):
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", cycles=1)
+        assert main(["run", "--config", str(cfg)]) == 0
+        (run_dir,) = run_dirs(tmp_path / "runs")
+        history = json.loads((run_dir / "history.json").read_text())
+        history["records"][-1]["failed_ids"].append("no_such_mr")
+        (run_dir / "history.json").write_text(json.dumps(history))
+        before = tree_bytes(run_dir)
+        longer = write_config(tmp_path / "longer.cfg", data_dir, tmp_path / "runs", cycles=2)
+        capsys.readouterr()
+        assert main(["run", "--config", str(longer), "--resume", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "no_such_mr" in err and "Traceback" not in err
+        assert tree_bytes(run_dir) == before
+
     def test_missing_data_dir_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.cfg", tmp_path / "nowhere", tmp_path / "runs")
         assert main(["run", "--config", str(cfg)]) == 2
@@ -528,6 +568,15 @@ class TestWarmStart:
         assert main(["run", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 2
         err = capsys.readouterr().err
         assert "warm_start" in err and "(3, 32, 32)" in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_checkpoint_of_another_architecture_exit_2_naming_model(self, tmp_path, data_dir, capsys):
+        ckpt = tmp_path / "cnn.ckpt"
+        save_checkpoint(Model(model_spec("cnn_small", (1, 28, 28), 10), seed=0).snapshot(), ckpt)
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", model="linear")
+        assert main(["run", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert "model: 'linear'" in err and str(ckpt) in err
         assert not (tmp_path / "runs").exists()
 
     def test_checkpoint_with_misshapen_parameter_exit_2_naming_it(self, tmp_path, data_dir, capsys):

@@ -207,7 +207,7 @@ class TestSubsampleAndSplit:
 
     def test_stratified_class_counts_within_one_of_proportional(self):
         samples = self.fake_samples(1000, classes=10)
-        split = subsample_and_split(samples, 0.123, (0.3, 0.4, 0.3), seed=3, stratified=True)
+        split = subsample_and_split(samples, 0.123, (0.3, 0.4, 0.3), seed=3)
         chosen = [s for part in (split.labeled, split.unlabeled, split.test) for s in part]
         counts = np.bincount([s.label for s in chosen], minlength=10)
         proportional = 123 / 10
@@ -225,23 +225,22 @@ class TestSubsampleAndSplit:
 
     @settings(max_examples=200, deadline=None)
     @given(labels=st.lists(st.integers(0, 11), min_size=1, max_size=200), fraction=st.floats(0.005, 1.0),
-           weights=st.tuples(*[st.integers(0, 9)] * 3).filter(any), seed=st.integers(0, 2**32 - 1),
-           stratified=st.booleans())
-    @example(labels=[3, 0, 3, 7, 0, 0, 3, 7, 7, 3], fraction=0.5, weights=(2, 5, 3), seed=0, stratified=True)
-    @example(labels=[4] * 9 + [1], fraction=0.3, weights=(1, 1, 1), seed=7, stratified=True)  # a class takes 0
-    def test_draws_match_the_per_object_split(self, labels, fraction, weights, seed, stratified):
+           weights=st.tuples(*[st.integers(0, 9)] * 3).filter(any), seed=st.integers(0, 2**32 - 1))
+    @example(labels=[3, 0, 3, 7, 0, 0, 3, 7, 7, 3], fraction=0.5, weights=(2, 5, 3), seed=0)
+    @example(labels=[4] * 9 + [1], fraction=0.3, weights=(1, 1, 1), seed=7)  # a class takes 0
+    def test_draws_match_the_per_object_split(self, labels, fraction, weights, seed):
         # source ids that are not the row numbers, so a part cannot match by row alone
         ids = np.random.default_rng(seed).permutation(len(labels)) * 3 + 100
         rows = [ImageSample(np.full((1, 1, 1), i % 256, dtype=np.uint8), lab, int(sid))
                 for i, (lab, sid) in enumerate(zip(labels, ids))]
         ratios = tuple(w / sum(weights) for w in weights)
         try:
-            expected = reference_subsample_and_split(rows, fraction, ratios, seed, stratified)
+            expected = reference_subsample_and_split(rows, fraction, ratios, seed)
         except ValidationError as exc:
             with pytest.raises(ValidationError, match=re.escape(str(exc))):
-                subsample_and_split(table(rows), fraction, ratios, seed, stratified)
+                subsample_and_split(table(rows), fraction, ratios, seed)
             return
-        split = subsample_and_split(table(rows), fraction, ratios, seed, stratified)
+        split = subsample_and_split(table(rows), fraction, ratios, seed)
         for name in ("labeled", "unlabeled", "test"):
             part, want = getattr(split, name), getattr(expected, name)
             assert part.source_ids.tolist() == [r.source_id for r in want], name

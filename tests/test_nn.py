@@ -757,7 +757,7 @@ class TestSnapshotsAndCheckpoints:
             with pytest.raises(CheckpointError, match="crc32"):
                 load_checkpoint(bad)
 
-    def test_checkpoint_without_crc32_loads_and_malformed_crc32_is_named(self, tmp_path):
+    def test_checkpoint_without_crc32_or_with_malformed_crc32_is_named(self, tmp_path):
         path = tmp_path / "model.ckpt"
         snap = Model(mlp_spec(), seed=0).snapshot()
         save_checkpoint(snap, path)
@@ -771,10 +771,13 @@ class TestSnapshotsAndCheckpoints:
             target.write_bytes(raw[:8] + len(encoded).to_bytes(4, "little") + encoded + raw[header_end:])
             return target
 
-        old = load_checkpoint(rewrite("old.ckpt", {k: v for k, v in header.items() if k != "crc32"}))
-        assert [(n, a.tobytes()) for n, a in old.params] == [(n, a.tobytes()) for n, a in snap.params]
-        with pytest.raises(CheckpointError, match="'crc32'"):
-            load_checkpoint(rewrite("bad.ckpt", {**header, "crc32": str(header["crc32"])}))
+        assert [(n, a.tobytes()) for n, a in load_checkpoint(rewrite("same.ckpt", header)).params] == \
+            [(n, a.tobytes()) for n, a in snap.params]
+        for name, new_header in (("without.ckpt", {k: v for k, v in header.items() if k != "crc32"}),
+                                 ("mistyped.ckpt", {**header, "crc32": str(header["crc32"])})):
+            target = rewrite(name, new_header)
+            with pytest.raises(CheckpointError, match=re.escape(f"{target}: field 'crc32'")):
+                load_checkpoint(target)
 
     def test_flipped_param_field_names_it(self, tmp_path):
         path = tmp_path / "model.ckpt"

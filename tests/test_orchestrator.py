@@ -51,7 +51,6 @@ BAD_CYCLE_CONFIGS = {
     "learning-rate": ({"learning_rate": -0.1}, "learning_rate"),
     "learning-rate-nan": ({"learning_rate": float("nan")}, "learning_rate"),
     "momentum": ({"momentum": 1.0}, "momentum"),
-    "static-k": ({"static_k": 1}, "static_k"),
     "robustness-cases": ({"robustness_cases": 0}, "robustness_cases"),
     "topn-without-1": ({"topn": (5,)}, "topn"),
     "topn-empty": ({"topn": ()}, "topn"),
@@ -268,7 +267,7 @@ class TestRunCycles:
         model_b, _, _ = small_setup(seed=10)
         cfg2 = config(mode="adaptive", cycles=2, trainer="mixmatch", batch_size=8)
         first = run_cycles(model_b, split, cfg2, catalog, checkpoint_dir=tmp_path / "b")
-        model_c, state = resume_state_from(first, tmp_path / "b")
+        model_c, state = resume_state_from(first, tmp_path / "b", catalog)
         resumed = run_cycles(model_c, split, cfg4, catalog, resume=state, checkpoint_dir=tmp_path / "b")
 
         assert [r.to_dict() for r in resumed.records] == [r.to_dict() for r in straight.records]

@@ -86,6 +86,14 @@ class TestStaticPolicy:
         for mr_id in ("rot90", "rot180", "rot90+rot180", "rot180+rot90"):
             assert abs(labeled.count(mr_id) / 4000 - 0.25) <= 0.04, mr_id
 
+    @pytest.mark.parametrize("dataset,pairs", [("mnist", 90), ("cifar10", 110)])
+    def test_strong_pool_is_every_ordered_pair_of_the_catalog(self, dataset, pairs):
+        catalog = catalog_default(dataset)
+        pol = static_policy(catalog)
+        assert len(pol.strong_pool) == pairs == len(catalog) * (len(catalog) - 1)
+        assert [m.id for m in pol.strong_pool] == [f"{a.id}+{b.id}" for a in catalog for b in catalog if a is not b]
+        assert pol.weak_pool == tuple(catalog)
+
     def test_small_catalog_rejected(self):
         with pytest.raises(ValidationError):
             static_policy([IDENTITY])
@@ -234,7 +242,7 @@ class TestCycleStream:
         relabeled = replace(split, unlabeled=table(
             ImageSample(s.pixels, (s.label + 1) % 10, s.source_id) for s in split.unlabeled))
         catalog = catalog_default("mnist")
-        for pol in (base_policy(catalog, seed=10), static_policy(catalog, k=2, seed=10)):
+        for pol in (base_policy(catalog, seed=10), static_policy(catalog, seed=10)):
             a, b = (build_cycle_stream(CycleDatasetSpec(split=sp, policy=pol, batch_size=8, epochs=2,
                                                         num_classes=10, n_weak_views=2))
                     for sp in (split, relabeled))
@@ -269,7 +277,7 @@ class TestCycleStream:
         # the strong relations are still drawn, so labeled images, labels,
         # weak views and ids equal those of the stream with strong views
         split = mnist_split(40, ratios=(0.3, 0.5, 0.2))
-        pol = static_policy(catalog_default("mnist"), k=2, seed=13)
+        pol = static_policy(catalog_default("mnist"), seed=13)
         with_strong, without = (build_cycle_stream(CycleDatasetSpec(
             split=split, policy=pol, batch_size=8, epochs=2, num_classes=10, n_weak_views=2,
             strong_views=strong)) for strong in (True, False))
@@ -288,7 +296,7 @@ class TestCycleStream:
 
     def test_iterating_batches_twice_gives_equal_batches(self):
         split = mnist_split(40, ratios=(0.3, 0.5, 0.2))
-        pol = static_policy(catalog_default("mnist"), k=2, seed=12)
+        pol = static_policy(catalog_default("mnist"), seed=12)
         stream = build_cycle_stream(CycleDatasetSpec(split=split, policy=pol, batch_size=8, epochs=2,
                                                      num_classes=10, n_weak_views=2))
         first, second = list(stream.batches), list(stream.batches)

@@ -155,7 +155,7 @@ def reference_largest_remainder(total: int, weights) -> list:
     return base.tolist()
 
 
-def reference_subsample_and_split(samples, fraction, ratios, seed, stratified=True) -> DatasetSplit:
+def reference_subsample_and_split(samples, fraction, ratios, seed) -> DatasetSplit:
     """The per-object split: `samples` is a list of rows with `.label`; the
     parts are tuples of those rows."""
     if not 0 < fraction <= 1:
@@ -174,20 +174,17 @@ def reference_subsample_and_split(samples, fraction, ratios, seed, stratified=Tr
         if ratio > 0 and size < 1:
             raise ValidationError(f"subset of {n_sub} gives no samples for the {name} split")
     rng = np.random.default_rng(seed)
-    if stratified:
-        by_class = {}
-        for idx, s in enumerate(samples):
-            by_class.setdefault(s.label, []).append(idx)
-        class_order = sorted(by_class)
-        per_class = reference_largest_remainder(n_sub, [len(by_class[c]) for c in class_order])
-        chosen = []
-        for c, take in zip(class_order, per_class):
-            pool = np.array(by_class[c])
-            chosen.extend(pool[rng.choice(len(pool), size=take, replace=False)])
-        chosen = np.array(sorted(chosen))
-        chosen = chosen[rng.permutation(len(chosen))]
-    else:
-        chosen = rng.choice(n_total, size=n_sub, replace=False)
+    by_class = {}
+    for idx, s in enumerate(samples):
+        by_class.setdefault(s.label, []).append(idx)
+    class_order = sorted(by_class)
+    per_class = reference_largest_remainder(n_sub, [len(by_class[c]) for c in class_order])
+    chosen = []
+    for c, take in zip(class_order, per_class):
+        pool = np.array(by_class[c])
+        chosen.extend(pool[rng.choice(len(pool), size=take, replace=False)])
+    chosen = np.array(sorted(chosen))
+    chosen = chosen[rng.permutation(len(chosen))]
     picked = [samples[i] for i in chosen]
     n_lab, n_unl, _ = sizes
     return DatasetSplit(labeled=tuple(picked[:n_lab]), unlabeled=tuple(picked[n_lab : n_lab + n_unl]),
