@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DATASETS, ENV_DATA_DIR, ConfigError, RunConfig, load_config, validate_config
+from .config import DATASETS, ENV_DATA_DIR, RunConfig, load_config, validate_config
 from .data import Samples, load_cifar, load_mnist, subsample_and_split
 from .errors import MetaRetrainError, NonFiniteError, ValidationError
 from .metrics import evaluate
@@ -88,7 +88,7 @@ def _build_model(cfg: RunConfig, input_shape, n_classes: int, seed: int) -> Mode
         model = Model.from_snapshot(load_checkpoint(cfg.warm_start))
         _check_fits(model, cfg.dataset, "warm_start")
         if model.spec != model_spec(cfg.model, input_shape, n_classes):
-            raise ConfigError(f"model: {cfg.model!r} is not the architecture of warm_start {cfg.warm_start}")
+            raise ValidationError(f"model: {cfg.model!r} is not the architecture of warm_start {cfg.warm_start}")
         return model
     return Model(model_spec(cfg.model, input_shape, n_classes), seed=seed)
 
@@ -107,7 +107,7 @@ def cmd_run(args) -> int:
         cfg.values["warm_start"] = args.checkpoint
     validate_config(cfg)
     if args.resume and len(cfg.seeds) != 1:
-        raise ConfigError("seeds: --resume continues exactly one run; pass a single seed")
+        raise ValidationError("seeds: --resume continues exactly one run; pass a single seed")
 
     input_shape, n_classes = DATASETS[cfg.dataset]
     samples = load_dataset(cfg.dataset, cfg.data_dir)
@@ -126,8 +126,10 @@ def cmd_run(args) -> int:
             differing = sorted(key for key in config.keys() | history.config.keys()
                                if key not in RESUME_FREE_KEYS and config.get(key) != history.config.get(key))
             if differing:
-                raise ConfigError(f"--resume: config differs from the run's own in {', '.join(differing)}")
+                raise ValidationError(f"--resume: config differs from the run's own in {', '.join(differing)}")
             model, resume = resume_state_from(history, run_dir / "checkpoints", catalog)
+            # read, and cut back, before anything of the run directory is written
+            _truncate_metrics(run_dir / "reports" / "metrics.jsonl", resume.records[-1].cycle)
         else:
             run_id = f"{time.strftime('%Y%m%d-%H%M%S')}-{time.time_ns() % 1_000_000:06d}-seed{seed}"
             run_dir = Path(cfg.output_dir) / run_id
@@ -135,15 +137,11 @@ def cmd_run(args) -> int:
         # a model loaded from a checkpoint (warm start or resumed cycle) has every layer trainable
         model.set_trainable_last(cfg.trainable_last_k)
 
-        run_dir.mkdir(parents=True, exist_ok=True)
-        (run_dir / "reports").mkdir(exist_ok=True)
+        (run_dir / "reports").mkdir(parents=True, exist_ok=True)
         write_atomic(run_dir / "config", cfg.resolved_text(seed=seed).encode("utf-8"))
 
-        metrics_path = run_dir / "reports" / "metrics.jsonl"
-        if resume is not None:
-            _truncate_metrics(metrics_path, resume.records[-1].cycle)
         # line-buffered: a cycle's steps reach the file before its history is saved
-        with open(metrics_path, "a" if resume is not None else "w", buffering=1) as metrics_file:
+        with open(run_dir / "reports" / "metrics.jsonl", "a" if resume is not None else "w", buffering=1) as metrics_file:
             def sink(record, _f=metrics_file):
                 _f.write(json.dumps(record, sort_keys=True) + "\n")
 

@@ -22,10 +22,6 @@ DATASETS = {"mnist": ((1, 28, 28), 10), "cifar10": ((3, 32, 32), 10), "cifar100"
 ENV_DATA_DIR = "METARETRAIN_DATA_DIR"
 
 
-class ConfigError(ValidationError):
-    pass
-
-
 def _parse_int_list(raw: str) -> tuple:
     return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
 
@@ -90,7 +86,7 @@ class RunConfig:
         try:
             stopping = _parse_stopping(v["stopping"])
         except (ValueError, ValidationError) as exc:
-            raise ConfigError(f"stopping: {exc}") from exc
+            raise ValidationError(f"stopping: {exc}") from exc
         held = {f.name: v[f.name] for f in fields(CycleConfig) if f.name in v}
         held.update(seed=seed, num_classes=DATASETS[v["dataset"]][1], stopping=stopping,
                     trainer_cfg=TrainerConfig(**{f.name: v[f.name] for f in fields(TrainerConfig)}))
@@ -130,18 +126,18 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw_line!r}")
+            raise ValidationError(f"{source}:{lineno}: expected 'key = value', got {raw_line!r}")
         key, _, raw_value = line.partition("=")
         key, raw_value = key.strip(), raw_value.strip()
         if key not in _SCHEMA:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+            raise ValidationError(f"{source}:{lineno}: unknown key {key!r}")
         if key in values:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
+            raise ValidationError(f"{source}:{lineno}: duplicate key {key!r}")
         parser, _ = _SCHEMA[key]
         try:
             values[key] = parser(raw_value)
         except ValueError as exc:
-            raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
+            raise ValidationError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
     for key, (_, default) in _SCHEMA.items():
         values.setdefault(key, default)
     return RunConfig(values=values)
@@ -150,12 +146,12 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise ValidationError(f"config file not found: {path}")
     return parse_config_text(path.read_text(), source=str(path))
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Field-level validation; raises ConfigError naming the offending key.
+    """Field-level validation; raises ValidationError naming the offending key.
 
     Checks the keys no dataclass holds here, then builds the first seed's
     CycleConfig, which checks the rest, so all run before any output exists."""
@@ -163,45 +159,42 @@ def validate_config(cfg: RunConfig) -> None:
     for key, (parser, _) in _SCHEMA.items():
         # NaN passes every range comparison below, so it is rejected first
         if parser is float and not math.isfinite(v[key]):
-            raise ConfigError(f"{key}: must be finite, got {v[key]}")
+            raise ValidationError(f"{key}: must be finite, got {v[key]}")
     if v["dataset"] not in DATASETS:
-        raise ConfigError(f"dataset: unknown value {v['dataset']!r} (choose from {tuple(DATASETS)})")
+        raise ValidationError(f"dataset: unknown value {v['dataset']!r} (choose from {tuple(DATASETS)})")
     try:
         model_spec(v["model"], *DATASETS[v["dataset"]])
     except ValidationError as exc:
-        raise ConfigError(f"model: {exc}") from exc
+        raise ValidationError(f"model: {exc}") from exc
     if not 0 < v["fraction"] <= 1:
-        raise ConfigError(f"fraction: must be in (0, 1], got {v['fraction']}")
+        raise ValidationError(f"fraction: must be in (0, 1], got {v['fraction']}")
     total = sum(cfg.ratios())
     if abs(total - 1.0) > 1e-9:
-        raise ConfigError(
+        raise ValidationError(
             f"ratio_labeled/ratio_unlabeled/ratio_test: must sum to 1 within 1e-9, got {total}"
         )
     if min(cfg.ratios()) < 0:
-        raise ConfigError("ratio_labeled/ratio_unlabeled/ratio_test: must be non-negative")
+        raise ValidationError("ratio_labeled/ratio_unlabeled/ratio_test: must be non-negative")
     if v["ratio_test"] == 0:
-        raise ConfigError("ratio_test: must be positive, the robustness cycles score the test split")
+        raise ValidationError("ratio_test: must be positive, the robustness cycles score the test split")
     if v["ratio_labeled"] == 0 and v["ratio_unlabeled"] == 0:
-        raise ConfigError("ratio_labeled/ratio_unlabeled: both 0 leaves the trainer no samples to train on")
+        raise ValidationError("ratio_labeled/ratio_unlabeled: both 0 leaves the trainer no samples to train on")
     if v["ratio_labeled"] == 0 and not (v["trainer"] == "mixmatch" and v["lambda_u"] > 0):
-        raise ConfigError(f"ratio_labeled: 0 is only for mixmatch with lambda_u > 0, whose every batch has an "
+        raise ValidationError(f"ratio_labeled: 0 is only for mixmatch with lambda_u > 0, whose every batch has an "
                           f"unlabeled loss; got trainer {v['trainer']} with lambda_u {v['lambda_u']}")
     if not v["seeds"]:
-        raise ConfigError("seeds: at least one seed required")
+        raise ValidationError("seeds: at least one seed required")
     if min(v["seeds"]) < 0:
-        raise ConfigError(f"seeds: must be non-negative, got {min(v['seeds'])}")
-    try:
-        cfg.cycle_config(v["seeds"][0])
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValidationError(f"seeds: must be non-negative, got {min(v['seeds'])}")
+    cfg.cycle_config(v["seeds"][0])
     if not v["data_dir"]:
-        raise ConfigError(f"data_dir: not set (flag, config key, or ${ENV_DATA_DIR})")
+        raise ValidationError(f"data_dir: not set (flag, config key, or ${ENV_DATA_DIR})")
     if not Path(v["data_dir"]).is_dir():
-        raise ConfigError(f"data_dir: directory not found: {v['data_dir']}")
+        raise ValidationError(f"data_dir: directory not found: {v['data_dir']}")
     if v["warm_start"] is not None and not Path(v["warm_start"]).exists():
-        raise ConfigError(f"warm_start: checkpoint not found: {v['warm_start']}")
+        raise ValidationError(f"warm_start: checkpoint not found: {v['warm_start']}")
     if v["trainable_last_k"] is not None:
         if v["warm_start"] is None:
-            raise ConfigError("trainable_last_k: freezes layers of a warm_start checkpoint; set warm_start too")
+            raise ValidationError("trainable_last_k: freezes layers of a warm_start checkpoint; set warm_start too")
         if v["trainable_last_k"] < 1:
-            raise ConfigError(f"trainable_last_k: must be at least 1, got {v['trainable_last_k']}")
+            raise ValidationError(f"trainable_last_k: must be at least 1, got {v['trainable_last_k']}")

@@ -224,7 +224,7 @@ class Model:
                 arr = rng.uniform(-bound, bound, size=shape)
             else:
                 arr = np.zeros(shape)
-            self._params[name] = Tensor(arr.astype(dtype), requires_grad=True, name=name)
+            self._params[name] = Tensor(arr.astype(dtype), requires_grad=True)
 
     # -- parameter access --------------------------------------------------
 
@@ -319,7 +319,7 @@ class Model:
                 raise ConfigurationError(f"missing parameter {name!r}")
             if arrays[name].shape != shape:
                 raise ConfigurationError(f"parameter {name!r} shape {arrays[name].shape} != {shape}")
-            model._params[name] = Tensor(arrays[name].copy(), requires_grad=True, name=name)
+            model._params[name] = Tensor(arrays[name].copy(), requires_grad=True)
         return model
 
 

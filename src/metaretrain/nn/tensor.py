@@ -70,13 +70,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "name", "finite", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "finite", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, name: str = ""):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data, DEFAULT_DTYPE)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.name = name
         self.finite = False  # a leaf is never known finite; see the module docstring
         self._parents: tuple = ()
         self._backward = None
@@ -144,7 +143,6 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out.name = ""
         out.finite = True
         needs = grad_enabled() and any(p.requires_grad for p in parents)
         out.requires_grad = needs

@@ -33,7 +33,7 @@ from .nn.checkpoint import typed_field, write_atomic
 from .policy import AugmentationPolicy, CycleDatasetSpec, CycleStream, adaptive_policy, base_policy, base_pools, build_cycle_stream, static_policy
 from .report import json_bytes
 from .tester import partition, robustness
-from .trainers import TRAINER_NAMES, Trainer, TrainerConfig, build_trainer
+from .trainers import TRAINER_NAMES, LossBreakdown, Trainer, TrainerConfig, build_trainer
 
 log = logging.getLogger(__name__)
 
@@ -208,6 +208,9 @@ class RunHistory:
         try:
             d = json.loads(Path(path).read_text())
             fields = {key: typed_field(d, key, kind, "") for key, kind in kinds.items()}
+            for key in ("trainer", "mode", "dataset"):  # the comparison table's labels
+                if key in fields["config"] and not isinstance(fields["config"][key], str):
+                    raise ValueError(f"field 'config.{key}' is not a str: {fields['config'][key]!r}")
             final = fields["final_eval"]
             if "sr_mt" not in final or not isinstance(final.get("topn"), dict):
                 raise ValueError("field 'final_eval' lacks 'sr_mt' or a 'topn' dict")
@@ -259,11 +262,9 @@ def _policy_for_cycle(cfg: CycleConfig, catalog, failed, cycle: int) -> Augmenta
         return base_policy(catalog, seed=cfg.seed)
     if cfg.mode == "static":
         return static_policy(catalog, seed=cfg.seed)
-    weak, strong = base_pools(catalog)
     if failed is None:  # cycle 0: nothing tested yet
         log.info("adaptive cycle %d: no prior partition, using base strong pool", cycle)
-        return adaptive_policy([], weak, strong, seed=cfg.seed)
-    return adaptive_policy(failed, weak, strong, seed=cfg.seed)
+    return adaptive_policy(failed or [], *base_pools(catalog), seed=cfg.seed)
 
 
 @dataclass
@@ -277,33 +278,31 @@ class ResumeState:
 
 def _train_one_cycle(trainer: Trainer, stream: CycleStream, cycle: int,
                      metrics_sink: Optional[Callable]) -> tuple:
-    """Run every epoch of the stream; returns (loss stats, nan diagnostic)."""
-    sums = {"l_sup": 0.0, "l_unsup": 0.0, "l_penalty": 0.0, "total": 0.0, "mask_rate": 0.0}
-    steps = 0
-    trainer.on_cycle_start(cycle)
-    per_epoch = stream.steps_per_epoch
+    """Run every epoch of the stream, each after `trainer.on_epoch_start(cycle, epoch)`; returns (loss
+    stats, nan diagnostic). A stat is a mean over the steps taken, or with none 0.0, or nan if a
+    non-finite loss stopped the cycle."""
+    sums = dict.fromkeys(LossBreakdown.RECORD_KEYS, 0.0)
+    steps, nan_diag = 0, None
     try:
         # each batch is dropped after its step, so the stream builds the next
         # one while nothing holds it (enumerate's result tuple would)
         for batch in stream:
-            if per_epoch and steps % per_epoch == 0:
-                trainer.on_epoch_start()
-            breakdown = trainer.step(batch)
+            epoch, offset = divmod(steps, stream.steps_per_epoch)
+            if offset == 0:
+                trainer.on_epoch_start(cycle, epoch)
+            record = trainer.step(batch).to_record()
             del batch
-            for key in sums:
-                sums[key] += getattr(breakdown, key)
+            for key, value in record.items():
+                sums[key] += value
             if metrics_sink is not None:
-                record = {"cycle": cycle, "step": steps}
-                record.update(breakdown.to_record())
-                metrics_sink(record)
+                metrics_sink({"cycle": cycle, "step": steps, **record})
             steps += 1
     except NonFiniteError as exc:
-        stats = {f"{k}_mean": (v / steps if steps else float("nan")) for k, v in sums.items()}
-        stats["steps"] = steps
-        return stats, str(exc)
-    stats = {f"{k}_mean": (v / steps if steps else 0.0) for k, v in sums.items()}
+        nan_diag = str(exc)
+    empty = float("nan") if nan_diag is not None else 0.0
+    stats = {f"{k}_mean": (v / steps if steps else empty) for k, v in sums.items()}
     stats["steps"] = steps
-    return stats, None
+    return stats, nan_diag
 
 
 def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,

@@ -121,6 +121,9 @@ def comparison_table(histories, layout=None, accuracy_n: int = 1) -> ComparisonT
         missing = [g for g in groups if g not in layout]
         if missing:
             raise ValidationError(f"layout omits configuration groups {missing}")
+        repeated = sorted({g for g in layout if layout.count(g) > 1})
+        if repeated:
+            raise ValidationError(f"layout names configuration groups more than once: {repeated}")
         groups = [g for g in layout if g in groups]
     table = ComparisonTable(rows, groups)
     for (row, group), (acc, sr_mt, cycle, seed) in found.items():

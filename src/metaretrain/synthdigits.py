@@ -128,27 +128,20 @@ def write_idx(samples: Samples, images_path, labels_path) -> None:
     write_atomic(labels_path, struct.pack(">II", 0x00000801, n) + samples.labels.astype(np.uint8).tobytes())
 
 
-def ensure_dataset(data_dir, n_train: int = 2000, n_test: int = 400, seed: int = 1234) -> dict:
-    """Materialize train/test IDX files under data_dir if absent; return paths.
-    The train pair is `make_digits(n_train, seed)`, the test pair
-    `make_digits(n_test, seed + 1)`. Files already there must hold those
-    counts, or ValidationError names the file; IDX has no seed to check."""
+def ensure_dataset(data_dir, n_train: int = 2000, seed: int = 1234) -> dict:
+    """Write `make_digits(n_train, seed)` as the train IDX pair, the files `run` and `test` read, under
+    data_dir if absent; return their paths. Files already there must hold n_train items, or
+    ValidationError names the file; IDX has no seed to check."""
     data_dir = Path(data_dir)
-    paths = {
-        "train_images": data_dir / "train-images-idx3-ubyte",
-        "train_labels": data_dir / "train-labels-idx1-ubyte",
-        "test_images": data_dir / "t10k-images-idx3-ubyte",
-        "test_labels": data_dir / "t10k-labels-idx1-ubyte",
-    }
+    paths = {"train_images": data_dir / "train-images-idx3-ubyte",
+             "train_labels": data_dir / "train-labels-idx1-ubyte"}
     if not all(p.exists() for p in paths.values()):
         write_idx(make_digits(n_train, seed), paths["train_images"], paths["train_labels"])
-        write_idx(make_digits(n_test, seed + 1), paths["test_images"], paths["test_labels"])
         return paths
-    for key, path in paths.items():
-        want = n_train if key.startswith("train") else n_test
+    for path in paths.values():
         with open(path, "rb") as f:
             have = int.from_bytes(f.read(8)[4:], "big")  # the count follows the 4-byte magic
-        if have != want:
-            raise ValidationError(f"{path}: holds {have} items, but {want} were asked for; "
+        if have != n_train:
+            raise ValidationError(f"{path}: holds {have} items, but {n_train} were asked for; "
                                   "remove the corpus files or ask for their sizes")
     return paths

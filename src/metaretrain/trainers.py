@@ -16,7 +16,9 @@ Implemented steps:
     FixMatch step plus an entropy/negative-learning penalty.
   * MixMatch: sharpened K-view label guessing, from one forward over the
     stacked weak views, plus pairwise input mixing.
-  * Supervised: labeled cross-entropy only (reference for degeneracy checks).
+  * Trainer itself is the supervised step: labeled cross-entropy only
+    (reference for degeneracy checks), and every trainer's loss on a batch
+    without unlabeled rows.
 
 FlexMatch here departs from Zhang et al. 2021 in four ways, each on purpose:
   1. Per-epoch reset. `ClassThresholds` counts from zero at every epoch start
@@ -90,6 +92,8 @@ class TrainerConfig:
 
 @dataclass(frozen=True)
 class LossBreakdown:
+    RECORD_KEYS = ("l_sup", "l_unsup", "l_penalty", "total", "mask_rate")  # the step record's fields
+
     l_sup: float
     l_unsup: float
     l_penalty: float
@@ -115,13 +119,7 @@ class LossBreakdown:
             )
 
     def to_record(self) -> dict:
-        return {
-            "l_sup": self.l_sup,
-            "l_unsup": self.l_unsup,
-            "l_penalty": self.l_penalty,
-            "total": self.total,
-            "mask_rate": self.mask_rate,
-        }
+        return {key: getattr(self, key) for key in self.RECORD_KEYS}
 
 
 @dataclass
@@ -174,9 +172,11 @@ def sharpen(probs: np.ndarray, temperature: float) -> np.ndarray:
 
 
 class Trainer:
-    name = "base"
+    """The supervised step; a semi-supervised one overrides `_losses` for batches with unlabeled rows."""
+
+    name = "supervised"
     n_weak_views = 1
-    reads_strong_views = True  # False: the cycle stream leaves the strong views out
+    reads_strong_views = False  # True: the cycle stream carries strong views
 
     def __init__(self, model: Model, optimizer: SGD, cfg: TrainerConfig, num_classes: int, seed: int = 0):
         self.model = model
@@ -185,15 +185,12 @@ class Trainer:
         self.num_classes = num_classes
         self.seed = seed
 
-    def on_epoch_start(self) -> None:
-        pass
-
-    def on_cycle_start(self, cycle: int) -> None:
-        pass
+    def on_epoch_start(self, cycle: int, epoch: int) -> None:
+        """Called before the first step of each epoch of each cycle."""
 
     def step(self, batch: Batch) -> LossBreakdown:
         self.model.zero_grads()
-        total_t, parts = self._losses(batch)
+        total_t, parts = self._losses(batch) if batch.n_unlabeled else Trainer._losses(self, batch)
         total = total_t.item()
         if not np.isfinite(total):
             raise NonFiniteError(f"{self.name}: non-finite total loss")
@@ -212,8 +209,8 @@ class Trainer:
 
     def _losses(self, batch: Batch):
         """(total loss tensor, parts: floats plus the "pseudo" arrays). Here the
-        labeled cross-entropy alone: the supervised trainer's loss, and every
-        trainer's on a batch without unlabeled rows."""
+        labeled cross-entropy alone, which `step` also uses for every trainer
+        on a batch without unlabeled rows."""
         l_sup_t = self._supervised_loss(batch)
         if l_sup_t is None:
             raise ValidationError(f"{self.name} step received no labeled samples")
@@ -235,11 +232,6 @@ class Trainer:
         return probs, conf, raw, mapped
 
 
-class SupervisedTrainer(Trainer):
-    name = "supervised"
-    reads_strong_views = False
-
-
 def _plus(total_t, term_t):
     return term_t if total_t is None else total_t + term_t
 
@@ -252,6 +244,8 @@ class ThresholdedTrainer(Trainer):
     `penalty` adds FullMatch's term on the same strong-view logits.
     """
 
+    reads_strong_views = True
+
     def __init__(self, model: Model, optimizer: SGD, cfg: TrainerConfig, num_classes: int,
                  seed: int = 0, *, name: str, status: ClassThresholds | None = None,
                  penalty: bool = False):
@@ -260,14 +254,12 @@ class ThresholdedTrainer(Trainer):
         self.status = status
         self.penalty = penalty
 
-    def on_epoch_start(self) -> None:
+    def on_epoch_start(self, cycle: int, epoch: int) -> None:
         if self.status is not None:
             self.status.reset()
 
     def _losses(self, batch: Batch):
         n_u = batch.n_unlabeled
-        if n_u == 0:
-            return super()._losses(batch)
         l_sup_t = self._supervised_loss(batch)
         total_t = l_sup_t
         probs_weak, conf, raw, mapped = self._pseudo_labels(batch)
@@ -319,22 +311,20 @@ class ThresholdedTrainer(Trainer):
 
 class MixMatchTrainer(Trainer):
     name = "mixmatch"
-    reads_strong_views = False
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.n_weak_views = self.cfg.k_augmentations
         self.rng = np.random.default_rng((self.seed, 0x4D6978))
 
-    def on_cycle_start(self, cycle: int) -> None:
-        # cycle-keyed stream so resumed runs replay the identical draw sequence
-        self.rng = np.random.default_rng((self.seed, 0x4D6978, cycle))
+    def on_epoch_start(self, cycle: int, epoch: int) -> None:
+        # one cycle-keyed stream per cycle, so resumed runs replay the identical draw sequence
+        if epoch == 0:
+            self.rng = np.random.default_rng((self.seed, 0x4D6978, cycle))
 
     def _losses(self, batch: Batch):
         n_u = batch.n_unlabeled
         n_l = batch.x_labeled.shape[0]
-        if n_u == 0:
-            return super()._losses(batch)
         if n_l + n_u * self.n_weak_views < 2:
             raise ValidationError("mixmatch needs at least 2 samples to mix")
 
@@ -382,5 +372,5 @@ def build_trainer(name: str, model: Model, optimizer: SGD, cfg: TrainerConfig,
     if name == "mixmatch":
         return MixMatchTrainer(model, optimizer, cfg, num_classes, seed=seed)
     if name == "supervised":
-        return SupervisedTrainer(model, optimizer, cfg, num_classes, seed=seed)
+        return Trainer(model, optimizer, cfg, num_classes, seed=seed)
     raise ValidationError(f"unknown trainer {name!r} (choose from {sorted(TRAINER_NAMES)})")

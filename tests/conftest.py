@@ -12,9 +12,8 @@ def digits60k():
 @pytest.fixture(scope="session")
 def data_dir(tmp_path_factory, digits60k):
     """IDX-format dataset directory shared across CLI/acceptance tests: the
-    files `ensure_dataset(root, n_train=60000, n_test=2000, seed=1234)` writes,
-    with the train table taken from `digits60k` rather than rendered again."""
+    files `ensure_dataset(root, n_train=60000, seed=1234)` writes, with the
+    table taken from `digits60k` rather than rendered again."""
     root = tmp_path_factory.mktemp("dataset")
     write_idx(digits60k, root / "train-images-idx3-ubyte", root / "train-labels-idx1-ubyte")
-    write_idx(make_digits(2000, seed=1235), root / "t10k-images-idx3-ubyte", root / "t10k-labels-idx1-ubyte")
     return root

@@ -1,3 +1,6 @@
+import ast
+import importlib
+import inspect
 import json
 import re
 import shutil
@@ -104,6 +107,12 @@ def edited_record(old, new):
             b'"topn": {}}, "termination": "incomplete", "final_version": 1}')
 
 
+def with_config(config):
+    """A finished history of one record whose config is `config`."""
+    return (b'{"config": ' + config + b', "records": [' + ONE_RECORD + b'], "final_eval": {"sr_mt": 0.5, '
+            b'"topn": {"1": 0.5}}, "termination": "completed", "final_version": 1}')
+
+
 MALFORMED_HISTORIES = {
     "not-json": (b"{not json", "not a run history"),
     "not-utf8": (b"\xff\xfe\x00", "not a run history"),
@@ -130,6 +139,11 @@ MALFORMED_HISTORIES = {
                                       "field 'loss_stats'"),
     "record-accuracy-key-not-int": (edited_record(b'"accuracy": {"1": 0.5}', b'"accuracy": {"x": 0.5}'),
                                     "field 'accuracy'"),
+    # the report's row and column labels, and the key its dataset check hashes
+    "config-trainer-a-list": (with_config(b'{"trainer": ["a"]}'), "field 'config.trainer'"),
+    "config-trainer-an-int": (with_config(b'{"trainer": 5}'), "field 'config.trainer'"),
+    "config-mode-a-dict": (with_config(b'{"mode": {"x": 1}}'), "field 'config.mode'"),
+    "config-dataset-a-list": (with_config(b'{"dataset": [1]}'), "field 'config.dataset'"),
 }
 
 
@@ -153,6 +167,21 @@ def test_readme_config_block_names_every_key_in_order():
     parse_config_text(block, source="README.md")  # every key known, every value parses
     named = [line.split("=", 1)[0].strip() for line in block.splitlines() if line.split("#", 1)[0].strip()]
     assert named == list(_SCHEMA)
+
+
+def test_readme_python_block_calls_metaretrain_names_with_arguments_they_take():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    tree = ast.parse(block)
+    names = {alias.asname or alias.name: getattr(importlib.import_module(node.module), alias.name)
+             for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module.startswith("metaretrain")
+             for alias in node.names}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert calls and all(isinstance(call.func, ast.Name) and call.func.id in names for call in calls)
+    for call in calls:
+        args = [ast.literal_eval(arg) for arg in call.args]
+        kwargs = {kw.arg: ast.literal_eval(kw.value) for kw in call.keywords}
+        inspect.signature(names[call.func.id]).bind(*args, **kwargs)  # TypeError on a parameter it lacks
 
 
 class TestRunCommand:
@@ -414,6 +443,20 @@ class TestRunCommand:
         assert "--resume" in err and "fraction, trainer" in err and "cycles" not in err
         assert tree_bytes(run_dir) == before
         assert run_dirs(tmp_path / "runs") == [run_dir]
+
+    def test_resume_without_metrics_file_exit_2_naming_it_leaving_run_unchanged(self, tmp_path, data_dir, capsys):
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", cycles=1)
+        assert main(["run", "--config", str(cfg)]) == 0
+        (run_dir,) = run_dirs(tmp_path / "runs")
+        metrics = run_dir / "reports" / "metrics.jsonl"
+        metrics.unlink()
+        before = tree_bytes(run_dir)
+        longer = write_config(tmp_path / "longer.cfg", data_dir, tmp_path / "runs", cycles=2)
+        capsys.readouterr()
+        assert main(["run", "--config", str(longer), "--resume", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert str(metrics) in err and "Traceback" not in err
+        assert tree_bytes(run_dir) == before
 
     @pytest.mark.parametrize("damage", ["missing", "empty", "garbage", "truncated", "malformed-velocity",
                                         "without-velocities"])

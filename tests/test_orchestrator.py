@@ -5,7 +5,7 @@ import pytest
 
 from metaretrain import orchestrator
 from metaretrain.data import subsample_and_split
-from metaretrain.errors import ValidationError
+from metaretrain.errors import NonFiniteError, ValidationError
 from metaretrain.metrics import EvalReport
 from metaretrain.nn import Dense, Flatten, Model, ModelSpec
 from metaretrain.orchestrator import (
@@ -20,6 +20,7 @@ from metaretrain.orchestrator import (
 from metaretrain.relations import catalog_default
 from metaretrain.synthdigits import make_digits
 from metaretrain.tester import RobustnessReport
+from metaretrain.trainers import TRAINER_NAMES, LossBreakdown
 
 
 def small_setup(seed=0, n=80):
@@ -27,6 +28,14 @@ def small_setup(seed=0, n=80):
     model = Model(ModelSpec((1, 28, 28), 10, (Flatten(), Dense(10))), seed=seed)
     catalog = catalog_default("mnist")
     return model, split, catalog
+
+
+class Stream(list):
+    """A cycle stream stand-in: its items, `steps_per_epoch` to an epoch."""
+
+    def __init__(self, items, steps_per_epoch):
+        super().__init__(items)
+        self.steps_per_epoch = steps_per_epoch
 
 
 def config(**kw):
@@ -189,6 +198,37 @@ class TestRunCycles:
         assert len(history.records) == 2
         assert calls == {"snapshot": 0, "from_snapshot": 0}
 
+    def test_epoch_hook_gets_cycle_and_epoch_before_each_epoch_first_step(self):
+        calls = []
+
+        class Spy:
+            def on_epoch_start(self, cycle, epoch):
+                calls.append((cycle, epoch))
+
+            def step(self, batch):
+                calls.append(batch)
+                return LossBreakdown(l_sup=float(batch), l_unsup=0.0, l_penalty=0.0, total=float(batch),
+                                     mask_rate=0.5, lambda_u=1.0, lambda_p=0.0)
+
+        stats, diag = orchestrator._train_one_cycle(Spy(), Stream(range(6), 2), 3, None)
+        assert calls == [(3, 0), 0, 1, (3, 1), 2, 3, (3, 2), 4, 5]
+        assert diag is None and stats == {"l_sup_mean": 2.5, "l_unsup_mean": 0.0, "l_penalty_mean": 0.0,
+                                          "total_mean": 2.5, "mask_rate_mean": 0.5, "steps": 6}
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_cycle_without_steps_reports_zero_or_nan_if_a_non_finite_loss_stopped_it(self, fails):
+        class Failing:
+            def on_epoch_start(self, cycle, epoch):
+                pass
+
+            def step(self, batch):
+                raise NonFiniteError("fixmatch: non-finite total loss")
+
+        stats, diag = orchestrator._train_one_cycle(Failing(), Stream(range(2 if fails else 0), 1), 0, None)
+        assert stats["steps"] == 0 and diag == ("fixmatch: non-finite total loss" if fails else None)
+        means = [v for k, v in stats.items() if k != "steps"]
+        assert len(means) == 5 and all(np.isnan(v) if fails else v == 0.0 for v in means)
+
     def test_metrics_sink_receives_every_step(self, monkeypatch):
         model, split, catalog = small_setup()
         rows = []
@@ -259,13 +299,15 @@ class TestRunCycles:
         loaded = RunHistory.load(path)
         assert loaded.to_dict() == history.to_dict()
 
-    def test_resume_reproduces_straight_run(self, tmp_path):
+    @pytest.mark.parametrize("trainer", TRAINER_NAMES)
+    def test_resume_reproduces_straight_run(self, tmp_path, trainer):
+        # two epochs a cycle: FlexMatch's status resets at each, MixMatch reseeds at the first
         model_a, split, catalog = small_setup(seed=10)
-        cfg4 = config(mode="adaptive", cycles=4, trainer="mixmatch", batch_size=8)
+        cfg4 = config(mode="adaptive", cycles=4, epochs_per_cycle=2, trainer=trainer, batch_size=8)
         straight = run_cycles(model_a, split, cfg4, catalog, checkpoint_dir=tmp_path / "a")
 
         model_b, _, _ = small_setup(seed=10)
-        cfg2 = config(mode="adaptive", cycles=2, trainer="mixmatch", batch_size=8)
+        cfg2 = config(mode="adaptive", cycles=2, epochs_per_cycle=2, trainer=trainer, batch_size=8)
         first = run_cycles(model_b, split, cfg2, catalog, checkpoint_dir=tmp_path / "b")
         model_c, state = resume_state_from(first, tmp_path / "b", catalog)
         resumed = run_cycles(model_c, split, cfg4, catalog, resume=state, checkpoint_dir=tmp_path / "b")

@@ -99,6 +99,11 @@ class TestFromHistories:
         assert table.column_groups == ["base", "adaptive"]
         assert table.get_cell("fixmatch", "base", "robustness") == 0.6
 
+    def test_layout_naming_a_group_twice_rejected_naming_it(self):
+        histories = [fake_history("fixmatch", "base"), fake_history("fixmatch", "adaptive")]
+        with pytest.raises(ValidationError, match=r"more than once: \['adaptive'\]"):
+            comparison_table(histories, layout=["adaptive", "adaptive", "base"])
+
     def test_single_run_single_row(self):
         table = comparison_table([fake_history("mixmatch", "static", acc=0.3)])
         assert table.row_labels == ["mixmatch"]

@@ -100,22 +100,25 @@ def assert_same_table(got: Samples, want: Samples):
     assert got.labels.tolist() == want.labels.tolist()
 
 
-def test_ensure_dataset_writes_make_digits_of_seed_and_seed_plus_one(tmp_path):
-    # the session fixture `data_dir` writes these two tables itself, relying on this
-    ensure_dataset(tmp_path, n_train=30, n_test=12, seed=9)
+def test_ensure_dataset_writes_make_digits_of_seed_as_the_train_pair_alone(tmp_path):
+    # the session fixture `data_dir` writes this table itself, relying on this
+    paths = ensure_dataset(tmp_path, n_train=30, seed=9)
     assert_same_table(read_pair(tmp_path, "train"), make_digits(30, 9))
-    assert_same_table(read_pair(tmp_path, "t10k"), make_digits(12, 10))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths.values()) == [
+        "train-images-idx3-ubyte", "train-labels-idx1-ubyte"]
 
 
 def test_ensure_dataset_of_other_sizes_raises_naming_file_and_counts_and_writes_nothing(tmp_path):
-    ensure_dataset(tmp_path, n_train=30, n_test=5, seed=1)
+    ensure_dataset(tmp_path, n_train=30, seed=1)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    assert ensure_dataset(tmp_path, n_train=30, n_test=5, seed=2)  # the seed is not recorded, so not checked
+    assert ensure_dataset(tmp_path, n_train=30, seed=2)  # the seed is not recorded, so not checked
     with pytest.raises(ValidationError, match=r"train-images-idx3-ubyte: holds 30 items, but 50 were asked for"):
-        ensure_dataset(tmp_path, n_train=50, n_test=8, seed=2)
-    with pytest.raises(ValidationError, match=r"t10k-images-idx3-ubyte: holds 5 items, but 8 were asked for"):
-        ensure_dataset(tmp_path, n_train=30, n_test=8, seed=1)
+        ensure_dataset(tmp_path, n_train=50, seed=2)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    # the labels are checked too: an 8-label file beside the 30 images
+    write_idx(make_digits(8, seed=1), tmp_path / "other-images", tmp_path / "train-labels-idx1-ubyte")
+    with pytest.raises(ValidationError, match=r"train-labels-idx1-ubyte: holds 8 items, but 30 were asked for"):
+        ensure_dataset(tmp_path, n_train=30, seed=1)
 
 
 def test_interrupted_write_leaves_no_partial_file_and_is_redone(tmp_path, monkeypatch):
@@ -124,21 +127,20 @@ def test_interrupted_write_leaves_no_partial_file_and_is_redone(tmp_path, monkey
 
     def dies_on_the_last_write(self, data):
         calls.append(self)
-        if len(calls) == 4:  # the test labels, after both train files and the test images
+        if len(calls) == 2:  # the labels, after the images
             real_write_bytes(self, bytes(data)[: len(data) // 2])
             raise OSError("killed mid-write")
         return real_write_bytes(self, data)
 
     monkeypatch.setattr(Path, "write_bytes", dies_on_the_last_write)
     with pytest.raises(OSError, match="killed mid-write"):
-        ensure_dataset(tmp_path, n_train=20, n_test=10, seed=3)
+        ensure_dataset(tmp_path, n_train=20, seed=3)
     monkeypatch.undo()
-    assert not (tmp_path / "t10k-labels-idx1-ubyte").exists()
+    assert not (tmp_path / "train-labels-idx1-ubyte").exists()
 
-    paths = ensure_dataset(tmp_path, n_train=20, n_test=10, seed=3)
+    paths = ensure_dataset(tmp_path, n_train=20, seed=3)
     assert all(p.exists() for p in paths.values())
     assert_same_table(read_pair(tmp_path, "train"), make_digits(20, 3))
-    assert_same_table(read_pair(tmp_path, "t10k"), make_digits(10, 4))
 
 
 def test_idx_bytes_are_header_then_rows(tmp_path):

@@ -16,6 +16,7 @@ from metaretrain.synthdigits import make_digits
 from metaretrain.trainers import (
     ClassThresholds,
     LossBreakdown,
+    Trainer,
     TrainerConfig,
     build_trainer,
     mixmatch_mix,
@@ -193,7 +194,7 @@ class TestFlexMatch:
             trainer.step(make_batch(rng))
             assert np.all(trainer.status.sigma >= prev)
             prev = trainer.status.sigma.copy()
-        trainer.on_epoch_start()
+        trainer.on_epoch_start(0, 1)
         assert np.all(trainer.status.sigma == 0)
 
 
@@ -360,6 +361,17 @@ class TestSharedInvariants:
             out = trainer.step(batch)
             expected = out.l_sup + out.lambda_u * out.l_unsup + out.lambda_p * out.l_penalty
             assert abs(out.total - expected) <= 1e-6
+
+    def test_supervised_is_the_base_trainer_and_its_stream_has_no_strong_views(self):
+        split = subsample_and_split(make_digits(40, seed=30), 1.0, (0.3, 0.5, 0.2), seed=30)
+        model = Model(ModelSpec((1, 28, 28), 10, (Flatten(), Dense(10))), seed=32)
+        trainer = build_trainer("supervised", model, SGD(0.05), TrainerConfig(), 10)
+        assert type(trainer) is Trainer and trainer.reads_strong_views is False
+        spec = CycleDatasetSpec(split=split, policy=base_policy(catalog_default("mnist"), seed=31), batch_size=6,
+                                epochs=1, num_classes=10, n_weak_views=1, strong_views=trainer.reads_strong_views)
+        batches = list(build_cycle_stream(spec))
+        assert batches and all(b.n_unlabeled and b.x_unlabeled_strong.shape[0] == 0 for b in batches)
+        assert all(trainer.step(b).l_unsup == 0.0 for b in batches)
 
     @pytest.mark.parametrize("name", ["fixmatch", "flexmatch", "mixmatch", "fullmatch"])
     def test_empty_unlabeled_degenerates_to_supervised(self, name):
