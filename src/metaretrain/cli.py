@@ -28,7 +28,7 @@ from .errors import MetaRetrainError, NonFiniteError, ValidationError
 from .metrics import evaluate
 from .nn import Model, load_checkpoint, model_spec, save_checkpoint
 from .nn.checkpoint import write_atomic
-from .orchestrator import RunHistory, resume_state_from, run_cycles
+from .orchestrator import MODES, RunHistory, resume_state_from, run_cycles
 from .relations import LABEL_PRESERVING, catalog_default, label_map_array
 from .report import comparison_table, csv_bytes, json_bytes
 from .tester import robustness
@@ -110,12 +110,12 @@ def cmd_run(args) -> int:
         raise ValidationError("seeds: --resume continues exactly one run; pass a single seed")
 
     input_shape, n_classes = DATASETS[cfg.dataset]
-    samples = load_dataset(cfg.dataset, cfg.data_dir)
     catalog = catalog_default(cfg.dataset)
     worst = EXIT_OK
 
     for seed in cfg.seeds:
-        split = subsample_and_split(samples, cfg.fraction, cfg.ratios(), seed=seed)
+        # the corpus is read per seed and dropped once split: no cycle runs while it is held
+        split = subsample_and_split(load_dataset(cfg.dataset, cfg.data_dir), cfg.fraction, cfg.ratios(), seed=seed)
         cycle_cfg = cfg.cycle_config(seed)
 
         resume = None
@@ -192,8 +192,8 @@ def cmd_test(args) -> int:
     data_dir = args.data_dir or os.environ.get(ENV_DATA_DIR)
     if not data_dir:
         raise ValidationError(f"data_dir not set (flag or ${ENV_DATA_DIR})")
-    samples = load_dataset(args.dataset, data_dir)
-    split = subsample_and_split(samples, args.fraction, (0.0, 0.0, 1.0), seed=args.seed)
+    # the corpus is dropped once split, before any scoring
+    split = subsample_and_split(load_dataset(args.dataset, data_dir), args.fraction, (0.0, 0.0, 1.0), seed=args.seed)
     report = robustness(model, catalog_default(args.dataset), split.test, max_cases=args.cases,
                         pass_threshold=args.pass_threshold, seed=args.seed)
     eval_report = evaluate(report.logits, split.test.labels, topn_list=(1, 5), sr_mt=report.sr_mt)
@@ -211,6 +211,10 @@ def cmd_report(args) -> int:
     histories = [RunHistory.load(path) for path in args.runs]
     layout = args.layout.split(",") if args.layout else None
     table = comparison_table(histories, layout=layout, accuracy_n=args.accuracy_n)
+    unknown = [g for g in layout or () if g not in table.column_groups and g not in MODES]
+    if unknown:
+        raise ValidationError(f"--layout names {', '.join(map(repr, unknown))}: no run has that configuration "
+                              f"group, and the modes are {', '.join(MODES)}")
     print(table.render())
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

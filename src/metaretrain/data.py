@@ -142,18 +142,26 @@ def load_mnist(images_path, labels_path) -> Samples:
 
 def load_cifar(batch_files, variant: int = 10) -> Samples:
     """Parse CIFAR-10/100 binary batches into one table; source ids run
-    across files in order."""
+    across files in order.
+
+    Every file is sized before any is read, and each is read straight into
+    its rows of one array, so loading holds the corpus once."""
     if variant not in (10, 100):
         raise ValidationError("variant must be 10 or 100")
     record = 3073 if variant == 10 else 3074
     label_offset = 0 if variant == 10 else 1  # CIFAR-100: fine label is byte 1
-    records = [np.empty((0, record), dtype=np.uint8)]
-    for file in batch_files:
-        data = Path(file).read_bytes()
-        if len(data) == 0 or len(data) % record:
-            raise ParseError(f"{file}: length {len(data)} is not a positive multiple of record size {record}")
-        records.append(np.frombuffer(data, dtype=np.uint8).reshape(-1, record))
-    records = np.concatenate(records)
+    sizes = [(file, Path(file).stat().st_size) for file in batch_files]
+    for file, size in sizes:
+        if size == 0 or size % record:
+            raise ParseError(f"{file}: length {size} is not a positive multiple of record size {record}")
+    records = np.empty((sum(size for _, size in sizes) // record, record), dtype=np.uint8)
+    flat, start = records.reshape(-1), 0
+    for file, size in sizes:
+        with open(file, "rb") as f:
+            read = f.readinto(flat[start : start + size])
+        if read != size:
+            raise ParseError(f"{file}: read {read} bytes, but its size was {size}")
+        start += size
     return Samples(records[:, record - 3072 :].reshape(-1, 3, 32, 32), records[:, label_offset],
                    np.arange(len(records)))
 

@@ -6,10 +6,11 @@ reference: for label-preserving relations the reference is the model's own
 prediction on the source (self-consistency, usable without labels); for
 non-label-preserving relations it is the mapped ground truth. The global
 success rate over all cases is the robustness metric. One `robustness()` call
-forwards the split once; those logits give every label-preserving reference
-and, on the report, top-N accuracy. Each relation then transforms its cases a
-block of `PREDICT_CHUNK` at a time, one transform call and one forward per
-block, so no transform's temporaries span the split.
+forwards the split once, converting it to float32 a block of `PREDICT_CHUNK`
+rows at a time; those logits give every label-preserving reference and, on
+the report, top-N accuracy. Each relation then transforms its cases a block at
+a time, one transform call and one forward per block, so neither a float32
+copy nor a transform's temporaries span the split.
 """
 
 from __future__ import annotations
@@ -72,8 +73,11 @@ class RobustnessReport:
 
 
 def _logits(model: Model, pixels: np.ndarray) -> np.ndarray:
-    # to_model_input is elementwise, so converting a stack gives each image's own bits
-    return model.predict_logits(to_model_input(pixels))
+    # one PREDICT_CHUNK converted at a time, so no float32 copy spans the
+    # split; to_model_input is elementwise and predict_logits forwards the
+    # same chunks, so each image's logits keep their bits
+    return np.concatenate([model.predict_logits(to_model_input(pixels[start : start + PREDICT_CHUNK]))
+                           for start in range(0, len(pixels), PREDICT_CHUNK)])
 
 
 def _score(model: Model, mr, cases: Samples, predicted: np.ndarray, pass_threshold: float,
@@ -114,7 +118,7 @@ def robustness(model: Model, relations, samples: Samples, *, max_cases: Optional
     repeated = sorted({i for i in ids if ids.count(i) > 1})
     if repeated:
         raise ValidationError(f"one suite per relation; repeated: {', '.join(repeated)}")
-    # the float32 stack of the split is freed when _logits returns, before any relation runs
+    # converted a chunk at a time: no float32 copy of the split is made
     logits = _logits(model, samples.pixels)
     cases, predicted = samples, np.argmax(logits, axis=1)
     if max_cases is not None and len(samples) > max_cases:

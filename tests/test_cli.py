@@ -1,10 +1,12 @@
 import ast
+import gc
 import importlib
 import inspect
 import json
 import re
 import shutil
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -601,6 +603,49 @@ class TestCorpusLabels:
         assert not (tmp_path / "runs").exists()
 
 
+class TestCorpusLifetime:
+    """`run` and `test` hold the loaded corpus only until the split is taken:
+    no seed's cycles and no scoring start while the whole table is alive."""
+
+    def watch(self, monkeypatch):
+        """Weak references to every table `load_dataset` returns, and per call
+        of `run_cycles` or `robustness` which of them were dead at its start."""
+        tables, dead_at_pass = [], []
+        load = cli.load_dataset
+
+        def loading(*args, **kwargs):
+            samples = load(*args, **kwargs)
+            tables.append(weakref.ref(samples))
+            return samples
+
+        def checked(fn):
+            def wrapper(*args, **kwargs):
+                gc.collect()
+                dead_at_pass.append([ref() is None for ref in tables])
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "load_dataset", loading)
+        monkeypatch.setattr(cli, "run_cycles", checked(cli.run_cycles))
+        monkeypatch.setattr(cli, "robustness", checked(cli.robustness))
+        return dead_at_pass
+
+    @pytest.mark.parametrize("seeds,expected", [("3", [[True]]), ("3,4", [[True], [True, True]])])
+    def test_run_drops_the_corpus_before_each_seed_trains(self, tmp_path, data_dir, monkeypatch, seeds, expected):
+        dead_at_pass = self.watch(monkeypatch)
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", cycles=1, seeds=seeds)
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert dead_at_pass == expected
+
+    def test_test_drops_the_corpus_before_scoring(self, tmp_path, data_dir, monkeypatch):
+        dead_at_pass = self.watch(monkeypatch)
+        ckpt = tmp_path / "linear.ckpt"
+        save_checkpoint(Model(model_spec("linear", (1, 28, 28), 10), seed=0).snapshot(), ckpt)
+        assert main(["test", "--checkpoint", str(ckpt), "--dataset", "mnist", "--data-dir", str(data_dir),
+                     "--cases", "8", "--output-dir", str(tmp_path / "out")]) == 0
+        assert dead_at_pass == [[True]]
+
+
 class TestWarmStart:
     """`run --checkpoint`: the paper's retraining of a pretrained model."""
 
@@ -900,6 +945,20 @@ class TestReportCommand:
         assert capsys.readouterr().out == (GOLDEN / "table.txt").read_text()
         for name in ("comparison.csv", "comparison.json"):
             assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    @pytest.mark.parametrize("layout,named", [("adaptve,adaptive", "'adaptve'"), ("adaptive,base,", "''")])
+    def test_layout_naming_neither_a_run_group_nor_a_mode_exit_2_naming_it(self, tmp_path, capsys, layout, named):
+        path = self.fake_history(tmp_path / "h.json", "fixmatch", "adaptive")
+        assert main(["report", str(path), "--layout", layout, "--output-dir", str(tmp_path / "out")]) == 2
+        assert f"--layout names {named}: no run has that configuration group" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_layout_may_name_a_mode_that_no_run_has(self, tmp_path, capsys):
+        path = self.fake_history(tmp_path / "h.json", "fixmatch", "adaptive")
+        assert main(["report", str(path), "--layout", "base,static,adaptive",
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.splitlines()[0].split() == ["algorithm", "adaptive/accuracy",
+                                                                  "adaptive/robustness"]
 
     def test_single_run_table(self, tmp_path, capsys):
         path = self.fake_history(tmp_path / "h.json", "mixmatch", "static")

@@ -1,5 +1,8 @@
+import os
 import re
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +159,41 @@ class TestCifarLoader:
         p2, _ = self.make_batch(tmp_path, 2, seed=2)
         samples = load_cifar([p1, p2], variant=10)
         assert [s.source_id for s in samples] == [0, 1, 2, 3, 4]
+
+    def test_five_batches_load_holding_the_corpus_once(self, tmp_path):
+        # tracemalloc sees numpy's buffers: a loader that keeps each file's
+        # bytes and then concatenates them peaks near twice the corpus
+        batches = []
+        for i in range(5):
+            (tmp_path / str(i)).mkdir()
+            batches.append(self.make_batch(tmp_path / str(i), 200, seed=i))
+        corpus = sum(path.stat().st_size for path, _ in batches)
+        tracemalloc.start()
+        try:
+            samples = load_cifar([path for path, _ in batches], variant=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * corpus
+        raw = np.concatenate([raw for _, raw in batches])
+        assert np.array_equal(samples.pixels.reshape(len(raw), -1), raw[:, 1:])
+        assert np.array_equal(samples.labels, raw[:, 0])
+
+    def test_file_shorter_than_its_size_when_read_is_parse_error(self, tmp_path, monkeypatch):
+        path, _ = self.make_batch(tmp_path, 2)
+        # sized at three records, as if the file were cut short before its read
+        monkeypatch.setattr(Path, "stat", lambda self: os.stat_result((0,) * 6 + (3 * 3073,) + (0,) * 3))
+        with pytest.raises(ParseError, match=f"{re.escape(str(path))}: read 6146 bytes, but its size was 9219"):
+            load_cifar([path], variant=10)
+
+    def test_bad_length_of_a_later_file_raised_before_any_read(self, tmp_path, monkeypatch):
+        good, _ = self.make_batch(tmp_path, 2)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(3074))
+        for opener in ("builtins.open", "io.open"):  # pathlib reads through io.open
+            monkeypatch.setattr(opener, lambda file, *args, **kwargs: pytest.fail(f"opened {file}"))
+        with pytest.raises(ParseError, match=f"{re.escape(str(bad))}: length 3074 is not a positive multiple"):
+            load_cifar([good, bad], variant=10)
 
 
 class TestSamples:

@@ -94,6 +94,14 @@ class TestForward:
         with pytest.raises(ConfigurationError):
             model.predict_logits(np.zeros((1, 1, 1, 5), dtype=np.float32))
 
+    @pytest.mark.parametrize("kh,kw", [(6, 3), (3, 6)])
+    def test_conv2d_kernel_larger_than_padded_input_on_one_axis_rejected(self, kh, kw):
+        # a 3x3 input padded by 1 is 5x5: a kernel of 6 on either axis does not fit
+        x = Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32))
+        w, b = Tensor(np.zeros((2, 1, kh, kw), dtype=np.float32)), Tensor(np.zeros(2, dtype=np.float32))
+        with pytest.raises(ConfigurationError, match="kernel larger than padded input"):
+            F.conv2d(x, w, b, padding=1)
+
     def test_illegal_layer_chain_rejected(self):
         with pytest.raises(ConfigurationError):
             ModelSpec(input_shape=(1, 5, 5), num_classes=4,

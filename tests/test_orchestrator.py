@@ -318,6 +318,9 @@ class TestRunCycles:
         for n in pa:
             assert np.array_equal(pa[n], pc[n])
 
+    def test_zero_learning_rate_accepted(self):
+        assert config(learning_rate=0.0).learning_rate == 0.0
+
     @pytest.mark.parametrize("row", sorted(BAD_CYCLE_CONFIGS))
     def test_invalid_config_rejected(self, row):
         overrides, key = BAD_CYCLE_CONFIGS[row]

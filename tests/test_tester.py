@@ -159,6 +159,17 @@ class TestRunSuite:
         out = score(model, IDENTITY, s, pass_threshold=0.0)
         assert out.verdict == "passed"
 
+    def test_threshold_one_passes_only_a_perfect_suite(self):
+        # every model is perfect on the identity; this one scores 10 of 12 on contrast_up
+        relations = [IDENTITY, catalog_by_id("mnist")["contrast_up"]]
+        verdicts = {}
+        for threshold in (0.8, 1.0):
+            report = robustness(tiny_model(seed=2, size=28), relations, mnist_samples(12, seed=5),
+                                pass_threshold=threshold)
+            verdicts[threshold] = [(o.mr.id, o.success_rate, o.verdict) for o in report.outcomes]
+        assert verdicts[0.8] == [("contrast_up", 10 / 12, "passed"), ("identity", 1.0, "passed")]
+        assert verdicts[1.0] == [("contrast_up", 10 / 12, "failed"), ("identity", 1.0, "passed")]
+
     def test_empty_suite_rejected(self):
         with pytest.raises(ValidationError):
             score(constant_model(), IDENTITY, table([], shape=(1, 8, 8)))

@@ -362,6 +362,17 @@ class TestSharedInvariants:
             expected = out.l_sup + out.lambda_u * out.l_unsup + out.lambda_p * out.l_penalty
             assert abs(out.total - expected) <= 1e-6
 
+    @pytest.mark.parametrize("name", ["fixmatch", "flexmatch", "mixmatch", "fullmatch"])
+    def test_unsupervised_term_weighed_by_lambda_u(self, name):
+        # a low tau masks every weak view in, so the unsupervised term is
+        # nonzero and a total that drops or divides by lambda_u differs
+        cfg = TrainerConfig(lambda_u=2.5, tau=0.2, tau_min=0.2, k_augmentations=2)
+        trainer = build_trainer(name, tiny_model(seed=42, bias=2), SGD(0.0), cfg, C, seed=43)
+        out = trainer.step(make_batch(np.random.default_rng(44), k=trainer.n_weak_views))
+        assert out.l_unsup > 1e-3
+        assert out.total == pytest.approx(out.l_sup + 2.5 * out.l_unsup + cfg.lambda_p * out.l_penalty,
+                                          rel=1e-6, abs=1e-6)
+
     def test_supervised_is_the_base_trainer_and_its_stream_has_no_strong_views(self):
         split = subsample_and_split(make_digits(40, seed=30), 1.0, (0.3, 0.5, 0.2), seed=30)
         model = Model(ModelSpec((1, 28, 28), 10, (Flatten(), Dense(10))), seed=32)
@@ -435,7 +446,7 @@ class TestSharedInvariants:
         bad = [({"tau": 0.0}, "tau"), ({"lambda_u": -0.1}, "lambda_u"), ({"lambda_p": -0.1}, "lambda_p"),
                ({"tau_min": 0.99}, "tau_min"), ({"low_tau": 0.95, "tau": 0.95}, "low_tau"),
                ({"k_augmentations": 0}, "k_augmentations"), ({"temperature": 0.0}, "temperature"),
-               ({"alpha": float("nan")}, "alpha")]
+               ({"alpha": float("nan")}, "alpha"), ({"alpha": 0.0}, "alpha")]
         for kwargs, key in bad:
             with pytest.raises(ValidationError, match=f"^{key}: "):
                 TrainerConfig(**kwargs)
