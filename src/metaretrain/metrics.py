@@ -9,6 +9,18 @@ import numpy as np
 from .data import Samples, to_model_input
 from .errors import ValidationError
 from .nn import Model
+from .nn.layers import PREDICT_CHUNK
+
+
+def table_logits(model: Model, pixels) -> np.ndarray:
+    """Logits [N, classes] of a uint8 pixel table [N,C,H,W].
+
+    One PREDICT_CHUNK is converted to float32 at a time, so no float32 copy
+    spans the table; to_model_input is elementwise and predict_logits forwards
+    the same chunks, so each image's logits keep their bits. An empty table
+    gives [0, classes]."""
+    return np.concatenate([model.predict_logits(to_model_input(pixels[start : start + PREDICT_CHUNK]))
+                           for start in range(0, len(pixels) or 1, PREDICT_CHUNK)])
 
 
 def _topn_hits(logits: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
@@ -19,7 +31,7 @@ def _topn_hits(logits: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
 
 def topn_accuracy(model: Model, samples: Samples, n: int) -> float:
     """Fraction of rows whose true label ranks among the n highest logits."""
-    logits = model.predict_logits(to_model_input(samples.pixels))
+    logits = table_logits(model, samples.pixels)
     return evaluate(logits, samples.labels, topn_list=(n,)).topn[int(n)]
 
 

@@ -20,8 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Samples, to_model_input
+from .data import Samples
 from .errors import ValidationError
+from .metrics import table_logits
 from .nn import Model
 from .nn.layers import PREDICT_CHUNK
 from .relations import LABEL_PRESERVING, label_map_array
@@ -72,21 +73,13 @@ class RobustnessReport:
         return "\n".join(lines)
 
 
-def _logits(model: Model, pixels: np.ndarray) -> np.ndarray:
-    # one PREDICT_CHUNK converted at a time, so no float32 copy spans the
-    # split; to_model_input is elementwise and predict_logits forwards the
-    # same chunks, so each image's logits keep their bits
-    return np.concatenate([model.predict_logits(to_model_input(pixels[start : start + PREDICT_CHUNK]))
-                           for start in range(0, len(pixels), PREDICT_CHUNK)])
-
-
 def _score(model: Model, mr, cases: Samples, predicted: np.ndarray, pass_threshold: float,
            seed: int) -> SuiteOutcome:
     """`predicted` is the model's prediction per case."""
     preds_t = []
     for start in range(0, len(cases), PREDICT_CHUNK):
         block = cases.take(slice(start, start + PREDICT_CHUNK))
-        preds_t.append(np.argmax(_logits(model, mr.transform(block.pixels, block.keys(seed))), axis=1))
+        preds_t.append(np.argmax(table_logits(model, mr.transform(block.pixels, block.keys(seed))), axis=1))
     preds_t = np.concatenate(preds_t)
     mode = "consistency" if mr.kind == LABEL_PRESERVING else "mapped_truth"
     reference = predicted if mode == "consistency" else cases.labels
@@ -119,7 +112,7 @@ def robustness(model: Model, relations, samples: Samples, *, max_cases: Optional
     if repeated:
         raise ValidationError(f"one suite per relation; repeated: {', '.join(repeated)}")
     # converted a chunk at a time: no float32 copy of the split is made
-    logits = _logits(model, samples.pixels)
+    logits = table_logits(model, samples.pixels)
     cases, predicted = samples, np.argmax(logits, axis=1)
     if max_cases is not None and len(samples) > max_cases:
         rows = np.sort(np.random.default_rng(seed).permutation(len(samples))[:max_cases])

@@ -7,7 +7,13 @@ without strong views. Pseudo-labels are always produced from weak views without
 gradient flow and remapped through the strong relation's label map before
 entering any consistency loss. Skipped loss branches (zero weight, empty
 batch) are omitted from the graph entirely, so degenerate runs reproduce a
-plain supervised loop bit for bit.
+plain supervised loop bit for bit. Zero-weight rows are omitted too: without
+FullMatch's penalty, which reads every strong row, a thresholded step forwards
+only the strong rows its mask admits, in chunks of STRONG_CHUNK rows padded
+with zero images of weight 0, so its cost follows its mask rate. A non-finite
+value in a strong row the mask leaves out is therefore never computed and
+does not abort the step; the labeled and weak-view forwards still cover, and
+check, every row.
 
 Implemented steps:
   * ThresholdedTrainer serves three names. FixMatch: confidence-thresholded
@@ -58,6 +64,12 @@ from .nn import functional as F
 from .policy import Batch
 
 TRAINER_NAMES = ("fixmatch", "flexmatch", "mixmatch", "fullmatch", "supervised")
+
+# rows of every strong-view forward of a thresholded step without FullMatch's
+# penalty. As with nn.layers.PREDICT_CHUNK, one fixed shape: a float32 GEMM
+# rounds by its shapes, and a forward of exactly the k admitted rows would
+# allocate new small-array sizes for each k
+STRONG_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -272,12 +284,15 @@ class ThresholdedTrainer(Trainer):
                  "pseudo": {"raw": raw, "mapped": mapped, "mask": mask}}
         need_unsup = self.cfg.lambda_u != 0.0 and mask.any()
         need_penalty = self.penalty and self.cfg.lambda_p != 0.0
-        if need_unsup or need_penalty:
+        if need_penalty:
             logits_s = self.model.forward(Tensor(batch.x_unlabeled_strong))
         if need_unsup:
-            l_unsup_t = F.softmax_cross_entropy(
-                logits_s, F.one_hot(mapped, self.num_classes), weights=weights, normalizer=n_u
-            )
+            if need_penalty:
+                l_unsup_t = F.softmax_cross_entropy(
+                    logits_s, F.one_hot(mapped, self.num_classes), weights=weights, normalizer=n_u
+                )
+            else:
+                l_unsup_t = self._admitted_loss(batch.x_unlabeled_strong, mapped, weights)
             parts["l_unsup"] = l_unsup_t.item()
             total_t = _plus(total_t, l_unsup_t * self.cfg.lambda_u)
         if need_penalty:
@@ -290,6 +305,24 @@ class ThresholdedTrainer(Trainer):
         if total_t is None:
             raise ValidationError(f"{self.name} step received an entirely empty batch")
         return total_t, parts
+
+    def _admitted_loss(self, x_strong: np.ndarray, mapped: np.ndarray, weights: np.ndarray) -> Tensor:
+        """The masked cross-entropy over the admitted rows alone, those of
+        nonzero weight: a sum of one term per STRONG_CHUNK rows, each
+        normalized by the batch's n_u. A short last chunk is padded with zero
+        images of weight 0, whose terms are exact zeros."""
+        n_u, rows = x_strong.shape[0], np.flatnonzero(weights)
+        total_t = None
+        for start in range(0, len(rows), STRONG_CHUNK):
+            take = rows[start : start + STRONG_CHUNK]
+            x = np.zeros((STRONG_CHUNK, *x_strong.shape[1:]), dtype=np.float32)
+            labels = np.zeros(STRONG_CHUNK, dtype=np.int64)
+            w = np.zeros(STRONG_CHUNK, dtype=np.float32)
+            x[: len(take)], labels[: len(take)], w[: len(take)] = x_strong[take], mapped[take], weights[take]
+            term_t = F.softmax_cross_entropy(self.model.forward(Tensor(x)), F.one_hot(labels, self.num_classes),
+                                             weights=w, normalizer=n_u)
+            total_t = _plus(total_t, term_t)
+        return total_t
 
     def _penalty(self, logits_s: Tensor, probs_weak: np.ndarray, mask: np.ndarray):
         """FullMatch: entropy minimization on below-threshold samples plus

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from util import table
@@ -6,6 +8,7 @@ from metaretrain.data import ImageSample, to_model_input
 from metaretrain.errors import ValidationError
 from metaretrain.metrics import evaluate, topn_accuracy
 from metaretrain.nn import Dense, Flatten, Model, ModelSpec
+from metaretrain.nn.layers import PREDICT_CHUNK
 
 
 def probe_model():
@@ -129,3 +132,22 @@ class TestEvaluate:
         weights = np.array([np.sum(labels == c) for c in sorted(report.per_class_top1)])
         per_class = np.array([report.per_class_top1[c] for c in sorted(report.per_class_top1)])
         assert float((per_class * weights).sum() / weights.sum()) == pytest.approx(report.topn[1])
+
+
+def test_topn_accuracy_converts_one_chunk_at_a_time():
+    # tracemalloc sees numpy's buffers: a float32 copy of the table alone
+    # would be four times the uint8 table
+    rng = np.random.default_rng(40)
+    samples = table([ImageSample(rng.integers(0, 256, size=(1, 28, 28), dtype=np.uint8), int(rng.integers(0, 10)), i)
+                     for i in range(3000)])
+    model = Model(ModelSpec((1, 28, 28), 10, (Flatten(), Dense(10))), seed=41)
+    chunk_bytes = PREDICT_CHUNK * 28 * 28 * 4
+    tracemalloc.start()
+    try:
+        accuracy = topn_accuracy(model, samples, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < samples.pixels.nbytes + 4 * chunk_bytes
+    whole = model.predict_logits(to_model_input(samples.pixels))
+    assert accuracy == evaluate(whole, samples.labels, topn_list=(3,)).topn[3]

@@ -6,10 +6,10 @@ from util import table
 
 from metaretrain.data import ImageSample, to_model_input
 from metaretrain.errors import ValidationError
-from metaretrain.metrics import evaluate, topn_accuracy
+from metaretrain.metrics import evaluate, table_logits, topn_accuracy
 from metaretrain.nn import Dense, Flatten, Model, ModelSpec
 from metaretrain.relations import IDENTITY, LABEL_PRESERVING, MetamorphicRelation, catalog_by_id, catalog_default
-from metaretrain.tester import SuiteOutcome, _logits, partition, robustness
+from metaretrain.tester import SuiteOutcome, partition, robustness
 
 
 def score(model, mr, sources, **kwargs):
@@ -270,7 +270,7 @@ class TestRobustness:
         images = [s.pixels for s in mnist_samples(9, seed=4)] + [np.zeros((1, 28, 28), np.uint8),
                                                                  np.full((1, 28, 28), 255, np.uint8)]
         model = tiny_model(seed=5, size=28)
-        logits = _logits(model, images)
+        logits = table_logits(model, images)
         per_image = np.stack([to_model_input(x) for x in images])
         (got,) = forwarded
         assert got.dtype == per_image.dtype and got.tobytes() == per_image.tobytes()

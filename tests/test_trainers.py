@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from metaretrain.data import subsample_and_split
-from metaretrain.errors import ValidationError
-from metaretrain.nn import SGD, Conv2d, Dense, Flatten, Model, ModelSpec, ReLU
+from metaretrain.errors import NonFiniteError, ValidationError
+from metaretrain.nn import SGD, Conv2d, Dense, Flatten, MaxPool2d, Model, ModelSpec, ReLU, Tensor, backward
 from metaretrain.nn import functional as F
 from metaretrain.policy import (
     Batch,
@@ -14,6 +16,7 @@ from metaretrain.policy import (
 from metaretrain.relations import catalog_by_id, catalog_default, label_map_array
 from metaretrain.synthdigits import make_digits
 from metaretrain.trainers import (
+    STRONG_CHUNK,
     ClassThresholds,
     LossBreakdown,
     Trainer,
@@ -64,6 +67,48 @@ def empty_unlabeled_batch(rng, n_l=4):
 
 def params_of(model):
     return {n: p.data.copy() for n, p in model.named_parameters()}
+
+
+def gated_model(seed):
+    """tiny_model with pixel 0 driving class 0's logit: a blank weak view sees
+    a near-uniform softmax, one with pixel 0 lit is confident."""
+    model = tiny_model(seed=seed)
+    model._params["1.weight"].data[0, 0] = 10.0
+    return model
+
+
+def gated_batch(rng, confident_rows, n_u=20):
+    """A batch whose weak views are blank but for pixel 0 of `confident_rows`."""
+    batch = make_batch(rng, n_u=n_u)
+    batch.x_unlabeled_weak[...] = 0.0
+    batch.x_unlabeled_weak[0, list(confident_rows), 0, 0, 0] = 1.0
+    return batch
+
+
+def strong_forwards(monkeypatch, trainer, batch):
+    """Inputs of the forwards a step makes after its labeled one, outside
+    predict_logits: the strong-view forwards."""
+    calls, depth = [], [0]
+    forward, predict = Model.forward, Model.predict_logits
+
+    def recording_forward(self, x):
+        calls.append((depth[0], x.data.copy()))
+        return forward(self, x)
+
+    def nested_predict(self, images):
+        depth[0] += 1
+        try:
+            return predict(self, images)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Model, "forward", recording_forward)
+    monkeypatch.setattr(Model, "predict_logits", nested_predict)
+    trainer.step(batch)
+    monkeypatch.undo()
+    outside = [x for inside, x in calls if not inside]
+    assert np.array_equal(outside[0], batch.x_labeled)
+    return outside[1:]
 
 
 class TestFixMatch:
@@ -301,13 +346,21 @@ class TestMixMatch:
 
 class TestFullMatch:
     def test_lambda_p_zero_equals_fixmatch_total(self):
-        batch = make_batch(np.random.default_rng(22), n_u=6)
-        model_a, model_b = tiny_model(seed=23, bias=7), tiny_model(seed=23, bias=7)
-        full = build_trainer("fullmatch", model_a, SGD(0.1), TrainerConfig(lambda_p=0.0, tau=0.5), C)
-        fix = build_trainer("fixmatch", model_b, SGD(0.1), TrainerConfig(tau=0.5), C)
-        out_full, out_fix = full.step(batch), fix.step(batch)
-        assert out_full.total == out_fix.total
-        assert out_full.l_penalty == 0.0
+        # three steps with partial masks: both trainers take the admitted-row
+        # path, so they end with the same parameter bits
+        rng = np.random.default_rng(22)
+        batches = [gated_batch(rng, rows) for rows in ([0, 3, 4], range(1, 19), [19])]
+        model_a, model_b = gated_model(seed=23), gated_model(seed=23)
+        full = build_trainer("fullmatch", model_a, SGD(0.1, 0.9), TrainerConfig(lambda_p=0.0, tau=0.5), C)
+        fix = build_trainer("fixmatch", model_b, SGD(0.1, 0.9), TrainerConfig(tau=0.5), C)
+        for batch, k in zip(batches, (3, 18, 1)):
+            out_full, out_fix = full.step(batch), fix.step(batch)
+            assert out_full.mask_rate == out_fix.mask_rate == k / 20
+            assert out_full.total == out_fix.total
+            assert out_full.l_penalty == 0.0
+        pa, pb = params_of(model_a), params_of(model_b)
+        for n in pa:
+            assert np.array_equal(pa[n], pb[n]), n
 
     def test_uniform_softmax_entropy_is_ln_c(self):
         model = tiny_model(seed=24)
@@ -345,6 +398,83 @@ class TestFullMatch:
         neg = float((-np.log(np.maximum(1 - p, 1e-6)) * low).sum() / (3 * C))
         assert low.any()
         assert out.l_penalty == pytest.approx(entropy + neg, abs=1e-5)
+
+
+class TestAdmittedStrongRows:
+    """Without FullMatch's penalty, a thresholded step forwards only the
+    strong rows its mask admits, STRONG_CHUNK rows at a time."""
+
+    @pytest.mark.parametrize("name", ["fixmatch", "flexmatch"])
+    @pytest.mark.parametrize("rows", [[5], list(range(8)), [0, 2, 3, 7, 8, 9, 11, 13, 14, 17, 19], list(range(20))],
+                             ids=["k1", "k8", "k11", "k20"])
+    def test_strong_forwards_are_the_admitted_rows_in_padded_chunks(self, monkeypatch, name, rows):
+        batch = gated_batch(np.random.default_rng(50), rows)
+        trainer = build_trainer(name, gated_model(seed=51), SGD(0.1), TrainerConfig(), C)
+        forwards = strong_forwards(monkeypatch, trainer, batch)
+        assert len(forwards) == math.ceil(len(rows) / STRONG_CHUNK)
+        for i, x in enumerate(forwards):
+            take = rows[i * STRONG_CHUNK : (i + 1) * STRONG_CHUNK]
+            assert x.shape == (STRONG_CHUNK, 1, SIZE, SIZE)
+            assert np.array_equal(x[: len(take)], batch.x_unlabeled_strong[take])
+            assert not x[len(take) :].any()
+
+    @pytest.mark.parametrize("name", ["fixmatch", "flexmatch", "fullmatch"])
+    def test_all_zero_mask_makes_no_strong_forward(self, monkeypatch, name):
+        batch = gated_batch(np.random.default_rng(52), [])
+        cfg = TrainerConfig(lambda_p=0.0)
+        trainer = build_trainer(name, gated_model(seed=53), SGD(0.1), cfg, C)
+        assert strong_forwards(monkeypatch, trainer, batch) == []
+
+    def test_fullmatch_penalty_keeps_one_forward_of_every_strong_row(self, monkeypatch):
+        batch = gated_batch(np.random.default_rng(54), [1, 4, 6])
+        trainer = build_trainer("fullmatch", gated_model(seed=55), SGD(0.1), TrainerConfig(lambda_p=0.5), C)
+        (x,) = strong_forwards(monkeypatch, trainer, batch)
+        assert np.array_equal(x, batch.x_unlabeled_strong)
+
+    @pytest.mark.parametrize("name", ["fixmatch", "flexmatch"])
+    def test_step_equals_forwarding_every_strong_row(self, name):
+        # the masked cross-entropy over all n_u rows, unadmitted rows weighed
+        # 0, differs from the chunked step by float32 rounding alone
+        spec = ModelSpec((1, SIZE, SIZE), C, (Conv2d(4, 3, padding=1), ReLU(), MaxPool2d(2), Flatten(), Dense(C)))
+        cfg = TrainerConfig(lambda_u=1.5)
+        n_u, rng = 20, np.random.default_rng(56)
+        batch = make_batch(rng, n_u=n_u)
+        mask = np.zeros(n_u, dtype=bool)
+        mask[[0, 1, 2, 3, 5, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17, 19]] = True
+        raw = rng.integers(0, C, size=n_u)
+        probs = F.one_hot(raw, C)
+
+        def pseudo_labels(_batch):
+            return probs, mask.astype(np.float32), raw, raw
+
+        model, reference = Model(spec, seed=57), Model(spec, seed=57)
+        trainer = build_trainer(name, model, SGD(0.1, 0.9), cfg, C)
+        trainer._pseudo_labels = pseudo_labels
+        tau = cfg.tau if trainer.status is None else trainer.status.thresholds()[raw]
+        weights = (tau / cfg.tau * mask).astype(np.float32)
+        out = trainer.step(batch)
+        assert out.mask_rate == mask.mean()
+
+        reference.zero_grads()
+        l_sup = F.softmax_cross_entropy(reference.forward(Tensor(batch.x_labeled)), F.one_hot(batch.y_labeled, C))
+        l_unsup = F.softmax_cross_entropy(reference.forward(Tensor(batch.x_unlabeled_strong)), F.one_hot(raw, C),
+                                          weights=weights, normalizer=n_u)
+        backward(reference, l_sup + l_unsup * cfg.lambda_u)
+        SGD(0.1, 0.9).step(reference)
+        assert out.l_unsup == pytest.approx(l_unsup.item(), rel=1e-5)
+        pa, pb = params_of(model), params_of(reference)
+        for n in pa:
+            assert np.allclose(pa[n], pb[n], rtol=1e-5, atol=1e-7), n
+
+    @pytest.mark.parametrize("name", ["fixmatch", "flexmatch"])
+    def test_non_finite_strong_row_aborts_only_when_admitted(self, name):
+        batch = gated_batch(np.random.default_rng(58), [1, 4])
+        batch.x_unlabeled_strong[2, 0, 3, 3] = np.nan
+        trainer = build_trainer(name, gated_model(seed=59), SGD(0.1), TrainerConfig(), C)
+        assert np.isfinite(trainer.step(batch).total)
+        batch.x_unlabeled_strong[4, 0, 3, 3] = np.inf
+        with pytest.raises(NonFiniteError):
+            trainer.step(batch)
 
 
 class TestSharedInvariants:
