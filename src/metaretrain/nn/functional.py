@@ -24,7 +24,6 @@ the incoming one, viewed as unsigned integers of the storage width, times its
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ConfigurationError, ValidationError
 from .tensor import Tensor
@@ -46,8 +45,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     # one copy: the zero border and the input written into its interior
     xp = np.zeros((B, Cin, Hp, Wp), dtype=dtype)
     xp[:, :, padding : padding + H, padding : padding + W] = x.data
-    # windows: [B, Cin, Ho, Wo, KH, KW], a view of xp
-    win = sliding_window_view(xp, (KH, KW), axis=(2, 3))[:, :, ::stride, ::stride]
+    # windows: [B, Cin, Ho, Wo, KH, KW], a view of xp made by the ndarray
+    # constructor: numpy's stride_tricks go through `__array_interface__`,
+    # whose dict interns a key that dies with the view, so each call would
+    # add a dead entry to the interpreter's interned-string table
+    sB, sC, sH, sW = xp.strides
+    win = np.ndarray((B, Cin, Ho, Wo, KH, KW), dtype, xp, 0, (sB, sC, sH * stride, sW * stride, sH, sW))
     # im2col: one column per output pixel, [Cin*KH*KW, B*Ho*Wo]
     cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(Cin * KH * KW, B * Ho * Wo)
     with np.errstate(over="ignore"):  # Tensor._make reports an overflow, naming the op

@@ -9,11 +9,10 @@ entering any consistency loss. Skipped loss branches (zero weight, empty
 batch) are omitted from the graph entirely, so degenerate runs reproduce a
 plain supervised loop bit for bit. Zero-weight rows are omitted too: without
 FullMatch's penalty, which reads every strong row, a thresholded step forwards
-only the strong rows its mask admits, in chunks of STRONG_CHUNK rows padded
-with zero images of weight 0, so its cost follows its mask rate. A non-finite
-value in a strong row the mask leaves out is therefore never computed and
-does not abort the step; the labeled and weak-view forwards still cover, and
-check, every row.
+only the strong rows its mask admits, in one forward, so its cost follows its
+mask rate. A non-finite value in a strong row the mask leaves out is therefore
+never computed and does not abort the step; the labeled and weak-view forwards
+still cover, and check, every row.
 
 Implemented steps:
   * ThresholdedTrainer serves three names. FixMatch: confidence-thresholded
@@ -64,12 +63,6 @@ from .nn import functional as F
 from .policy import Batch
 
 TRAINER_NAMES = ("fixmatch", "flexmatch", "mixmatch", "fullmatch", "supervised")
-
-# rows of every strong-view forward of a thresholded step without FullMatch's
-# penalty. As with nn.layers.PREDICT_CHUNK, one fixed shape: a float32 GEMM
-# rounds by its shapes, and a forward of exactly the k admitted rows would
-# allocate new small-array sizes for each k
-STRONG_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -288,11 +281,14 @@ class ThresholdedTrainer(Trainer):
             logits_s = self.model.forward(Tensor(batch.x_unlabeled_strong))
         if need_unsup:
             if need_penalty:
-                l_unsup_t = F.softmax_cross_entropy(
-                    logits_s, F.one_hot(mapped, self.num_classes), weights=weights, normalizer=n_u
-                )
-            else:
-                l_unsup_t = self._admitted_loss(batch.x_unlabeled_strong, mapped, weights)
+                logits_u, labels_u, weights_u = logits_s, mapped, weights
+            else:  # one forward of the admitted rows alone
+                rows = np.flatnonzero(mask)
+                logits_u = self.model.forward(Tensor(batch.x_unlabeled_strong[rows]))
+                labels_u, weights_u = mapped[rows], weights[rows]
+            l_unsup_t = F.softmax_cross_entropy(
+                logits_u, F.one_hot(labels_u, self.num_classes), weights=weights_u, normalizer=n_u
+            )
             parts["l_unsup"] = l_unsup_t.item()
             total_t = _plus(total_t, l_unsup_t * self.cfg.lambda_u)
         if need_penalty:
@@ -305,24 +301,6 @@ class ThresholdedTrainer(Trainer):
         if total_t is None:
             raise ValidationError(f"{self.name} step received an entirely empty batch")
         return total_t, parts
-
-    def _admitted_loss(self, x_strong: np.ndarray, mapped: np.ndarray, weights: np.ndarray) -> Tensor:
-        """The masked cross-entropy over the admitted rows alone, those of
-        nonzero weight: a sum of one term per STRONG_CHUNK rows, each
-        normalized by the batch's n_u. A short last chunk is padded with zero
-        images of weight 0, whose terms are exact zeros."""
-        n_u, rows = x_strong.shape[0], np.flatnonzero(weights)
-        total_t = None
-        for start in range(0, len(rows), STRONG_CHUNK):
-            take = rows[start : start + STRONG_CHUNK]
-            x = np.zeros((STRONG_CHUNK, *x_strong.shape[1:]), dtype=np.float32)
-            labels = np.zeros(STRONG_CHUNK, dtype=np.int64)
-            w = np.zeros(STRONG_CHUNK, dtype=np.float32)
-            x[: len(take)], labels[: len(take)], w[: len(take)] = x_strong[take], mapped[take], weights[take]
-            term_t = F.softmax_cross_entropy(self.model.forward(Tensor(x)), F.one_hot(labels, self.num_classes),
-                                             weights=w, normalizer=n_u)
-            total_t = _plus(total_t, term_t)
-        return total_t
 
     def _penalty(self, logits_s: Tensor, probs_weak: np.ndarray, mask: np.ndarray):
         """FullMatch: entropy minimization on below-threshold samples plus

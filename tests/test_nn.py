@@ -497,6 +497,30 @@ class TestKernelsMatchReference:
         assert out.dtype == want.dtype == dtype and out.shape == want.shape and out.flags.c_contiguous
         assert out.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("kernel,stride,padding", [((3, 3), 1, 1), ((3, 2), 2, 0), ((2, 5), 3, 2)])
+    def test_conv2d_windows_do_not_use_stride_tricks(self, monkeypatch, kernel, stride, padding):
+        # numpy's stride_tricks build views through `__array_interface__`,
+        # whose dict interns a key that dies with the view: one dead entry in
+        # the interpreter's interned-string table per conv2d call, until the
+        # table resizes on the heap mid-run. The windows come from the ndarray
+        # constructor instead, with the same bytes.
+        from numpy.lib import _stride_tricks_impl
+
+        rng = np.random.default_rng(60)
+        x, w = rng.normal(size=(2, 3, 9, 8)), rng.normal(size=(4, 3, *kernel))
+        x, w, b = x.astype(np.float32), w.astype(np.float32), rng.normal(size=4).astype(np.float32)
+        want = reference_conv2d_forward(x, w, b, stride=stride, padding=padding)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("conv2d built a view with numpy.lib.stride_tricks")
+
+        monkeypatch.setattr(_stride_tricks_impl, "as_strided", refuse)
+        xt, wt, bt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+        out = F.conv2d(xt, wt, bt, stride=stride, padding=padding)
+        out.sum().backward()
+        assert out.data.tobytes() == want.tobytes()
+        assert xt.grad.shape == x.shape and wt.grad.shape == w.shape
+
     @settings(max_examples=100, deadline=None)
     @given(m=st.integers(1, 70), k=st.integers(1, 70), n=st.integers(1, 70),
            dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,6 @@ from metaretrain.policy import (
 from metaretrain.relations import catalog_by_id, catalog_default, label_map_array
 from metaretrain.synthdigits import make_digits
 from metaretrain.trainers import (
-    STRONG_CHUNK,
     ClassThresholds,
     LossBreakdown,
     Trainer,
@@ -346,21 +343,26 @@ class TestMixMatch:
 
 class TestFullMatch:
     def test_lambda_p_zero_equals_fixmatch_total(self):
-        # three steps with partial masks: both trainers take the admitted-row
-        # path, so they end with the same parameter bits
+        # both trainers take the admitted-row path: equal totals every step
+        # and the same parameter bits after. First a batch whose 6 rows all
+        # pass on a model biased to class 7, then three steps with 3, 18 and
+        # 1 of 20 rows admitted
         rng = np.random.default_rng(22)
-        batches = [gated_batch(rng, rows) for rows in ([0, 3, 4], range(1, 19), [19])]
-        model_a, model_b = gated_model(seed=23), gated_model(seed=23)
-        full = build_trainer("fullmatch", model_a, SGD(0.1, 0.9), TrainerConfig(lambda_p=0.0, tau=0.5), C)
-        fix = build_trainer("fixmatch", model_b, SGD(0.1, 0.9), TrainerConfig(tau=0.5), C)
-        for batch, k in zip(batches, (3, 18, 1)):
-            out_full, out_fix = full.step(batch), fix.step(batch)
-            assert out_full.mask_rate == out_fix.mask_rate == k / 20
-            assert out_full.total == out_fix.total
-            assert out_full.l_penalty == 0.0
-        pa, pb = params_of(model_a), params_of(model_b)
-        for n in pa:
-            assert np.array_equal(pa[n], pb[n]), n
+        cases = [(tiny_model(seed=23, bias=7), tiny_model(seed=23, bias=7), SGD(0.1), SGD(0.1),
+                  [make_batch(rng, n_u=6)], [1.0]),
+                 (gated_model(seed=23), gated_model(seed=23), SGD(0.1, 0.9), SGD(0.1, 0.9),
+                  [gated_batch(rng, rows) for rows in ([0, 3, 4], range(1, 19), [19])], [3 / 20, 18 / 20, 1 / 20])]
+        for model_a, model_b, opt_a, opt_b, batches, rates in cases:
+            full = build_trainer("fullmatch", model_a, opt_a, TrainerConfig(lambda_p=0.0, tau=0.5), C)
+            fix = build_trainer("fixmatch", model_b, opt_b, TrainerConfig(tau=0.5), C)
+            for batch, rate in zip(batches, rates):
+                out_full, out_fix = full.step(batch), fix.step(batch)
+                assert out_full.mask_rate == out_fix.mask_rate == rate
+                assert out_full.total == out_fix.total
+                assert out_full.l_penalty == 0.0
+            pa, pb = params_of(model_a), params_of(model_b)
+            for n in pa:
+                assert np.array_equal(pa[n], pb[n]), n
 
     def test_uniform_softmax_entropy_is_ln_c(self):
         model = tiny_model(seed=24)
@@ -402,21 +404,16 @@ class TestFullMatch:
 
 class TestAdmittedStrongRows:
     """Without FullMatch's penalty, a thresholded step forwards only the
-    strong rows its mask admits, STRONG_CHUNK rows at a time."""
+    strong rows its mask admits, in one forward."""
 
     @pytest.mark.parametrize("name", ["fixmatch", "flexmatch"])
     @pytest.mark.parametrize("rows", [[5], list(range(8)), [0, 2, 3, 7, 8, 9, 11, 13, 14, 17, 19], list(range(20))],
                              ids=["k1", "k8", "k11", "k20"])
-    def test_strong_forwards_are_the_admitted_rows_in_padded_chunks(self, monkeypatch, name, rows):
+    def test_strong_forward_is_the_admitted_rows(self, monkeypatch, name, rows):
         batch = gated_batch(np.random.default_rng(50), rows)
         trainer = build_trainer(name, gated_model(seed=51), SGD(0.1), TrainerConfig(), C)
-        forwards = strong_forwards(monkeypatch, trainer, batch)
-        assert len(forwards) == math.ceil(len(rows) / STRONG_CHUNK)
-        for i, x in enumerate(forwards):
-            take = rows[i * STRONG_CHUNK : (i + 1) * STRONG_CHUNK]
-            assert x.shape == (STRONG_CHUNK, 1, SIZE, SIZE)
-            assert np.array_equal(x[: len(take)], batch.x_unlabeled_strong[take])
-            assert not x[len(take) :].any()
+        (x,) = strong_forwards(monkeypatch, trainer, batch)
+        assert np.array_equal(x, batch.x_unlabeled_strong[rows])
 
     @pytest.mark.parametrize("name", ["fixmatch", "flexmatch", "fullmatch"])
     def test_all_zero_mask_makes_no_strong_forward(self, monkeypatch, name):
@@ -434,7 +431,7 @@ class TestAdmittedStrongRows:
     @pytest.mark.parametrize("name", ["fixmatch", "flexmatch"])
     def test_step_equals_forwarding_every_strong_row(self, name):
         # the masked cross-entropy over all n_u rows, unadmitted rows weighed
-        # 0, differs from the chunked step by float32 rounding alone
+        # 0, differs from the admitted-row step by float32 rounding alone
         spec = ModelSpec((1, SIZE, SIZE), C, (Conv2d(4, 3, padding=1), ReLU(), MaxPool2d(2), Flatten(), Dense(C)))
         cfg = TrainerConfig(lambda_u=1.5)
         n_u, rng = 20, np.random.default_rng(56)
