@@ -6,8 +6,8 @@ Subcommands:
     report    tabulate finished runs into a comparison table
     list-mrs  enumerate the relation catalog for a dataset
 
-Exit codes: 0 success, 2 validation error, 3 runtime abort (a non-finite loss
-or value).
+Exit codes: 0 success, 2 validation error (a ValidationError or an OSError),
+3 runtime abort (a NonFiniteError: a non-finite loss or value).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import DATASETS, ENV_DATA_DIR, RunConfig, load_config, validate_config
 from .data import Samples, load_cifar, load_mnist, subsample_and_split
-from .errors import MetaRetrainError, NonFiniteError, ValidationError
+from .errors import NonFiniteError, ValidationError
 from .metrics import evaluate
 from .nn import Model, load_checkpoint, model_spec, save_checkpoint
 from .nn.checkpoint import write_atomic
@@ -37,7 +37,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 # config keys a resume may change: where the data and the runs live, and how
-# many cycles the run has in all
+# many cycles the run has in all (no fewer than it has finished)
 RESUME_FREE_KEYS = ("data_dir", "output_dir", "cycles")
 LOG_LEVEL = {"default": "WARNING", "choices": ("DEBUG", "INFO", "WARNING", "ERROR"),
              "help": "level of the log records written to stderr (default WARNING)"}
@@ -127,6 +127,9 @@ def cmd_run(args) -> int:
                                if key not in RESUME_FREE_KEYS and config.get(key) != history.config.get(key))
             if differing:
                 raise ValidationError(f"--resume: config differs from the run's own in {', '.join(differing)}")
+            if cfg.cycles < len(history.records):
+                raise ValidationError(f"cycles: {cfg.cycles} is fewer than the {len(history.records)} cycles "
+                                      "the run to resume has finished")
             model, resume = resume_state_from(history, run_dir / "checkpoints", catalog)
             # read, and cut back, before anything of the run directory is written
             _truncate_metrics(run_dir / "reports" / "metrics.jsonl", resume.records[-1].cycle)
@@ -291,7 +294,7 @@ def main(argv=None) -> int:
     except NonFiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (MetaRetrainError, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     finally:

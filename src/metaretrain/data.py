@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 
 MNIST_IMAGE_MAGIC = 0x00000803
 MNIST_LABEL_MAGIC = 0x00000801
@@ -104,7 +104,7 @@ def to_model_input(pixels: np.ndarray) -> np.ndarray:
 
 def _read_be_u32(data: bytes, offset: int, path, what: str) -> int:
     if len(data) < offset + 4:
-        raise ParseError(f"{path}: truncated {what} at offset {offset}")
+        raise ValidationError(f"{path}: truncated {what} at offset {offset}")
     return struct.unpack_from(">I", data, offset)[0]
 
 
@@ -116,25 +116,25 @@ def load_mnist(images_path, labels_path) -> Samples:
 
     magic = _read_be_u32(img_data, 0, images_path, "magic")
     if magic != MNIST_IMAGE_MAGIC:
-        raise ParseError(f"{images_path}: bad image magic 0x{magic:08x} at offset 0")
+        raise ValidationError(f"{images_path}: bad image magic 0x{magic:08x} at offset 0")
     count = _read_be_u32(img_data, 4, images_path, "count")
     rows = _read_be_u32(img_data, 8, images_path, "rows")
     cols = _read_be_u32(img_data, 12, images_path, "cols")
     expected = 16 + count * rows * cols
     if len(img_data) != expected:
-        raise ParseError(
+        raise ValidationError(
             f"{images_path}: expected {expected} bytes for {count} images, "
             f"found {len(img_data)} (pixel data starts at offset 16)"
         )
 
     lmagic = _read_be_u32(lbl_data, 0, labels_path, "magic")
     if lmagic != MNIST_LABEL_MAGIC:
-        raise ParseError(f"{labels_path}: bad label magic 0x{lmagic:08x} at offset 0")
+        raise ValidationError(f"{labels_path}: bad label magic 0x{lmagic:08x} at offset 0")
     lcount = _read_be_u32(lbl_data, 4, labels_path, "count")
     if lcount != count:
-        raise ParseError(f"{labels_path}: label count {lcount} != image count {count}")
+        raise ValidationError(f"{labels_path}: label count {lcount} != image count {count}")
     if len(lbl_data) != 8 + lcount:
-        raise ParseError(f"{labels_path}: expected {8 + lcount} bytes, found {len(lbl_data)} (labels start at offset 8)")
+        raise ValidationError(f"{labels_path}: expected {8 + lcount} bytes, found {len(lbl_data)} (labels start at offset 8)")
 
     pixels = np.frombuffer(img_data, dtype=np.uint8, offset=16).reshape(count, 1, rows, cols)
     return Samples(pixels, np.frombuffer(lbl_data, dtype=np.uint8, offset=8), np.arange(count))
@@ -153,14 +153,14 @@ def load_cifar(batch_files, variant: int = 10) -> Samples:
     sizes = [(file, Path(file).stat().st_size) for file in batch_files]
     for file, size in sizes:
         if size == 0 or size % record:
-            raise ParseError(f"{file}: length {size} is not a positive multiple of record size {record}")
+            raise ValidationError(f"{file}: length {size} is not a positive multiple of record size {record}")
     records = np.empty((sum(size for _, size in sizes) // record, record), dtype=np.uint8)
     flat, start = records.reshape(-1), 0
     for file, size in sizes:
         with open(file, "rb") as f:
             read = f.readinto(flat[start : start + size])
         if read != size:
-            raise ParseError(f"{file}: read {read} bytes, but its size was {size}")
+            raise ValidationError(f"{file}: read {read} bytes, but its size was {size}")
         start += size
     return Samples(records[:, record - 3072 :].reshape(-1, 3, 32, 32), records[:, label_offset],
                    np.arange(len(records)))
@@ -194,7 +194,7 @@ def subsample_and_split(samples: Samples, fraction, ratios, seed) -> DatasetSpli
     n_sub = round(fraction * n_total)
     if n_sub < 1:
         raise ValidationError(f"fraction {fraction} of {n_total} samples is empty")
-    sizes = largest_remainder(n_sub, ratios) if sum(ratios) else [0, 0, 0]
+    sizes = largest_remainder(n_sub, ratios)
     for name, size, ratio in zip(("labeled", "unlabeled", "test"), sizes, ratios):
         if ratio > 0 and size < 1:
             raise ValidationError(f"subset of {n_sub} gives no samples for the {name} split")

@@ -1,29 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+One class per CLI exit code: every rejected input (a bad argument, config,
+model wiring, dataset file or checkpoint, or an API called out of order) is a
+ValidationError, exit 2; a NaN or Inf in a computation is a NonFiniteError,
+exit 3. The message names what was rejected, so no caller needs a finer type.
+"""
 
 
-class MetaRetrainError(Exception):
-    """Base class for all package errors."""
+class ValidationError(Exception):
+    """An input or a call violates a documented precondition."""
 
 
-class ConfigurationError(MetaRetrainError):
-    """Model or pipeline wiring is structurally invalid (e.g. shape mismatch)."""
-
-
-class ValidationError(MetaRetrainError):
-    """An argument value violates a documented precondition."""
-
-
-class UsageError(MetaRetrainError):
-    """API called out of order (backward without forward, step without grads)."""
-
-
-class NonFiniteError(MetaRetrainError):
+class NonFiniteError(Exception):
     """A NaN or Inf appeared in a computation."""
-
-
-class ParseError(MetaRetrainError):
-    """A dataset file does not match its binary format."""
-
-
-class CheckpointError(MetaRetrainError):
-    """A checkpoint file is missing, corrupt, or inconsistent."""

@@ -19,11 +19,11 @@ are those written before it existed, and `ModelSnapshot.velocities` is None.
 
 Round-trips are bitwise exact for float32 arrays. Files are written to a
 temporary name and renamed into place. Loading checks every header field and
-raises CheckpointError naming the first one that is missing or malformed, or
+raises ValidationError naming the first one that is missing or malformed, or
 a velocity whose name or shape is not a parameter's.
 
 "crc32" is zlib.crc32 of the blob region, so a flipped bit in a parameter or
-a velocity raises CheckpointError instead of loading as different state.
+a velocity raises ValidationError instead of loading as different state.
 Every file carries it; a header without it fails to load. The magic stays
 MRCKPT01: a reader that predates a field reads only the keys it knows, so it
 still loads files that carry one.
@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import CheckpointError, ConfigurationError
+from ..errors import ValidationError
 from .layers import ModelSnapshot, ModelSpec
 
 MAGIC = b"MRCKPT01"
@@ -99,13 +99,13 @@ def _blob_entry(entry, where: str, params=None) -> tuple:
 def load_checkpoint(path) -> ModelSnapshot:
     path = Path(path)
     if not path.exists():
-        raise CheckpointError(f"checkpoint not found: {path}")
+        raise ValidationError(f"checkpoint not found: {path}")
     raw = path.read_bytes()
     if len(raw) < 12 or raw[:8] != MAGIC:
-        raise CheckpointError(f"bad checkpoint magic in {path}")
+        raise ValidationError(f"bad checkpoint magic in {path}")
     (header_len,) = struct.unpack("<I", raw[8:12])
     if len(raw) < 12 + header_len:
-        raise CheckpointError(f"truncated checkpoint header in {path}")
+        raise ValidationError(f"truncated checkpoint header in {path}")
     try:
         header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
         version = typed_field(header, "version", int, "")
@@ -117,22 +117,22 @@ def load_checkpoint(path) -> ModelSnapshot:
             shapes = dict(entries)
             velocity_entries = [_blob_entry(e, f"velocities[{i}].", shapes)
                                 for i, e in enumerate(typed_field(header, "velocities", list, ""))]
-    except (ValueError, KeyError, TypeError, ConfigurationError) as exc:
-        raise CheckpointError(f"corrupt checkpoint header in {path}: {exc}") from exc
+    except (ValueError, KeyError, TypeError, ValidationError) as exc:
+        raise ValidationError(f"corrupt checkpoint header in {path}: {exc}") from exc
     offset = 12 + header_len
     arrays = []
     for name, shape in entries + (velocity_entries or []):
         nbytes = math.prod(shape) * 4
         blob = raw[offset : offset + nbytes]
         if len(blob) != nbytes:
-            raise CheckpointError(f"truncated blob {name!r} in {path}")
+            raise ValidationError(f"truncated blob {name!r} in {path}")
         arr = np.frombuffer(blob, dtype="<f4").reshape(shape).copy()
         arr.flags.writeable = False
         arrays.append((name, arr))
         offset += nbytes
     if offset != len(raw):
-        raise CheckpointError(f"{len(raw) - offset} trailing bytes in {path}")
+        raise ValidationError(f"{len(raw) - offset} trailing bytes in {path}")
     if zlib.crc32(raw[12 + header_len :]) != crc:
-        raise CheckpointError(f"blobs fail their crc32 check in {path}")
+        raise ValidationError(f"blobs fail their crc32 check in {path}")
     velocities = None if velocity_entries is None else dict(arrays[len(entries) :])
     return ModelSnapshot(spec=spec, params=tuple(arrays[: len(entries)]), version=version, velocities=velocities)

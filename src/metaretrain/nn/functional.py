@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigurationError, ValidationError
+from ..errors import ValidationError
 from .tensor import Tensor
 
 
@@ -34,10 +34,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     B, Cin, H, W = x.data.shape
     Cout, Cin_w, KH, KW = weight.data.shape
     if Cin != Cin_w:
-        raise ConfigurationError(f"conv2d channel mismatch: input {Cin}, weight {Cin_w}")
+        raise ValidationError(f"conv2d channel mismatch: input {Cin}, weight {Cin_w}")
     Hp, Wp = H + 2 * padding, W + 2 * padding
     if Hp < KH or Wp < KW:
-        raise ConfigurationError("conv2d kernel larger than padded input")
+        raise ValidationError("conv2d kernel larger than padded input")
     Ho = (Hp - KH) // stride + 1
     Wo = (Wp - KW) // stride + 1
 
@@ -92,7 +92,7 @@ def maxpool2d(x: Tensor, kernel: int = 2) -> Tensor:
     """Non-overlapping max pooling; H and W must be divisible by kernel."""
     B, C, H, W = x.data.shape
     if H % kernel or W % kernel:
-        raise ConfigurationError(f"maxpool2d: input {H}x{W} not divisible by kernel {kernel}")
+        raise ValidationError(f"maxpool2d: input {H}x{W} not divisible by kernel {kernel}")
     # each tile's rows folded along W, then those row maxima along H; on ties
     # np.maximum returns its second operand, so the earlier value (and its
     # sign, for -0.0 against 0.0) stays in both folds: the first max in
@@ -129,9 +129,9 @@ def maxpool2d(x: Tensor, kernel: int = 2) -> Tensor:
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map x[B,D] @ weight[F,D].T + bias[F]."""
     if x.data.ndim != 2:
-        raise ConfigurationError("dense expects a flattened [batch, features] input")
+        raise ValidationError("dense expects a flattened [batch, features] input")
     if x.data.shape[1] != weight.data.shape[1]:
-        raise ConfigurationError(
+        raise ValidationError(
             f"dense feature mismatch: input {x.data.shape[1]}, weight expects {weight.data.shape[1]}"
         )
     return x.matmul(weight.transpose()) + bias

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigurationError, ValidationError
+from ..errors import ValidationError
 from . import functional as F
 from .tensor import Tensor, no_grad
 
@@ -56,25 +56,25 @@ def _layer_to_dict(layer) -> dict:
             d = {"type": name}
             d.update({k: getattr(layer, k) for k in layer.__dataclass_fields__})
             return d
-    raise ConfigurationError(f"unknown layer {layer!r}")
+    raise ValidationError(f"unknown layer {layer!r}")
 
 
 def _layer_from_dict(d, index: int):
     where = f"layer {index}"
     if not isinstance(d, dict):
-        raise ConfigurationError(f"{where}: expected an object, got {type(d).__name__}")
+        raise ValidationError(f"{where}: expected an object, got {type(d).__name__}")
     kind = d.get("type")
     if kind not in _LAYER_TYPES:
-        raise ConfigurationError(f"{where}: unknown layer type {kind!r}")
+        raise ValidationError(f"{where}: unknown layer type {kind!r}")
     cls = _LAYER_TYPES[kind]
     kwargs = {k: v for k, v in d.items() if k != "type"}
     for key, value in kwargs.items():
         if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigurationError(f"{where} ({cls.__name__}): {key} must be an integer, got {value!r}")
+            raise ValidationError(f"{where} ({cls.__name__}): {key} must be an integer, got {value!r}")
     try:
         return cls(**kwargs)
     except TypeError as exc:  # an unknown or a missing field
-        raise ConfigurationError(f"{where} ({cls.__name__}): {exc}") from exc
+        raise ValidationError(f"{where} ({cls.__name__}): {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,12 @@ class ModelSpec:
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
         object.__setattr__(self, "layers", tuple(self.layers))
         if self.num_classes < 2:
-            raise ConfigurationError("num_classes must be at least 2")
+            raise ValidationError("num_classes must be at least 2")
         if len(self.input_shape) != 3:
-            raise ConfigurationError("input_shape must be [channels, height, width]")
+            raise ValidationError("input_shape must be [channels, height, width]")
         out = self.output_shape()
         if out != (self.num_classes,):
-            raise ConfigurationError(f"layers produce shape {out}, expected ({self.num_classes},)")
+            raise ValidationError(f"layers produce shape {out}, expected ({self.num_classes},)")
 
     def output_shape(self) -> tuple:
         shape = tuple(self.input_shape)
@@ -113,7 +113,7 @@ class ModelSpec:
     def from_dict(d: dict) -> "ModelSpec":
         for key in ("input_shape", "num_classes", "layers"):
             if key not in d:
-                raise ConfigurationError(f"model spec is missing field {key!r}")
+                raise ValidationError(f"model spec is missing field {key!r}")
         return ModelSpec(
             input_shape=tuple(d["input_shape"]),
             num_classes=int(d["num_classes"]),
@@ -124,19 +124,19 @@ class ModelSpec:
 def _check_at_least(where: str, layer, **floors) -> None:
     for key, floor in floors.items():
         if getattr(layer, key) < floor:
-            raise ConfigurationError(f"{where}: {key} must be at least {floor}, got {getattr(layer, key)}")
+            raise ValidationError(f"{where}: {key} must be at least {floor}, got {getattr(layer, key)}")
 
 
 def _propagate(shape: tuple, layer, index: int) -> tuple:
     where = f"layer {index} ({type(layer).__name__})"
     if isinstance(layer, Conv2d):
         if len(shape) != 3:
-            raise ConfigurationError(f"{where}: expects [C,H,W], got {shape}")
+            raise ValidationError(f"{where}: expects [C,H,W], got {shape}")
         _check_at_least(where, layer, out_channels=1, kernel=1, stride=1, padding=0)
         c, h, w = shape
         hp, wp = h + 2 * layer.padding, w + 2 * layer.padding
         if hp < layer.kernel or wp < layer.kernel:
-            raise ConfigurationError(f"{where}: kernel {layer.kernel} exceeds padded input {hp}x{wp}")
+            raise ValidationError(f"{where}: kernel {layer.kernel} exceeds padded input {hp}x{wp}")
         return (
             layer.out_channels,
             (hp - layer.kernel) // layer.stride + 1,
@@ -144,22 +144,22 @@ def _propagate(shape: tuple, layer, index: int) -> tuple:
         )
     if isinstance(layer, MaxPool2d):
         if len(shape) != 3:
-            raise ConfigurationError(f"{where}: expects [C,H,W], got {shape}")
+            raise ValidationError(f"{where}: expects [C,H,W], got {shape}")
         _check_at_least(where, layer, kernel=1)
         c, h, w = shape
         if h % layer.kernel or w % layer.kernel:
-            raise ConfigurationError(f"{where}: {h}x{w} not divisible by kernel {layer.kernel}")
+            raise ValidationError(f"{where}: {h}x{w} not divisible by kernel {layer.kernel}")
         return (c, h // layer.kernel, w // layer.kernel)
     if isinstance(layer, Flatten):
         return (int(np.prod(shape)),)
     if isinstance(layer, Dense):
         if len(shape) != 1:
-            raise ConfigurationError(f"{where}: expects flattened input, got {shape}")
+            raise ValidationError(f"{where}: expects flattened input, got {shape}")
         _check_at_least(where, layer, out_features=1)
         return (layer.out_features,)
     if isinstance(layer, ReLU):
         return shape
-    raise ConfigurationError(f"{where}: unsupported layer")
+    raise ValidationError(f"{where}: unsupported layer")
 
 
 def _param_shapes(spec: ModelSpec):
@@ -249,7 +249,7 @@ class Model:
 
     def forward(self, x: Tensor) -> Tensor:
         if x.data.ndim != 4 or x.data.shape[1:] != tuple(self.spec.input_shape):
-            raise ConfigurationError(
+            raise ValidationError(
                 f"input shape {x.data.shape} does not match model input {self.spec.input_shape}"
             )
         out = x
@@ -316,9 +316,9 @@ class Model:
         model._params = {}
         for name, shape, _ in _param_shapes(snap.spec):
             if name not in arrays:
-                raise ConfigurationError(f"missing parameter {name!r}")
+                raise ValidationError(f"missing parameter {name!r}")
             if arrays[name].shape != shape:
-                raise ConfigurationError(f"parameter {name!r} shape {arrays[name].shape} != {shape}")
+                raise ValidationError(f"parameter {name!r} shape {arrays[name].shape} != {shape}")
             model._params[name] = Tensor(arrays[name].copy(), requires_grad=True)
         return model
 

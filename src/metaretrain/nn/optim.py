@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import UsageError, ValidationError
+from ..errors import ValidationError
 from .layers import Model
 
 
@@ -25,7 +25,7 @@ class SGD:
             if not p.requires_grad:
                 continue
             if p.grad is None:
-                raise UsageError(f"sgd step without gradient for parameter {name!r}")
+                raise ValidationError(f"sgd step without gradient for parameter {name!r}")
             v = self.velocities.get(name)
             if v is None:
                 v = np.zeros_like(p.data)

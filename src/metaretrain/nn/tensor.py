@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NonFiniteError, UsageError, ValidationError
+from ..errors import NonFiniteError, ValidationError
 
 DEFAULT_DTYPE = np.float32
 
@@ -102,9 +102,9 @@ class Tensor:
 
     def backward(self) -> None:
         if self.data.size != 1:
-            raise UsageError("backward() requires a scalar loss")
+            raise ValidationError("backward() requires a scalar loss")
         if not self.requires_grad or self._backward is None and not self._parents:
-            raise UsageError("backward() without a recorded forward pass")
+            raise ValidationError("backward() without a recorded forward pass")
         topo = []
         visited = set()
         stack = [(self, False)]

@@ -54,6 +54,8 @@ class StoppingCriterion:
             raise ValidationError(f"stopping criterion direction must be gte or lte, got {self.direction!r}")
         if not np.isfinite(self.value):
             raise ValidationError(f"stopping criterion value must be finite, got {self.value}")
+        if not 0 <= self.value <= 1:  # every stopping metric is a fraction
+            raise ValidationError(f"stopping criterion value must be in [0, 1], got {self.value}")
 
 
 @dataclass(frozen=True)

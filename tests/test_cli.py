@@ -82,6 +82,9 @@ BAD_CONFIGS = {
     "stopping-metric": ({"stopping": "metric:f1:gte:0.5"}, "stopping"),
     "stopping-nan": ({"stopping": "metric:sr_mt:gte:nan"}, "stopping"),
     "stopping-inf": ({"stopping": "metric:sr_mt:lte:inf"}, "stopping"),
+    # every stopping metric is a fraction, so a value outside [0, 1] would never stop
+    "stopping-above-one": ({"stopping": "metric:sr_mt:gte:1.5"}, "stopping"),
+    "stopping-below-zero": ({"stopping": "metric:top1_accuracy:lte:-0.1"}, "stopping"),
     "data-dir-unset": ({"data_dir": None}, "data_dir"),
     "data-dir-absent": ({"data_dir": ABSENT}, "data_dir"),
     "warm-start-absent": ({"warm_start": ABSENT}, "warm_start"),
@@ -446,6 +449,22 @@ class TestRunCommand:
         assert tree_bytes(run_dir) == before
         assert run_dirs(tmp_path / "runs") == [run_dir]
 
+    def test_resume_with_fewer_cycles_than_finished_exit_2_naming_both_leaving_run_unchanged(self, tmp_path,
+                                                                                          data_dir, capsys):
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", cycles=2)
+        assert main(["run", "--config", str(cfg)]) == 0
+        (run_dir,) = run_dirs(tmp_path / "runs")
+        before = tree_bytes(run_dir)
+        shorter = write_config(tmp_path / "shorter.cfg", data_dir, tmp_path / "runs", cycles=1)
+        capsys.readouterr()
+        assert main(["run", "--config", str(shorter), "--resume", str(run_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: cycles: 1 is fewer than the 2 cycles the run to resume has finished"]
+        assert captured.out == ""
+        assert tree_bytes(run_dir) == before
+        assert run_dirs(tmp_path / "runs") == [run_dir]
+
     def test_resume_without_metrics_file_exit_2_naming_it_leaving_run_unchanged(self, tmp_path, data_dir, capsys):
         cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", cycles=1)
         assert main(["run", "--config", str(cfg)]) == 0
@@ -601,6 +620,46 @@ class TestCorpusLabels:
         err = capsys.readouterr().err
         assert "of 0 samples is empty" in err and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
+
+
+class TestCorruptCorpus:
+    """An IDX image file that does not match its format exits 2 from `run`
+    and `test` with the parser's message naming the file, before any run or
+    output directory exists."""
+
+    N = 40
+
+    def corrupt_corpus(self, tmp_path, damage):
+        data = tmp_path / "data"
+        images = data / "train-images-idx3-ubyte"
+        write_idx(make_digits(self.N, seed=4), images, data / "train-labels-idx1-ubyte")
+        raw = images.read_bytes()
+        expected = 16 + self.N * 28 * 28
+        assert len(raw) == expected
+        if damage == "bad-magic":
+            images.write_bytes(bytes.fromhex("deadbeef") + raw[4:])
+            return data, f"error: {images}: bad image magic 0xdeadbeef at offset 0"
+        images.write_bytes(raw[:-5])
+        return data, (f"error: {images}: expected {expected} bytes for {self.N} images, "
+                      f"found {expected - 5} (pixel data starts at offset 16)")
+
+    @pytest.mark.parametrize("damage", ["bad-magic", "cut-5-bytes-short"])
+    @pytest.mark.parametrize("command", ["run", "test"])
+    def test_exit_2_naming_the_file_before_any_output(self, tmp_path, capsys, command, damage):
+        data, message = self.corrupt_corpus(tmp_path, damage)
+        out = tmp_path / "out"
+        if command == "run":
+            argv = ["run", "--config", str(write_config(tmp_path / "run.cfg", data, out, fraction=0.5))]
+        else:
+            ckpt = tmp_path / "linear.ckpt"
+            save_checkpoint(Model(model_spec("linear", (1, 28, 28), 10), seed=0).snapshot(), ckpt)
+            argv = ["test", "--checkpoint", str(ckpt), "--data-dir", str(data), "--fraction", "1.0",
+                    "--output-dir", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [message]
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
 
 
 class TestCorpusLifetime:

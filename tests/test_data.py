@@ -19,7 +19,7 @@ from metaretrain.data import (
     subsample_and_split,
     to_model_input,
 )
-from metaretrain.errors import ParseError, ValidationError
+from metaretrain.errors import ValidationError
 from metaretrain.synthdigits import make_digits, write_idx
 
 
@@ -50,7 +50,7 @@ class TestMnistLoader:
         img.write_bytes(b"")
         lbl = tmp_path / "lbl"
         lbl.write_bytes(struct.pack(">II", 0x801, 0))
-        with pytest.raises(ParseError, match="offset 0"):
+        with pytest.raises(ValidationError, match="offset 0"):
             load_mnist(img, lbl)
 
     def test_bad_magic_is_parse_error(self, tmp_path):
@@ -58,7 +58,7 @@ class TestMnistLoader:
         img.write_bytes(struct.pack(">IIII", 0xdead, 1, 2, 2) + bytes(4))
         lbl = tmp_path / "lbl"
         lbl.write_bytes(struct.pack(">II", 0x801, 1) + bytes(1))
-        with pytest.raises(ParseError, match="magic"):
+        with pytest.raises(ValidationError, match="magic"):
             load_mnist(img, lbl)
 
     def test_truncated_pixels_is_parse_error(self, tmp_path):
@@ -66,7 +66,7 @@ class TestMnistLoader:
         img.write_bytes(struct.pack(">IIII", 0x803, 2, 2, 2) + bytes(5))
         lbl = tmp_path / "lbl"
         lbl.write_bytes(struct.pack(">II", 0x801, 2) + bytes(2))
-        with pytest.raises(ParseError, match="expected 24 bytes"):
+        with pytest.raises(ValidationError, match="expected 24 bytes"):
             load_mnist(img, lbl)
 
     def test_count_mismatch_is_parse_error(self, tmp_path):
@@ -74,7 +74,7 @@ class TestMnistLoader:
         img, _ = write_mnist_fixture(tmp_path, images, [0, 1])
         lbl = tmp_path / "short"
         lbl.write_bytes(struct.pack(">II", 0x801, 1) + bytes(1))
-        with pytest.raises(ParseError, match="label count 1 != image count 2"):
+        with pytest.raises(ValidationError, match="label count 1 != image count 2"):
             load_mnist(img, lbl)
 
     def test_synthetic_idx_writer_roundtrips(self, tmp_path):
@@ -145,7 +145,7 @@ class TestCifarLoader:
     def test_bad_length_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(bytes(3072))
-        with pytest.raises(ParseError, match="record size 3073"):
+        with pytest.raises(ValidationError, match="record size 3073"):
             load_cifar([path], variant=10)
 
     def test_cifar100_fine_labels_in_range(self, tmp_path):
@@ -183,7 +183,7 @@ class TestCifarLoader:
         path, _ = self.make_batch(tmp_path, 2)
         # sized at three records, as if the file were cut short before its read
         monkeypatch.setattr(Path, "stat", lambda self: os.stat_result((0,) * 6 + (3 * 3073,) + (0,) * 3))
-        with pytest.raises(ParseError, match=f"{re.escape(str(path))}: read 6146 bytes, but its size was 9219"):
+        with pytest.raises(ValidationError, match=f"{re.escape(str(path))}: read 6146 bytes, but its size was 9219"):
             load_cifar([path], variant=10)
 
     def test_bad_length_of_a_later_file_raised_before_any_read(self, tmp_path, monkeypatch):
@@ -192,7 +192,7 @@ class TestCifarLoader:
         bad.write_bytes(bytes(3074))
         for opener in ("builtins.open", "io.open"):  # pathlib reads through io.open
             monkeypatch.setattr(opener, lambda file, *args, **kwargs: pytest.fail(f"opened {file}"))
-        with pytest.raises(ParseError, match=f"{re.escape(str(bad))}: length 3074 is not a positive multiple"):
+        with pytest.raises(ValidationError, match=f"{re.escape(str(bad))}: length 3074 is not a positive multiple"):
             load_cifar([good, bad], variant=10)
 
 

@@ -7,13 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from metaretrain.errors import (
-    CheckpointError,
-    ConfigurationError,
-    NonFiniteError,
-    UsageError,
-    ValidationError,
-)
+from metaretrain.errors import NonFiniteError, ValidationError
 from metaretrain.nn import (
     SGD,
     Conv2d,
@@ -91,7 +85,7 @@ class TestForward:
 
     def test_shape_mismatch_is_configuration_error(self):
         model = Model(mlp_spec(), seed=0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match=r"input shape \(\d+, 1, 1, 5\) does not match model input"):
             model.predict_logits(np.zeros((1, 1, 1, 5), dtype=np.float32))
 
     @pytest.mark.parametrize("kh,kw", [(6, 3), (3, 6)])
@@ -99,14 +93,14 @@ class TestForward:
         # a 3x3 input padded by 1 is 5x5: a kernel of 6 on either axis does not fit
         x = Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32))
         w, b = Tensor(np.zeros((2, 1, kh, kw), dtype=np.float32)), Tensor(np.zeros(2, dtype=np.float32))
-        with pytest.raises(ConfigurationError, match="kernel larger than padded input"):
+        with pytest.raises(ValidationError, match="kernel larger than padded input"):
             F.conv2d(x, w, b, padding=1)
 
     def test_illegal_layer_chain_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match=re.escape("layer 0 (MaxPool2d): 5x5 not divisible by kernel 2")):
             ModelSpec(input_shape=(1, 5, 5), num_classes=4,
                       layers=(MaxPool2d(2), Flatten(), Dense(4)))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="num_classes must be at least 2"):
             ModelSpec(input_shape=(1, 4, 4), num_classes=1, layers=(Flatten(), Dense(1)))
 
     @pytest.mark.parametrize("layer, field", [
@@ -116,7 +110,7 @@ class TestForward:
     def test_out_of_range_layer_sizes_rejected_naming_layer(self, layer, field):
         layers = (Flatten(), layer, Dense(2)) if isinstance(layer, Dense) else (layer, Flatten(), Dense(2))
         where = f"layer {layers.index(layer)} ({type(layer).__name__})"
-        with pytest.raises(ConfigurationError, match=re.escape(f"{where}: {field} must be")):
+        with pytest.raises(ValidationError, match=re.escape(f"{where}: {field} must be")):
             ModelSpec(input_shape=(1, 4, 4), num_classes=2, layers=layers)
 
     @settings(max_examples=40, deadline=None)
@@ -281,12 +275,12 @@ class TestBackward:
             assert p.grad is not None and np.all(p.grad == 0.0)
 
     def test_backward_without_forward_is_usage_error(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValidationError, match=re.escape("backward() without a recorded forward pass")):
             Tensor(np.array([1.0]), requires_grad=True).backward()
 
     def test_backward_requires_scalar(self):
         t = Tensor(np.ones(3), requires_grad=True)
-        with pytest.raises(UsageError):
+        with pytest.raises(ValidationError, match=re.escape("backward() requires a scalar loss")):
             (t * 2.0).backward()
 
     def test_only_leaves_hold_gradients_after_backward(self):
@@ -664,7 +658,7 @@ class TestSGD:
 
     def test_missing_grads_is_usage_error(self):
         model = self.make_model()
-        with pytest.raises(UsageError):
+        with pytest.raises(ValidationError, match="sgd step without gradient for parameter"):
             SGD(0.1).step(model)
 
     def test_negative_learning_rate_rejected(self):
@@ -740,7 +734,7 @@ class TestSnapshotsAndCheckpoints:
     def test_corrupt_checkpoint_rejected(self, tmp_path, with_velocities):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(ValidationError, match=re.escape(f"bad checkpoint magic in {path}")):
             load_checkpoint(path)
         model = Model(mlp_spec(), seed=0)
         good = tmp_path / "good.ckpt"
@@ -748,7 +742,7 @@ class TestSnapshotsAndCheckpoints:
         truncated = good.read_bytes()[:-3]
         bad2 = tmp_path / "trunc.ckpt"
         bad2.write_bytes(truncated)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(ValidationError, match=f"truncated blob '[^']+' in {re.escape(str(bad2))}"):
             load_checkpoint(bad2)
 
     @pytest.mark.parametrize("with_velocities", [False, True])
@@ -767,12 +761,13 @@ class TestSnapshotsAndCheckpoints:
         path.write_bytes(bytes(raw))
         try:
             snap = load_checkpoint(path)
-        except CheckpointError:
+        except ValidationError as exc:  # every load error names the file
+            assert str(path) in str(exc)
             return
         try:  # a header that loads may still disagree with its spec
             Model.from_snapshot(snap)
-        except ConfigurationError:
-            pass
+        except ValidationError as exc:
+            assert re.match(r"(missing )?parameter '", str(exc))
 
     @pytest.mark.parametrize("with_velocities", [False, True])
     def test_blob_bit_flips_fail_crc32(self, tmp_path, with_velocities):
@@ -786,7 +781,7 @@ class TestSnapshotsAndCheckpoints:
             flipped = bytearray(raw)
             flipped[bit // 8] ^= 1 << int(bit % 8)
             bad.write_bytes(bytes(flipped))
-            with pytest.raises(CheckpointError, match="crc32"):
+            with pytest.raises(ValidationError, match="crc32"):
                 load_checkpoint(bad)
 
     def test_checkpoint_without_crc32_or_with_malformed_crc32_is_named(self, tmp_path):
@@ -808,7 +803,7 @@ class TestSnapshotsAndCheckpoints:
         for name, new_header in (("without.ckpt", {k: v for k, v in header.items() if k != "crc32"}),
                                  ("mistyped.ckpt", {**header, "crc32": str(header["crc32"])})):
             target = rewrite(name, new_header)
-            with pytest.raises(CheckpointError, match=re.escape(f"{target}: field 'crc32'")):
+            with pytest.raises(ValidationError, match=re.escape(f"{target}: field 'crc32'")):
                 load_checkpoint(target)
 
     def test_flipped_param_field_names_it(self, tmp_path):
@@ -816,9 +811,9 @@ class TestSnapshotsAndCheckpoints:
         save_checkpoint(Model(mlp_spec(), seed=0).snapshot(), path)
         for field, flipped in ((b'"name"', b'"n`me"'), (b'"shape"', b'"sh`pe"')):
             path.with_name("bad.ckpt").write_bytes(path.read_bytes().replace(field, flipped, 1))
-            with pytest.raises(CheckpointError, match=re.escape(f"params[0].{field.decode()[1:-1]!r}")):
+            with pytest.raises(ValidationError, match=re.escape(f"params[0].{field.decode()[1:-1]!r}")):
                 load_checkpoint(path.with_name("bad.ckpt"))
 
     def test_missing_checkpoint_rejected(self, tmp_path):
-        with pytest.raises(CheckpointError):
+        with pytest.raises(ValidationError, match=re.escape(f"checkpoint not found: {tmp_path / 'absent.ckpt'}")):
             load_checkpoint(tmp_path / "absent.ckpt")

@@ -1,3 +1,4 @@
+import re
 import weakref
 
 import numpy as np
@@ -113,6 +114,16 @@ class TestShouldStop:
         # NaN never crosses a threshold, so such a run would never stop
         with pytest.raises(ValidationError, match="finite"):
             StoppingCriterion(metric="sr_mt", direction="gte", value=value)
+
+    @pytest.mark.parametrize("value", [-1e-9, 1 + 1e-9, 1.5])
+    def test_value_outside_a_fraction_rejected(self, value):
+        # every stopping metric is a fraction, so such a run would never stop
+        with pytest.raises(ValidationError, match=re.escape(f"must be in [0, 1], got {value}")):
+            StoppingCriterion(metric="sr_mt", direction="gte", value=value)
+
+    @pytest.mark.parametrize("value", [0, 0.0, 1, 1.0])
+    def test_value_at_either_end_of_a_fraction_accepted(self, value):
+        assert StoppingCriterion(metric="top1_accuracy", direction="lte", value=value).value == value
 
     def test_unknown_metric_rejected(self):
         crit = StoppingCriterion("f1", "gte", 0.5)
