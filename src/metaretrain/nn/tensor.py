@@ -86,10 +86,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def _accumulate(self, grad: np.ndarray) -> None:
         grad = np.asarray(grad, dtype=self.data.dtype)
         if self.grad is None:
@@ -129,9 +125,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(()))
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
     # -- op construction -------------------------------------------------
 
@@ -198,11 +191,6 @@ class Tensor:
 
     def __rsub__(self, other):
         return Tensor._coerce(other, self) + (-self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor) or np.ndim(other) != 0:
-            raise ValidationError("division only supported by a scalar")
-        return self * (1.0 / float(other))
 
     def clamp_min(self, floor: float) -> "Tensor":
         """Elementwise max(x, floor); gradient is zero where clamped."""
@@ -277,9 +265,6 @@ class Tensor:
 
         return Tensor._make(np.asarray(data), "sum", (self,), backward)
 
-    def mean(self) -> "Tensor":
-        return self.sum() * (1.0 / self.data.size)
-
     def transpose(self) -> "Tensor":
         if self.data.ndim != 2:
             raise ValidationError("transpose expects a 2-D tensor")
@@ -291,8 +276,6 @@ class Tensor:
         return Tensor._make(np.ascontiguousarray(data), "transpose", (self,), backward)
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         data = self.data.reshape(shape)
         src_shape = self.data.shape
 

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteError, ValidationError
+from .errors import ValidationError
 from .nn import Model, SGD, Tensor, backward
 from .nn import functional as F
 from .policy import Batch
@@ -196,9 +196,7 @@ class Trainer:
     def step(self, batch: Batch) -> LossBreakdown:
         self.model.zero_grads()
         total_t, parts = self._losses(batch) if batch.n_unlabeled else Trainer._losses(self, batch)
-        total = total_t.item()
-        if not np.isfinite(total):
-            raise NonFiniteError(f"{self.name}: non-finite total loss")
+        total = total_t.item()  # an op output, so Tensor._make has checked it finite
         backward(self.model, total_t)
         self.optimizer.step(self.model)
         return LossBreakdown(
@@ -277,17 +275,13 @@ class ThresholdedTrainer(Trainer):
                  "pseudo": {"raw": raw, "mapped": mapped, "mask": mask}}
         need_unsup = self.cfg.lambda_u != 0.0 and mask.any()
         need_penalty = self.penalty and self.cfg.lambda_p != 0.0
-        if need_penalty:
-            logits_s = self.model.forward(Tensor(batch.x_unlabeled_strong))
+        if need_unsup or need_penalty:
+            # the penalty reads every strong row; the cross-entropy alone only the admitted ones
+            rows = np.arange(n_u) if need_penalty else np.flatnonzero(mask)
+            logits_s = self.model.forward(Tensor(batch.x_unlabeled_strong[rows]))
         if need_unsup:
-            if need_penalty:
-                logits_u, labels_u, weights_u = logits_s, mapped, weights
-            else:  # one forward of the admitted rows alone
-                rows = np.flatnonzero(mask)
-                logits_u = self.model.forward(Tensor(batch.x_unlabeled_strong[rows]))
-                labels_u, weights_u = mapped[rows], weights[rows]
             l_unsup_t = F.softmax_cross_entropy(
-                logits_u, F.one_hot(labels_u, self.num_classes), weights=weights_u, normalizer=n_u
+                logits_s, F.one_hot(mapped[rows], self.num_classes), weights=weights[rows], normalizer=n_u
             )
             parts["l_unsup"] = l_unsup_t.item()
             total_t = _plus(total_t, l_unsup_t * self.cfg.lambda_u)
