@@ -9,10 +9,11 @@ entering any consistency loss. Skipped loss branches (zero weight, empty
 batch) are omitted from the graph entirely, so degenerate runs reproduce a
 plain supervised loop bit for bit. Zero-weight rows are omitted too: without
 FullMatch's penalty, which reads every strong row, a thresholded step forwards
-only the strong rows its mask admits, in one forward, so its cost follows its
-mask rate. A non-finite value in a strong row the mask leaves out is therefore
-never computed and does not abort the step; the labeled and weak-view forwards
-still cover, and check, every row.
+only the strong rows its mask admits, in one forward padded with zero rows of
+weight 0 to a multiple of 8, so its cost follows its mask rate and its bytes do
+not follow the BLAS thread count. A non-finite value in a strong row the mask
+leaves out is therefore never computed and does not abort the step; the
+labeled and weak-view forwards still cover, and check, every row.
 
 Implemented steps:
   * ThresholdedTrainer serves three names. FixMatch: confidence-thresholded
@@ -239,6 +240,12 @@ def _plus(total_t, term_t):
     return term_t if total_t is None else total_t + term_t
 
 
+# A forward of the admitted strong rows is padded to a multiple of this many
+# rows. At most other row counts, OpenBLAS gives the conv weight gradient other
+# bits at another thread count.
+STRONG_ROW_MULTIPLE = 8
+
+
 class ThresholdedTrainer(Trainer):
     """FixMatch's step: masked cross-entropy on the strong view against the
     confident weak-view pseudo-labels.
@@ -276,12 +283,16 @@ class ThresholdedTrainer(Trainer):
         need_unsup = self.cfg.lambda_u != 0.0 and mask.any()
         need_penalty = self.penalty and self.cfg.lambda_p != 0.0
         if need_unsup or need_penalty:
-            # the penalty reads every strong row; the cross-entropy alone only the admitted ones
+            # the penalty reads every strong row; the admitted rows alone get
+            # zero rows of label 0 and weight 0 appended
             rows = np.arange(n_u) if need_penalty else np.flatnonzero(mask)
-            logits_s = self.model.forward(Tensor(batch.x_unlabeled_strong[rows]))
+            pad = 0 if need_penalty else -len(rows) % STRONG_ROW_MULTIPLE
+            x_s = np.pad(batch.x_unlabeled_strong[rows], [(0, pad)] + [(0, 0)] * 3)
+            logits_s = self.model.forward(Tensor(x_s))
         if need_unsup:
             l_unsup_t = F.softmax_cross_entropy(
-                logits_s, F.one_hot(mapped[rows], self.num_classes), weights=weights[rows], normalizer=n_u
+                logits_s, F.one_hot(np.pad(mapped[rows], (0, pad)), self.num_classes),
+                weights=np.pad(weights[rows], (0, pad)), normalizer=n_u,
             )
             parts["l_unsup"] = l_unsup_t.item()
             total_t = _plus(total_t, l_unsup_t * self.cfg.lambda_u)

@@ -284,6 +284,25 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "warp_speed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,named", [
+        ("cycles 3", "13: expected 'key = value', got 'cycles 3'"),
+        ("cycles = 3", "13: duplicate key 'cycles'"),
+        ("momentum = fast", "13: bad value for 'momentum': could not convert string to float: 'fast'"),
+    ], ids=["no-equals", "duplicate-key", "bad-value"])
+    def test_config_line_error_exit_2_naming_file_and_line_before_output(self, tmp_path, data_dir, capsys,
+                                                                         line, named):
+        cfg = write_config(tmp_path / "bad.cfg", data_dir, tmp_path / "runs")
+        cfg.write_text(cfg.read_text() + line + "\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {cfg}:{named}"]
+        assert not (tmp_path / "runs").exists()
+
+    def test_missing_config_file_exit_2_naming_it_before_output(self, tmp_path, capsys):
+        cfg = tmp_path / "absent.cfg"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: config file not found: {cfg}"]
+        assert not (tmp_path / "runs").exists()
+
     def test_removed_deterministic_key_exit_2(self, tmp_path, data_dir, capsys):
         cfg = write_config(tmp_path / "old.cfg", data_dir, tmp_path / "runs", deterministic="true")
         assert main(["run", "--config", str(cfg)]) == 2
@@ -391,6 +410,35 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--resume", str(extended)]) == 0
         for name in ("history.json", "reports/history.csv", "reports/metrics.jsonl"):
             assert (extended / name).read_bytes() == (straight / name).read_bytes(), name
+
+    def test_resume_cuts_metrics_at_a_line_that_is_not_json(self, tmp_path, data_dir):
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", cycles=2)
+        assert main(["run", "--config", str(cfg)]) == 0
+        (straight,) = run_dirs(tmp_path / "runs")
+        short = write_config(tmp_path / "short.cfg", data_dir, tmp_path / "runs", cycles=1)
+        assert main(["run", "--config", str(short)]) == 0
+        (extended,) = set(run_dirs(tmp_path / "runs")) - {straight}
+        metrics = extended / "reports" / "metrics.jsonl"
+        kept = metrics.read_bytes()
+        # a complete line that is not JSON, then a cycle-0 record the cut must drop too
+        metrics.write_bytes(kept + b"{not json\n" + kept.splitlines(keepends=True)[-1])
+        assert main(["run", "--config", str(cfg), "--resume", str(extended)]) == 0
+        for name in ("history.json", "reports/history.csv", "reports/metrics.jsonl"):
+            assert (extended / name).read_bytes() == (straight / name).read_bytes(), name
+
+    def test_resume_with_several_seeds_exit_2_naming_seeds_leaving_run_unchanged(self, tmp_path, data_dir,
+                                                                                 capsys):
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", cycles=1)
+        assert main(["run", "--config", str(cfg)]) == 0
+        (run_dir,) = run_dirs(tmp_path / "runs")
+        before = tree_bytes(run_dir)
+        several = write_config(tmp_path / "several.cfg", data_dir, tmp_path / "runs", cycles=1, seeds="0,1")
+        capsys.readouterr()
+        assert main(["run", "--config", str(several), "--resume", str(run_dir)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: seeds: --resume continues exactly one run; pass a single seed"]
+        assert tree_bytes(run_dir) == before
+        assert run_dirs(tmp_path / "runs") == [run_dir]
 
     def test_log_level_info_shows_adaptive_fallback(self, tmp_path, data_dir, capsys):
         cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", cycles=1)
@@ -1010,6 +1058,22 @@ class TestReportCommand:
         path = self.fake_history(tmp_path / "h.json", "fixmatch", "adaptive")
         assert main(["report", str(path), "--layout", layout, "--output-dir", str(tmp_path / "out")]) == 2
         assert f"--layout names {named}: no run has that configuration group" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_layout_omitting_a_run_group_exit_2_naming_it(self, tmp_path, capsys):
+        paths = [self.fake_history(tmp_path / f"{mode}.json", "fixmatch", mode) for mode in ("base", "static")]
+        assert main(["report", *map(str, paths), "--layout", "base", "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: layout omits configuration groups ['static']"]
+        assert not (tmp_path / "out").exists()
+
+    def test_run_without_a_completed_cycle_exit_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        RunHistory(config={"trainer": "fixmatch", "mode": "base", "seed": 3, "dataset": "mnist"}, records=[],
+                   final_eval={"sr_mt": 0.5, "topn": {"1": 0.5}}, termination="completed",
+                   final_version=0).save(path)
+        assert main(["report", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cannot tabulate run trainer=fixmatch mode=base seed=3: it has no completed cycle"]
         assert not (tmp_path / "out").exists()
 
     def test_layout_may_name_a_mode_that_no_run_has(self, tmp_path, capsys):

@@ -77,6 +77,20 @@ class TestMnistLoader:
         with pytest.raises(ValidationError, match="label count 1 != image count 2"):
             load_mnist(img, lbl)
 
+    def test_bad_label_magic_names_the_label_file(self, tmp_path):
+        img, lbl = write_mnist_fixture(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
+        lbl.write_bytes(struct.pack(">II", 0x803, 2) + bytes(2))
+        with pytest.raises(ValidationError, match=re.escape(f"{lbl}: bad label magic 0x00000803 at offset 0")):
+            load_mnist(img, lbl)
+
+    @pytest.mark.parametrize("n_labels", [1, 4], ids=["one-short", "two-long"])
+    def test_label_file_of_wrong_length_names_it(self, tmp_path, n_labels):
+        img, lbl = write_mnist_fixture(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
+        lbl.write_bytes(struct.pack(">II", 0x801, 2) + bytes(n_labels))
+        with pytest.raises(ValidationError, match=re.escape(f"{lbl}: expected 10 bytes, found {8 + n_labels} "
+                                                            "(labels start at offset 8)")):
+            load_mnist(img, lbl)
+
     def test_synthetic_idx_writer_roundtrips(self, tmp_path):
         samples = make_digits(30, seed=5)
         write_idx(samples, tmp_path / "imgs", tmp_path / "lbls")

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +31,38 @@ from metaretrain.trainers import (
 
 C = 10
 SIZE = 8
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# One fixmatch and one flexmatch step of cnn_small on 28x28 images for each
+# admitted count k from 1 to 32 of 32 unlabeled rows, from fresh parameters;
+# prints the sha256 of each step's parameter bytes as one JSON list.
+THREAD_COUNT_PROBE = """
+import hashlib, json
+import numpy as np
+from metaretrain.nn import SGD, Model, model_spec
+from metaretrain.policy import Batch
+from metaretrain.trainers import TrainerConfig, build_trainer
+
+n_l, n_u, c = 8, 32, 10
+spec = model_spec("cnn_small", (1, 28, 28), c)
+digests = []
+for name in ("fixmatch", "flexmatch"):
+    rng = np.random.default_rng(60)
+    for k in range(1, n_u + 1):
+        batch = Batch(x_labeled=rng.random((n_l, 1, 28, 28), dtype=np.float32),
+                      y_labeled=rng.integers(0, c, n_l), x_unlabeled_weak=rng.random((1, n_u, 1, 28, 28),
+                      dtype=np.float32), x_unlabeled_strong=rng.random((n_u, 1, 28, 28), dtype=np.float32),
+                      strong_label_maps=np.tile(np.arange(c), (n_u, 1)))
+        mask = np.zeros(n_u, dtype=bool)
+        mask[rng.permutation(n_u)[:k]] = True
+        raw = rng.integers(0, c, n_u)
+        trainer = build_trainer(name, Model(spec, seed=61), SGD(0.05, 0.9), TrainerConfig(), c)
+        trainer._pseudo_labels = lambda _batch: (np.eye(c)[raw], mask.astype(np.float32), raw, raw)
+        trainer.step(batch)
+        params = b"".join(p.data.tobytes() for _, p in trainer.model.named_parameters())
+        digests.append(hashlib.sha256(params).hexdigest())
+print(json.dumps(digests))
+"""
 
 
 def tiny_model(seed=0, bias=None):
@@ -404,7 +442,8 @@ class TestFullMatch:
 
 class TestAdmittedStrongRows:
     """Without FullMatch's penalty, a thresholded step forwards only the
-    strong rows its mask admits, in one forward."""
+    strong rows its mask admits, in one forward padded with zero rows to a
+    multiple of 8."""
 
     @pytest.mark.parametrize("name", ["fixmatch", "flexmatch"])
     @pytest.mark.parametrize("rows", [[5], list(range(8)), [0, 2, 3, 7, 8, 9, 11, 13, 14, 17, 19], list(range(20))],
@@ -413,7 +452,9 @@ class TestAdmittedStrongRows:
         batch = gated_batch(np.random.default_rng(50), rows)
         trainer = build_trainer(name, gated_model(seed=51), SGD(0.1), TrainerConfig(), C)
         (x,) = strong_forwards(monkeypatch, trainer, batch)
-        assert np.array_equal(x, batch.x_unlabeled_strong[rows])
+        assert len(x) == -(-len(rows) // 8) * 8
+        assert np.array_equal(x[:len(rows)], batch.x_unlabeled_strong[rows])
+        assert not x[len(rows):].any()
 
     @pytest.mark.parametrize("name", ["fixmatch", "flexmatch", "fullmatch"])
     def test_all_zero_mask_makes_no_strong_forward(self, monkeypatch, name):
@@ -472,6 +513,24 @@ class TestAdmittedStrongRows:
         batch.x_unlabeled_strong[4, 0, 3, 3] = np.inf
         with pytest.raises(NonFiniteError):
             trainer.step(batch)
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs for a second BLAS thread")
+    def test_step_bytes_equal_at_one_and_two_blas_threads(self):
+        # OpenBLAS splits a conv weight-gradient sgemm by thread, and its bits
+        # depend on the split unless the strong forward's row count is a
+        # multiple of 8 (or below 5)
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", THREAD_COUNT_PROBE], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            digests.append(json.loads(proc.stdout))
+        one, two = digests
+        steps = [(name, k) for name in ("fixmatch", "flexmatch") for k in range(1, 33)]
+        assert len(one) == len(two) == len(steps)
+        assert [step for step, a, b in zip(steps, one, two) if a != b] == []
 
 
 class TestSharedInvariants:
