@@ -105,7 +105,7 @@ def comparison_table(histories, layout=None, accuracy_n: int = 1) -> ComparisonT
                 f"cannot tabulate run {run}: termination {h.termination!r}, so it has no final evaluation"
             )
         if not h.records:
-            raise ValidationError(f"cannot tabulate run {run}: it has no completed cycle")
+            raise ValidationError("cannot tabulate a run with no completed cycles")
         if (row, group) in found:
             raise ValidationError(
                 f"two runs fill the cell trainer={row} mode={group}: seeds "

@@ -10,10 +10,10 @@ batch) are omitted from the graph entirely, so degenerate runs reproduce a
 plain supervised loop bit for bit. Zero-weight rows are omitted too: without
 FullMatch's penalty, which reads every strong row, a thresholded step forwards
 only the strong rows its mask admits, in one forward padded with zero rows of
-weight 0 to a multiple of 8, so its cost follows its mask rate and its bytes do
-not follow the BLAS thread count. A non-finite value in a strong row the mask
-leaves out is therefore never computed and does not abort the step; the
-labeled and weak-view forwards still cover, and check, every row.
+weight 0 (see STRONG_ROW_MULTIPLE), so its cost follows its mask rate. A
+non-finite value in a strong row the mask leaves out is therefore never
+computed and does not abort the step; the labeled and weak-view forwards still
+cover, and check, every row.
 
 Implemented steps:
   * ThresholdedTrainer serves three names. FixMatch: confidence-thresholded

@@ -1066,14 +1066,14 @@ class TestReportCommand:
         assert capsys.readouterr().err.splitlines() == ["error: layout omits configuration groups ['static']"]
         assert not (tmp_path / "out").exists()
 
-    def test_run_without_a_completed_cycle_exit_2_naming_it(self, tmp_path, capsys):
+    def test_run_without_a_completed_cycle_exit_2(self, tmp_path, capsys):
         path = tmp_path / "h.json"
         RunHistory(config={"trainer": "fixmatch", "mode": "base", "seed": 3, "dataset": "mnist"}, records=[],
                    final_eval={"sr_mt": 0.5, "topn": {"1": 0.5}}, termination="completed",
                    final_version=0).save(path)
         assert main(["report", str(path), "--output-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: cannot tabulate run trainer=fixmatch mode=base seed=3: it has no completed cycle"]
+            "error: cannot tabulate a run with no completed cycles"]
         assert not (tmp_path / "out").exists()
 
     def test_layout_may_name_a_mode_that_no_run_has(self, tmp_path, capsys):

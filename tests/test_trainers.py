@@ -50,8 +50,9 @@ for name in ("fixmatch", "flexmatch"):
     rng = np.random.default_rng(60)
     for k in range(1, n_u + 1):
         batch = Batch(x_labeled=rng.random((n_l, 1, 28, 28), dtype=np.float32),
-                      y_labeled=rng.integers(0, c, n_l), x_unlabeled_weak=rng.random((1, n_u, 1, 28, 28),
-                      dtype=np.float32), x_unlabeled_strong=rng.random((n_u, 1, 28, 28), dtype=np.float32),
+                      y_labeled=rng.integers(0, c, n_l),
+                      x_unlabeled_weak=rng.random((1, n_u, 1, 28, 28), dtype=np.float32),
+                      x_unlabeled_strong=rng.random((n_u, 1, 28, 28), dtype=np.float32),
                       strong_label_maps=np.tile(np.arange(c), (n_u, 1)))
         mask = np.zeros(n_u, dtype=bool)
         mask[rng.permutation(n_u)[:k]] = True
@@ -516,9 +517,8 @@ class TestAdmittedStrongRows:
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs for a second BLAS thread")
     def test_step_bytes_equal_at_one_and_two_blas_threads(self):
-        # OpenBLAS splits a conv weight-gradient sgemm by thread, and its bits
-        # depend on the split unless the strong forward's row count is a
-        # multiple of 8 (or below 5)
+        # OpenBLAS splits the conv weight-gradient sgemm by thread, so its
+        # bits depend on the thread count at most strong-forward row counts
         digests = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
