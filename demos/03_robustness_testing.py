@@ -3,15 +3,15 @@
 Every relation is tested on the same 60 cases drawn from the test split.
 Label-preserving relations check self-consistency (prediction on g(x) vs
 prediction on x — no labels needed); MNIST rot180 checks against the mapped
-ground truth. One forward of the split gives the references and, from the
-same logits, top-1 accuracy. The global success rate SR_MT is the robustness
-metric, and the failed/passed partition is what the retraining loop feeds on.
+ground truth. One `robustness()` call scores the model: one forward of the
+split gives the references and, from the same logits, top-1 accuracy. The
+global success rate SR_MT is the robustness metric, and the failed/passed
+partition is what the retraining loop feeds on.
 """
 
 import numpy as np
 
 from metaretrain.data import subsample_and_split, to_model_input
-from metaretrain.metrics import evaluate
 from metaretrain.nn import SGD, Model, Tensor, backward, model_spec
 from metaretrain.nn import functional as F
 from metaretrain.relations import catalog_default
@@ -25,7 +25,7 @@ catalog = catalog_default("mnist")
 print("untrained model:")
 before = robustness(model, catalog, split.test, max_cases=60, pass_threshold=0.8, seed=5)
 print(before.to_text())
-print(f"top1 = {evaluate(before.logits, split.test.labels, topn_list=(1,)).topn[1]:.4f}")
+print(f"top1 = {before.accuracy.topn[1]:.4f}")
 
 # --- a short supervised warm-up, then retest ------------------------------------
 opt = SGD(0.05, momentum=0.9)
@@ -43,7 +43,7 @@ for epoch in range(8):
 print("\nafter a short supervised warm-up:")
 after = robustness(model, catalog, split.test, max_cases=60, pass_threshold=0.8, seed=5)
 print(after.to_text())
-print(f"top1 = {evaluate(after.logits, split.test.labels, topn_list=(1,)).topn[1]:.4f}")
+print(f"top1 = {after.accuracy.topn[1]:.4f}")
 
 failed, passed = partition(after.outcomes)
 print("\nfailed relations (these would become the next adaptive strong pool):")

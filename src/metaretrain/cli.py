@@ -25,13 +25,12 @@ import numpy as np
 from .config import DATASETS, ENV_DATA_DIR, RunConfig, load_config, validate_config
 from .data import Samples, load_cifar, load_mnist, subsample_and_split
 from .errors import NonFiniteError, ValidationError
-from .metrics import evaluate
 from .nn import Model, load_checkpoint, model_spec, save_checkpoint
 from .nn.checkpoint import write_atomic
 from .orchestrator import MODES, RunHistory, resume_state_from, run_cycles
 from .relations import LABEL_PRESERVING, catalog_default, label_map_array
 from .report import comparison_table, csv_bytes, json_bytes
-from .tester import robustness
+from .tester import PASS_THRESHOLD, robustness
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -198,13 +197,13 @@ def cmd_test(args) -> int:
     # the corpus is dropped once split, before any scoring
     split = subsample_and_split(load_dataset(args.dataset, data_dir), args.fraction, (0.0, 0.0, 1.0), seed=args.seed)
     report = robustness(model, catalog_default(args.dataset), split.test, max_cases=args.cases,
-                        pass_threshold=args.pass_threshold, seed=args.seed)
-    eval_report = evaluate(report.logits, split.test.labels, topn_list=(1, 5), sr_mt=report.sr_mt)
+                        pass_threshold=args.pass_threshold, seed=args.seed, topn=(1, 5))
+    accuracy = report.accuracy
     print(report.to_text())
-    print(f"top1={eval_report.topn[1]:.4f} top5={eval_report.topn[5]:.4f} on {eval_report.sample_count} samples")
+    print(f"top1={accuracy.topn[1]:.4f} top5={accuracy.topn[5]:.4f} on {accuracy.sample_count} samples")
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"robustness": report.to_dict(), "accuracy": eval_report.to_dict()}
+    payload = {"robustness": report.to_dict(), "accuracy": {**accuracy.to_dict(), "sr_mt": report.sr_mt}}
     write_atomic(out_dir / "robustness_report.json", json_bytes(payload))
     write_atomic(out_dir / "robustness_report.txt", (report.to_text() + "\n").encode("utf-8"))
     return EXIT_OK
@@ -261,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--data-dir")
     p_test.add_argument("--fraction", type=float, default=0.02)
     p_test.add_argument("--seed", type=int, default=0)
-    p_test.add_argument("--pass-threshold", type=float, default=0.8)
+    p_test.add_argument("--pass-threshold", type=float, default=PASS_THRESHOLD)
     p_test.add_argument("--cases", type=int, default=100)
     p_test.add_argument("--output-dir", default=".")
     p_test.add_argument("--log-level", **LOG_LEVEL)

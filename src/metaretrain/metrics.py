@@ -1,4 +1,5 @@
-"""Top-N accuracy metrics of a model over a labeled table."""
+"""Top-N accuracy metrics of a model over a labeled table; `tester.robustness`
+scores a split with `evaluate` on the logits of its own forward."""
 
 from __future__ import annotations
 
@@ -40,18 +41,16 @@ class EvalReport:
     topn: dict  # N -> accuracy
     sample_count: int
     per_class_top1: dict  # class -> accuracy over that class's samples
-    sr_mt: float | None = None  # robustness reference when available
 
     def to_dict(self) -> dict:
         return {
             "topn": {str(k): v for k, v in sorted(self.topn.items())},
             "sample_count": self.sample_count,
             "per_class_top1": {str(k): v for k, v in sorted(self.per_class_top1.items())},
-            "sr_mt": self.sr_mt,
         }
 
 
-def evaluate(logits: np.ndarray, labels, topn_list=(1, 5), sr_mt: float | None = None) -> EvalReport:
+def evaluate(logits: np.ndarray, labels, topn_list=(1, 5)) -> EvalReport:
     """Top-N and per-class top-1 accuracy of `logits` [N, classes] against `labels`."""
     labels = np.asarray(labels)
     if labels.size == 0:
@@ -67,4 +66,4 @@ def evaluate(logits: np.ndarray, labels, topn_list=(1, 5), sr_mt: float | None =
     for c in sorted(set(labels.tolist())):
         sel = labels == c
         per_class[int(c)] = float(top1[sel].mean())
-    return EvalReport(topn=topn, sample_count=len(labels), per_class_top1=per_class, sr_mt=sr_mt)
+    return EvalReport(topn=topn, sample_count=len(labels), per_class_top1=per_class)

@@ -1,7 +1,7 @@
 """Robustness cycles: test, partition, build the stream, retrain, record.
 
 Each cycle runs four steps in order on the live model: the tester scores it
-on the test split (and top-N accuracy is read from the same forward), the
+on the test split (SR_MT and top-N accuracy, from one call), the
 stream is built from the *previous* cycle's failed/passed partition, the
 model retrains on that stream, and the cycle is recorded with the partition
 the test produced, which the next cycle's policy reads. Cycle 0 therefore
@@ -27,12 +27,11 @@ import numpy as np
 
 from .data import DatasetSplit
 from .errors import NonFiniteError, ValidationError
-from .metrics import evaluate
 from .nn import SGD, Model, load_checkpoint, save_checkpoint
 from .nn.checkpoint import typed_field, write_atomic
 from .policy import AugmentationPolicy, CycleDatasetSpec, CycleStream, adaptive_policy, base_policy, base_pools, build_cycle_stream, static_policy
 from .report import json_bytes
-from .tester import partition, robustness
+from .tester import PASS_THRESHOLD, partition, robustness
 from .trainers import TRAINER_NAMES, LossBreakdown, Trainer, TrainerConfig, build_trainer
 
 log = logging.getLogger(__name__)
@@ -67,7 +66,7 @@ class CycleConfig:
     batch_size: int
     seed: int
     num_classes: int
-    pass_threshold: float = 0.8
+    pass_threshold: float = PASS_THRESHOLD
     learning_rate: float = 0.05
     momentum: float = 0.9
     trainer_cfg: TrainerConfig = field(default_factory=TrainerConfig)
@@ -264,8 +263,9 @@ def _policy_for_cycle(cfg: CycleConfig, catalog, failed, cycle: int) -> Augmenta
         return base_policy(catalog, seed=cfg.seed)
     if cfg.mode == "static":
         return static_policy(catalog, seed=cfg.seed)
-    if failed is None:  # cycle 0: nothing tested yet
-        log.info("adaptive cycle %d: no prior partition, using base strong pool", cycle)
+    if not failed:  # None at cycle 0, before any test; empty when every relation passed
+        log.info("adaptive cycle %d: %s, using base strong pool", cycle,
+                 "no prior partition" if failed is None else "no failed relations")
     return adaptive_policy(failed or [], *base_pools(catalog), seed=cfg.seed)
 
 
@@ -332,6 +332,10 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
         trainer.optimizer.velocities = dict(resume.velocities)
     config = run_config or {"trainer": cfg.trainer, "mode": cfg.mode, "seed": cfg.seed}
 
+    def score():  # scoring takes no SGD step, so the report's model version is the cycle's
+        return robustness(model, catalog, split.test, max_cases=cfg.robustness_cases,
+                          pass_threshold=cfg.pass_threshold, seed=cfg.seed, topn=cfg.topn)
+
     termination = "completed"
     first = records[-1].cycle + 1 if records else 0
     if should_stop(records, cfg.stopping):  # stopped before its final evaluation was saved
@@ -341,10 +345,7 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
         # the policy reads the previous cycle's failed set; cycle 0 has none yet
         previous = [by_id[i] for i in records[-1].failed_ids] if records else None
         policy = _policy_for_cycle(cfg, catalog, previous, cycle)
-        version = model.version
-        report = robustness(model, catalog, split.test, max_cases=cfg.robustness_cases,
-                            pass_threshold=cfg.pass_threshold, seed=cfg.seed)
-        eval_report = evaluate(report.logits, split.test.labels, topn_list=cfg.topn, sr_mt=report.sr_mt)
+        report = score()
         failed, passed = partition(report.outcomes)
         spec = CycleDatasetSpec(
             split=split, policy=policy, batch_size=cfg.batch_size, epochs=cfg.epochs_per_cycle,
@@ -357,13 +358,13 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
             CycleRecord(
                 cycle=cycle,
                 sr_mt=report.sr_mt,
-                accuracy=dict(eval_report.topn),
+                accuracy=dict(report.accuracy.topn),
                 suites=[o.to_record() for o in report.outcomes],
                 loss_stats=loss_stats,
                 failed_ids=[mr.id for mr in failed],
                 passed_ids=[mr.id for mr in passed],
                 policy=policy.to_log_dict(),
-                model_version=version,
+                model_version=report.model_version,
                 wall_time=time.perf_counter() - started,
             )
         )
@@ -385,10 +386,8 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
     if termination == "aborted_nan":
         final_eval = {"sr_mt": None, "topn": {}, "aborted": True}
     else:
-        report = robustness(model, catalog, split.test, max_cases=cfg.robustness_cases,
-                            pass_threshold=cfg.pass_threshold, seed=cfg.seed)
-        eval_report = evaluate(report.logits, split.test.labels, topn_list=cfg.topn, sr_mt=report.sr_mt)
-        final_eval = {"sr_mt": report.sr_mt, "topn": {str(k): v for k, v in sorted(eval_report.topn.items())}}
+        report = score()
+        final_eval = {"sr_mt": report.sr_mt, "topn": {str(k): v for k, v in sorted(report.accuracy.topn.items())}}
     return RunHistory(
         config=config,
         records=records,

@@ -22,7 +22,6 @@ rebuilding it, always yields bitwise-identical batches.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from itertools import permutations
@@ -32,8 +31,6 @@ import numpy as np
 from .data import DatasetSplit, Samples, to_model_input
 from .errors import ValidationError
 from .relations import IDENTITY, LABEL_PRESERVING, compose, label_map_array
-
-log = logging.getLogger(__name__)
 
 
 def _uniform_cdf(n: int) -> np.ndarray:
@@ -87,12 +84,11 @@ def base_policy(catalog, seed: int = 0) -> AugmentationPolicy:
 
 def adaptive_policy(failed, base_weak, base_strong, seed: int = 0) -> AugmentationPolicy:
     """Failed relations become the strong pool; empty failure set falls back to
-    the base strong pool (flagged and logged)."""
+    the base strong pool (flagged; the loop logs it)."""
     strong = list(dict.fromkeys(failed))  # first relation seen per id
     fallback = not strong
     if fallback:
         strong = list(base_strong)
-        log.info("adaptive policy: no failed relations, falling back to base strong pool")
     return AugmentationPolicy(
         mode="adaptive",
         weak_pool=tuple(base_weak),

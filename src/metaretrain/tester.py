@@ -6,26 +6,28 @@ reference: for label-preserving relations the reference is the model's own
 prediction on the source (self-consistency, usable without labels); for
 non-label-preserving relations it is the mapped ground truth. The global
 success rate over all cases is the robustness metric. One `robustness()` call
-forwards the split once, converting it to float32 a block of `PREDICT_CHUNK`
-rows at a time; those logits give every label-preserving reference and, on
-the report, top-N accuracy. Each relation then transforms its cases a block at
-a time, one transform call and one forward per block, so neither a float32
-copy nor a transform's temporaries span the split.
+scores a model: it forwards the split once, converting it to float32 a block
+of `PREDICT_CHUNK` rows at a time, and those logits give the report's top-N
+accuracy and every label-preserving reference. Each relation then transforms
+its cases a block at a time, one transform call and one forward per block, so
+neither a float32 copy nor a transform's temporaries span the split.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .data import Samples
+from .data import Samples, to_model_input
 from .errors import ValidationError
-from .metrics import table_logits
+from .metrics import EvalReport, evaluate, table_logits
 from .nn import Model
 from .nn.layers import PREDICT_CHUNK
 from .relations import LABEL_PRESERVING, label_map_array
+
+PASS_THRESHOLD = 0.8  # default success rate at or above which a relation passes
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ class RobustnessReport:
     total_cases: int
     outcomes: tuple
     model_version: int
-    logits: np.ndarray = field(repr=False, compare=False)  # the whole split's; in memory only
+    accuracy: EvalReport  # top-N accuracy over every row of the split, not only the cases
 
     def to_dict(self) -> dict:
         return {
@@ -79,7 +81,8 @@ def _score(model: Model, mr, cases: Samples, predicted: np.ndarray, pass_thresho
     preds_t = []
     for start in range(0, len(cases), PREDICT_CHUNK):
         block = cases.take(slice(start, start + PREDICT_CHUNK))
-        preds_t.append(np.argmax(table_logits(model, mr.transform(block.pixels, block.keys(seed))), axis=1))
+        transformed = mr.transform(block.pixels, block.keys(seed))
+        preds_t.append(np.argmax(model.predict_logits(to_model_input(transformed)), axis=1))
     preds_t = np.concatenate(preds_t)
     mode = "consistency" if mr.kind == LABEL_PRESERVING else "mapped_truth"
     reference = predicted if mode == "consistency" else cases.labels
@@ -91,8 +94,9 @@ def _score(model: Model, mr, cases: Samples, predicted: np.ndarray, pass_thresho
 
 
 def robustness(model: Model, relations, samples: Samples, *, max_cases: Optional[int] = None,
-               pass_threshold: float = 0.8, seed: int = 0) -> RobustnessReport:
-    """SR_MT over every case of every relation, plus per-relation outcomes.
+               pass_threshold: float = PASS_THRESHOLD, seed: int = 0, topn=(1,)) -> RobustnessReport:
+    """SR_MT over every case of every relation, per-relation outcomes, and
+    top-`topn` accuracy over every row of `samples`.
 
     Every relation is tested on the same cases: every row of `samples`, or a
     `seed`-drawn `max_cases` of them in table order. A relation may appear
@@ -113,6 +117,7 @@ def robustness(model: Model, relations, samples: Samples, *, max_cases: Optional
         raise ValidationError(f"one suite per relation; repeated: {', '.join(repeated)}")
     # converted a chunk at a time: no float32 copy of the split is made
     logits = table_logits(model, samples.pixels)
+    accuracy = evaluate(logits, samples.labels, topn_list=topn)
     cases, predicted = samples, np.argmax(logits, axis=1)
     if max_cases is not None and len(samples) > max_cases:
         rows = np.sort(np.random.default_rng(seed).permutation(len(samples))[:max_cases])
@@ -122,7 +127,7 @@ def robustness(model: Model, relations, samples: Samples, *, max_cases: Optional
     total = sum(o.bits.size for o in outcomes)
     passes = sum(int(o.bits.sum()) for o in outcomes)
     return RobustnessReport(sr_mt=passes / total, total_cases=total, outcomes=tuple(outcomes),
-                            model_version=model.version, logits=logits)
+                            model_version=model.version, accuracy=accuracy)
 
 
 def partition(outcomes):

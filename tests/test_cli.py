@@ -449,6 +449,16 @@ class TestRunCommand:
         assert "INFO metaretrain.orchestrator: adaptive cycle 0: no prior partition" in captured.err
         assert "no prior partition" not in captured.out
 
+    def test_adaptive_fallback_logs_one_line_per_cycle_naming_it(self, tmp_path, data_dir, capsys):
+        # a threshold of 0 passes every relation, so cycle 1 has no failed set either
+        cfg = write_config(tmp_path / "run.cfg", data_dir, tmp_path / "runs", cycles=2, pass_threshold=0)
+        assert main(["run", "--config", str(cfg), "--log-level", "INFO"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "strong pool" in line] == [
+            "INFO metaretrain.orchestrator: adaptive cycle 0: no prior partition, using base strong pool",
+            "INFO metaretrain.orchestrator: adaptive cycle 1: no failed relations, using base strong pool"]
+        assert not [line for line in err if "metaretrain.policy" in line]
+
     @pytest.mark.parametrize("row", sorted(BAD_CONFIGS))
     def test_each_validation_branch_exit_2_naming_key_before_output(self, tmp_path, data_dir, capsys,
                                                                    monkeypatch, row):
@@ -1073,7 +1083,7 @@ class TestReportCommand:
                    final_version=0).save(path)
         assert main(["report", str(path), "--output-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: cannot tabulate a run with no completed cycles"]
+            "error: cannot tabulate run trainer=fixmatch mode=base seed=3: it has no completed cycles"]
         assert not (tmp_path / "out").exists()
 
     def test_layout_may_name_a_mode_that_no_run_has(self, tmp_path, capsys):

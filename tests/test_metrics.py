@@ -111,11 +111,10 @@ class TestEvaluate:
             sample_with_logit_ranks(rng.integers(0, 256, size=10), int(rng.integers(0, 3)), i)
             for i in range(20)
         ]
-        report = evaluate_samples(model, samples, topn_list=(1, 3, 10), sr_mt=0.5)
+        report = evaluate_samples(model, samples, topn_list=(1, 3, 10))
         assert report.sample_count == 20
         assert set(report.topn) == {1, 3, 10}
         assert report.topn[10] == 1.0
-        assert report.sr_mt == 0.5
         assert all(0.0 <= v <= 1.0 for v in report.per_class_top1.values())
         d = report.to_dict()
         assert d["topn"]["1"] == report.topn[1]

@@ -71,8 +71,8 @@ BAD_CYCLE_CONFIGS = {
 
 
 def scripted_scores(monkeypatch, sr_values):
-    """Deterministic fake tester and accuracy in the loop: evaluation k reports
-    sr_values[k] and fails no relation. Returns the call log."""
+    """Deterministic fake tester in the loop: evaluation k reports sr_values[k]
+    as SR_MT and top-1 accuracy and fails no relation. Returns the call log."""
     calls = {"n": 0, "models": []}
 
     def fake_robustness(model, relations, samples, **kwargs):
@@ -80,13 +80,9 @@ def scripted_scores(monkeypatch, sr_values):
         calls["n"] += 1
         calls["models"].append(model)
         return RobustnessReport(sr_mt=sr, total_cases=1, outcomes=(), model_version=model.version,
-                                logits=np.zeros((len(samples), 10), np.float32))
-
-    def fake_evaluate(logits, labels, topn_list, sr_mt):
-        return EvalReport(topn={1: sr_mt}, sample_count=1, per_class_top1={}, sr_mt=sr_mt)
+                                accuracy=EvalReport(topn={1: sr}, sample_count=1, per_class_top1={}))
 
     monkeypatch.setattr(orchestrator, "robustness", fake_robustness)
-    monkeypatch.setattr(orchestrator, "evaluate", fake_evaluate)
     return calls
 
 

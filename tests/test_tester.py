@@ -6,7 +6,7 @@ from util import table
 
 from metaretrain.data import ImageSample, to_model_input
 from metaretrain.errors import ValidationError
-from metaretrain.metrics import evaluate, table_logits, topn_accuracy
+from metaretrain.metrics import table_logits, topn_accuracy
 from metaretrain.nn import Dense, Flatten, Model, ModelSpec
 from metaretrain.relations import IDENTITY, LABEL_PRESERVING, MetamorphicRelation, catalog_by_id, catalog_default
 from metaretrain.tester import SuiteOutcome, partition, robustness
@@ -248,15 +248,13 @@ class TestRobustness:
         assert len(catalog) == 10
         n = 7
         samples = mnist_samples(n, seed=12)
-        labels = [s.label for s in samples]
         model = tiny_model(seed=11, size=28)
         for max_cases, k in ((None, n), (3, 3)):
             forwarded.clear()
-            report = robustness(model, catalog, samples, max_cases=max_cases)
-            accuracy = evaluate(report.logits, labels, topn_list=(1, 5))
+            report = robustness(model, catalog, samples, max_cases=max_cases, topn=(1, 5))
             assert report.total_cases == 10 * k
             assert sum(forwarded) == n + 10 * k
-            assert accuracy.topn == {1: topn_accuracy(model, samples, 1), 5: topn_accuracy(model, samples, 5)}
+            assert report.accuracy.topn == {1: topn_accuracy(model, samples, 1), 5: topn_accuracy(model, samples, 5)}
 
     def test_predict_converts_the_stack_like_each_image(self, monkeypatch):
         forwarded = []
