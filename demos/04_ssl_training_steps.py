@@ -1,10 +1,10 @@
 """One step of each semi-supervised trainer on the same batch stream.
 
-Every trainer consumes the same Batch shape: an augmented labeled part and
-weak/strong views of the unlabeled part. Pseudo-labels come from weak views
-and pass through the strong relation's label map before the consistency loss.
-A trainer that reads no strong views (supervised, MixMatch) gets a stream
-without them.
+Every trainer consumes the same Batch shape: an augmented labeled part, weak
+views of the unlabeled part, and the strong relation drawn for each unlabeled
+row. Pseudo-labels come from weak views and pass through the strong relation's
+label map before the consistency loss. A thresholded trainer builds the strong
+views of just the rows it reads; supervised and MixMatch build none.
 The returned LossBreakdown always satisfies
 total = L_sup + lambda_u * L_unsup + lambda_p * L_penalty.
 """
@@ -26,8 +26,7 @@ for name in ("supervised", "fixmatch", "flexmatch", "fullmatch", "mixmatch"):
     model = Model(model_spec("cnn_small", (1, 28, 28), 10), seed=8)
     trainer = build_trainer(name, model, SGD(0.05, 0.9), cfg, 10, seed=8)
     spec = CycleDatasetSpec(split=split, policy=policy, batch_size=16, epochs=1,
-                            num_classes=10, n_weak_views=trainer.n_weak_views,
-                            strong_views=trainer.reads_strong_views)
+                            num_classes=10, n_weak_views=trainer.n_weak_views)
     stream = build_cycle_stream(spec)
     out = trainer.step(next(iter(stream)))
     print(f"{name:12s} {out.l_sup:8.4f} {out.l_unsup:8.4f} {out.l_penalty:8.4f} "

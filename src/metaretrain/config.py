@@ -50,11 +50,11 @@ _SCHEMA = {
     "ratio_unlabeled": (float, 0.7),
     "ratio_test": (float, 0.2),
     "model": (str, "cnn_small"),
-    "trainer": (str, "fixmatch"),
-    "mode": (str, "adaptive"),
-    "cycles": (int, 5),
-    "epochs_per_cycle": (int, 2),
-    "batch_size": (int, 32),
+    "trainer": (str, _CYCLE_DEFAULTS["trainer"]),
+    "mode": (str, _CYCLE_DEFAULTS["mode"]),
+    "cycles": (int, _CYCLE_DEFAULTS["cycles"]),
+    "epochs_per_cycle": (int, _CYCLE_DEFAULTS["epochs_per_cycle"]),
+    "batch_size": (int, _CYCLE_DEFAULTS["batch_size"]),
     "seeds": (_parse_int_list, (0,)),
     "pass_threshold": (float, _CYCLE_DEFAULTS["pass_threshold"]),
     "learning_rate": (float, _CYCLE_DEFAULTS["learning_rate"]),

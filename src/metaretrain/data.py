@@ -86,7 +86,6 @@ class DatasetSplit:
     labeled: Samples
     unlabeled: Samples
     test: Samples
-    seed: int
 
     def sizes(self) -> tuple:
         return (len(self.labeled), len(self.unlabeled), len(self.test))
@@ -213,5 +212,4 @@ def subsample_and_split(samples: Samples, fraction, ratios, seed) -> DatasetSpli
         labeled=samples.take(chosen[:n_lab]),
         unlabeled=samples.take(chosen[n_lab : n_lab + n_unl]),
         test=samples.take(chosen[n_lab + n_unl :]),
-        seed=seed,
     )

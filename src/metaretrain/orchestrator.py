@@ -57,13 +57,13 @@ class StoppingCriterion:
             raise ValidationError(f"stopping criterion value must be in [0, 1], got {self.value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CycleConfig:
-    mode: str
-    trainer: str
-    cycles: int
-    epochs_per_cycle: int
-    batch_size: int
+    mode: str = "adaptive"
+    trainer: str = "fixmatch"
+    cycles: int = 5
+    epochs_per_cycle: int = 2
+    batch_size: int = 32
     seed: int
     num_classes: int
     pass_threshold: float = PASS_THRESHOLD
@@ -349,8 +349,7 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
         failed, passed = partition(report.outcomes)
         spec = CycleDatasetSpec(
             split=split, policy=policy, batch_size=cfg.batch_size, epochs=cfg.epochs_per_cycle,
-            num_classes=cfg.num_classes, n_weak_views=trainer.n_weak_views,
-            strong_views=trainer.reads_strong_views, cycle_index=cycle,
+            num_classes=cfg.num_classes, n_weak_views=trainer.n_weak_views, cycle_index=cycle,
         )
         loss_stats, nan_diag = _train_one_cycle(trainer, build_cycle_stream(spec), cycle, metrics_sink)
 

@@ -7,12 +7,11 @@ relations as strong, each pool sampled uniformly).
 
 A cycle's stream is generated one batch at a time, every epoch in order: each
 batch holds an augmented labeled part (labels remapped through the applied
-relation) and weak/strong views of the unlabeled part together with each
-strong relation's label-map table, which trainers use to remap pseudo-labels.
-A spec for a trainer that reads no strong views (MixMatch, supervised) gives
-a stream without them: each strong relation is still drawn, so every other
-byte of the batch is the same, but none is applied, and the strong fields are
-empty.
+relation), weak views of the unlabeled part, and the unlabeled pixels with the
+strong relation drawn for each row and that relation's label-map table, which
+trainers use to remap pseudo-labels. A strong view is built only when a
+trainer asks for its row (`Batch.strong_views`); transforms are keyed per
+row, so a row's view has the same bytes whichever rows are built with it.
 Each view's samples are transformed one relation at a time, every sample a
 relation was drawn for in one call, and put back in draw order.
 The stream keeps no batch it has yielded. Everything is a pure function of
@@ -28,7 +27,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .data import DatasetSplit, Samples, to_model_input
+from .data import DatasetSplit, to_model_input
 from .errors import ValidationError
 from .relations import IDENTITY, LABEL_PRESERVING, compose, label_map_array
 
@@ -119,7 +118,6 @@ class CycleDatasetSpec:
     epochs: int
     num_classes: int
     n_weak_views: int = 1
-    strong_views: bool = True  # the trainer's reads_strong_views
     cycle_index: int = 0
 
     def __post_init__(self):
@@ -138,16 +136,29 @@ class Batch:
     x_labeled: np.ndarray  # [bl,C,H,W] float32, augmented and normalized
     y_labeled: np.ndarray  # [bl] int64, remapped through the applied relation
     x_unlabeled_weak: np.ndarray  # [K,bu,C,H,W]; bu is the batch's unlabeled count
-    x_unlabeled_strong: np.ndarray  # [bu,C,H,W], or [0,C,H,W] in a stream without strong views
-    strong_label_maps: np.ndarray  # [bu,num_classes] int64 lookup tables, or [0,num_classes]
+    unlabeled_pixels: np.ndarray  # [bu,C,H,W] uint8, untransformed
+    strong_mrs: tuple  # [bu] the strong relation drawn for each unlabeled row
+    strong_label_maps: np.ndarray  # [bu,num_classes] int64 lookup tables
+    seed: int  # the stream's seed; with a row's source id it keys the row's strong transform
     labeled_mr_ids: tuple = ()
-    strong_mr_ids: tuple = ()  # one per strong view, () without them
     labeled_source_ids: tuple = ()
     unlabeled_source_ids: tuple = ()
 
     @property
     def n_unlabeled(self) -> int:
         return self.x_unlabeled_weak.shape[1]
+
+    def strong_views(self, rows) -> np.ndarray:
+        """float32 [len(rows),C,H,W]: the strong view of each unlabeled row in
+        `rows`, in their order; only those rows are transformed."""
+        rows = np.asarray(rows, dtype=np.intp)
+        keys = [(self.seed, self.unlabeled_source_ids[i]) for i in rows]
+        return to_model_input(_views([self.strong_mrs[i] for i in rows], self.unlabeled_pixels[rows], keys))
+
+    @property
+    def x_unlabeled_strong(self) -> np.ndarray:
+        """float32 [bu,C,H,W]: every unlabeled row's strong view, built on each access."""
+        return self.strong_views(np.arange(self.n_unlabeled))
 
 
 @dataclass(frozen=True)
@@ -186,16 +197,15 @@ def build_cycle_stream(spec: CycleDatasetSpec) -> CycleStream:
     return CycleStream(spec=spec, steps_per_epoch=steps)
 
 
-def _views(mrs, samples: Samples, seed: int) -> np.ndarray:
-    """uint8 [len(mrs),C,H,W]: row i is row i of `samples` transformed by
-    mrs[i]; one transform call per relation, each row keeping its own bits."""
+def _views(mrs, pixels: np.ndarray, keys: list) -> np.ndarray:
+    """uint8 [len(mrs),C,H,W]: row i is pixels[i] transformed by mrs[i] under
+    keys[i]; one transform call per relation, each row keeping its own bits."""
     groups = {}  # relation -> its rows
     for i, mr in enumerate(mrs):
         groups.setdefault(mr, []).append(i)
-    out = np.empty((len(mrs),) + samples.pixels.shape[1:], dtype=np.uint8)
+    out = np.empty((len(mrs),) + pixels.shape[1:], dtype=np.uint8)
     for mr, rows in groups.items():
-        group = samples.take(rows)
-        out[rows] = mr.transform(group.pixels, group.keys(seed))
+        out[rows] = mr.transform(pixels[rows], [keys[i] for i in rows])
     return out
 
 
@@ -228,18 +238,17 @@ def _generate_batches(spec: CycleDatasetSpec, steps: int):
                 for view in weak_mrs:
                     view.append(weak_candidates[rng.choice(len(weak_candidates))])
                 strong_idx.append(_draw(rng, strong_cdf))
-            if not spec.strong_views:
-                strong_idx = []  # drawn for the draw order, never transformed
-            strong_mrs = [policy.strong_pool[i] for i in strong_idx]
+            unl_keys = unl.keys(seed)
             # to_model_input is elementwise, so converting a stack gives each image's own bits
             yield Batch(
-                x_labeled=to_model_input(_views(lab_mrs, lab, seed)),
+                x_labeled=to_model_input(_views(lab_mrs, lab.pixels, lab.keys(seed))),
                 y_labeled=np.array([mr.label_map(y) for mr, y in zip(lab_mrs, lab.labels.tolist())], dtype=np.int64),
-                x_unlabeled_weak=to_model_input(np.stack([_views(mrs, unl, seed) for mrs in weak_mrs])),
-                x_unlabeled_strong=to_model_input(_views(strong_mrs, unl, seed)),
+                x_unlabeled_weak=to_model_input(np.stack([_views(mrs, unl.pixels, unl_keys) for mrs in weak_mrs])),
+                unlabeled_pixels=unl.pixels,
+                strong_mrs=tuple(policy.strong_pool[i] for i in strong_idx),
                 strong_label_maps=strong_maps[np.array(strong_idx, dtype=np.intp)],
+                seed=seed,
                 labeled_mr_ids=tuple(mr.id for mr in lab_mrs),
-                strong_mr_ids=tuple(mr.id for mr in strong_mrs),
                 labeled_source_ids=tuple(lab.source_ids.tolist()),
                 unlabeled_source_ids=tuple(unl.source_ids.tolist()),
             )

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Samples
+from .data import MNIST_IMAGE_MAGIC, MNIST_LABEL_MAGIC, Samples
 from .errors import ValidationError
 from .nn.checkpoint import write_atomic
 
@@ -124,8 +124,8 @@ def write_idx(samples: Samples, images_path, labels_path) -> None:
     images_path, labels_path = Path(images_path), Path(labels_path)
     images_path.parent.mkdir(parents=True, exist_ok=True)
     pixels = np.ascontiguousarray(samples.pixels)
-    write_atomic(images_path, b"".join((struct.pack(">IIII", 0x00000803, n, h, w), pixels.data)))
-    write_atomic(labels_path, struct.pack(">II", 0x00000801, n) + samples.labels.astype(np.uint8).tobytes())
+    write_atomic(images_path, b"".join((struct.pack(">IIII", MNIST_IMAGE_MAGIC, n, h, w), pixels.data)))
+    write_atomic(labels_path, struct.pack(">II", MNIST_LABEL_MAGIC, n) + samples.labels.astype(np.uint8).tobytes())
 
 
 def ensure_dataset(data_dir, n_train: int = 2000, seed: int = 1234) -> dict:

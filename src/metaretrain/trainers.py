@@ -1,19 +1,17 @@
 """Semi-supervised training steps sharing one interface.
 
-Each trainer consumes a Batch (augmented labeled part plus weak/strong views
-of the unlabeled part), builds its loss, runs one SGD step, and returns a
-LossBreakdown. A trainer whose `reads_strong_views` is False gets batches
-without strong views. Pseudo-labels are always produced from weak views without
-gradient flow and remapped through the strong relation's label map before
-entering any consistency loss. Skipped loss branches (zero weight, empty
-batch) are omitted from the graph entirely, so degenerate runs reproduce a
-plain supervised loop bit for bit. Zero-weight rows are omitted too: without
-FullMatch's penalty, which reads every strong row, a thresholded step forwards
-only the strong rows its mask admits, in one forward padded with zero rows of
-weight 0 (see STRONG_ROW_MULTIPLE), so its cost follows its mask rate. A
-non-finite value in a strong row the mask leaves out is therefore never
-computed and does not abort the step; the labeled and weak-view forwards still
-cover, and check, every row.
+Each trainer consumes a Batch (augmented labeled part, weak views of the
+unlabeled part, and the strong relation drawn for each unlabeled row), builds
+its loss, runs one SGD step, and returns a LossBreakdown. Pseudo-labels are
+always produced from weak views without gradient flow and remapped through the
+strong relation's label map before entering any consistency loss. Skipped loss
+branches (zero weight, empty batch) are omitted from the graph entirely, so
+degenerate runs reproduce a plain supervised loop bit for bit. Zero-weight
+rows are omitted too: without FullMatch's penalty, which reads every strong
+row, a thresholded step builds and forwards only the strong views its mask
+admits, in one forward padded with zero rows of weight 0 (see
+STRONG_ROW_MULTIPLE), so its cost follows its mask rate. MixMatch and the
+supervised step build no strong view.
 
 Implemented steps:
   * ThresholdedTrainer serves three names. FixMatch: confidence-thresholded
@@ -182,7 +180,6 @@ class Trainer:
 
     name = "supervised"
     n_weak_views = 1
-    reads_strong_views = False  # True: the cycle stream carries strong views
 
     def __init__(self, model: Model, optimizer: SGD, cfg: TrainerConfig, num_classes: int, seed: int = 0):
         self.model = model
@@ -254,8 +251,6 @@ class ThresholdedTrainer(Trainer):
     `penalty` adds FullMatch's term on the same strong-view logits.
     """
 
-    reads_strong_views = True
-
     def __init__(self, model: Model, optimizer: SGD, cfg: TrainerConfig, num_classes: int,
                  seed: int = 0, *, name: str, status: ClassThresholds | None = None,
                  penalty: bool = False):
@@ -287,7 +282,7 @@ class ThresholdedTrainer(Trainer):
             # zero rows of label 0 and weight 0 appended
             rows = np.arange(n_u) if need_penalty else np.flatnonzero(mask)
             pad = 0 if need_penalty else -len(rows) % STRONG_ROW_MULTIPLE
-            x_s = np.pad(batch.x_unlabeled_strong[rows], [(0, pad)] + [(0, 0)] * 3)
+            x_s = np.pad(batch.strong_views(rows), [(0, pad)] + [(0, 0)] * 3)
             logits_s = self.model.forward(Tensor(x_s))
         if need_unsup:
             l_unsup_t = F.softmax_cross_entropy(

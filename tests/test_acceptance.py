@@ -28,7 +28,7 @@ from metaretrain.nn import (
 )
 from metaretrain.nn import functional as F
 from metaretrain.orchestrator import CycleConfig, run_cycles
-from metaretrain.relations import LABEL_PRESERVING, apply, catalog_by_id, catalog_default, compose, label_map_array
+from metaretrain.relations import IDENTITY, LABEL_PRESERVING, apply, catalog_by_id, catalog_default, compose, label_map_array
 from metaretrain.report import ComparisonTable
 from metaretrain.synthdigits import make_digits
 from metaretrain.tester import robustness
@@ -237,8 +237,11 @@ def test_criterion_5_rot180_label_semantics():
         x_labeled=rng.random((2, 1, 8, 8)).astype(np.float32),
         y_labeled=np.array([0, 1], dtype=np.int64),
         x_unlabeled_weak=rng.random((1, n_u, 1, 8, 8)).astype(np.float32),
-        x_unlabeled_strong=rng.random((n_u, 1, 8, 8)).astype(np.float32),
+        unlabeled_pixels=rng.integers(0, 256, (n_u, 1, 8, 8), dtype=np.uint8),
+        strong_mrs=(IDENTITY,) * n_u,
         strong_label_maps=np.tile(label_map_array(rot180, 10), (n_u, 1)),
+        seed=0,
+        unlabeled_source_ids=tuple(range(n_u)),
     )
     pseudo = trainer.step(batch).pseudo
     remap_ok = bool(np.all(pseudo["raw"] == 2) and np.all(pseudo["mapped"] == 5)

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import typing
 from dataclasses import fields, replace
@@ -45,6 +46,24 @@ def identity_policy(seed=0):
     return AugmentationPolicy(mode="base", weak_pool=(IDENTITY,), strong_pool=(IDENTITY,), seed=seed)
 
 
+def _adaptive_policy(catalog, seed):
+    mrs = catalog_by_id("mnist")
+    failed = [mrs[i] for i in ("rot15", "rot90", "translate_p3", "translate_m3", "noise8")]
+    return adaptive_policy(failed, *base_pools(catalog), seed=seed)
+
+
+POLICIES = {"base": base_policy, "static": static_policy, "adaptive": _adaptive_policy}
+
+
+@functools.cache
+def policy_batches(mode):
+    """One epoch of a stream of the `mode` policy on the MNIST catalog, 8 unlabeled rows a batch."""
+    pol = POLICIES[mode](catalog_default("mnist"), seed=14)
+    spec = CycleDatasetSpec(split=mnist_split(40, ratios=(0.3, 0.5, 0.2)), policy=pol, batch_size=8,
+                            epochs=1, num_classes=10)
+    return list(build_cycle_stream(spec))
+
+
 class TestAdaptivePolicy:
     def test_failed_set_becomes_strong_pool(self):
         mrs = catalog_by_id("mnist")
@@ -77,7 +96,7 @@ class TestStaticPolicy:
         pol = static_policy([mrs["rot90"], mrs["rot180"]], seed=3)
         split = mnist_split(250, ratios=(0.8, 0.2, 0.0))  # 200 labeled, 50 unlabeled
         spec = CycleDatasetSpec(split=split, policy=pol, batch_size=100, epochs=20, num_classes=10)
-        strong = [i for b in build_cycle_stream(spec) for i in b.strong_mr_ids]
+        strong = [mr.id for b in build_cycle_stream(spec) for mr in b.strong_mrs]
         assert len(strong) == 2000
         assert abs(strong.count("rot90+rot180") / 2000 - 0.5) <= 0.05
         # labeled draws: half from the weak pool (2 singles), half from the strong pool (2 pairs)
@@ -173,7 +192,7 @@ class TestCycleStream:
             assert np.array_equal(ba.y_labeled, bb.y_labeled)
             assert np.array_equal(ba.x_unlabeled_weak, bb.x_unlabeled_weak)
             assert np.array_equal(ba.x_unlabeled_strong, bb.x_unlabeled_strong)
-            assert ba.strong_mr_ids == bb.strong_mr_ids
+            assert ba.strong_mrs == bb.strong_mrs
 
     def test_steps_per_epoch_covers_larger_subset(self):
         split = mnist_split(60, ratios=(0.1, 0.7, 0.2))  # 6 labeled, 42 unlabeled
@@ -250,8 +269,7 @@ class TestCycleStream:
             for ba, bb in zip(a, b):
                 assert_batches_equal(ba, bb)
 
-    @pytest.mark.parametrize("strong_views,views_per_unlabeled", [(True, 3), (False, 2)])
-    def test_stream_is_built_one_batch_at_a_time(self, strong_views, views_per_unlabeled):
+    def test_stream_is_built_one_batch_at_a_time(self):
         calls = []
 
         def counted(images, keys):
@@ -262,37 +280,27 @@ class TestCycleStream:
         pol = AugmentationPolicy(mode="base", weak_pool=(mr,), strong_pool=(mr,), seed=11)
         split = mnist_split(60, ratios=(0.2, 0.5, 0.3))  # 12 labeled, 30 unlabeled
         spec = CycleDatasetSpec(split=split, policy=pol, batch_size=8, epochs=2,
-                                num_classes=10, n_weak_views=2, strong_views=strong_views)
+                                num_classes=10, n_weak_views=2)
         stream = build_cycle_stream(spec)
         assert calls == []
         batches = iter(stream)
         first = next(batches)
-        # one batch: 8 labeled images, then 2 weak views (and 1 strong view, if
-        # the spec asks for it) of 8 unlabeled ones
-        assert len(calls) == 8 + views_per_unlabeled * 8
-        assert len(calls) == first.x_labeled.shape[0] + views_per_unlabeled * first.n_unlabeled
+        # one batch: 8 labeled images, then 2 weak views of 8 unlabeled ones;
+        # a strong view is built only for a row asked for
+        assert len(calls) == 8 + 2 * 8
+        assert len(calls) == first.x_labeled.shape[0] + 2 * first.n_unlabeled
+        first.strong_views([5, 2])
+        assert calls[-2:] == [(11, first.unlabeled_source_ids[5]), (11, first.unlabeled_source_ids[2])]
         assert len(stream) == 1 + sum(1 for _ in batches) == 2 * stream.steps_per_epoch
 
-    def test_stream_without_strong_views_keeps_every_other_byte(self):
-        # the strong relations are still drawn, so labeled images, labels,
-        # weak views and ids equal those of the stream with strong views
-        split = mnist_split(40, ratios=(0.3, 0.5, 0.2))
-        pol = static_policy(catalog_default("mnist"), seed=13)
-        with_strong, without = (build_cycle_stream(CycleDatasetSpec(
-            split=split, policy=pol, batch_size=8, epochs=2, num_classes=10, n_weak_views=2,
-            strong_views=strong)) for strong in (True, False))
-        assert len(with_strong) == len(without) == 2 * with_strong.steps_per_epoch > 0
-        for a, b in zip(with_strong, without):
-            for name in ("x_labeled", "y_labeled", "x_unlabeled_weak"):
-                x, y = getattr(a, name), getattr(b, name)
-                assert x.dtype == y.dtype and x.tobytes() == y.tobytes() and x.shape == y.shape, name
-            for name in ("labeled_mr_ids", "labeled_source_ids", "unlabeled_source_ids"):
-                assert getattr(a, name) == getattr(b, name), name
-            assert b.n_unlabeled == a.n_unlabeled > 0
-            assert b.x_unlabeled_strong.shape == (0,) + a.x_unlabeled_strong.shape[1:]
-            assert b.x_unlabeled_strong.dtype == np.float32
-            assert b.strong_label_maps.shape == (0, 10) and b.strong_label_maps.dtype == np.int64
-            assert b.strong_mr_ids == ()
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_strong_views_of_any_rows_equal_those_rows_of_every_strong_view(self, data):
+        batch = data.draw(st.sampled_from(policy_batches(data.draw(st.sampled_from(sorted(POLICIES))))))
+        rows = data.draw(st.lists(st.integers(0, batch.n_unlabeled - 1), unique=True))  # any subset, any order
+        views, every = batch.strong_views(rows), batch.x_unlabeled_strong
+        assert every.shape == (batch.n_unlabeled, 1, 28, 28) and every.dtype == views.dtype == np.float32
+        assert views.shape == every[rows].shape and views.tobytes() == every[rows].tobytes()
 
     def test_iterating_batches_twice_gives_equal_batches(self):
         split = mnist_split(40, ratios=(0.3, 0.5, 0.2))

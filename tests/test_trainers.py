@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from metaretrain.data import subsample_and_split
-from metaretrain.errors import NonFiniteError, ValidationError
+from metaretrain.errors import ValidationError
 from metaretrain.nn import SGD, Conv2d, Dense, Flatten, MaxPool2d, Model, ModelSpec, ReLU, Tensor, backward
 from metaretrain.nn import functional as F
 from metaretrain.policy import (
@@ -17,12 +18,11 @@ from metaretrain.policy import (
     base_policy,
     build_cycle_stream,
 )
-from metaretrain.relations import catalog_by_id, catalog_default, label_map_array
+from metaretrain.relations import IDENTITY, MetamorphicRelation, catalog_by_id, catalog_default, label_map_array
 from metaretrain.synthdigits import make_digits
 from metaretrain.trainers import (
     ClassThresholds,
     LossBreakdown,
-    Trainer,
     TrainerConfig,
     build_trainer,
     mixmatch_mix,
@@ -41,6 +41,7 @@ import hashlib, json
 import numpy as np
 from metaretrain.nn import SGD, Model, model_spec
 from metaretrain.policy import Batch
+from metaretrain.relations import IDENTITY
 from metaretrain.trainers import TrainerConfig, build_trainer
 
 n_l, n_u, c = 8, 32, 10
@@ -52,8 +53,9 @@ for name in ("fixmatch", "flexmatch"):
         batch = Batch(x_labeled=rng.random((n_l, 1, 28, 28), dtype=np.float32),
                       y_labeled=rng.integers(0, c, n_l),
                       x_unlabeled_weak=rng.random((1, n_u, 1, 28, 28), dtype=np.float32),
-                      x_unlabeled_strong=rng.random((n_u, 1, 28, 28), dtype=np.float32),
-                      strong_label_maps=np.tile(np.arange(c), (n_u, 1)))
+                      unlabeled_pixels=rng.integers(0, 256, (n_u, 1, 28, 28), dtype=np.uint8),
+                      strong_mrs=(IDENTITY,) * n_u, strong_label_maps=np.tile(np.arange(c), (n_u, 1)),
+                      seed=0, unlabeled_source_ids=tuple(range(n_u)))
         mask = np.zeros(n_u, dtype=bool)
         mask[rng.permutation(n_u)[:k]] = True
         raw = rng.integers(0, c, n_u)
@@ -83,11 +85,11 @@ def make_batch(rng, n_l=4, n_u=6, k=1, strong_map=None):
     x_l = rng.random((n_l, 1, SIZE, SIZE)).astype(np.float32)
     y_l = rng.integers(0, C, size=n_l).astype(np.int64)
     x_w = rng.random((k, n_u, 1, SIZE, SIZE)).astype(np.float32)
-    x_s = rng.random((n_u, 1, SIZE, SIZE)).astype(np.float32)
+    pixels = rng.integers(0, 256, (n_u, 1, SIZE, SIZE), dtype=np.uint8)
     maps = np.tile(np.arange(C, dtype=np.int64), (n_u, 1)) if strong_map is None else strong_map
     return Batch(
-        x_labeled=x_l, y_labeled=y_l, x_unlabeled_weak=x_w, x_unlabeled_strong=x_s,
-        strong_label_maps=maps,
+        x_labeled=x_l, y_labeled=y_l, x_unlabeled_weak=x_w, unlabeled_pixels=pixels,
+        strong_mrs=(IDENTITY,) * n_u, strong_label_maps=maps, seed=0, unlabeled_source_ids=tuple(range(n_u)),
     )
 
 
@@ -96,8 +98,8 @@ def empty_unlabeled_batch(rng, n_l=4):
     return Batch(
         x_labeled=b.x_labeled, y_labeled=b.y_labeled,
         x_unlabeled_weak=np.zeros((1, 0, 1, SIZE, SIZE), dtype=np.float32),
-        x_unlabeled_strong=np.zeros((0, 1, SIZE, SIZE), dtype=np.float32),
-        strong_label_maps=np.zeros((0, C), dtype=np.int64),
+        unlabeled_pixels=np.zeros((0, 1, SIZE, SIZE), dtype=np.uint8),
+        strong_mrs=(), strong_label_maps=np.zeros((0, C), dtype=np.int64), seed=0,
     )
 
 
@@ -505,15 +507,23 @@ class TestAdmittedStrongRows:
         for n in pa:
             assert np.allclose(pa[n], pb[n], rtol=1e-5, atol=1e-7), n
 
-    @pytest.mark.parametrize("name", ["fixmatch", "flexmatch"])
-    def test_non_finite_strong_row_aborts_only_when_admitted(self, name):
-        batch = gated_batch(np.random.default_rng(58), [1, 4])
-        batch.x_unlabeled_strong[2, 0, 3, 3] = np.nan
-        trainer = build_trainer(name, gated_model(seed=59), SGD(0.1), TrainerConfig(), C)
-        assert np.isfinite(trainer.step(batch).total)
-        batch.x_unlabeled_strong[4, 0, 3, 3] = np.inf
-        with pytest.raises(NonFiniteError):
-            trainer.step(batch)
+    @pytest.mark.parametrize("name,built", [("fixmatch", "admitted"), ("flexmatch", "admitted"),
+                                            ("fullmatch", "every"), ("mixmatch", "none"), ("supervised", "none")])
+    def test_a_step_builds_only_the_strong_views_it_reads(self, name, built):
+        keys = []
+
+        def recorded(images, row_keys):
+            keys.extend(row_keys)
+            return images
+
+        admitted, n_u = [1, 4, 6, 13], 20
+        batch = replace(gated_batch(np.random.default_rng(58), admitted, n_u=n_u),
+                        strong_mrs=(MetamorphicRelation("recorded", recorded),) * n_u, seed=7,
+                        unlabeled_source_ids=tuple(range(100, 100 + n_u)))
+        trainer = build_trainer(name, gated_model(seed=59), SGD(0.1), TrainerConfig(lambda_p=0.5), C)
+        trainer.step(batch)
+        rows = {"admitted": admitted, "every": list(range(n_u)), "none": []}[built]
+        assert keys == [(7, 100 + i) for i in rows]
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs for a second BLAS thread")
     def test_step_bytes_equal_at_one_and_two_blas_threads(self):
@@ -542,7 +552,7 @@ class TestSharedInvariants:
         model = Model(ModelSpec((1, 28, 28), 10, (Flatten(), Dense(10))), seed=32)
         trainer = build_trainer(name, model, SGD(0.05, 0.9), cfg, 10, seed=33)
         spec = CycleDatasetSpec(split=split, policy=pol, batch_size=6, epochs=1, num_classes=10,
-                                n_weak_views=trainer.n_weak_views, strong_views=trainer.reads_strong_views)
+                                n_weak_views=trainer.n_weak_views)
         for batch in build_cycle_stream(spec):
             out = trainer.step(batch)
             expected = out.l_sup + out.lambda_u * out.l_unsup + out.lambda_p * out.l_penalty
@@ -558,17 +568,6 @@ class TestSharedInvariants:
         assert out.l_unsup > 1e-3
         assert out.total == pytest.approx(out.l_sup + 2.5 * out.l_unsup + cfg.lambda_p * out.l_penalty,
                                           rel=1e-6, abs=1e-6)
-
-    def test_supervised_is_the_base_trainer_and_its_stream_has_no_strong_views(self):
-        split = subsample_and_split(make_digits(40, seed=30), 1.0, (0.3, 0.5, 0.2), seed=30)
-        model = Model(ModelSpec((1, 28, 28), 10, (Flatten(), Dense(10))), seed=32)
-        trainer = build_trainer("supervised", model, SGD(0.05), TrainerConfig(), 10)
-        assert type(trainer) is Trainer and trainer.reads_strong_views is False
-        spec = CycleDatasetSpec(split=split, policy=base_policy(catalog_default("mnist"), seed=31), batch_size=6,
-                                epochs=1, num_classes=10, n_weak_views=1, strong_views=trainer.reads_strong_views)
-        batches = list(build_cycle_stream(spec))
-        assert batches and all(b.n_unlabeled and b.x_unlabeled_strong.shape[0] == 0 for b in batches)
-        assert all(trainer.step(b).l_unsup == 0.0 for b in batches)
 
     @pytest.mark.parametrize("name", ["fixmatch", "flexmatch", "mixmatch", "fullmatch"])
     def test_empty_unlabeled_degenerates_to_supervised(self, name):

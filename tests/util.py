@@ -188,4 +188,4 @@ def reference_subsample_and_split(samples, fraction, ratios, seed) -> DatasetSpl
     picked = [samples[i] for i in chosen]
     n_lab, n_unl, _ = sizes
     return DatasetSplit(labeled=tuple(picked[:n_lab]), unlabeled=tuple(picked[n_lab : n_lab + n_unl]),
-                        test=tuple(picked[n_lab + n_unl :]), seed=seed)
+                        test=tuple(picked[n_lab + n_unl :]))
