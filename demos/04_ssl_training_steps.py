@@ -24,7 +24,7 @@ cfg = TrainerConfig(tau=0.8)
 print(f"{'trainer':12s} {'L_sup':>8s} {'L_unsup':>8s} {'L_pen':>8s} {'total':>8s} {'mask':>6s}")
 for name in ("supervised", "fixmatch", "flexmatch", "fullmatch", "mixmatch"):
     model = Model(model_spec("cnn_small", (1, 28, 28), 10), seed=8)
-    trainer = build_trainer(name, model, SGD(0.05, 0.9), cfg, 10, seed=8)
+    trainer = build_trainer(name, model, SGD(0.05, 0.9), cfg, seed=8)
     spec = CycleDatasetSpec(split=split, policy=policy, batch_size=16, epochs=1,
                             num_classes=10, n_weak_views=trainer.n_weak_views)
     stream = build_cycle_stream(spec)

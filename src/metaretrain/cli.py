@@ -48,16 +48,20 @@ def load_dataset(dataset: str, data_dir) -> Samples:
     Expected filenames: MNIST `train-images-idx3-ubyte`/`train-labels-idx1-ubyte`
     (unpacked IDX), CIFAR-10 `data_batch_1..5.bin`, CIFAR-100 `train.bin`
     (searched in data_dir and the stock `cifar-*-batches-bin` subdirectories).
-    Every label must be a class of `dataset`.
+    Every label must be a class of `dataset`, and IDX images must have its
+    image shape (CIFAR batches always parse to 3x32x32).
     """
     data_dir = Path(data_dir)
-    n_classes = DATASETS[dataset][1]
+    input_shape, n_classes = DATASETS[dataset]
     if dataset == "mnist":
         images, labels = data_dir / "train-images-idx3-ubyte", data_dir / "train-labels-idx1-ubyte"
         for p in (images, labels):
             if not p.exists():
                 raise ValidationError(f"dataset file not found: {p}")
         files, samples = [labels], load_mnist(images, labels)
+        if samples.pixels.shape[1:] != input_shape:
+            raise ValidationError(f"{images}: images have shape {samples.pixels.shape[1:]}, "
+                                  f"but {dataset} images are {input_shape}")
     else:
         pattern, stock = ("data_batch_*.bin", "cifar-10-batches-bin") if dataset == "cifar10" else \
             ("train.bin", "cifar-100-binary")

@@ -322,10 +322,7 @@ def run_cycles(model: Model, split: DatasetSplit, cfg: CycleConfig, catalog,
     catalog = list(catalog)
     if not split.test:
         raise ValidationError("run needs a non-empty test split")
-    trainer = build_trainer(
-        cfg.trainer, model, SGD(cfg.learning_rate, cfg.momentum), cfg.trainer_cfg,
-        cfg.num_classes, seed=cfg.seed,
-    )
+    trainer = build_trainer(cfg.trainer, model, SGD(cfg.learning_rate, cfg.momentum), cfg.trainer_cfg, seed=cfg.seed)
     records = list(resume.records) if resume is not None else []
     by_id = {mr.id: mr for mr in catalog}
     if resume is not None:

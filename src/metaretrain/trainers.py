@@ -1,11 +1,14 @@
 """Semi-supervised training steps sharing one interface.
 
 Each trainer consumes a Batch (augmented labeled part, weak views of the
-unlabeled part, and the strong relation drawn for each unlabeled row), builds
-its loss, runs one SGD step, and returns a LossBreakdown. Pseudo-labels are
-always produced from weak views without gradient flow and remapped through the
-strong relation's label map before entering any consistency loss. Skipped loss
-branches (zero weight, empty batch) are omitted from the graph entirely, so
+unlabeled part, and the strong relation drawn for each unlabeled row) and
+returns the loss terms its algorithm computes, by name (`l_sup`, `l_unsup`,
+`l_penalty`), with its mask rate and pseudo-labels. `Trainer.step` alone
+weighs them, total = l_sup + lambda_u * l_unsup + lambda_p * l_penalty, runs
+one SGD step and returns a LossBreakdown. Pseudo-labels are always produced
+from weak views without gradient flow and remapped through the strong
+relation's label map before entering any consistency loss. A term of weight 0
+stays out of the total, and a thresholded step does not compute it, so
 degenerate runs reproduce a plain supervised loop bit for bit. Zero-weight
 rows are omitted too: without FullMatch's penalty, which reads every strong
 row, a thresholded step builds and forwards only the strong views its mask
@@ -14,15 +17,17 @@ STRONG_ROW_MULTIPLE), so its cost follows its mask rate. MixMatch and the
 supervised step build no strong view.
 
 Implemented steps:
-  * ThresholdedTrainer serves three names. FixMatch: confidence-thresholded
-    pseudo-labels, masked cross-entropy. FlexMatch: the same step with
-    per-class thresholds scaled by estimated learning status. FullMatch: the
-    FixMatch step plus an entropy/negative-learning penalty.
+  * ThresholdedTrainer serves three names, and its name alone sets its
+    variant. FixMatch: confidence-thresholded pseudo-labels, masked
+    cross-entropy (`l_unsup`). FlexMatch: the same step with per-class
+    thresholds scaled by estimated learning status. FullMatch: the FixMatch
+    step plus an entropy/negative-learning penalty (`l_penalty`).
   * MixMatch: sharpened K-view label guessing, from one forward over the
-    stacked weak views, plus pairwise input mixing.
+    stacked weak views, plus pairwise input mixing; `l_unsup` is the L2 term.
   * Trainer itself is the supervised step: labeled cross-entropy only
-    (reference for degeneracy checks), and every trainer's loss on a batch
+    (reference for degeneracy checks), and every trainer's terms on a batch
     without unlabeled rows.
+Every trainer reads its class count from its model's spec.
 
 FlexMatch here departs from Zhang et al. 2021 in four ways, each on purpose:
   1. Per-epoch reset. `ClassThresholds` counts from zero at every epoch start
@@ -176,52 +181,82 @@ def sharpen(probs: np.ndarray, temperature: float) -> np.ndarray:
 
 
 class Trainer:
-    """The supervised step; a semi-supervised one overrides `_losses` for batches with unlabeled rows."""
+    """The supervised step. A semi-supervised trainer overrides `_terms` for
+    batches with unlabeled rows; `step` weighs the terms for every trainer.
+    The class count is the model's."""
 
     name = "supervised"
     n_weak_views = 1
 
-    def __init__(self, model: Model, optimizer: SGD, cfg: TrainerConfig, num_classes: int, seed: int = 0):
+    def __init__(self, model: Model, optimizer: SGD, cfg: TrainerConfig, seed: int = 0):
         self.model = model
         self.optimizer = optimizer
         self.cfg = cfg
-        self.num_classes = num_classes
         self.seed = seed
 
     def on_epoch_start(self, cycle: int, epoch: int) -> None:
         """Called before the first step of each epoch of each cycle."""
 
     def step(self, batch: Batch) -> LossBreakdown:
+        """Weigh the trainer's terms (a term of weight 0 stays out of the total) and take one SGD step."""
         self.model.zero_grads()
-        total_t, parts = self._losses(batch) if batch.n_unlabeled else Trainer._losses(self, batch)
+        terms, mask_rate, pseudo = self._terms(batch) if batch.n_unlabeled else Trainer._terms(self, batch)
+        total_t = terms.get("l_sup")
+        for key, weight in (("l_unsup", self.cfg.lambda_u), ("l_penalty", self.cfg.lambda_p)):
+            if key in terms and weight != 0.0:
+                term_t = terms[key] * weight
+                total_t = term_t if total_t is None else total_t + term_t
+        if total_t is None:
+            unlabeled = " and no unlabeled term of nonzero weight" if batch.n_unlabeled else ""
+            raise ValidationError(f"{self.name} step received no labeled samples{unlabeled}")
+        losses = {key: terms[key].item() if key in terms else 0.0 for key in ("l_sup", "l_unsup", "l_penalty")}
         total = total_t.item()  # an op output, so Tensor._make has checked it finite
         backward(self.model, total_t)
         self.optimizer.step(self.model)
-        return LossBreakdown(
-            l_sup=parts.get("l_sup", 0.0),
-            l_unsup=parts.get("l_unsup", 0.0),
-            l_penalty=parts.get("l_penalty", 0.0),
-            total=total,
-            mask_rate=parts.get("mask_rate", 0.0),
-            lambda_u=self.cfg.lambda_u,
-            lambda_p=self.cfg.lambda_p,
-            pseudo=parts.get("pseudo", {}),
-        )
+        return LossBreakdown(**losses, total=total, mask_rate=mask_rate, lambda_u=self.cfg.lambda_u,
+                             lambda_p=self.cfg.lambda_p, pseudo=pseudo)
 
-    def _losses(self, batch: Batch):
-        """(total loss tensor, parts: floats plus the "pseudo" arrays). Here the
+    def _terms(self, batch: Batch):
+        """(loss-term tensors by name, mask rate, pseudo-label arrays). Here the
         labeled cross-entropy alone, which `step` also uses for every trainer
         on a batch without unlabeled rows."""
-        l_sup_t = self._supervised_loss(batch)
-        if l_sup_t is None:
-            raise ValidationError(f"{self.name} step received no labeled samples")
-        return l_sup_t, {"l_sup": l_sup_t.item(), "mask_rate": 0.0}
+        return self._supervised_term(batch), 0.0, {}
 
-    def _supervised_loss(self, batch: Batch):
+    def _supervised_term(self, batch: Batch) -> dict:
+        """{"l_sup": the labeled cross-entropy}, or {} without labeled rows."""
         if batch.x_labeled.shape[0] == 0:
-            return None
-        targets = F.one_hot(batch.y_labeled, self.num_classes)
-        return F.softmax_cross_entropy(self.model.forward(Tensor(batch.x_labeled)), targets)
+            return {}
+        targets = F.one_hot(batch.y_labeled, self.model.spec.num_classes)
+        return {"l_sup": F.softmax_cross_entropy(self.model.forward(Tensor(batch.x_labeled)), targets)}
+
+
+# A forward of the admitted strong rows is padded to a multiple of this many
+# rows. At most other row counts, OpenBLAS gives the conv weight gradient other
+# bits at another thread count.
+STRONG_ROW_MULTIPLE = 8
+
+
+class ThresholdedTrainer(Trainer):
+    """FixMatch's terms: masked cross-entropy on the strong view against the
+    confident weak-view pseudo-labels.
+
+    The name sets the rest: "flexmatch" swaps the fixed tau for per-class
+    thresholds (`status`), and "fullmatch" adds a penalty term on the same
+    strong-view logits.
+    """
+
+    NAMES = ("fixmatch", "flexmatch", "fullmatch")
+
+    def __init__(self, model: Model, optimizer: SGD, cfg: TrainerConfig, seed: int = 0, *, name: str):
+        super().__init__(model, optimizer, cfg, seed=seed)
+        self.name = name
+        self.status = (ClassThresholds.fresh(model.spec.num_classes, cfg.tau, cfg.tau_min)
+                       if name == "flexmatch" else None)
+        self.penalty = name == "fullmatch"
+
+    def on_epoch_start(self, cycle: int, epoch: int) -> None:
+        if self.status is not None:
+            self.status.reset()
 
     def _pseudo_labels(self, batch: Batch):
         """Confidence and mapped pseudo-labels from the first weak view (no grad)."""
@@ -232,49 +267,15 @@ class Trainer:
         mapped = np.take_along_axis(batch.strong_label_maps, raw[:, None], axis=1)[:, 0]
         return probs, conf, raw, mapped
 
-
-def _plus(total_t, term_t):
-    return term_t if total_t is None else total_t + term_t
-
-
-# A forward of the admitted strong rows is padded to a multiple of this many
-# rows. At most other row counts, OpenBLAS gives the conv weight gradient other
-# bits at another thread count.
-STRONG_ROW_MULTIPLE = 8
-
-
-class ThresholdedTrainer(Trainer):
-    """FixMatch's step: masked cross-entropy on the strong view against the
-    confident weak-view pseudo-labels.
-
-    `status` swaps the fixed tau for FlexMatch's per-class thresholds, and
-    `penalty` adds FullMatch's term on the same strong-view logits.
-    """
-
-    def __init__(self, model: Model, optimizer: SGD, cfg: TrainerConfig, num_classes: int,
-                 seed: int = 0, *, name: str, status: ClassThresholds | None = None,
-                 penalty: bool = False):
-        super().__init__(model, optimizer, cfg, num_classes, seed=seed)
-        self.name = name
-        self.status = status
-        self.penalty = penalty
-
-    def on_epoch_start(self, cycle: int, epoch: int) -> None:
-        if self.status is not None:
-            self.status.reset()
-
-    def _losses(self, batch: Batch):
+    def _terms(self, batch: Batch):
         n_u = batch.n_unlabeled
-        l_sup_t = self._supervised_loss(batch)
-        total_t = l_sup_t
+        terms = self._supervised_term(batch)
         probs_weak, conf, raw, mapped = self._pseudo_labels(batch)
         tau = self.cfg.tau if self.status is None else self.status.thresholds()[raw]
         mask = conf >= tau
         # per-class weighting normalized by tau_max, so a fixed tau (or a
         # converged status, all tau_c == tau_max) weighs by the mask alone
         weights = (tau / self.cfg.tau * mask).astype(np.float32)
-        parts = {"l_sup": l_sup_t.item() if l_sup_t is not None else 0.0, "mask_rate": float(mask.mean()),
-                 "pseudo": {"raw": raw, "mapped": mapped, "mask": mask}}
         need_unsup = self.cfg.lambda_u != 0.0 and mask.any()
         need_penalty = self.penalty and self.cfg.lambda_p != 0.0
         if need_unsup or need_penalty:
@@ -285,39 +286,36 @@ class ThresholdedTrainer(Trainer):
             x_s = np.pad(batch.strong_views(rows), [(0, pad)] + [(0, 0)] * 3)
             logits_s = self.model.forward(Tensor(x_s))
         if need_unsup:
-            l_unsup_t = F.softmax_cross_entropy(
-                logits_s, F.one_hot(np.pad(mapped[rows], (0, pad)), self.num_classes),
+            terms["l_unsup"] = F.softmax_cross_entropy(
+                logits_s, F.one_hot(np.pad(mapped[rows], (0, pad)), self.model.spec.num_classes),
                 weights=np.pad(weights[rows], (0, pad)), normalizer=n_u,
             )
-            parts["l_unsup"] = l_unsup_t.item()
-            total_t = _plus(total_t, l_unsup_t * self.cfg.lambda_u)
         if need_penalty:
             l_pen_t = self._penalty(logits_s, probs_weak, mask)
             if l_pen_t is not None:
-                parts["l_penalty"] = l_pen_t.item()
-                total_t = _plus(total_t, l_pen_t * self.cfg.lambda_p)
+                terms["l_penalty"] = l_pen_t
         if self.status is not None:
             self.status.update(raw[conf >= self.cfg.tau])
-        if total_t is None:
-            raise ValidationError(f"{self.name} step received an entirely empty batch")
-        return total_t, parts
+        return terms, float(mask.mean()), {"raw": raw, "mapped": mapped, "mask": mask}
 
     def _penalty(self, logits_s: Tensor, probs_weak: np.ndarray, mask: np.ndarray):
         """FullMatch: entropy minimization on below-threshold samples plus
         negative learning on classes the weak prediction deems implausible."""
         n_u, n_c = probs_weak.shape
-        total_t = None
+        entropy_t = negative_t = None
         unmasked = (~mask).astype(np.float32)
         ls = logits_s.log_softmax()
         p = ls.exp()
         if unmasked.any():
             entropy_per = -(p * ls).sum(axis=1)
-            total_t = (entropy_per * Tensor(unmasked)).sum() * (1.0 / float(unmasked.sum()))
+            entropy_t = (entropy_per * Tensor(unmasked)).sum() * (1.0 / float(unmasked.sum()))
         low = (probs_weak < self.cfg.low_tau).astype(np.float32)
         if low.any():
             neg_log = -(((1.0 - p).clamp_min(1e-6)).log())
-            total_t = _plus(total_t, (neg_log * Tensor(low)).sum() * (1.0 / float(n_u * n_c)))
-        return total_t
+            negative_t = (neg_log * Tensor(low)).sum() * (1.0 / float(n_u * n_c))
+        if entropy_t is None or negative_t is None:
+            return negative_t if entropy_t is None else entropy_t
+        return entropy_t + negative_t
 
 
 class MixMatchTrainer(Trainer):
@@ -333,9 +331,10 @@ class MixMatchTrainer(Trainer):
         if epoch == 0:
             self.rng = np.random.default_rng((self.seed, 0x4D6978, cycle))
 
-    def _losses(self, batch: Batch):
+    def _terms(self, batch: Batch):
         n_u = batch.n_unlabeled
         n_l = batch.x_labeled.shape[0]
+        n_c = self.model.spec.num_classes
         if n_l + n_u * self.n_weak_views < 2:
             raise ValidationError("mixmatch needs at least 2 samples to mix")
 
@@ -343,45 +342,30 @@ class MixMatchTrainer(Trainer):
         # whose rows each depend on their own image alone
         k = batch.x_unlabeled_weak.shape[0]
         x_weak = batch.x_unlabeled_weak.reshape((k * n_u,) + batch.x_unlabeled_weak.shape[2:])
-        probs = F.softmax(self.model.predict_logits(x_weak)).reshape(k, n_u, self.num_classes)
+        probs = F.softmax(self.model.predict_logits(x_weak)).reshape(k, n_u, n_c)
         guessed = sharpen(probs.sum(axis=0) / k, self.cfg.temperature)
 
         x_all = np.concatenate([batch.x_labeled, x_weak], axis=0)
         y_all = np.concatenate(
-            [F.one_hot(batch.y_labeled, self.num_classes, dtype=np.float64)] + [guessed] * k, axis=0
+            [F.one_hot(batch.y_labeled, n_c, dtype=np.float64)] + [guessed] * k, axis=0
         )
         perm = self.rng.permutation(len(x_all))
         gamma = self.rng.beta(self.cfg.alpha, self.cfg.alpha, size=len(x_all))
         x_mix, y_mix = mixmatch_mix((x_all, y_all), (x_all[perm], y_all[perm]), gamma)
         x_mix = x_mix.astype(np.float32)
 
-        parts = {"mask_rate": 1.0, "pseudo": {"guessed": guessed}}
-        total_t = None
+        terms = {}
         if n_l:
-            total_t = F.softmax_cross_entropy(self.model.forward(Tensor(x_mix[:n_l])), y_mix[:n_l])
-            parts["l_sup"] = total_t.item()
-        l_unsup_t = F.soft_mse(self.model.forward(Tensor(x_mix[n_l:])), y_mix[n_l:])
-        parts["l_unsup"] = l_unsup_t.item()
-        if self.cfg.lambda_u != 0.0:
-            total_t = _plus(total_t, l_unsup_t * self.cfg.lambda_u)
-        if total_t is None:
-            raise ValidationError("mixmatch step produced no loss terms")
-        return total_t, parts
+            terms["l_sup"] = F.softmax_cross_entropy(self.model.forward(Tensor(x_mix[:n_l])), y_mix[:n_l])
+        terms["l_unsup"] = F.soft_mse(self.model.forward(Tensor(x_mix[n_l:])), y_mix[n_l:])
+        return terms, 1.0, {"guessed": guessed}
 
 
-# name -> (per-class FlexMatch thresholds, FullMatch penalty)
-_THRESHOLDED = {"fixmatch": (False, False), "flexmatch": (True, False), "fullmatch": (False, True)}
-
-
-def build_trainer(name: str, model: Model, optimizer: SGD, cfg: TrainerConfig,
-                  num_classes: int, seed: int = 0) -> Trainer:
-    if name in _THRESHOLDED:
-        per_class, penalty = _THRESHOLDED[name]
-        status = ClassThresholds.fresh(num_classes, cfg.tau, cfg.tau_min) if per_class else None
-        return ThresholdedTrainer(model, optimizer, cfg, num_classes, seed=seed,
-                                  name=name, status=status, penalty=penalty)
+def build_trainer(name: str, model: Model, optimizer: SGD, cfg: TrainerConfig, seed: int = 0) -> Trainer:
+    if name in ThresholdedTrainer.NAMES:
+        return ThresholdedTrainer(model, optimizer, cfg, seed=seed, name=name)
     if name == "mixmatch":
-        return MixMatchTrainer(model, optimizer, cfg, num_classes, seed=seed)
+        return MixMatchTrainer(model, optimizer, cfg, seed=seed)
     if name == "supervised":
-        return Trainer(model, optimizer, cfg, num_classes, seed=seed)
+        return Trainer(model, optimizer, cfg, seed=seed)
     raise ValidationError(f"unknown trainer {name!r} (choose from {sorted(TRAINER_NAMES)})")

@@ -228,7 +228,7 @@ def test_criterion_5_rot180_label_semantics():
     bias = np.zeros_like(b.data)
     bias[2] = 6.0
     b.data = bias
-    trainer = build_trainer("fixmatch", model, SGD(0.0), TrainerConfig(tau=0.5), 10)
+    trainer = build_trainer("fixmatch", model, SGD(0.0), TrainerConfig(tau=0.5))
     rng = np.random.default_rng(22)
     from metaretrain.policy import Batch
 

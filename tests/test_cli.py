@@ -680,6 +680,40 @@ class TestCorpusLabels:
         assert not (tmp_path / "runs").exists()
 
 
+class TestCorpusImageShape:
+    """IDX images whose shape is not the dataset's exit 2, naming the images
+    file and both shapes, before any run or output directory exists."""
+
+    def corpus_of_32px_images(self, tmp_path):
+        samples = make_digits(400, seed=4)
+        data = tmp_path / "data"
+        write_idx(Samples(np.pad(samples.pixels, [(0, 0), (0, 0), (2, 2), (2, 2)]), samples.labels,
+                          samples.source_ids),
+                  data / "train-images-idx3-ubyte", data / "train-labels-idx1-ubyte")
+        return data
+
+    def test_run_exit_2_before_any_run_directory(self, tmp_path, capsys):
+        data = self.corpus_of_32px_images(tmp_path)
+        cfg = write_config(tmp_path / "run.cfg", data, tmp_path / "runs", fraction=0.5)
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert (f"{data / 'train-images-idx3-ubyte'}: images have shape (1, 32, 32), "
+                "but mnist images are (1, 28, 28)") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_test_exit_2_before_any_output_directory(self, tmp_path, capsys):
+        data = self.corpus_of_32px_images(tmp_path)
+        ckpt = tmp_path / "linear.ckpt"
+        save_checkpoint(Model(model_spec("linear", (1, 28, 28), 10), seed=0).snapshot(), ckpt)
+        rc = main(["test", "--checkpoint", str(ckpt), "--dataset", "mnist", "--data-dir", str(data),
+                   "--fraction", "1.0", "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{data / 'train-images-idx3-ubyte'}: images have shape (1, 32, 32)" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestCorruptCorpus:
     """An IDX image file that does not match its format exits 2 from `run`
     and `test` with the parser's message naming the file, before any run or

@@ -59,7 +59,7 @@ for name in ("fixmatch", "flexmatch"):
         mask = np.zeros(n_u, dtype=bool)
         mask[rng.permutation(n_u)[:k]] = True
         raw = rng.integers(0, c, n_u)
-        trainer = build_trainer(name, Model(spec, seed=61), SGD(0.05, 0.9), TrainerConfig(), c)
+        trainer = build_trainer(name, Model(spec, seed=61), SGD(0.05, 0.9), TrainerConfig())
         trainer._pseudo_labels = lambda _batch: (np.eye(c)[raw], mask.astype(np.float32), raw, raw)
         trainer.step(batch)
         params = b"".join(p.data.tobytes() for _, p in trainer.model.named_parameters())
@@ -154,17 +154,18 @@ class TestFixMatch:
         model = tiny_model(seed=1)
         for p in model.parameters():
             p.data = np.zeros_like(p.data)  # uniform softmax, confidence 0.1 < tau
-        trainer = build_trainer("fixmatch", model, SGD(0.1), TrainerConfig(), C)
+        trainer = build_trainer("fixmatch", model, SGD(0.1), TrainerConfig())
         out = trainer.step(make_batch(np.random.default_rng(0)))
         assert out.mask_rate == 0.0
         assert out.l_unsup == 0.0
         assert out.total == out.l_sup
 
-    def test_lambda_zero_matches_supervised_bitwise(self):
+    @pytest.mark.parametrize("name", ["fixmatch", "flexmatch", "fullmatch"])
+    def test_lambda_zero_matches_supervised_bitwise(self, name):
         batchs = [make_batch(np.random.default_rng(i)) for i in range(3)]
         model_a, model_b = tiny_model(seed=2, bias=3), tiny_model(seed=2, bias=3)
-        fix = build_trainer("fixmatch", model_a, SGD(0.1, 0.9), TrainerConfig(lambda_u=0.0), C)
-        sup = build_trainer("supervised", model_b, SGD(0.1, 0.9), TrainerConfig(), C)
+        fix = build_trainer(name, model_a, SGD(0.1, 0.9), TrainerConfig(lambda_u=0.0, lambda_p=0.0))
+        sup = build_trainer("supervised", model_b, SGD(0.1, 0.9), TrainerConfig())
         for b in batchs:
             fix.step(b)
             sup.step(b)
@@ -180,7 +181,7 @@ class TestFixMatch:
         maps = np.tile(label_map_array(catalog_by_id("mnist")["rot180"], C), (2, 1))
         batch = make_batch(rng, n_l=2, n_u=2, strong_map=maps)
         cfg = TrainerConfig(tau=0.5)
-        trainer = build_trainer("fixmatch", model, SGD(0.0), cfg, C)
+        trainer = build_trainer("fixmatch", model, SGD(0.0), cfg)
 
         weak_probs = F.softmax(model.predict_logits(batch.x_unlabeled_weak[0]))
         strong_logits = model.predict_logits(batch.x_unlabeled_strong).astype(np.float64)
@@ -198,7 +199,7 @@ class TestFixMatch:
         model = tiny_model(seed=5, bias=2)  # predicts 2 confidently
         maps = np.tile(label_map_array(catalog_by_id("mnist")["rot180"], C), (3, 1))
         batch = make_batch(np.random.default_rng(6), n_l=1, n_u=3, strong_map=maps)
-        trainer = build_trainer("fixmatch", model, SGD(0.0), TrainerConfig(tau=0.5), C)
+        trainer = build_trainer("fixmatch", model, SGD(0.0), TrainerConfig(tau=0.5))
         pseudo = trainer.step(batch).pseudo
         assert np.all(pseudo["raw"] == 2)
         assert np.all(pseudo["mapped"] == 5)
@@ -208,7 +209,7 @@ class TestFixMatch:
         rates = {}
         for tau in (0.95, 0.5):
             model = tiny_model(seed=8)
-            trainer = build_trainer("fixmatch", model, SGD(0.0), TrainerConfig(tau=tau), C)
+            trainer = build_trainer("fixmatch", model, SGD(0.0), TrainerConfig(tau=tau))
             rates[tau] = trainer.step(batch).mask_rate
         assert rates[0.5] >= rates[0.95]
 
@@ -248,8 +249,8 @@ class TestFlexMatch:
     def test_converged_status_reduces_to_fixmatch(self):
         model_a, model_b = tiny_model(seed=9, bias=4), tiny_model(seed=9, bias=4)
         cfg = TrainerConfig(tau=0.8)
-        flex = build_trainer("flexmatch", model_a, SGD(0.1, 0.9), cfg, C)
-        fix = build_trainer("fixmatch", model_b, SGD(0.1, 0.9), cfg, C)
+        flex = build_trainer("flexmatch", model_a, SGD(0.1, 0.9), cfg)
+        fix = build_trainer("fixmatch", model_b, SGD(0.1, 0.9), cfg)
         flex.status.sigma[:] = 5  # converged: all classes equally learned
         batch = make_batch(np.random.default_rng(10), n_u=8)
         out_flex = flex.step(batch)
@@ -264,13 +265,13 @@ class TestFlexMatch:
         model = tiny_model(seed=11)
         for p in model.parameters():
             p.data = np.zeros_like(p.data)
-        trainer = build_trainer("flexmatch", model, SGD(0.1), TrainerConfig(), C)
+        trainer = build_trainer("flexmatch", model, SGD(0.1), TrainerConfig())
         out = trainer.step(make_batch(np.random.default_rng(12)))
         assert out.l_unsup == 0.0 and out.total == out.l_sup
 
     def test_counters_monotone_within_epoch(self):
         model = tiny_model(seed=13, bias=1)
-        trainer = build_trainer("flexmatch", model, SGD(0.01), TrainerConfig(tau=0.5), C)
+        trainer = build_trainer("flexmatch", model, SGD(0.01), TrainerConfig(tau=0.5))
         rng = np.random.default_rng(14)
         prev = trainer.status.sigma.copy()
         for _ in range(4):
@@ -324,7 +325,7 @@ class TestMixMatch:
     def test_k1_identity_guess_equals_model_softmax(self):
         model = tiny_model(seed=16)
         cfg = TrainerConfig(k_augmentations=1, temperature=1.0)
-        trainer = build_trainer("mixmatch", model, SGD(0.0), cfg, C)
+        trainer = build_trainer("mixmatch", model, SGD(0.0), cfg)
         batch = make_batch(np.random.default_rng(17), n_u=3, k=1)
         expected = F.softmax(model.predict_logits(batch.x_unlabeled_weak[0]))
         assert np.allclose(trainer.step(batch).pseudo["guessed"], expected, atol=1e-7)
@@ -337,7 +338,7 @@ class TestMixMatch:
                          layers=(Conv2d(4, 3, padding=1), ReLU(), Flatten(), Dense(C)))
         model = Model(spec, seed=40)
         cfg = TrainerConfig(k_augmentations=k, temperature=0.5)
-        trainer = build_trainer("mixmatch", model, SGD(0.1), cfg, C, seed=41)
+        trainer = build_trainer("mixmatch", model, SGD(0.1), cfg, seed=41)
         batch = make_batch(np.random.default_rng(42), n_l=2, n_u=n_u, k=k)
         mean = sum(F.softmax(model.predict_logits(batch.x_unlabeled_weak[v])) for v in range(k)) / k
         guessed = trainer.step(batch).pseudo["guessed"]
@@ -347,7 +348,7 @@ class TestMixMatch:
     def test_two_sample_case_matches_direct_definition(self):
         model = tiny_model(seed=18)
         cfg = TrainerConfig(k_augmentations=1, temperature=0.5, lambda_u=1.0, alpha=0.75)
-        trainer = build_trainer("mixmatch", model, SGD(0.0), cfg, C, seed=21)
+        trainer = build_trainer("mixmatch", model, SGD(0.0), cfg, seed=21)
         batch = make_batch(np.random.default_rng(19), n_l=1, n_u=1, k=1)
 
         # oracle: replay the trainer's seeded draws, then apply the loss
@@ -373,10 +374,16 @@ class TestMixMatch:
         assert out.l_sup == pytest.approx(expected_sup, abs=1e-5)
         assert out.l_unsup == pytest.approx(expected_unsup, abs=1e-6)
 
+    def test_lambda_zero_records_l_unsup_outside_the_total(self):
+        trainer = build_trainer("mixmatch", tiny_model(seed=2, bias=3), SGD(0.1), TrainerConfig(lambda_u=0.0))
+        out = trainer.step(make_batch(np.random.default_rng(0), k=2))
+        assert out.total == out.l_sup
+        assert out.l_unsup > 0.0
+
     def test_single_sample_batch_rejected(self):
         model = tiny_model(seed=20)
         cfg = TrainerConfig(k_augmentations=1)
-        trainer = build_trainer("mixmatch", model, SGD(0.1), cfg, C)
+        trainer = build_trainer("mixmatch", model, SGD(0.1), cfg)
         batch = make_batch(np.random.default_rng(21), n_l=0, n_u=1, k=1)
         with pytest.raises(ValidationError):
             trainer.step(batch)
@@ -394,8 +401,8 @@ class TestFullMatch:
                  (gated_model(seed=23), gated_model(seed=23), SGD(0.1, 0.9), SGD(0.1, 0.9),
                   [gated_batch(rng, rows) for rows in ([0, 3, 4], range(1, 19), [19])], [3 / 20, 18 / 20, 1 / 20])]
         for model_a, model_b, opt_a, opt_b, batches, rates in cases:
-            full = build_trainer("fullmatch", model_a, opt_a, TrainerConfig(lambda_p=0.0, tau=0.5), C)
-            fix = build_trainer("fixmatch", model_b, opt_b, TrainerConfig(tau=0.5), C)
+            full = build_trainer("fullmatch", model_a, opt_a, TrainerConfig(lambda_p=0.0, tau=0.5))
+            fix = build_trainer("fixmatch", model_b, opt_b, TrainerConfig(tau=0.5))
             for batch, rate in zip(batches, rates):
                 out_full, out_fix = full.step(batch), fix.step(batch)
                 assert out_full.mask_rate == out_fix.mask_rate == rate
@@ -409,7 +416,7 @@ class TestFullMatch:
         model = tiny_model(seed=24)
         for p in model.parameters():
             p.data = np.zeros_like(p.data)
-        trainer = build_trainer("fullmatch", model, SGD(0.0), TrainerConfig(), C)
+        trainer = build_trainer("fullmatch", model, SGD(0.0), TrainerConfig())
         out = trainer.step(make_batch(np.random.default_rng(25), n_u=5))
         # uniform probs: every sample unmasked, entropy = ln C; 1/C >= low_tau
         # so no negative-learning contribution
@@ -419,7 +426,7 @@ class TestFullMatch:
         model = tiny_model(seed=26)
         for p in model.parameters():
             p.data = np.zeros_like(p.data)
-        trainer = build_trainer("fullmatch", model, SGD(0.0), TrainerConfig(low_tau=0.05), C)
+        trainer = build_trainer("fullmatch", model, SGD(0.0), TrainerConfig(low_tau=0.05))
         out = trainer.step(make_batch(np.random.default_rng(27), n_u=4))
         assert out.l_penalty == pytest.approx(np.log(C), abs=1e-6)  # entropy only
 
@@ -429,7 +436,7 @@ class TestFullMatch:
         batch = make_batch(np.random.default_rng(29), n_u=3)
         weak_probs = F.softmax(model.predict_logits(batch.x_unlabeled_weak[0]))
         logits_s = model.predict_logits(batch.x_unlabeled_strong).astype(np.float64)
-        trainer = build_trainer("fullmatch", model, SGD(0.0), cfg, C)
+        trainer = build_trainer("fullmatch", model, SGD(0.0), cfg)
         out = trainer.step(batch)
 
         log_p = logits_s - np.log(np.exp(logits_s).sum(axis=1, keepdims=True))
@@ -453,7 +460,7 @@ class TestAdmittedStrongRows:
                              ids=["k1", "k8", "k11", "k20"])
     def test_strong_forward_is_the_admitted_rows(self, monkeypatch, name, rows):
         batch = gated_batch(np.random.default_rng(50), rows)
-        trainer = build_trainer(name, gated_model(seed=51), SGD(0.1), TrainerConfig(), C)
+        trainer = build_trainer(name, gated_model(seed=51), SGD(0.1), TrainerConfig())
         (x,) = strong_forwards(monkeypatch, trainer, batch)
         assert len(x) == -(-len(rows) // 8) * 8
         assert np.array_equal(x[:len(rows)], batch.x_unlabeled_strong[rows])
@@ -463,12 +470,12 @@ class TestAdmittedStrongRows:
     def test_all_zero_mask_makes_no_strong_forward(self, monkeypatch, name):
         batch = gated_batch(np.random.default_rng(52), [])
         cfg = TrainerConfig(lambda_p=0.0)
-        trainer = build_trainer(name, gated_model(seed=53), SGD(0.1), cfg, C)
+        trainer = build_trainer(name, gated_model(seed=53), SGD(0.1), cfg)
         assert strong_forwards(monkeypatch, trainer, batch) == []
 
     def test_fullmatch_penalty_keeps_one_forward_of_every_strong_row(self, monkeypatch):
         batch = gated_batch(np.random.default_rng(54), [1, 4, 6])
-        trainer = build_trainer("fullmatch", gated_model(seed=55), SGD(0.1), TrainerConfig(lambda_p=0.5), C)
+        trainer = build_trainer("fullmatch", gated_model(seed=55), SGD(0.1), TrainerConfig(lambda_p=0.5))
         (x,) = strong_forwards(monkeypatch, trainer, batch)
         assert np.array_equal(x, batch.x_unlabeled_strong)
 
@@ -489,7 +496,7 @@ class TestAdmittedStrongRows:
             return probs, mask.astype(np.float32), raw, raw
 
         model, reference = Model(spec, seed=57), Model(spec, seed=57)
-        trainer = build_trainer(name, model, SGD(0.1, 0.9), cfg, C)
+        trainer = build_trainer(name, model, SGD(0.1, 0.9), cfg)
         trainer._pseudo_labels = pseudo_labels
         tau = cfg.tau if trainer.status is None else trainer.status.thresholds()[raw]
         weights = (tau / cfg.tau * mask).astype(np.float32)
@@ -520,7 +527,7 @@ class TestAdmittedStrongRows:
         batch = replace(gated_batch(np.random.default_rng(58), admitted, n_u=n_u),
                         strong_mrs=(MetamorphicRelation("recorded", recorded),) * n_u, seed=7,
                         unlabeled_source_ids=tuple(range(100, 100 + n_u)))
-        trainer = build_trainer(name, gated_model(seed=59), SGD(0.1), TrainerConfig(lambda_p=0.5), C)
+        trainer = build_trainer(name, gated_model(seed=59), SGD(0.1), TrainerConfig(lambda_p=0.5))
         trainer.step(batch)
         rows = {"admitted": admitted, "every": list(range(n_u)), "none": []}[built]
         assert keys == [(7, 100 + i) for i in rows]
@@ -550,7 +557,7 @@ class TestSharedInvariants:
         pol = base_policy(catalog_default("mnist"), seed=31)
         cfg = TrainerConfig(k_augmentations=2)
         model = Model(ModelSpec((1, 28, 28), 10, (Flatten(), Dense(10))), seed=32)
-        trainer = build_trainer(name, model, SGD(0.05, 0.9), cfg, 10, seed=33)
+        trainer = build_trainer(name, model, SGD(0.05, 0.9), cfg, seed=33)
         spec = CycleDatasetSpec(split=split, policy=pol, batch_size=6, epochs=1, num_classes=10,
                                 n_weak_views=trainer.n_weak_views)
         for batch in build_cycle_stream(spec):
@@ -563,7 +570,7 @@ class TestSharedInvariants:
         # a low tau masks every weak view in, so the unsupervised term is
         # nonzero and a total that drops or divides by lambda_u differs
         cfg = TrainerConfig(lambda_u=2.5, tau=0.2, tau_min=0.2, k_augmentations=2)
-        trainer = build_trainer(name, tiny_model(seed=42, bias=2), SGD(0.0), cfg, C, seed=43)
+        trainer = build_trainer(name, tiny_model(seed=42, bias=2), SGD(0.0), cfg, seed=43)
         out = trainer.step(make_batch(np.random.default_rng(44), k=trainer.n_weak_views))
         assert out.l_unsup > 1e-3
         assert out.total == pytest.approx(out.l_sup + 2.5 * out.l_unsup + cfg.lambda_p * out.l_penalty,
@@ -574,8 +581,8 @@ class TestSharedInvariants:
         rng = np.random.default_rng(34)
         batches = [empty_unlabeled_batch(rng) for _ in range(3)]
         model_a, model_b = tiny_model(seed=35), tiny_model(seed=35)
-        ssl = build_trainer(name, model_a, SGD(0.1, 0.9), TrainerConfig(), C, seed=36)
-        sup = build_trainer("supervised", model_b, SGD(0.1, 0.9), TrainerConfig(), C, seed=36)
+        ssl = build_trainer(name, model_a, SGD(0.1, 0.9), TrainerConfig(), seed=36)
+        sup = build_trainer("supervised", model_b, SGD(0.1, 0.9), TrainerConfig(), seed=36)
         for b in batches:
             out = ssl.step(b)
             sup.step(b)
@@ -586,9 +593,23 @@ class TestSharedInvariants:
 
     @pytest.mark.parametrize("name", ["fixmatch", "flexmatch", "mixmatch", "fullmatch", "supervised"])
     def test_batch_without_samples_rejected_naming_the_trainer(self, name):
-        trainer = build_trainer(name, tiny_model(seed=35), SGD(0.1), TrainerConfig(), C)
+        trainer = build_trainer(name, tiny_model(seed=35), SGD(0.1), TrainerConfig())
         with pytest.raises(ValidationError, match=f"^{name} step received no labeled samples$"):
             trainer.step(empty_unlabeled_batch(np.random.default_rng(34), n_l=0))
+
+    @pytest.mark.parametrize("name", ["fixmatch", "flexmatch", "mixmatch", "fullmatch"])
+    def test_unlabeled_rows_without_a_weighted_term_rejected_naming_the_trainer(self, name):
+        # no labeled rows and every unlabeled weight 0: the step has no loss
+        # term, and it raises before any SGD step
+        model = tiny_model(seed=45, bias=2)
+        before = params_of(model)
+        trainer = build_trainer(name, model, SGD(0.1), TrainerConfig(lambda_u=0.0, lambda_p=0.0))
+        batch = make_batch(np.random.default_rng(46), n_l=0, k=trainer.n_weak_views)
+        with pytest.raises(ValidationError,
+                           match=f"^{name} step received no labeled samples and no unlabeled term of nonzero weight$"):
+            trainer.step(batch)
+        after = params_of(model)
+        assert all(np.array_equal(before[n], after[n]) for n in before)
 
     @pytest.mark.parametrize("name", ["fixmatch", "flexmatch", "fullmatch"])
     def test_mask_rate_is_exact_fraction(self, name):
@@ -602,14 +623,14 @@ class TestSharedInvariants:
         batch = make_batch(np.random.default_rng(38), n_u=20)
         batch.x_unlabeled_weak[...] = 0.0
         batch.x_unlabeled_weak[0, :7, 0, 0, 0] = 1.0
-        trainer = build_trainer(name, model, SGD(0.0), TrainerConfig(), C)
+        trainer = build_trainer(name, model, SGD(0.0), TrainerConfig())
         assert trainer.step(batch).mask_rate == 7 / 20
 
     @pytest.mark.parametrize("name", ["fixmatch", "flexmatch", "mixmatch", "fullmatch", "supervised"])
     def test_record_holds_losses_only_and_pseudo_mask_gives_mask_rate(self, name):
         model = tiny_model(seed=39)  # 4 of the 6 weak views clear tau = tau_min = 0.2
         cfg = TrainerConfig(tau=0.2, tau_min=0.2, k_augmentations=2)
-        trainer = build_trainer(name, model, SGD(0.0), cfg, C, seed=40)
+        trainer = build_trainer(name, model, SGD(0.0), cfg, seed=40)
         out = trainer.step(make_batch(np.random.default_rng(41), k=trainer.n_weak_views))
         assert list(out.to_record()) == ["l_sup", "l_unsup", "l_penalty", "total", "mask_rate"]
         if name in ("fixmatch", "flexmatch", "fullmatch"):
@@ -638,4 +659,4 @@ class TestSharedInvariants:
 
     def test_unknown_trainer_rejected(self):
         with pytest.raises(ValidationError):
-            build_trainer("noisy-student", tiny_model(), SGD(0.1), TrainerConfig(), C)
+            build_trainer("noisy-student", tiny_model(), SGD(0.1), TrainerConfig())
