@@ -7,10 +7,11 @@ sliding windows unrolled into one column per output pixel (Chellapilla et al.
 then copied once into [B, Cout, Ho, Wo]. The weight gradient is a GEMM against
 the same windows laid out one row per output pixel, [B*Ho*Wo, Cin*KH*KW]; the
 backward pass gathers them from the padded input with one strided copy per
-kernel offset, so the graph holds only that buffer. The input gradient is
-scattered back one kernel offset at a time into a [Cin, B, Hp, Wp] buffer and
-transposed once. A float32 GEMM rounds by its shapes, so predict chunks have
-one shape.
+kernel offset, so the graph holds only that buffer. That im2row matrix,
+`rows`, dies right after the weight-gradient GEMM, before col2im makes its
+buffers: the input gradient is scattered back one kernel offset at a time into
+a [Cin, B, Hp, Wp] buffer and transposed once. A float32 GEMM rounds by its
+shapes, so predict chunks have one shape.
 
 maxpool2d folds each tile's rows with np.maximum over the kernel strided
 column views, then folds those row maxima over the kernel strided row views.
@@ -75,6 +76,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
                     for kw in range(KW):
                         rows[..., kh, kw] = xt[:, kh : kh + Ho * stride : stride, kw : kw + Wo * stride : stride]
                 weight._accumulate((g2 @ rows.reshape(B * Ho * Wo, Cin * KH * KW)).reshape(Cout, Cin, KH, KW))
+                del rows  # freed before col2im makes its buffers
             if x.requires_grad:
                 # col2im: scatter-add one kernel offset at a time into a
                 # channel-major buffer, so no patch is transposed

@@ -2,11 +2,15 @@
 
 A Tensor wraps a float32/float64 ndarray plus an optional gradient buffer.
 Ops record closures on the output node; Tensor.backward() walks the graph in
-reverse topological order and drops each interior node's gradient once its
-closure has consumed it, so only leaves (parameters and inputs created with
-requires_grad) hold a gradient afterwards. matmul computes in float32 unless
-an operand is float64; reductions accumulate in float64 and cast back to the
-storage dtype. An op's result carries a `finite` flag: an op checks its result
+reverse topological order and releases it as it goes: once an interior node's
+closure has run, the node drops its gradient, its closure (with the buffers the
+op saved) and its parent links, so an activation dies as soon as the last op
+that reads it has passed its gradient on, and only leaves (parameters and
+inputs created with requires_grad) hold a gradient afterwards. A graph is
+walked once: a walked node's closure is a marker, and a backward() that reaches
+one raises ValidationError before any gradient is accumulated. matmul computes
+in float32 unless an operand is float64; reductions accumulate in float64 and
+cast back to the storage dtype. An op's result carries a `finite` flag: an op checks its result
 for NaN/Inf and raises NonFiniteError on the spot, unless it cannot turn finite
 input non-finite (maxpool2d, relu, reshape) and every input already carries the
 flag. A leaf (a parameter or a model input) never carries it, so an op on a leaf
@@ -69,6 +73,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _walked(grad) -> None:
+    """The closure of a node that a backward walk has passed."""
+    raise ValidationError("backward() reached a graph that was already walked; a graph is walked once, "
+                          "so run the forward again")
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "finite", "_parents", "_backward")
 
@@ -111,17 +121,25 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _walked:
+                _walked(None)  # raises before any gradient is accumulated
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()  # the list holds no node the walk has passed
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
-                # an interior node's gradient is spent once its closure ran
                 node.grad = None
+            # the closure, with the buffers it saved, and the parent links
+            # go, so each activation dies once the last op that reads it ran
+            node._backward = _walked
+            node._parents = ()
 
     def item(self) -> float:
         return float(self.data.reshape(()))

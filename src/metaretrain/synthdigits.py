@@ -130,17 +130,24 @@ def write_idx(samples: Samples, images_path, labels_path) -> None:
 
 def ensure_dataset(data_dir, n_train: int = 2000, seed: int = 1234) -> dict:
     """Write `make_digits(n_train, seed)` as the train IDX pair, the files `run` and `test` read, under
-    data_dir if absent; return their paths. Files already there must hold n_train items, or
-    ValidationError names the file; IDX has no seed to check."""
+    data_dir if absent; return their paths. Files already there must open with their IDX magic and
+    hold n_train items, or ValidationError names the file; IDX has no seed to check."""
     data_dir = Path(data_dir)
     paths = {"train_images": data_dir / "train-images-idx3-ubyte",
              "train_labels": data_dir / "train-labels-idx1-ubyte"}
     if not all(p.exists() for p in paths.values()):
         write_idx(make_digits(n_train, seed), paths["train_images"], paths["train_labels"])
         return paths
-    for path in paths.values():
+    for path, magic in ((paths["train_images"], MNIST_IMAGE_MAGIC), (paths["train_labels"], MNIST_LABEL_MAGIC)):
         with open(path, "rb") as f:
-            have = int.from_bytes(f.read(8)[4:], "big")  # the count follows the 4-byte magic
+            header = f.read(8)
+        if len(header) < 8:
+            raise ValidationError(f"{path}: {len(header)} bytes, shorter than its 8-byte IDX header "
+                                  "(magic and count); remove the corpus files")
+        found, have = struct.unpack(">II", header)
+        if found != magic:
+            raise ValidationError(f"{path}: bad IDX magic 0x{found:08x} at offset 0, expected 0x{magic:08x}; "
+                                  "remove the corpus files")
         if have != n_train:
             raise ValidationError(f"{path}: holds {have} items, but {n_train} were asked for; "
                                   "remove the corpus files or ask for their sizes")

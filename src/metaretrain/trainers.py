@@ -354,10 +354,12 @@ class MixMatchTrainer(Trainer):
         x_mix, y_mix = mixmatch_mix((x_all, y_all), (x_all[perm], y_all[perm]), gamma)
         x_mix = x_mix.astype(np.float32)
 
-        terms = {}
+        # the K*bu-row unlabeled mix is forwarded first, so the labeled graph
+        # is not held through the larger forward's transients; the backward
+        # walk's order follows the graph, not the order of the forwards
+        terms = {"l_unsup": F.soft_mse(self.model.forward(Tensor(x_mix[n_l:])), y_mix[n_l:])}
         if n_l:
             terms["l_sup"] = F.softmax_cross_entropy(self.model.forward(Tensor(x_mix[:n_l])), y_mix[:n_l])
-        terms["l_unsup"] = F.soft_mse(self.model.forward(Tensor(x_mix[n_l:])), y_mix[n_l:])
         return terms, 1.0, {"guessed": guessed}
 
 

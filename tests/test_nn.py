@@ -1,5 +1,6 @@
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -300,6 +301,42 @@ class TestBackward:
         assert x.grad is not None and x.grad.shape == x.shape
         for name, p in model.named_parameters():
             assert p.grad is not None and p.grad.shape == p.shape, name
+
+    def test_a_walk_releases_the_graph_and_leaves_the_leaves_alone(self):
+        model = Model(model_spec("cnn_small", (1, 8, 8), 3), seed=0)
+        x = Tensor(np.random.default_rng(0).normal(size=(2, 1, 8, 8)), requires_grad=True)
+        loss = F.softmax_cross_entropy(model.forward(x), F.one_hot([0, 2], 3))
+        hidden = weakref.ref(loss._parents[0]._parents[0].data)  # an interior node's array
+        loss.backward()
+        assert hidden() is None
+        assert loss._parents == ()
+        for leaf in [x] + model.parameters():
+            assert leaf._backward is None and leaf._parents == () and leaf.grad is not None
+        # the parameters serve a new forward, whose walk adds to their gradients
+        first = [p.grad.copy() for p in model.parameters()]
+        F.softmax_cross_entropy(model.forward(Tensor(x.data)), F.one_hot([0, 2], 3)).backward()
+        assert all(np.array_equal(p.grad, 2 * g) for p, g in zip(model.parameters(), first))
+
+    def test_backward_twice_on_one_root_raises(self):
+        w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        loss = (w * w).sum()
+        loss.backward()
+        with pytest.raises(ValidationError, match=re.escape("backward() reached a graph that was already walked")):
+            loss.backward()
+        assert w.grad.tolist() == [2.0, 4.0]
+
+    def test_second_loss_on_a_walked_trunk_raises_before_any_gradient(self):
+        model = Model(mlp_spec(), seed=0)
+        head = Tensor(np.ones((5, 1)), requires_grad=True)
+        trunk = model.forward(Tensor(np.ones((2, 1, 1, 4))))
+        trunk.sum().backward()
+        grads = [p.grad.copy() for p in model.parameters()]
+        # the second loss shares the walked trunk: its head would get a
+        # gradient, the trunk's parameters none, so it must not run at all
+        with pytest.raises(ValidationError, match=re.escape("a graph is walked once")):
+            (trunk.relu().matmul(Tensor(np.ones((3, 5)))).matmul(head)).sum().backward()
+        assert head.grad is None
+        assert all(np.array_equal(p.grad, g) for p, g in zip(model.parameters(), grads))
 
     def test_dense_squared_error_matches_hand_calculus(self):
         # loss = sum((x W^T - y)^2) on a 2x2 case; dL/dW = 2 (out-y)^T x

@@ -121,6 +121,24 @@ def test_ensure_dataset_of_other_sizes_raises_naming_file_and_counts_and_writes_
         ensure_dataset(tmp_path, n_train=30, seed=1)
 
 
+def test_ensure_dataset_names_a_file_shorter_than_its_idx_header(tmp_path):
+    ensure_dataset(tmp_path, n_train=30, seed=1)
+    (tmp_path / "train-images-idx3-ubyte").write_bytes(b"\x00\x00\x08")
+    with pytest.raises(ValidationError, match=r"train-images-idx3-ubyte: 3 bytes, shorter than its 8-byte IDX "
+                                              r"header"):
+        ensure_dataset(tmp_path, n_train=30, seed=1)
+
+
+def test_ensure_dataset_names_a_file_with_the_wrong_magic(tmp_path):
+    ensure_dataset(tmp_path, n_train=30, seed=1)
+    labels = tmp_path / "train-labels-idx1-ubyte"
+    # an image file in the labels' place: its count is right, its magic is not
+    labels.write_bytes((tmp_path / "train-images-idx3-ubyte").read_bytes())
+    with pytest.raises(ValidationError, match=r"train-labels-idx1-ubyte: bad IDX magic 0x00000803 at offset 0, "
+                                              r"expected 0x00000801"):
+        ensure_dataset(tmp_path, n_train=30, seed=1)
+
+
 def test_interrupted_write_leaves_no_partial_file_and_is_redone(tmp_path, monkeypatch):
     calls = []
     real_write_bytes = Path.write_bytes

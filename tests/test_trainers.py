@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import pytest
 
 from metaretrain.data import subsample_and_split
 from metaretrain.errors import ValidationError
-from metaretrain.nn import SGD, Conv2d, Dense, Flatten, MaxPool2d, Model, ModelSpec, ReLU, Tensor, backward
+from metaretrain.nn import SGD, Conv2d, Dense, Flatten, MaxPool2d, Model, ModelSpec, ReLU, Tensor, backward, model_spec
 from metaretrain.nn import functional as F
 from metaretrain.policy import (
     Batch,
@@ -379,6 +381,66 @@ class TestMixMatch:
         out = trainer.step(make_batch(np.random.default_rng(0), k=2))
         assert out.total == out.l_sup
         assert out.l_unsup > 0.0
+
+    def test_first_walked_graph_dies_before_the_walk_reaches_the_second(self, monkeypatch):
+        # step's total is l_sup + lambda_u * l_unsup, so the walk takes the
+        # labeled graph first; the first conv's weight gets its gradient
+        # once per graph, the unlabeled graph's last
+        spec = ModelSpec(input_shape=(1, SIZE, SIZE), num_classes=C,
+                         layers=(Conv2d(4, 3, padding=1), ReLU(), MaxPool2d(2), Conv2d(4, 3, padding=1), ReLU(),
+                                 Flatten(), Dense(C)))
+        model = Model(spec, seed=50)
+        trainer = build_trainer("mixmatch", model, SGD(0.1), TrainerConfig(k_augmentations=2), seed=51)
+        batch = make_batch(np.random.default_rng(52), n_l=4, n_u=6, k=2)
+        labeled, alive = [], []
+        conv2d, accumulate, first_weight = F.conv2d, Tensor._accumulate, model._params["0.weight"]
+
+        def recording_conv2d(x, *args, **kwargs):
+            out = conv2d(x, *args, **kwargs)
+            if out.requires_grad and x.data.shape[0] == 4:
+                labeled.append(weakref.ref(out.data))
+            return out
+
+        def recording_accumulate(self, grad):
+            if self is first_weight:
+                alive.append([ref() is not None for ref in labeled])
+            accumulate(self, grad)
+
+        monkeypatch.setattr(F, "conv2d", recording_conv2d)
+        monkeypatch.setattr(Tensor, "_accumulate", recording_accumulate)
+        trainer.step(batch)
+        assert len(labeled) == 2 and len(alive) == 2
+        assert alive[-1] == [False, False]
+
+    def test_step_working_set_is_its_graphs_and_one_im2row_matrix(self):
+        # one bench-sized step: 32 labeled rows and K = 2 views of 32
+        # unlabeled rows, so 96 rows forwarded through cnn_small. Each row's
+        # graph keeps, in float32, each conv's padded input and output and
+        # the pool and ReLU outputs after it (the ReLU runs after the pool).
+        # The largest transient is conv2's im2row matrix for the 64-row
+        # unlabeled mix. Each of these exceeds the bound: a walk that holds
+        # both graphs until the step returns, an im2row matrix kept alive
+        # through col2im, and a labeled graph forwarded first and so held
+        # through the larger mix's forward transients.
+        n_l, n_u, k = 32, 32, 2
+        rng = np.random.default_rng(53)
+        batch = Batch(x_labeled=rng.random((n_l, 1, 28, 28), dtype=np.float32), y_labeled=rng.integers(0, C, n_l),
+                      x_unlabeled_weak=rng.random((k, n_u, 1, 28, 28), dtype=np.float32),
+                      unlabeled_pixels=rng.integers(0, 256, (n_u, 1, 28, 28), dtype=np.uint8),
+                      strong_mrs=(IDENTITY,) * n_u, strong_label_maps=np.tile(np.arange(C), (n_u, 1)), seed=0,
+                      unlabeled_source_ids=tuple(range(n_u)))
+        model = Model(model_spec("cnn_small", (1, 28, 28), C), seed=54)
+        trainer = build_trainer("mixmatch", model, SGD(0.05, 0.9), TrainerConfig(k_augmentations=k), seed=55)
+        trainer.step(batch)  # the momentum buffers are made by the first step
+        row_bytes = 4 * (30 * 30 + 8 * 28 * 28 + 2 * 8 * 14 * 14 + 8 * 16 * 16 + 16 * 14 * 14 + 2 * 16 * 7 * 7)
+        im2row_bytes = 4 * (k * n_u) * 14 * 14 * 8 * 3 * 3
+        tracemalloc.start()
+        try:
+            trainer.step(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (n_l + k * n_u) * row_bytes + im2row_bytes
 
     def test_single_sample_batch_rejected(self):
         model = tiny_model(seed=20)
